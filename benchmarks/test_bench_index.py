@@ -3,9 +3,9 @@
 Three measurement families land in ``BENCH_index.json``:
 
 * **Candidate-generation throughput** — the same query batch pushed through
-  the exact blocked-top-k :class:`~repro.linking.EntityIndex` and through an
-  :class:`~repro.index.IVFShard` (coarse probe + exact re-scoring) over a
-  100k-entity synthetic KB (:func:`repro.bench.synthetic_kb`: real cluster
+  :class:`~repro.index.EntityShard` on both coarse stages, the exhaustive
+  blocked top-k scan and :class:`~repro.index.IVFBackend` cells (coarse
+  probe + exact re-scoring), over a 100k-entity synthetic KB (:func:`repro.bench.synthetic_kb`: real cluster
   geometry, no data files).  The IVF path must clear **>= 10x** the exact
   throughput — the whole point of the approximate layer — while its
   recall@64 against the exact top-64 stays **>= 0.95**.
@@ -39,8 +39,8 @@ import pytest
 
 from repro.bench import compare, synthetic_kb
 from repro.eval import recall_at_k
-from repro.index import IVFShard, encode_matrix
-from repro.linking import EntityIndex, ShardedEntityIndex
+from repro.index import EntityShard, IVFBackend, encode_matrix
+from repro.linking import ShardedEntityIndex
 
 SEED = 13
 NUM_ENTITIES = 100_000
@@ -115,11 +115,12 @@ def index_results():
     )
     queries = _make_queries(vectors, rng)
 
-    exact = EntityIndex(entities, vectors)
+    cells = IVFBackend(num_cells=NUM_CELLS, nprobe=NPROBE, seed=SEED)
+    exact = EntityShard(entities, vectors)
     exact_qps = _best_qps(exact.search_arrays, queries, repeats=2)
     exact_results = exact.search(queries, k=K)
 
-    shard = IVFShard(entities, vectors, num_cells=NUM_CELLS, nprobe=NPROBE, seed=SEED)
+    shard = EntityShard(entities, vectors, cells=cells)
     ivf_qps = _best_qps(shard.search_arrays, queries, repeats=3)
     ivf_results = shard.search(queries, k=K)
     recall = recall_at_k(ivf_results, exact_results)
@@ -130,9 +131,7 @@ def index_results():
     float64_bytes = vectors.nbytes
     for codec in ("float16", "int8"):
         storage = encode_matrix(vectors, codec)
-        qshard = IVFShard(
-            entities, storage, num_cells=NUM_CELLS, nprobe=NPROBE, seed=SEED
-        )
+        qshard = EntityShard(entities, storage, cells=cells)
         quantized[codec] = {
             "recall_at_64": recall_at_k(qshard.search(queries, k=K), exact_results),
             "storage_bytes": int(storage.nbytes),

@@ -40,12 +40,11 @@ MODULES = [
     ("repro.serving.resilience", "repro.serving.resilience — supervisor, breakers & brownout"),
     ("repro.serving.pipeline", "repro.serving.pipeline — batched linking pipeline"),
     ("repro.serving.stages", "repro.serving.stages — vectorized stages"),
-    ("repro.index", "repro.index — approximate & quantized retrieval"),
-    ("repro.index.ivf", "repro.index.ivf — IVF two-stage retriever"),
+    ("repro.index", "repro.index — the entity index"),
+    ("repro.index.shard", "repro.index.shard — the index shard (exhaustive / celled search, mutation)"),
     ("repro.index.codecs", "repro.index.codecs — vector storage codecs"),
-    ("repro.index.backend", "repro.index.backend — pluggable shard backends"),
-    ("repro.index.snapshot", "repro.index.snapshot — snapshot generation store"),
-    ("repro.linking.candidates", "repro.linking.candidates — entity indexes"),
+    ("repro.index.snapshot", "repro.index.snapshot — snapshot format & generation store"),
+    ("repro.linking.candidates", "repro.linking.candidates — per-world sharded index"),
     ("repro.linking.biencoder", "repro.linking.biencoder — bi-encoder"),
     ("repro.linking.crossencoder", "repro.linking.crossencoder — cross-encoder"),
     ("repro.linking.blink", "repro.linking.blink — two-stage pipeline"),

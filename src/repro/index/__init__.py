@@ -1,19 +1,20 @@
-"""Approximate + quantized retrieval for million-entity knowledge bases.
+"""The entity index: one shard implementation, its codecs and its snapshots.
 
-``repro.index`` is the storage and retrieval foundation beneath the exact
-:mod:`repro.linking.candidates` layer:
+``repro.index`` is the storage and retrieval foundation beneath
+:mod:`repro.linking.candidates` (which adds per-world routing and merging)
+and imports nothing from it:
 
+* :mod:`~repro.index.shard` — :class:`EntityShard`, the one search
+  implementation: an immutable state pinned once per search, an exhaustive
+  blocked scan by default or :class:`IVFBackend` k-means cells with exact
+  re-scoring, online mutation through an exact pending tail and tombstones,
+  atomic-swap :meth:`~EntityShard.compact`.
 * :mod:`~repro.index.codecs` — int8 / float16 / float64 embedding storage
-  codecs; quantized matrices decode per-row, so they pair with
-  memory-mapped snapshots (only probed pages are ever read).
-* :mod:`~repro.index.ivf` — :class:`IVFShard`: coarse k-means cells with an
-  exact re-scoring pass, online mutation through an exact pending tail, and
-  lock-free atomic-swap :meth:`~IVFShard.compact`.
-* :mod:`~repro.index.backend` — :class:`ExactBackend` / :class:`IVFBackend`
-  plugged into :class:`~repro.linking.candidates.ShardedEntityIndex`; the
-  exact index stays the reference, IVF is opt-in.
-* :mod:`~repro.index.snapshot` — generation store with an atomic
-  ``CURRENT`` pointer swap for online compaction under serving.
+  codecs; quantized matrices decode per block or per row, so they pair with
+  memory-mapped snapshots (only scanned or probed pages are ever read).
+* :mod:`~repro.index.snapshot` — the version-2 snapshot directory format
+  (crash-safe write, mmap-able read) and the generation store with its
+  atomic ``CURRENT`` pointer swap for online compaction under serving.
 
 Quickstart::
 
@@ -27,7 +28,6 @@ Quickstart::
     restored = biencoder.load_sharded_index("snapshots/kb", mmap=True)
 """
 
-from .backend import ExactBackend, IVFBackend
 from .codecs import (
     CODECS,
     Float16Storage,
@@ -40,10 +40,16 @@ from .codecs import (
     storage_codec,
     storage_from_arrays,
 )
-from .ivf import (
+from .shard import (
+    DEFAULT_BLOCK_SIZE,
     DEFAULT_KMEANS_ITERS,
     DEFAULT_NPROBE,
-    IVFShard,
+    EntityShard,
+    IVFBackend,
+    RetrievalResult,
+    ShardState,
+    blocked_topk,
+    build_results,
     default_num_cells,
     kmeans,
 )
@@ -53,23 +59,29 @@ from .snapshot import (
     current_generation,
     list_generations,
     next_generation_number,
+    read_snapshot,
     write_generation,
+    write_snapshot,
 )
 
 __all__ = [
     "CODECS",
     "CURRENT_MARKER",
+    "DEFAULT_BLOCK_SIZE",
     "DEFAULT_KMEANS_ITERS",
     "DEFAULT_NPROBE",
-    "ExactBackend",
+    "EntityShard",
     "Float16Storage",
     "Float64Storage",
     "IVFBackend",
-    "IVFShard",
     "Int8Storage",
+    "RetrievalResult",
+    "ShardState",
     "UnknownCodecError",
     "VectorStorage",
     "as_storage",
+    "blocked_topk",
+    "build_results",
     "compact_to_generation",
     "current_generation",
     "default_num_cells",
@@ -77,7 +89,9 @@ __all__ = [
     "kmeans",
     "list_generations",
     "next_generation_number",
+    "read_snapshot",
     "storage_codec",
     "storage_from_arrays",
     "write_generation",
+    "write_snapshot",
 ]

@@ -85,6 +85,12 @@ class VectorStorage:
         """Decode a contiguous row slice as float64."""
         raise NotImplementedError
 
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """``storage[start:stop]`` decodes that block — storages slice like
+        the matrix they encode, which is all the blocked scan asks of one."""
+        start, stop, _ = rows.indices(len(self))
+        return self.block(start, stop)
+
     def to_dense(self) -> np.ndarray:
         """Decode the whole matrix into one in-RAM float64 array."""
         return self.block(0, len(self))

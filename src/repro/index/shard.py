@@ -1,0 +1,899 @@
+"""The index shard: one immutable pinned state, two coarse stages.
+
+The bi-encoder embeds every entity of a world once; mentions are linked by
+maximum inner product against those embeddings (the paper's candidate
+generation stage, evaluated with Recall@64).  :class:`EntityShard` is the one
+implementation of that search, for a flat index and for every shard of a
+:class:`~repro.linking.candidates.ShardedEntityIndex` alike.
+
+**State.**  Everything a search reads lives in one frozen
+:class:`ShardState`: the main embedding storage (float64, quantized and/or
+memory-mapped, see :mod:`repro.index.codecs`), an exact float64 *pending
+tail* of rows added since the last compaction, the entity at every position,
+an alive mask (``False`` = tombstone), the id → position map and, for a
+celled shard, the coarse cells.  A search pins the state once and takes
+scores, positions *and entities* from it; mutations build a new state
+(copy-on-write of the parts they touch) under the shard lock and publish it
+with one reference assignment, so a search never sees half a mutation and
+never resolves a position against a different generation.
+
+**Coarse stage**, fixed at build time by the ``cells`` argument:
+
+* no cells (the default) — *exhaustive*: every live main row is scored block
+  by block through :func:`blocked_topk` (``storage`` decodes one block at a
+  time, so a quantized or memory-mapped matrix is never decoded whole);
+* :class:`IVFBackend` cells — *celled*: rows are clustered into seeded
+  k-means cells, a query probes its ``nprobe`` best cells and re-scores their
+  members with exact inner products.  ``nprobe >= num_cells`` ranks
+  bit-identically to the exhaustive stage.
+
+Both stages scan the pending tail exactly, so added entities are linkable as
+soon as :meth:`EntityShard.add` returns.
+
+**Lifecycle.**  :meth:`~EntityShard.add` appends to the tail,
+:meth:`~EntityShard.remove` tombstones, :meth:`~EntityShard.update` does both
+in one publication (the row moves to the tail), and
+:meth:`~EntityShard.compact` folds tail and tombstones into a fresh
+generation (re-clustered when celled).  Positions are stable within a
+generation; rankings are ordered (score desc, position asc), so repeated
+searches of an unchanged shard are identical.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from ..kb.entity import Entity
+from .codecs import VectorStorage, encode_matrix, storage_from_arrays
+
+#: Entities are scored ``block_size`` at a time so the score matrix for one
+#: block stays small even for very large entity collections.
+DEFAULT_BLOCK_SIZE = 2048
+
+#: Default number of probed cells per query.
+DEFAULT_NPROBE = 8
+
+#: Default Lloyd iterations for the coarse clustering.
+DEFAULT_KMEANS_ITERS = 8
+
+
+@dataclass
+class RetrievalResult:
+    """Top-k candidates for one mention, ranked by decreasing score.
+
+    ``entities`` holds the candidates as resolved by the search itself, from
+    the same pinned state that scored them (empty on a hand-built result).
+    ``contains`` and ``rank_of`` are O(1): a rank dictionary is built once at
+    construction time (the Recall@64 evaluation loops call them per mention).
+    Treat ``entity_ids`` as immutable after construction — the rank map is not
+    rebuilt on mutation.
+    """
+
+    entity_ids: List[str]
+    scores: List[float]
+    entities: List[Entity] = field(default_factory=list, repr=False, compare=False)
+    _rank_by_id: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ranks: Dict[str, int] = {}
+        for rank, entity_id in enumerate(self.entity_ids):
+            ranks.setdefault(entity_id, rank)
+        self._rank_by_id = ranks
+
+    def __len__(self) -> int:
+        return len(self.entity_ids)
+
+    def contains(self, entity_id: str) -> bool:
+        """O(1) membership test among the retrieved candidates."""
+        return entity_id in self._rank_by_id
+
+    def rank_of(self, entity_id: str) -> Optional[int]:
+        """0-based rank of ``entity_id`` among the candidates, or None."""
+        return self._rank_by_id.get(entity_id)
+
+    @property
+    def top_id(self) -> Optional[str]:
+        """Best-scoring candidate id (None for an empty result)."""
+        return self.entity_ids[0] if self.entity_ids else None
+
+
+def build_results(scores: np.ndarray, entities: np.ndarray) -> List[RetrievalResult]:
+    """One :class:`RetrievalResult` per row of a search's ``(scores, entities)``.
+
+    Padding slots (score ``-inf``, emitted when a celled probe or a nearly
+    empty shard yields fewer than ``k`` candidates) are dropped.
+    """
+    results: List[RetrievalResult] = []
+    for row_scores, row_entities, real in zip(scores, entities, scores > -np.inf):
+        members = row_entities[real].tolist()
+        results.append(
+            RetrievalResult(
+                entity_ids=[entity.entity_id for entity in members],
+                scores=row_scores[real].tolist(),
+                entities=members,
+            )
+        )
+    return results
+
+
+def _sorted_topk(
+    scores: np.ndarray, positions: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Keep the best ``k`` columns per row under (score desc, position asc)."""
+    order = np.lexsort((positions, -scores), axis=1)[:, :k]
+    return (
+        np.take_along_axis(scores, order, axis=1),
+        np.take_along_axis(positions, order, axis=1),
+    )
+
+
+def blocked_topk(
+    query_vectors: np.ndarray,
+    entity_vectors: np.ndarray,
+    k: int,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Blocked maximum-inner-product top-k over ``entity_vectors``.
+
+    Scores are computed ``block_size`` entities at a time; a running candidate
+    buffer per query is compacted to the best ``k`` columns under the total
+    order (score desc, position asc), so peak memory is
+    ``O(num_queries * (block_size + 4k))`` instead of
+    ``O(num_queries * num_entities)``.  Because retention always uses that
+    total order, streaming compaction is exact: the result equals the top-k
+    of the full score matrix.
+
+    ``entity_vectors`` is only measured and sliced, so a
+    :class:`~repro.index.codecs.VectorStorage` (which decodes one block per
+    slice) scans as well as a matrix.
+
+    Returns ``(scores, positions)`` arrays of shape ``(num_queries, k)`` with
+    each row sorted by decreasing score; ties are broken by ascending entity
+    position, deterministically.
+    """
+    num_entities = len(entity_vectors)
+    k = min(k, num_entities)
+    if k <= 0:
+        empty = np.zeros((len(query_vectors), 0))
+        return empty, empty.astype(np.int64)
+
+    buffer_scores: Optional[np.ndarray] = None
+    buffer_positions: Optional[np.ndarray] = None
+    compact_width = max(4 * k, 256)
+
+    for start in range(0, num_entities, block_size):
+        block = entity_vectors[start:start + block_size]
+        scores = query_vectors @ block.T
+        positions = np.broadcast_to(
+            np.arange(start, start + block.shape[0], dtype=np.int64), scores.shape
+        )
+        if buffer_scores is None:
+            buffer_scores, buffer_positions = scores, np.ascontiguousarray(positions)
+        else:
+            buffer_scores = np.concatenate([buffer_scores, scores], axis=1)
+            buffer_positions = np.concatenate([buffer_positions, positions], axis=1)
+        if buffer_scores.shape[1] > compact_width:
+            buffer_scores, buffer_positions = _sorted_topk(buffer_scores, buffer_positions, k)
+
+    assert buffer_scores is not None and buffer_positions is not None
+    return _sorted_topk(buffer_scores, buffer_positions, k)
+
+
+def default_num_cells(num_entities: int) -> int:
+    """The usual IVF heuristic: ~sqrt(N) cells, at least 1, at most N."""
+    if num_entities <= 0:
+        return 1
+    return max(1, min(num_entities, int(round(float(np.sqrt(num_entities))))))
+
+
+def kmeans(
+    vectors: np.ndarray,
+    num_cells: int,
+    seed: int = 0,
+    iters: int = DEFAULT_KMEANS_ITERS,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded deterministic Lloyd k-means.
+
+    Returns ``(centroids, assignments)``.  Initialisation draws ``num_cells``
+    distinct rows with a seeded generator; empty cells are re-seeded each
+    iteration to the points currently worst-served by their centroid, so no
+    cell stays empty while there are enough points — both choices are
+    deterministic functions of ``(vectors, num_cells, seed)``.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    if n == 0:
+        raise ValueError("cannot cluster zero vectors")
+    k = max(1, min(num_cells, n))
+    rng = np.random.default_rng(seed)
+    centroids = vectors[np.sort(rng.choice(n, size=k, replace=False))].copy()
+
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(max(1, iters)):
+        # Nearest centroid under L2: argmin |c|^2 - 2 v.c (|v|^2 constant).
+        scores = vectors @ centroids.T
+        norms = np.einsum("cd,cd->c", centroids, centroids)
+        assignments = np.argmin(norms[None, :] - 2.0 * scores, axis=1)
+        counts = np.bincount(assignments, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, vectors)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            # Re-seed each empty cell with the point farthest from its
+            # current centroid (deterministic: distances then position).
+            own = np.take_along_axis(
+                norms[None, :] - 2.0 * scores, assignments[:, None], axis=1
+            ).ravel()
+            worst = np.argsort(-own, kind="stable")[: empty.size]
+            centroids[empty] = vectors[worst]
+    # One final assignment pass against the returned centroids: the loop
+    # moves centroids (means + empty-cell re-seeds) *after* assigning, so
+    # without this a re-seeded cell would sit directly on a real point
+    # while its inverted list is empty — a deterministic recall hole for
+    # queries matching exactly that point.
+    scores = vectors @ centroids.T
+    norms = np.einsum("cd,cd->c", centroids, centroids)
+    assignments = np.argmin(norms[None, :] - 2.0 * scores, axis=1)
+    return centroids, assignments
+
+
+def _invert_assignments(
+    assignments: np.ndarray, num_cells: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Build concatenated inverted lists: (members, offsets).
+
+    ``members[offsets[c]:offsets[c+1]]`` holds the positions of cell ``c``
+    in ascending position order (stable sort), so list layout is
+    deterministic.
+    """
+    members = np.argsort(assignments, kind="stable").astype(np.int64)
+    counts = np.bincount(assignments, minlength=num_cells)
+    offsets = np.zeros(num_cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return members, offsets
+
+
+@dataclass(frozen=True)
+class IVFBackend:
+    """The celled coarse stage: k-means cells probed per query, exact re-score.
+
+    Hand one to :class:`~repro.linking.candidates.ShardedEntityIndex` (or
+    ``EntityShard(cells=...)``) to build celled shards; without one shards
+    are exhaustive.
+
+    ``num_cells=None`` picks ``~sqrt(shard_size)`` per shard (re-applied at
+    every compaction), so one instance serves shards of very different sizes.
+    ``nprobe`` is clamped to the cell count.  ``codec`` encodes a raw
+    embedding matrix at build time (``float64`` / ``float16`` / ``int8``); an
+    already encoded :class:`~repro.index.codecs.VectorStorage` keeps its own.
+    ``seed`` and ``kmeans_iters`` make the clustering deterministic.
+    """
+
+    num_cells: Optional[int] = None
+    nprobe: int = DEFAULT_NPROBE
+    codec: str = "float64"
+    seed: int = 0
+    kmeans_iters: int = DEFAULT_KMEANS_ITERS
+    name: str = "ivf"
+
+
+@dataclass(frozen=True)
+class ShardState:
+    """One immutable publication of a shard; a search reads exactly one.
+
+    Position ``p < len(storage)`` is main row ``p``; position
+    ``len(storage) + j`` is pending row ``j``.  Positions are stable for the
+    lifetime of a generation: removals only clear ``alive``, additions only
+    append.  :meth:`EntityShard.compact` starts a new generation with fresh
+    positions.
+    """
+
+    storage: VectorStorage         # main embeddings (possibly quantized/mmap)
+    pending_vectors: np.ndarray    # (num_pending, dim) float64, exact
+    entities: np.ndarray           # (num_main + num_pending,) object: Entity
+    alive: np.ndarray              # (num_main + num_pending,) bool
+    id_to_position: Dict[str, int]
+    generation: int = 0
+    centroids: Optional[np.ndarray] = None   # (num_cells, dim); None = exhaustive
+    members: Optional[np.ndarray] = None     # (num_main,) concatenated cell lists
+    offsets: Optional[np.ndarray] = None     # (num_cells + 1,)
+
+    @property
+    def num_main(self) -> int:
+        return len(self.storage)
+
+    def vector_at(self, position: int) -> np.ndarray:
+        if position < self.num_main:
+            return self.storage.take(np.asarray([position]))[0]
+        return self.pending_vectors[position - self.num_main]
+
+
+def _entity_array(entities: Sequence[Entity]) -> np.ndarray:
+    array = np.empty(len(entities), dtype=object)
+    array[:] = entities
+    return array
+
+
+def _aligned_rows(entities: List[Entity], vectors: np.ndarray) -> np.ndarray:
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if len(entities) != len(vectors):
+        raise ValueError("entities and vectors must align")
+    return vectors
+
+
+def _with_tail(
+    state: ShardState,
+    entities: List[Entity],
+    vectors: np.ndarray,
+    alive: np.ndarray,
+    id_to_position: Dict[str, int],
+) -> ShardState:
+    """``state`` with ``entities`` appended to the pending tail.
+
+    ``alive`` and ``id_to_position`` replace the state's: the caller's
+    private copy of the map, and its mask already carrying any tombstones.
+    """
+    base = len(state.entities)
+    for offset, entity in enumerate(entities):
+        id_to_position[entity.entity_id] = base + offset
+    return replace(
+        state,
+        pending_vectors=np.concatenate([state.pending_vectors, vectors], axis=0),
+        entities=np.concatenate([state.entities, _entity_array(entities)]),
+        alive=np.concatenate([alive, np.ones(len(entities), dtype=bool)]),
+        id_to_position=id_to_position,
+    )
+
+
+class EntityShard:
+    """Maximum-inner-product index over one entity collection.
+
+    Parameters
+    ----------
+    entities, vectors:
+        The shard content.  ``vectors`` may be a raw float64 matrix (also
+        memory-mapped) or a pre-encoded :class:`VectorStorage`.
+    block_size:
+        Rows scored per block by the exhaustive scan.
+    cells:
+        ``None`` (exhaustive scan, no clustering at build) or an
+        :class:`IVFBackend` (celled probe).
+
+    Example::
+
+        shard = EntityShard(entities, model.embed_entities(entities))
+        shard.search(query_vectors, k=64)[0].rank_of(gold_id)
+    """
+
+    def __init__(
+        self,
+        entities: Sequence[Entity],
+        vectors: Union[np.ndarray, VectorStorage],
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        cells: Optional[IVFBackend] = None,
+    ) -> None:
+        entities = list(entities)
+        if len(entities) != len(vectors):
+            raise ValueError("entities and vectors must align")
+        if len(entities) == 0:
+            raise ValueError("cannot build an index over zero entities")
+        if not isinstance(vectors, VectorStorage):
+            vectors = encode_matrix(
+                np.asarray(vectors, dtype=np.float64),
+                "float64" if cells is None else cells.codec,
+            )
+        self._configure(block_size, cells)
+        self._state = self._generation(_entity_array(entities), vectors, 0)
+
+    def _configure(self, block_size: int, cells: Optional[IVFBackend]) -> None:
+        if block_size <= 0:
+            raise ValueError("block_size must be positive")
+        if cells is not None and cells.nprobe <= 0:
+            raise ValueError("nprobe must be positive")
+        self._block_size = block_size
+        self._cells = cells
+        self._lock = threading.Lock()
+
+    def _generation(
+        self, entities: np.ndarray, storage: VectorStorage, generation: int
+    ) -> ShardState:
+        """A fresh generation: every row main and alive, cells (if any) built."""
+        return ShardState(
+            storage=storage,
+            pending_vectors=np.zeros((0, storage.dim), dtype=np.float64),
+            entities=entities,
+            alive=np.ones(len(entities), dtype=bool),
+            id_to_position={
+                entity.entity_id: position for position, entity in enumerate(entities)
+            },
+            generation=generation,
+            **self._cluster(storage),
+        )
+
+    def _cluster(self, storage: VectorStorage) -> Dict[str, np.ndarray]:
+        """The coarse cells over ``storage`` ({} for an exhaustive shard).
+
+        Clusters the *decoded* embeddings so cell geometry matches what
+        re-scoring sees (quantization shifts points slightly).
+        """
+        cells = self._cells
+        if cells is None:
+            return {}
+        if len(storage) == 0:
+            assignments = np.zeros(0, dtype=np.int64)
+            centroids = np.zeros((0, storage.dim), dtype=np.float64)
+        else:
+            wanted = cells.num_cells
+            if wanted is None:
+                wanted = default_num_cells(len(storage))
+            centroids, assignments = kmeans(
+                storage.to_dense(),
+                max(1, min(wanted, len(storage))),
+                seed=cells.seed,
+                iters=cells.kmeans_iters,
+            )
+        members, offsets = _invert_assignments(assignments, len(centroids))
+        return {"centroids": centroids, "members": members, "offsets": offsets}
+
+    # ------------------------------------------------------------------
+    # Introspection (each reads one state)
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return int(self._state.alive.sum())
+
+    def __contains__(self, entity_id: str) -> bool:
+        return entity_id in self._state.id_to_position
+
+    @property
+    def dimension(self) -> int:
+        return self._state.storage.dim
+
+    @property
+    def storage(self) -> VectorStorage:
+        """The main embedding storage of the current generation (do not mutate)."""
+        return self._state.storage
+
+    @property
+    def generation(self) -> int:
+        """Compaction generation (0 for a freshly built shard)."""
+        return self._state.generation
+
+    @property
+    def num_cells(self) -> int:
+        """Coarse cells of the current generation (0 on an exhaustive shard)."""
+        centroids = self._state.centroids
+        return 0 if centroids is None else len(centroids)
+
+    @property
+    def num_pending(self) -> int:
+        """Alive entities in the exact pending tail (0 after compact)."""
+        state = self._state
+        return int(state.alive[state.num_main:].sum())
+
+    @property
+    def num_tombstones(self) -> int:
+        return int((~self._state.alive).sum())
+
+    def entities(self) -> List[Entity]:
+        """Alive entities in position order: main rows, then the pending tail."""
+        state = self._state
+        return state.entities[state.alive].tolist()
+
+    def entity(self, entity_id: str) -> Entity:
+        state = self._state
+        return state.entities[state.id_to_position[entity_id]]
+
+    def vector(self, entity_id: str) -> np.ndarray:
+        """Current embedding of one entity (decoded from storage or tail)."""
+        state = self._state
+        return state.vector_at(state.id_to_position[entity_id])
+
+    def stats(self) -> Dict[str, object]:
+        state = self._state
+        stats: Dict[str, object] = {
+            "backend": "exact" if self._cells is None else "ivf",
+            "codec": state.storage.codec,
+            "entities": int(state.alive.sum()),
+            "pending": int(state.alive[state.num_main:].sum()),
+            "tombstones": int((~state.alive).sum()),
+            "generation": state.generation,
+            "storage_bytes": state.storage.nbytes,
+        }
+        if self._cells is not None:
+            stats["num_cells"] = len(state.centroids)
+            stats["nprobe"] = min(self._cells.nprobe, len(state.centroids))
+        return stats
+
+    # ------------------------------------------------------------------
+    # Search
+    # ------------------------------------------------------------------
+    def search_arrays(
+        self, query_vectors: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Top-k ``(scores, positions, entities)`` per query, from one state.
+
+        The state is pinned once, so a mutation or :meth:`compact` landing
+        mid-call can never remap a position between scoring and resolution.
+        Rows are sorted by (score desc, position asc) and are as wide as the
+        longest one, at most ``k``; a celled probe that found fewer
+        candidates for a query pads its row with score ``-inf``, position
+        ``-1`` and entity ``None``.  ``entities`` is an object array shaped
+        like ``positions``.  Positions are only meaningful within the
+        generation that produced them — callers wanting candidates use the
+        entities.
+        """
+        if k <= 0:
+            raise ValueError("k must be positive")
+        state = self._state
+        queries = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
+        scores, positions = self._topk(state, queries, k)
+        entities = state.entities[positions]
+        entities[positions < 0] = None
+        return scores, positions, entities
+
+    def search(self, query_vectors: np.ndarray, k: int) -> List[RetrievalResult]:
+        """Top-k inner-product search, one :class:`RetrievalResult` per query.
+
+        ``k`` is clamped to the number of candidates; results carry the
+        candidate entities resolved from the state that scored them.
+        """
+        scores, _, entities = self.search_arrays(query_vectors, k)
+        return build_results(scores, entities)
+
+    def _topk(
+        self, state: ShardState, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Search one pinned ``state``; every read below goes through it."""
+        if state.centroids is None:
+            return self._scan(state, queries, k)
+        return self._probe(state, queries, k)
+
+    def _scan(
+        self, state: ShardState, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Exhaustive stage: blocked top-k over main storage, plus the tail.
+
+        The kernel cannot skip tombstones, so it is asked for one extra
+        candidate per dead main row (each can displace at most one live
+        row); the dead ones then sink to ``-inf`` and fall off the cut, which
+        never reaches past the live rows.  An un-mutated shard returns the
+        kernel's result untouched.
+        """
+        num_main = state.num_main
+        main_alive = state.alive[:num_main]
+        dead = num_main - int(main_alive.sum())
+        scores, positions = blocked_topk(
+            queries, state.storage, k + dead, block_size=self._block_size
+        )
+        tail = num_main + np.flatnonzero(state.alive[num_main:])
+        if not dead and not tail.size:
+            return scores, positions
+        scores = np.where(main_alive[positions], scores, -np.inf)
+        if tail.size:
+            tail_scores = queries @ state.pending_vectors[tail - num_main].T
+            scores = np.concatenate([scores, tail_scores], axis=1)
+            positions = np.concatenate(
+                [positions, np.broadcast_to(tail, tail_scores.shape)], axis=1
+            )
+        return _sorted_topk(scores, positions, min(k, num_main - dead + tail.size))
+
+    def _probe(
+        self, state: ShardState, queries: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Celled stage, vectorized over the batch: centroid scoring, ragged
+        gather of every probed cell, one fused re-score, one lexsort."""
+        num_queries = len(queries)
+        cand_rows, cand_positions = self._gather_candidates(state, queries)
+        if cand_positions.size == 0:
+            return (
+                np.full((num_queries, 0), -np.inf),
+                np.full((num_queries, 0), -1, dtype=np.int64),
+            )
+
+        # Exact re-scoring: decode only the candidate rows, score each
+        # against its own query in one fused product.
+        main_mask = cand_positions < state.num_main
+        vectors = np.empty((len(cand_positions), state.storage.dim))
+        if main_mask.any():
+            vectors[main_mask] = state.storage.take(cand_positions[main_mask])
+        if (~main_mask).any():
+            vectors[~main_mask] = state.pending_vectors[
+                cand_positions[~main_mask] - state.num_main
+            ]
+        scores = np.einsum("td,td->t", vectors, queries[cand_rows])
+
+        # Per-query top-k over the ragged candidate groups: order rows by
+        # (query, score desc, position asc) and keep the first k per group.
+        order = np.lexsort((cand_positions, -scores, cand_rows))
+        sorted_rows = cand_rows[order]
+        group_starts = np.searchsorted(sorted_rows, np.arange(num_queries))
+        rank_in_group = np.arange(len(order)) - group_starts[sorted_rows]
+        keep = rank_in_group < k
+        kept = order[keep]
+        kept_rows = cand_rows[kept]
+        kept_rank = rank_in_group[keep]
+
+        width = min(k, int(np.bincount(kept_rows, minlength=num_queries).max()))
+        out_scores = np.full((num_queries, width), -np.inf)
+        out_positions = np.full((num_queries, width), -1, dtype=np.int64)
+        out_scores[kept_rows, kept_rank] = scores[kept]
+        out_positions[kept_rows, kept_rank] = cand_positions[kept]
+        return out_scores, out_positions
+
+    def _gather_candidates(
+        self, state: ShardState, queries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat ``(query_row, candidate_position)`` pairs for the batch.
+
+        Probes the top ``nprobe`` centroids per query, expands their
+        inverted lists with a vectorized ragged gather, filters tombstones
+        and appends the alive pending tail to every query's candidates.
+        """
+        num_queries = len(queries)
+        num_cells = len(state.centroids)
+        nprobe = min(self._cells.nprobe, num_cells)
+
+        rows_parts: List[np.ndarray] = []
+        positions_parts: List[np.ndarray] = []
+        if state.num_main:
+            if nprobe >= num_cells:
+                probe = np.broadcast_to(
+                    np.arange(num_cells, dtype=np.int64), (num_queries, num_cells)
+                )
+            else:
+                cell_scores = queries @ state.centroids.T
+                probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
+            starts = state.offsets[probe].ravel()
+            lengths = (state.offsets[probe + 1] - state.offsets[probe]).ravel()
+            total = int(lengths.sum())
+            if total:
+                # Ragged ranges: members[starts[i] : starts[i]+lengths[i]]
+                # for every probed cell, without a Python loop.
+                ends = np.cumsum(lengths)
+                flat = np.arange(total, dtype=np.int64) + np.repeat(
+                    starts - (ends - lengths), lengths
+                )
+                positions = state.members[flat]
+                rows = np.repeat(
+                    np.arange(num_queries, dtype=np.int64),
+                    lengths.reshape(num_queries, -1).sum(axis=1),
+                )
+                alive = state.alive[positions]
+                rows_parts.append(rows[alive])
+                positions_parts.append(positions[alive])
+        tail = state.num_main + np.flatnonzero(state.alive[state.num_main:])
+        if tail.size:
+            rows_parts.append(
+                np.repeat(np.arange(num_queries, dtype=np.int64), len(tail))
+            )
+            positions_parts.append(np.tile(tail, num_queries))
+        if not rows_parts:
+            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        return np.concatenate(rows_parts), np.concatenate(positions_parts)
+
+    # ------------------------------------------------------------------
+    # Online mutation (pending tail + tombstones, one publication each)
+    # ------------------------------------------------------------------
+    def add(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
+        """Append entities to the exact pending tail (searchable immediately).
+
+        Duplicates are an error (use :meth:`update`).
+        """
+        entities = list(entities)
+        vectors = _aligned_rows(entities, vectors)
+        if not entities:
+            return
+        with self._lock:
+            state = self._state
+            for entity in entities:
+                if entity.entity_id in state.id_to_position:
+                    raise ValueError(
+                        f"entity {entity.entity_id!r} already indexed; use update()"
+                    )
+            self._state = _with_tail(
+                state, entities, vectors, state.alive, dict(state.id_to_position)
+            )
+
+    def remove(self, entity_ids: Sequence[str]) -> None:
+        """Tombstone entities; their positions are never returned again.
+
+        Removing every entity leaves a legal empty shard (searches return
+        empty results).
+        """
+        ids = set(entity_ids)
+        if not ids:
+            return
+        with self._lock:
+            state = self._state
+            unknown = [i for i in ids if i not in state.id_to_position]
+            if unknown:
+                raise KeyError(f"unknown entities: {sorted(unknown)}")
+            alive = state.alive.copy()
+            id_to_position = dict(state.id_to_position)
+            for entity_id in ids:
+                alive[id_to_position.pop(entity_id)] = False
+            self._state = replace(state, alive=alive, id_to_position=id_to_position)
+
+    def update(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
+        """Replace entities (same id, new metadata/embedding).
+
+        The old row is tombstoned and the fresh one appended to the exact
+        pending tail in *one* state publication, so a concurrent search sees
+        either the old row or the new one — never the entity transiently
+        absent.
+        """
+        entities = list(entities)
+        vectors = _aligned_rows(entities, vectors)
+        if not entities:
+            return
+        with self._lock:
+            state = self._state
+            missing = [
+                e.entity_id for e in entities if e.entity_id not in state.id_to_position
+            ]
+            if missing:
+                raise KeyError(f"unknown entities: {missing}")
+            alive = state.alive.copy()
+            for entity in entities:
+                alive[state.id_to_position[entity.entity_id]] = False
+            self._state = _with_tail(
+                state, entities, vectors, alive, dict(state.id_to_position)
+            )
+
+    def compact(self) -> int:
+        """Fold the pending tail + tombstones into a fresh generation.
+
+        The new storage (re-encoded under the shard's codec) and, on a
+        celled shard, the re-clustered cells are built off to the side and
+        published in one reference assignment — concurrent searches see the
+        old generation or the new one, never a mix.  A shard with nothing to
+        fold is left alone (its storage may be a shared memory map).
+        Returns the generation now current.
+        """
+        with self._lock:
+            state = self._state
+            if state.alive.all() and not len(state.pending_vectors):
+                return state.generation
+            keep = np.flatnonzero(state.alive)
+            from_main = keep < state.num_main
+            dense = np.concatenate(
+                [
+                    state.storage.take(keep[from_main]),
+                    state.pending_vectors[keep[~from_main] - state.num_main],
+                ],
+                axis=0,
+            )
+            self._state = self._generation(
+                state.entities[keep],
+                encode_matrix(dense, state.storage.codec),
+                state.generation + 1,
+            )
+            return self._state.generation
+
+    # ------------------------------------------------------------------
+    # Snapshot entry — see repro.index.snapshot for the directory layout
+    # ------------------------------------------------------------------
+    def export(self, codec: str = "float64") -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+        """Manifest entry + arrays persisting the exact live state.
+
+        Pending tail and tombstones round-trip as-is (no silent compaction),
+        so a restored shard ranks identically to the live one.  ``codec``
+        picks the on-disk encoding of an *exhaustive* shard's storage; a
+        celled shard's codec was fixed when its cells were built.
+        """
+        state = self._state
+        storage = state.storage
+        if self._cells is None and storage.codec != codec:
+            storage = encode_matrix(storage.to_dense(), codec)
+        num_main = state.num_main
+        entry: Dict[str, object] = {
+            "backend": "exact" if self._cells is None else "ivf",
+            "codec": storage.codec,
+            "generation": state.generation,
+            "entities": [e.to_dict() for e in state.entities[:num_main]],
+            "pending_entities": [e.to_dict() for e in state.entities[num_main:]],
+        }
+        arrays: Dict[str, np.ndarray] = {
+            "main_alive": state.alive[:num_main],
+            "pending_alive": state.alive[num_main:],
+            "pending_vectors": state.pending_vectors,
+        }
+        for key, array in storage.arrays().items():
+            arrays[f"storage_{key}" if key else "storage"] = array
+        if self._cells is not None:
+            entry.update(
+                nprobe=self._cells.nprobe,
+                num_cells=len(state.centroids),
+                num_cells_config=self._cells.num_cells,
+                seed=self._cells.seed,
+                kmeans_iters=self._cells.kmeans_iters,
+            )
+            arrays.update(
+                centroids=state.centroids, members=state.members, offsets=state.offsets
+            )
+        return entry, arrays
+
+    @classmethod
+    def restore(
+        cls,
+        entry: Dict[str, object],
+        arrays: Dict[str, np.ndarray],
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        cells: Optional[IVFBackend] = None,
+    ) -> "EntityShard":
+        """Rebuild a shard from an :meth:`export` entry.
+
+        Arrays may be memory-mapped: the embedding storage stays lazy, the
+        small structures (masks, cells, tail) are materialised.  An ``ivf``
+        entry restores its own cells; ``cells`` asks for an ``exact`` entry
+        to be clustered now, over the storage as saved.  Entries without a
+        ``main_alive`` array were written before exhaustive shards carried
+        tombstones and a tail: their arrays are the storage components.
+        """
+        backend = entry.get("backend", "exact")
+        if backend == "ivf":
+            config = entry.get("num_cells_config")
+            cells = IVFBackend(
+                num_cells=None if config is None else int(config),
+                nprobe=int(entry["nprobe"]),
+                codec=str(entry["codec"]),
+                seed=int(entry.get("seed", 0)),
+                kmeans_iters=int(entry.get("kmeans_iters", DEFAULT_KMEANS_ITERS)),
+            )
+        elif backend != "exact":
+            raise ValueError(
+                f"unknown shard backend {backend!r} in snapshot "
+                f"(a newer build may have written it)"
+            )
+        entities = _entity_array(
+            [
+                Entity.from_dict(payload)
+                for payload in entry["entities"] + entry.get("pending_entities", [])
+            ]
+        )
+        if "main_alive" in arrays:
+            storage_arrays = {
+                key[len("storage_"):]: array
+                for key, array in arrays.items()
+                if key.startswith("storage")
+            }
+            alive = np.concatenate(
+                [arrays["main_alive"], arrays["pending_alive"]]
+            ).astype(bool)
+        else:
+            storage_arrays = arrays
+            alive = np.ones(len(entities), dtype=bool)
+        storage = storage_from_arrays(storage_arrays, str(entry.get("codec", "float64")))
+        shard = cls.__new__(cls)
+        shard._configure(block_size, cells)
+        if "centroids" in arrays:
+            coarse = {
+                "centroids": np.array(arrays["centroids"], dtype=np.float64),
+                "members": np.array(arrays["members"], dtype=np.int64),
+                "offsets": np.array(arrays["offsets"], dtype=np.int64),
+            }
+        else:
+            coarse = shard._cluster(storage)
+        shard._state = ShardState(
+            storage=storage,
+            pending_vectors=np.array(
+                arrays.get("pending_vectors", np.zeros((0, storage.dim))),
+                dtype=np.float64,
+            ),
+            entities=entities,
+            alive=alive,
+            id_to_position={
+                entity.entity_id: position
+                for position, entity in enumerate(entities)
+                if alive[position]
+            },
+            generation=int(entry.get("generation", 0)),
+            **coarse,
+        )
+        return shard

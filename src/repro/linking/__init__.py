@@ -1,15 +1,9 @@
 """Entity-linking models: bi-encoder, cross-encoder, BLINK pipeline, baselines."""
 
+from ..index import EntityShard, RetrievalResult, blocked_topk
 from .biencoder import BiEncoder, BiEncoderTrainer
 from .blink import BlinkPipeline, LinkingPrediction, TrainingReport
-from .candidates import (
-    EntityIndex,
-    LRUEmbeddingCache,
-    RetrievalResult,
-    ShardedEntityIndex,
-    blocked_topk,
-    recall_at_k,
-)
+from .candidates import LRUEmbeddingCache, ShardedEntityIndex, recall_at_k
 from .crossencoder import (
     CrossEncoder,
     CrossEncoderTrainer,
@@ -37,7 +31,7 @@ __all__ = [
     "BlinkPipeline",
     "LinkingPrediction",
     "TrainingReport",
-    "EntityIndex",
+    "EntityShard",
     "ShardedEntityIndex",
     "LRUEmbeddingCache",
     "RetrievalResult",

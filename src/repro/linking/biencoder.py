@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..index import EntityShard
 from ..kb.entity import Entity, EntityMentionPair, Mention
 from ..nn import Adam, Module, Tensor, TransformerEncoder, clip_grad_norm, concatenate, no_grad
 from ..nn import functional as F
@@ -20,7 +21,7 @@ from ..text.tokenizer import Tokenizer
 from ..utils.config import BiEncoderConfig
 from ..utils.logging import MetricHistory, get_logger
 from ..utils.rng import batched_indices
-from .candidates import EntityIndex, ShardedEntityIndex
+from .candidates import ShardedEntityIndex
 from .encoders import encode_entity_inputs, encode_mention_inputs, encode_pair_batch
 
 _LOGGER = get_logger("biencoder")
@@ -130,10 +131,10 @@ class BiEncoder(Module):
                 chunks.append(forward_fn(ids).data.copy())
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
-    def build_index(self, entities: Sequence[Entity], batch_size: int = 64) -> EntityIndex:
-        """Embed all entities and wrap them in a flat :class:`EntityIndex`."""
+    def build_index(self, entities: Sequence[Entity], batch_size: int = 64) -> EntityShard:
+        """Embed all entities into one flat, exhaustive :class:`EntityShard`."""
         entities = list(entities)
-        return EntityIndex(entities, self.embed_entities(entities, batch_size=batch_size))
+        return EntityShard(entities, self.embed_entities(entities, batch_size=batch_size))
 
     def build_sharded_index(
         self,
@@ -149,9 +150,9 @@ class BiEncoder(Module):
         world's shard is embedded on first search, which is what the serving
         pipeline wants when only a few worlds receive traffic.
 
-        ``backend`` picks the per-shard search structure: None keeps the
-        exact reference index; :class:`repro.index.IVFBackend` builds
-        approximate IVF shards (coarse cells + exact re-scoring).
+        ``backend`` picks the shards' coarse stage: None scans every entity
+        (exact); :class:`repro.index.IVFBackend` probes k-means cells
+        (approximate, exact re-scoring).
 
         Example::
 
@@ -183,9 +184,9 @@ class BiEncoder(Module):
         callable; this rebinds ``embed_fn`` to this bi-encoder so still-cold
         shards can materialise lazily after a process restart.
 
-        ``mmap=True`` opens version-2 snapshot arrays with ``mmap_mode="r"``
-        so forked replica processes share the embedding pages; ``backend``
-        rebuilds exact-saved shards under an approximate backend.
+        ``mmap=True`` opens the snapshot arrays with ``mmap_mode="r"`` so
+        forked replica processes share the embedding pages; ``backend``
+        clusters exhaustive-saved shards into cells at load.
 
         Example::
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..index import EntityShard
 from ..kb.entity import Entity, EntityMentionPair, Mention
 from ..text.tokenizer import Tokenizer
 from ..utils.config import BiEncoderConfig, CrossEncoderConfig
 from ..utils.logging import MetricHistory, get_logger
 from .biencoder import BiEncoder, BiEncoderTrainer
-from .candidates import EntityIndex
 from .crossencoder import CrossEncoder, CrossEncoderTrainer, build_ranking_examples
 from .encoders import unique_entities
 
@@ -110,7 +110,7 @@ class BlinkPipeline:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def build_index(self, entities: Sequence[Entity]) -> EntityIndex:
+    def build_index(self, entities: Sequence[Entity]) -> EntityShard:
         return self.biencoder.build_index(entities)
 
     def predict(
@@ -118,7 +118,7 @@ class BlinkPipeline:
         mentions: Sequence[Mention],
         entities: Sequence[Entity],
         k: int = 16,
-        index: Optional[EntityIndex] = None,
+        index: Optional[EntityShard] = None,
         rerank: bool = True,
         batch_size: int = 64,
     ) -> List[LinkingPrediction]:

@@ -1,54 +1,40 @@
-"""Dense candidate generation: blocked MIPS search and the sharded entity index.
+"""Dense candidate generation: the per-world sharded entity index.
 
 The bi-encoder embeds every entity of a domain once; mentions are then linked
 by maximum inner product against this index (the paper's candidate generation
-stage, evaluated with Recall@64).  Two index flavours are provided:
-
-:class:`EntityIndex`
-    A flat in-memory index over one entity collection.  Search runs a blocked
-    matrix multiply with :func:`numpy.argpartition` top-k selection so memory
-    stays bounded for large entity sets.  This is the *exact reference*
-    implementation every approximate backend is measured against.
+stage, evaluated with Recall@64).  The search itself — blocked top-k, coarse
+cells, the pending tail, mutation, snapshots of one shard — is
+:class:`repro.index.EntityShard`; this module is the layer above it:
 
 :class:`ShardedEntityIndex`
     One shard per world (domain), the unit of scale in the Zeshel setting.
-    Shards are built lazily from an ``embed_fn`` on first use, queries can be
-    routed to a single world or fanned out and merged across all of them, and
-    a small LRU cache keyed by entity id serves repeated single-entity
-    embedding lookups without touching shard storage.  A pluggable *backend*
-    (see :mod:`repro.index.backend`) decides what a materialised shard is:
-    the exact :class:`EntityIndex` (default), or the approximate
-    :class:`~repro.index.ivf.IVFShard`.
+    It owns *routing and merging only*: which world a query or an entity goes
+    to, the fan-out merge across worlds, a small LRU cache keyed by entity id
+    for repeated single-entity embedding lookups, and the worlds that are
+    still *cold* — registered, but not yet embedded (``embed_fn`` runs on
+    first use) or not yet built.  A materialised world is one
+    :class:`~repro.index.EntityShard` and nothing else; the index keeps no
+    copy of its entities or vectors.
 
 Usage::
 
     index = ShardedEntityIndex.from_entities(entities, embed_fn=model.embed_entities)
     results = index.search(query_vectors, k=64, worlds=["lego"])
     results[0].rank_of(gold_id)   # O(1) rank lookup
+    results[0].entities           # the candidates, resolved by the search
 
 Tie-breaking is deterministic everywhere: candidates with equal scores are
-ordered by their insertion position (and, across shards, by shard insertion
-order first), so repeated searches always return identical rankings.
-
-Snapshots are versioned.  Version 1 (the PR 2 format) stored one
-``vectors.npz``; version 2 stores one raw ``.npy`` per array under
-``arrays/`` so :meth:`ShardedEntityIndex.load` can open every shard with
-``mmap_mode="r"`` — forked serving replicas then share the snapshot's pages
-instead of each copying the float64 matrices.  Version-1 snapshots still
-load; version 2 additionally persists quantized codecs and IVF shard state
-(see :mod:`repro.index`).
+ordered by their position in the shard (and, across shards, by shard
+insertion order first), so repeated searches always return identical
+rankings.  Snapshots are the version-2 directory format of
+:mod:`repro.index.snapshot`.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
-import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterable,
@@ -61,86 +47,29 @@ from typing import (
 
 import numpy as np
 
+from ..index import (
+    DEFAULT_BLOCK_SIZE,
+    EntityShard,
+    IVFBackend,
+    RetrievalResult,
+    VectorStorage,
+    build_results,
+    read_snapshot,
+    storage_codec,
+    write_snapshot,
+)
 from ..kb.entity import Entity
-
-#: Entities are scored ``block_size`` at a time so the score matrix for one
-#: block stays small even for very large entity collections.
-DEFAULT_BLOCK_SIZE = 2048
 
 #: Default capacity of the per-index embedding LRU cache (entity-id keyed).
 DEFAULT_CACHE_SIZE = 4096
 
-#: On-disk snapshot format version written by :meth:`ShardedEntityIndex.save`.
-SNAPSHOT_FORMAT_VERSION = 2
-
-#: File names inside a snapshot directory.  ``SNAPSHOT_VECTORS`` is the
-#: version-1 npz (still readable); version 2 writes ``SNAPSHOT_ARRAYS``.
-SNAPSHOT_MANIFEST = "index.json"
-SNAPSHOT_VECTORS = "vectors.npz"
-SNAPSHOT_ARRAYS = "arrays"
-
-#: In-place re-save parks the committed arrays directory here until the new
-#: manifest is committed; a crash between the renames leaves it recoverable.
-SNAPSHOT_ARRAYS_OLD = "arrays.old"
-
-#: Marker file inside an arrays directory echoing the manifest's
-#: ``arrays_token`` — :meth:`ShardedEntityIndex.load` uses it to pick the
-#: arrays directory that matches the committed manifest after a crashed
-#: re-save.
-SNAPSHOT_ARRAYS_TOKEN = "TOKEN"
-
-#: Generation-store pointer file (see :mod:`repro.index.snapshot`); when a
-#: load path contains one, the load resolves it to the current generation.
-SNAPSHOT_CURRENT = "CURRENT"
-
 EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
 
+Vectors = Union[np.ndarray, VectorStorage]
 
-def _is_storage(vectors: Any) -> bool:
-    """Duck-typed check for a :class:`repro.index.codecs.VectorStorage`.
-
-    candidates.py cannot import :mod:`repro.index` at module level (that
-    package imports this one), so the storage protocol is recognised
-    structurally.
-    """
-    return hasattr(vectors, "to_dense") and hasattr(vectors, "take")
-
-
-@dataclass
-class RetrievalResult:
-    """Top-k candidates for one mention, ranked by decreasing score.
-
-    ``contains`` and ``rank_of`` are O(1): a rank dictionary is built once at
-    construction time (the Recall@64 evaluation loops call them per mention).
-    Treat ``entity_ids`` as immutable after construction — the rank map is not
-    rebuilt on mutation.
-    """
-
-    entity_ids: List[str]
-    scores: List[float]
-    _rank_by_id: Dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        ranks: Dict[str, int] = {}
-        for rank, entity_id in enumerate(self.entity_ids):
-            ranks.setdefault(entity_id, rank)
-        self._rank_by_id = ranks
-
-    def __len__(self) -> int:
-        return len(self.entity_ids)
-
-    def contains(self, entity_id: str) -> bool:
-        """O(1) membership test among the retrieved candidates."""
-        return entity_id in self._rank_by_id
-
-    def rank_of(self, entity_id: str) -> Optional[int]:
-        """0-based rank of ``entity_id`` among the candidates, or None."""
-        return self._rank_by_id.get(entity_id)
-
-    @property
-    def top_id(self) -> Optional[str]:
-        """Best-scoring candidate id (None for an empty result)."""
-        return self.entity_ids[0] if self.entity_ids else None
+#: A world that is registered but not built: its entities and, once known,
+#: their vectors (``None`` until ``embed_fn`` has run).
+ColdShard = Tuple[List[Entity], Optional[Vectors]]
 
 
 class LRUEmbeddingCache:
@@ -195,249 +124,6 @@ class LRUEmbeddingCache:
         self.misses = 0
 
 
-def _sorted_topk(
-    scores: np.ndarray, positions: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep the best ``k`` columns per row under (score desc, position asc)."""
-    order = np.lexsort((positions, -scores), axis=1)[:, :k]
-    return (
-        np.take_along_axis(scores, order, axis=1),
-        np.take_along_axis(positions, order, axis=1),
-    )
-
-
-def blocked_topk(
-    query_vectors: np.ndarray,
-    entity_vectors: np.ndarray,
-    k: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocked maximum-inner-product top-k over ``entity_vectors``.
-
-    Scores are computed ``block_size`` entities at a time; a running candidate
-    buffer per query is compacted to the best ``k`` columns under the total
-    order (score desc, position asc), so peak memory is
-    ``O(num_queries * (block_size + 4k))`` instead of
-    ``O(num_queries * num_entities)``.  Because retention always uses that
-    total order, streaming compaction is exact: the result equals the top-k
-    of the full score matrix.
-
-    Returns ``(scores, positions)`` arrays of shape ``(num_queries, k)`` with
-    each row sorted by decreasing score; ties are broken by ascending entity
-    position, deterministically.
-    """
-    num_entities = len(entity_vectors)
-    k = min(k, num_entities)
-    if k <= 0:
-        empty = np.zeros((len(query_vectors), 0))
-        return empty, empty.astype(np.int64)
-
-    buffer_scores: Optional[np.ndarray] = None
-    buffer_positions: Optional[np.ndarray] = None
-    compact_width = max(4 * k, 256)
-
-    for start in range(0, num_entities, block_size):
-        block = entity_vectors[start:start + block_size]
-        scores = query_vectors @ block.T
-        positions = np.broadcast_to(
-            np.arange(start, start + block.shape[0], dtype=np.int64), scores.shape
-        )
-        if buffer_scores is None:
-            buffer_scores, buffer_positions = scores, np.ascontiguousarray(positions)
-        else:
-            buffer_scores = np.concatenate([buffer_scores, scores], axis=1)
-            buffer_positions = np.concatenate([buffer_positions, positions], axis=1)
-        if buffer_scores.shape[1] > compact_width:
-            buffer_scores, buffer_positions = _sorted_topk(buffer_scores, buffer_positions, k)
-
-    assert buffer_scores is not None and buffer_positions is not None
-    return _sorted_topk(buffer_scores, buffer_positions, k)
-
-
-class EntityIndex:
-    """Flat in-memory maximum-inner-product index over entity vectors.
-
-    Search uses :func:`blocked_topk`, so the full ``queries x entities`` score
-    matrix is never materialised.  This class is also the storage unit of one
-    :class:`ShardedEntityIndex` shard.
-    """
-
-    def __init__(
-        self,
-        entities: Sequence[Entity],
-        vectors: np.ndarray,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
-        if len(entities) != len(vectors):
-            raise ValueError("entities and vectors must align")
-        if len(entities) == 0:
-            raise ValueError("cannot build an index over zero entities")
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self._entities = list(entities)
-        self._vectors = np.asarray(vectors, dtype=np.float64)
-        self._block_size = block_size
-        self._id_to_position: Dict[str, int] = {
-            entity.entity_id: position for position, entity in enumerate(self._entities)
-        }
-
-    def __len__(self) -> int:
-        return len(self._entities)
-
-    @property
-    def dimension(self) -> int:
-        return self._vectors.shape[1]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """The raw ``(num_entities, dim)`` embedding matrix (do not mutate)."""
-        return self._vectors
-
-    def entities(self) -> List[Entity]:
-        return list(self._entities)
-
-    def entity(self, entity_id: str) -> Entity:
-        return self._entities[self._id_to_position[entity_id]]
-
-    def entity_id_at(self, position: int) -> str:
-        """Entity id at a search-result position (the merge-path lookup)."""
-        return self._entities[position].entity_id
-
-    def vector(self, entity_id: str) -> np.ndarray:
-        return self._vectors[self._id_to_position[entity_id]]
-
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._id_to_position
-
-    def stats(self) -> Dict[str, object]:
-        """Shard descriptor mirroring :meth:`IVFShard.stats` (exact flavour)."""
-        return {
-            "backend": "exact",
-            "codec": "float64",
-            "entities": len(self._entities),
-            "storage_bytes": int(self._vectors.nbytes),
-        }
-
-    # ------------------------------------------------------------------
-    # Mutation (exact reference semantics: rebuild, never approximate)
-    # ------------------------------------------------------------------
-    def add(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
-        """Append entities; duplicates are an error (use :meth:`update`)."""
-        entities = list(entities)
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if len(entities) != len(vectors):
-            raise ValueError("entities and vectors must align")
-        if not entities:
-            return
-        for entity in entities:
-            if entity.entity_id in self._id_to_position:
-                raise ValueError(
-                    f"entity {entity.entity_id!r} already indexed; use update()"
-                )
-        base = len(self._entities)
-        self._vectors = np.concatenate([self._vectors, vectors], axis=0)
-        self._entities.extend(entities)
-        for offset, entity in enumerate(entities):
-            self._id_to_position[entity.entity_id] = base + offset
-
-    def remove(self, entity_ids: Sequence[str]) -> None:
-        """Drop entities and their rows; later positions shift down.
-
-        Exact semantics: the index is rebuilt without the removed rows, so
-        search never sees a tombstone.  Removing every entity leaves a
-        legal empty index (searches return empty results).
-        """
-        ids = set(entity_ids)
-        unknown = [entity_id for entity_id in ids if entity_id not in self._id_to_position]
-        if unknown:
-            raise KeyError(f"unknown entities: {sorted(unknown)}")
-        keep = [
-            position
-            for position, entity in enumerate(self._entities)
-            if entity.entity_id not in ids
-        ]
-        self._entities = [self._entities[position] for position in keep]
-        self._vectors = self._vectors[keep]
-        self._id_to_position = {
-            entity.entity_id: position for position, entity in enumerate(self._entities)
-        }
-
-    def update(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
-        """Replace entities in place (same id, new metadata/embedding)."""
-        entities = list(entities)
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if len(entities) != len(vectors):
-            raise ValueError("entities and vectors must align")
-        missing = [
-            entity.entity_id
-            for entity in entities
-            if entity.entity_id not in self._id_to_position
-        ]
-        if missing:
-            raise KeyError(f"unknown entities: {missing}")
-        if not self._vectors.flags.writeable:
-            # Memory-mapped snapshots are opened read-only; in-place update
-            # materialises a private copy first.
-            self._vectors = np.array(self._vectors)
-        for entity, vector in zip(entities, vectors):
-            position = self._id_to_position[entity.entity_id]
-            self._entities[position] = entity
-            self._vectors[position] = vector
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def search_arrays(self, query_vectors: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-k ``(scores, positions)`` arrays for each query vector."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        query_vectors = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-        return blocked_topk(query_vectors, self._vectors, k, block_size=self._block_size)
-
-    def search_arrays_with_ids(
-        self, query_vectors: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`search_arrays` plus per-slot entity ids.
-
-        The third array is object-dtype, shaped like ``positions``, holding
-        entity id strings (``None`` in padding slots).  The sharded fan-out
-        merge consumes this instead of post-hoc :meth:`entity_id_at` lookups
-        so ids always match the rows that were scored — on approximate
-        shards (:class:`~repro.index.ivf.IVFShard`) the equivalent method is
-        atomic against one state snapshot.
-        """
-        entities = self._entities
-        scores, positions = self.search_arrays(query_vectors, k)
-        flat_positions = positions.ravel()
-        flat_ids = np.empty(flat_positions.shape, dtype=object)
-        for i in np.flatnonzero(flat_positions >= 0):
-            flat_ids[i] = entities[int(flat_positions[i])].entity_id
-        return scores, positions, flat_ids.reshape(positions.shape)
-
-    def search(self, query_vectors: np.ndarray, k: int) -> List[RetrievalResult]:
-        """Top-k inner-product search for each query vector.
-
-        ``k`` is clamped to the number of indexed entities; rows are sorted by
-        decreasing score with deterministic position tie-breaking.
-        """
-        scores, positions = self.search_arrays(query_vectors, k)
-        results: List[RetrievalResult] = []
-        for row_scores, row_positions in zip(scores, positions):
-            results.append(
-                RetrievalResult(
-                    entity_ids=[self._entities[i].entity_id for i in row_positions],
-                    scores=[float(score) for score in row_scores],
-                )
-            )
-        return results
-
-    def retrieve_entities(self, query_vectors: np.ndarray, k: int) -> List[List[Entity]]:
-        """Like :meth:`search` but resolving candidates to Entity objects."""
-        return [
-            [self.entity(entity_id) for entity_id in result.entity_ids]
-            for result in self.search(query_vectors, k)
-        ]
-
 
 class ShardedEntityIndex:
     """Per-world sharded MIPS index with lazy shard builds and an LRU cache.
@@ -446,7 +132,9 @@ class ShardedEntityIndex:
     up-front or embedded lazily via ``embed_fn`` the first time the shard is
     searched — building a 16-world index therefore costs nothing until traffic
     actually hits a world.  Empty shards are legal and simply contribute no
-    candidates.
+    candidates.  ``backend`` picks the coarse stage of every shard built here:
+    ``None`` scans exhaustively, an :class:`~repro.index.IVFBackend` probes
+    k-means cells.
 
     Example::
 
@@ -461,14 +149,12 @@ class ShardedEntityIndex:
         embed_fn: Optional[EmbedFn] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        backend: Optional[Any] = None,
+        backend: Optional[IVFBackend] = None,
     ) -> None:
         self._embed_fn = embed_fn
         self._block_size = block_size
         self._backend = backend
-        self._shard_entities: "OrderedDict[str, List[Entity]]" = OrderedDict()
-        self._shard_vectors: Dict[str, Optional[Any]] = {}
-        self._shards: Dict[str, Optional[Any]] = {}
+        self._shards: "OrderedDict[str, Union[EntityShard, ColdShard]]" = OrderedDict()
         self._entity_world: Dict[str, str] = {}
         self.embedding_cache = LRUEmbeddingCache(cache_size)
 
@@ -482,7 +168,7 @@ class ShardedEntityIndex:
         embed_fn: Optional[EmbedFn] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        backend: Optional[Any] = None,
+        backend: Optional[IVFBackend] = None,
     ) -> "ShardedEntityIndex":
         """Group ``entities`` by their ``domain`` attribute, one shard each."""
         index = cls(
@@ -502,75 +188,63 @@ class ShardedEntityIndex:
         self,
         world: str,
         entities: Sequence[Entity],
-        vectors: Optional[Any] = None,
+        vectors: Optional[Vectors] = None,
     ) -> None:
         """Register a shard; ``vectors=None`` defers embedding to first use.
 
         ``vectors`` may be a dense float64 matrix or a
-        :class:`~repro.index.codecs.VectorStorage` (e.g. loaded from a
-        quantized, memory-mapped snapshot) — storages are handed to the
-        backend as-is so decoding stays lazy.
+        :class:`~repro.index.codecs.VectorStorage` (e.g. quantized and
+        memory-mapped) — storages reach the shard as-is, so decoding stays
+        lazy.  The shard itself is built on first use.
         """
-        if world in self._shard_entities:
+        if world in self._shards:
             raise ValueError(f"shard {world!r} already exists")
         if vectors is not None and len(vectors) != len(entities):
             raise ValueError("entities and vectors must align")
         members = list(entities)
-        self._shard_entities[world] = members
-        if vectors is None or _is_storage(vectors):
-            self._shard_vectors[world] = vectors
-        else:
-            self._shard_vectors[world] = np.asarray(vectors, dtype=np.float64)
+        self._shards[world] = (members, vectors)
         for entity in members:
             self._entity_world[entity.entity_id] = world
-        self._shards.pop(world, None)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        total = 0
-        for world, members in self._shard_entities.items():
-            shard = self._shards.get(world)
-            total += len(shard) if shard is not None else len(members)
-        return total
+        return sum(
+            len(record) if isinstance(record, EntityShard) else len(record[0])
+            for record in self._shards.values()
+        )
 
     def worlds(self) -> List[str]:
         """Shard names in insertion order."""
-        return list(self._shard_entities)
+        return list(self._shards)
 
     @property
     def num_shards(self) -> int:
-        return len(self._shard_entities)
+        return len(self._shards)
 
     @property
-    def backend(self) -> Optional[Any]:
-        """The shard backend (None means the exact default)."""
+    def backend(self) -> Optional[IVFBackend]:
+        """The coarse stage of shards built here (None means exhaustive)."""
         return self._backend
 
     def is_materialized(self, world: str) -> bool:
         """Whether a shard's vectors have been built (lazy shards start cold)."""
-        return self._shards.get(world) is not None or self._shard_vectors.get(world) is not None
+        record = self._shards.get(world)
+        return isinstance(record, EntityShard) or (
+            record is not None and record[1] is not None
+        )
 
-    def shard(self, world: str) -> Optional[Any]:
-        """The materialised shard index of one world; None if empty.
-
-        The concrete type is whatever the backend builds: the exact
-        :class:`EntityIndex` by default, an
-        :class:`~repro.index.ivf.IVFShard` under
-        :class:`~repro.index.backend.IVFBackend`.
-        """
-        if world not in self._shard_entities:
-            raise KeyError(f"unknown world {world!r}")
+    def shard(self, world: str) -> Optional[EntityShard]:
+        """The shard of one world, built on first use; None if it has no entities."""
         if world not in self._shards:
-            self._shards[world] = self._build_shard(world)
-        return self._shards[world]
-
-    def _build_shard(self, world: str) -> Optional[Any]:
-        members = self._shard_entities[world]
+            raise KeyError(f"unknown world {world!r}")
+        record = self._shards[world]
+        if isinstance(record, EntityShard):
+            return record
+        members, vectors = record
         if not members:
             return None
-        vectors = self._shard_vectors[world]
         if vectors is None:
             if self._embed_fn is None:
                 raise ValueError(
@@ -579,12 +253,11 @@ class ShardedEntityIndex:
             vectors = np.asarray(self._embed_fn(members), dtype=np.float64)
             if len(vectors) != len(members):
                 raise ValueError("embed_fn returned a misaligned vector matrix")
-            self._shard_vectors[world] = vectors
-        if self._backend is not None:
-            return self._backend.build(members, vectors, self._block_size)
-        if _is_storage(vectors):
-            vectors = vectors.to_dense()
-        return EntityIndex(members, vectors, block_size=self._block_size)
+        shard = EntityShard(
+            members, vectors, block_size=self._block_size, cells=self._backend
+        )
+        self._shards[world] = shard
+        return shard
 
     # ------------------------------------------------------------------
     # Entity / vector lookup
@@ -625,12 +298,6 @@ class ShardedEntityIndex:
             raise ValueError("entities and vectors must align")
         return vectors
 
-    def _sync_shard_record(self, world: str, shard: Any) -> None:
-        """Refresh the bookkeeping lists after a shard-level mutation."""
-        members = list(shard.entities())
-        self._shard_entities[world] = members
-        self._shard_vectors[world] = getattr(shard, "vectors", None)
-
     def add_entities(
         self,
         entities: Sequence[Entity],
@@ -640,9 +307,8 @@ class ShardedEntityIndex:
 
         Entities route to their ``domain`` shard; unknown domains create a
         new shard.  ``vectors=None`` embeds through the index's ``embed_fn``.
-        On IVF shards the rows land in the exact pending tail (linkable
-        immediately, folded into cells by :meth:`compact`); on exact shards
-        the matrix grows in place.
+        The rows land in the shard's exact pending tail (linkable
+        immediately, folded into main storage by :meth:`compact`).
         """
         entities = list(entities)
         if not entities:
@@ -658,24 +324,17 @@ class ShardedEntityIndex:
             grouped.setdefault(entity.domain, []).append(position)
         for world, rows in grouped.items():
             members = [entities[i] for i in rows]
-            member_vectors = vectors[rows]
-            if world not in self._shard_entities:
-                self.add_shard(world, members, member_vectors)
-                continue
-            shard = self.shard(world)
+            shard = self.shard(world) if world in self._shards else None
             if shard is None:
-                # Previously empty world: registering content resets it.
-                self._shard_entities[world] = members
-                self._shard_vectors[world] = member_vectors
-                self._shards.pop(world, None)
+                # New world, or one registered without entities: (re)register.
+                self._shards[world] = (members, vectors[rows])
             else:
-                shard.add(members, member_vectors)
-                self._sync_shard_record(world, shard)
+                shard.add(members, vectors[rows])
             for entity in members:
                 self._entity_world[entity.entity_id] = world
 
     def remove_entities(self, entity_ids: Sequence[str]) -> None:
-        """Remove entities online (exact: row drop; IVF: tombstone)."""
+        """Remove entities online (tombstoned until the next :meth:`compact`)."""
         ids = list(entity_ids)
         unknown = [i for i in ids if i not in self._entity_world]
         if unknown:
@@ -687,7 +346,6 @@ class ShardedEntityIndex:
             shard = self.shard(world)
             assert shard is not None  # ids imply non-empty shards
             shard.remove(members)
-            self._sync_shard_record(world, shard)
         for entity_id in ids:
             del self._entity_world[entity_id]
         self.embedding_cache.invalidate(ids)
@@ -712,23 +370,17 @@ class ShardedEntityIndex:
             shard = self.shard(world)
             assert shard is not None
             shard.update([entities[i] for i in rows], vectors[rows])
-            self._sync_shard_record(world, shard)
         self.embedding_cache.invalidate(e.entity_id for e in entities)
 
     def compact(self) -> Dict[str, int]:
-        """Compact every shard that supports it (IVF backends).
-
-        Folds pending tails and tombstones into freshly re-clustered
-        generations; exact shards mutate eagerly and are left alone.
-        Returns ``{world: new_generation}`` for the compacted shards.
+        """Compact every built shard: fold pending tails and tombstones into
+        fresh generations.  Returns ``{world: generation}`` for those shards.
         """
-        generations: Dict[str, int] = {}
-        for world in self.worlds():
-            shard = self._shards.get(world)
-            if shard is not None and hasattr(shard, "compact"):
-                generations[world] = shard.compact()
-                self._sync_shard_record(world, shard)
-        return generations
+        return {
+            world: record.compact()
+            for world, record in self._shards.items()
+            if isinstance(record, EntityShard)
+        }
 
     # ------------------------------------------------------------------
     # Persistence
@@ -736,88 +388,43 @@ class ShardedEntityIndex:
     def save(self, path: Union[str, Path], codec: str = "float64") -> Path:
         """Snapshot the index to a directory; returns the directory path.
 
-        Version-2 layout: a JSON manifest (shard order, backend + codec per
-        shard, entity metadata, block size, cache capacity) plus one raw
-        ``.npy`` file per array under ``arrays/`` — raw files, unlike the
-        version-1 ``npz``, can be opened with ``mmap_mode="r"`` at load
-        time.  Saving never materialises anything: cold (lazy) shards are
-        recorded without vectors and stay cold after :meth:`load`.
+        One manifest entry per world, in shard order (layout and crash
+        safety: :mod:`repro.index.snapshot`).  Saving never embeds or
+        clusters anything: worlds without vectors are recorded cold and
+        stay cold after :meth:`load`.
 
-        ``codec`` quantizes materialised *exact* shards on disk (``float64``
-        / ``float16`` / ``int8``); the default float64 round-trips
-        bit-identically.  IVF shards persist their own codec and full live
-        state (cells, pending tail, tombstones) via ``export_snapshot``.
+        ``codec`` quantizes *exhaustive* shards on disk (``float64`` /
+        ``float16`` / ``int8``); the default float64 round-trips
+        bit-identically.  Celled shards persist the codec they were built
+        with.  Either way the full live state (pending tail, tombstones,
+        cells) is saved as it is.
         """
-        path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
-        shards = []
-        arrays: Dict[str, np.ndarray] = {}
-        for position, (world, members) in enumerate(self._shard_entities.items()):
-            shard = self._shards.get(world)
-            if shard is not None and hasattr(shard, "export_snapshot"):
-                entry, shard_arrays = shard.export_snapshot()
-                entry["world"] = world
-                entry["materialized"] = True
-                shards.append(entry)
-                for key, array in shard_arrays.items():
-                    arrays[f"shard_{position}__{key}"] = array
-                continue
-            vectors = self._shard_vectors.get(world)
-            entry = {
-                "world": world,
-                "backend": "exact",
-                "codec": codec if vectors is not None else "float64",
-                "materialized": vectors is not None,
-                "entities": [entity.to_dict() for entity in members],
-            }
-            shards.append(entry)
-            if vectors is None:
-                continue
-            if codec == "float64" and not _is_storage(vectors):
-                arrays[f"shard_{position}"] = np.asarray(vectors, dtype=np.float64)
+        storage_codec(codec)  # an unknown codec fails even if no shard would use it
+        records = []
+        for world, record in self._shards.items():
+            shard: Optional[EntityShard] = None
+            if isinstance(record, EntityShard):
+                shard = record
+            elif record[0] and record[1] is not None:
+                # Registered with vectors, never searched: saved as it would
+                # scan, without building the backend's cells.
+                shard = EntityShard(record[0], record[1], block_size=self._block_size)
+            if shard is not None:
+                entry, arrays = shard.export(codec)
             else:
-                from ..index.codecs import encode_matrix  # deferred: avoids cycle
-
-                dense = vectors.to_dense() if _is_storage(vectors) else vectors
-                for key, array in encode_matrix(dense, codec).arrays().items():
-                    name = f"shard_{position}__{key}" if key else f"shard_{position}"
-                    arrays[name] = array
-        token = uuid.uuid4().hex
-        manifest = {
-            "format_version": SNAPSHOT_FORMAT_VERSION,
+                arrays = {}
+                entry = {
+                    "backend": "exact",
+                    "codec": "float64",
+                    "entities": [entity.to_dict() for entity in record[0]],
+                }
+            entry.update(world=world, materialized=shard is not None)
+            records.append((entry, arrays))
+        settings = {
             "block_size": self._block_size,
             "cache_size": self.embedding_cache.capacity,
-            "shards": shards,
-            "arrays_token": token,
         }
-        # Write arrays into a temp directory, swap it in, then write the
-        # manifest (temp file + rename): the manifest is the commit marker a
-        # reader looks at first, so a crash mid-save never exposes a
-        # half-written snapshot.  On an in-place re-save the committed
-        # arrays directory is *renamed aside*, never deleted, until the new
-        # manifest is committed; the token marker ties each manifest to its
-        # arrays directory so load() recovers the right pairing if a crash
-        # lands between the renames.
-        arrays_tmp = path / (SNAPSHOT_ARRAYS + ".tmp")
-        if arrays_tmp.exists():
-            shutil.rmtree(arrays_tmp)
-        arrays_tmp.mkdir()
-        for name, array in arrays.items():
-            np.save(arrays_tmp / f"{name}.npy", np.ascontiguousarray(array))
-        (arrays_tmp / SNAPSHOT_ARRAYS_TOKEN).write_text(token)
-        arrays_dir = path / SNAPSHOT_ARRAYS
-        arrays_old = path / SNAPSHOT_ARRAYS_OLD
-        if arrays_old.exists():
-            shutil.rmtree(arrays_old)
-        if arrays_dir.exists():
-            arrays_dir.replace(arrays_old)
-        arrays_tmp.replace(arrays_dir)
-        manifest_tmp = path / (SNAPSHOT_MANIFEST + ".tmp")
-        manifest_tmp.write_text(json.dumps(manifest, indent=1))
-        manifest_tmp.replace(path / SNAPSHOT_MANIFEST)
-        if arrays_old.exists():
-            shutil.rmtree(arrays_old)
-        return path
+        return write_snapshot(path, settings, records)
 
     @classmethod
     def load(
@@ -827,130 +434,44 @@ class ShardedEntityIndex:
         block_size: Optional[int] = None,
         cache_size: Optional[int] = None,
         mmap: bool = False,
-        backend: Optional[Any] = None,
+        backend: Optional[IVFBackend] = None,
     ) -> "ShardedEntityIndex":
         """Restore an index saved with :meth:`save`.
 
-        Shard insertion order, materialised vectors and cold-shard status all
+        Shard insertion order, live shard state and cold-shard status all
         round-trip exactly, so ``load(path).search(q, k)`` ranks identically
         to the pre-save index.  ``embed_fn`` re-attaches the embedding
         function (snapshots cannot serialise callables); it is only required
         once a still-cold shard is first searched.  ``block_size`` /
         ``cache_size`` override the persisted values when given.
 
-        ``mmap=True`` opens every version-2 array with ``mmap_mode="r"`` —
-        embedding pages load on first touch and are shared between forked
-        replica processes.  Version-1 (``npz``) snapshots still load, always
-        in RAM.  ``backend`` rebuilds *exact-saved* shards under a different
-        backend (e.g. :class:`~repro.index.backend.IVFBackend`); shards
-        saved from IVF state restore as IVF shards regardless.
+        ``mmap=True`` opens every array with ``mmap_mode="r"`` — embedding
+        pages load on first touch and are shared between forked replica
+        processes; quantized storage is decoded block by block, never whole.
+        ``backend`` clusters *exhaustive-saved* shards into cells at load
+        (keeping the codec they were saved under) and builds cold ones with
+        it later; shards saved with cells restore them regardless.
 
         If ``path`` is a generation store (contains a ``CURRENT`` marker,
         see :mod:`repro.index.snapshot`), the current generation is loaded.
         """
-        path = Path(path)
-        if not (path / SNAPSHOT_MANIFEST).exists() and (path / SNAPSHOT_CURRENT).exists():
-            from ..index.snapshot import current_generation  # deferred: avoids cycle
-
-            resolved = current_generation(path)
-            assert resolved is not None  # marker exists, so this resolves
-            path = resolved
-        manifest = json.loads((path / SNAPSHOT_MANIFEST).read_text())
-        version = manifest.get("format_version")
-        if version not in (1, SNAPSHOT_FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported snapshot format version {version!r} "
-                f"(this build reads versions 1 and {SNAPSHOT_FORMAT_VERSION})"
-            )
+        manifest, records = read_snapshot(path, mmap=mmap)
         index = cls(
             embed_fn=embed_fn,
             block_size=manifest["block_size"] if block_size is None else block_size,
             cache_size=manifest["cache_size"] if cache_size is None else cache_size,
             backend=backend,
         )
-        if version == 1:
-            with np.load(path / SNAPSHOT_VECTORS) as arrays:
-                for position, shard in enumerate(manifest["shards"]):
-                    entities = [Entity.from_dict(p) for p in shard["entities"]]
-                    vectors = arrays[f"shard_{position}"] if shard["materialized"] else None
-                    index.add_shard(shard["world"], entities, vectors)
-            return index
-
-        arrays_dir = path / SNAPSHOT_ARRAYS
-        token = manifest.get("arrays_token")
-        if token is not None:
-            # A crash during an in-place re-save can leave the *new* arrays
-            # directory in place while the committed manifest is still the
-            # old one (or the arrays rename done but the swap-in not).  The
-            # token marker written by save() identifies which directory the
-            # committed manifest describes.
-            def _holds_token(candidate: Path) -> bool:
-                marker = candidate / SNAPSHOT_ARRAYS_TOKEN
-                try:
-                    return marker.read_text() == token
-                except OSError:
-                    return False
-
-            if not _holds_token(arrays_dir):
-                fallback = path / SNAPSHOT_ARRAYS_OLD
-                if _holds_token(fallback):
-                    arrays_dir = fallback
-                else:
-                    raise ValueError(
-                        f"snapshot at {path} is inconsistent: no arrays "
-                        f"directory matches the manifest's arrays_token "
-                        f"(interrupted save?)"
-                    )
-        mmap_mode = "r" if mmap else None
-
-        def _load(name: str) -> np.ndarray:
-            return np.load(arrays_dir / f"{name}.npy", mmap_mode=mmap_mode)
-
-        names = sorted(p.stem for p in arrays_dir.glob("*.npy"))
-        for position, shard in enumerate(manifest["shards"]):
-            world = shard["world"]
-            shard_backend = shard.get("backend", "exact")
-            if shard_backend == "ivf":
-                from ..index.ivf import IVFShard  # deferred: avoids cycle
-
-                prefix = f"shard_{position}__"
-                shard_arrays = {
-                    name[len(prefix):]: _load(name)
-                    for name in names
-                    if name.startswith(prefix)
-                }
-                ivf_shard = IVFShard.from_snapshot(shard, shard_arrays)
-                members = ivf_shard.entities()
-                index._shard_entities[world] = members
-                index._shard_vectors[world] = None
-                index._shards[world] = ivf_shard
-                for entity in members:
-                    index._entity_world[entity.entity_id] = world
-                continue
-            if shard_backend != "exact":
-                raise ValueError(
-                    f"unknown shard backend {shard_backend!r} in snapshot "
-                    f"(a newer build may have written it)"
-                )
-            entities = [Entity.from_dict(p) for p in shard["entities"]]
-            if not shard["materialized"]:
-                index.add_shard(world, entities, None)
-                continue
-            shard_codec = shard.get("codec", "float64")
-            if shard_codec == "float64":
-                index.add_shard(world, entities, _load(f"shard_{position}"))
-            else:
-                from ..index.codecs import storage_from_arrays  # deferred
-
-                prefix = f"shard_{position}__"
-                components = {
-                    name[len(prefix):]: _load(name)
-                    for name in names
-                    if name.startswith(prefix)
-                }
+        for entry, arrays in records:
+            if not entry["materialized"]:
                 index.add_shard(
-                    world, entities, storage_from_arrays(components, shard_codec)
+                    entry["world"], [Entity.from_dict(p) for p in entry["entities"]]
                 )
+                continue
+            shard = EntityShard.restore(entry, arrays, index._block_size, cells=backend)
+            index._shards[entry["world"]] = shard
+            for entity in shard.entities():
+                index._entity_world[entity.entity_id] = entry["world"]
         return index
 
     # ------------------------------------------------------------------
@@ -967,62 +488,42 @@ class ShardedEntityIndex:
         Per-shard rankings are merged by decreasing score; ties are broken by
         shard insertion order, then entity position, so merged rankings are
         deterministic.  Empty shards contribute nothing; if every selected
-        shard is empty the results are empty (never an error).
+        shard is empty the results are empty (never an error).  Each shard
+        resolves its candidates inside its own search, against the state
+        that scored them, so a mutation or ``compact()`` racing this call
+        cannot detach a candidate from its score.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         query_vectors = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-        num_queries = len(query_vectors)
-        selected = [world for world in self._select_worlds(worlds) if self.shard(world) is not None]
-        if not selected:
-            return [RetrievalResult([], []) for _ in range(num_queries)]
-        if len(selected) == 1:
-            shard = self.shard(selected[0])
-            assert shard is not None
-            return shard.search(query_vectors, k)
+        shards = [self.shard(world) for world in self._select_worlds(worlds)]
+        blocks = [
+            shard.search_arrays(query_vectors, k) for shard in shards if shard is not None
+        ]
+        if not blocks:
+            return [RetrievalResult([], []) for _ in range(len(query_vectors))]
+        if len(blocks) == 1:
+            scores, _, entities = blocks[0]
+            return build_results(scores, entities)
 
-        # Fan-out: per-shard blocked top-k, then one vectorized merge.  The
-        # lexsort keys encode the deterministic ordering (score desc, shard
-        # insertion order, entity position).  Each shard resolves entity ids
-        # inside search_arrays_with_ids, against the same state snapshot
-        # that produced the scores — a post-hoc entity_id_at lookup could
-        # race a compact() that remaps positions between the two reads.
-        score_blocks: List[np.ndarray] = []
-        position_blocks: List[np.ndarray] = []
-        shard_blocks: List[np.ndarray] = []
-        id_blocks: List[np.ndarray] = []
-        for shard_order, world in enumerate(selected):
-            shard = self.shard(world)
-            assert shard is not None
-            scores, positions, ids = shard.search_arrays_with_ids(query_vectors, k)
-            score_blocks.append(scores)
-            position_blocks.append(positions)
-            id_blocks.append(ids)
-            shard_blocks.append(np.full(positions.shape, shard_order, dtype=np.int64))
-
-        scores = np.concatenate(score_blocks, axis=1)
-        positions = np.concatenate(position_blocks, axis=1)
-        entity_id_slots = np.concatenate(id_blocks, axis=1)
-        shard_orders = np.concatenate(shard_blocks, axis=1)
+        # Fan-out: one vectorized merge.  The lexsort keys encode the
+        # deterministic ordering (score desc, shard insertion order, entity
+        # position); padding slots sort last and are dropped by build_results.
+        scores = np.concatenate([block[0] for block in blocks], axis=1)
+        positions = np.concatenate([block[1] for block in blocks], axis=1)
+        entities = np.concatenate([block[2] for block in blocks], axis=1)
+        shard_orders = np.concatenate(
+            [
+                np.full(block[1].shape, shard_order, dtype=np.int64)
+                for shard_order, block in enumerate(blocks)
+            ],
+            axis=1,
+        )
         order = np.lexsort((positions, shard_orders, -scores), axis=1)[:, :k]
-        top_scores = np.take_along_axis(scores, order, axis=1)
-        top_ids = np.take_along_axis(entity_id_slots, order, axis=1)
-
-        # Padding slots (position -1, score -inf) emitted by approximate
-        # shards carry a None id and are dropped here.
-        results: List[RetrievalResult] = []
-        for query_index in range(num_queries):
-            entity_ids: List[str] = []
-            row_scores: List[float] = []
-            for entity_id, score in zip(
-                top_ids[query_index], top_scores[query_index]
-            ):
-                if entity_id is None:
-                    continue
-                entity_ids.append(entity_id)
-                row_scores.append(float(score))
-            results.append(RetrievalResult(entity_ids=entity_ids, scores=row_scores))
-        return results
+        return build_results(
+            np.take_along_axis(scores, order, axis=1),
+            np.take_along_axis(entities, order, axis=1),
+        )
 
     def search_routed(
         self,
@@ -1043,7 +544,7 @@ class ShardedEntityIndex:
 
         grouped: "OrderedDict[Optional[str], List[int]]" = OrderedDict()
         for index, route in enumerate(routes):
-            key = route if route in self._shard_entities else None
+            key = route if route in self._shards else None
             grouped.setdefault(key, []).append(index)
 
         # One placeholder instance per query — a single shared RetrievalResult
@@ -1058,22 +559,10 @@ class ShardedEntityIndex:
                 results[index] = result
         return results
 
-    def retrieve_entities(
-        self,
-        query_vectors: np.ndarray,
-        k: int,
-        worlds: Optional[Sequence[str]] = None,
-    ) -> List[List[Entity]]:
-        """Like :meth:`search` but resolving candidates to Entity objects."""
-        return [
-            [self.entity(entity_id) for entity_id in result.entity_ids]
-            for result in self.search(query_vectors, k, worlds=worlds)
-        ]
-
     def _select_worlds(self, worlds: Optional[Sequence[str]]) -> List[str]:
         if worlds is None:
             return self.worlds()
-        unknown = [world for world in worlds if world not in self._shard_entities]
+        unknown = [world for world in worlds if world not in self._shards]
         if unknown:
             raise KeyError(f"unknown worlds: {unknown}")
         return list(worlds)

@@ -1081,12 +1081,11 @@ class ReplicaPool:
         The snapshot is loaded *once* and shared read-only by every replica
         — the restart path therefore costs a pipeline clone, not an index
         reload, exactly like a warm rolling restart in production.  With the
-        default ``mmap=True``, version-2 snapshot arrays are memory-mapped,
-        so forked process replicas share the snapshot's pages instead of
-        each copying the float64 matrices (version-1 npz snapshots fall back
-        to in-RAM loading).  ``backend`` (e.g.
-        :class:`repro.index.IVFBackend`) rebuilds exact-saved shards under
-        an approximate backend.
+        default ``mmap=True`` the snapshot arrays are memory-mapped, so
+        forked process replicas share the snapshot's pages instead of each
+        copying the matrices.  ``backend`` (a
+        :class:`repro.index.IVFBackend`) clusters exhaustive-saved shards
+        into cells at load.
         """
         index = biencoder.load_sharded_index(path, mmap=mmap, backend=backend)
         base = EntityLinkingPipeline(

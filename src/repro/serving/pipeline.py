@@ -31,7 +31,6 @@ import numpy as np
 
 from ..kb.entity import Entity, Mention
 from ..linking.biencoder import BiEncoder
-from ..linking.candidates import EntityIndex, ShardedEntityIndex
 from ..linking.crossencoder import CrossEncoder
 from .stages import (
     AnyIndex,
@@ -231,7 +230,7 @@ class EntityLinkingPipeline:
         Trained (or fresh) :class:`~repro.linking.biencoder.BiEncoder` used by
         the embed stage.
     index:
-        A flat :class:`~repro.linking.candidates.EntityIndex` or a
+        A flat :class:`~repro.index.EntityShard` or a
         :class:`~repro.linking.candidates.ShardedEntityIndex`.  Sharded
         indexes enable per-mention world routing.
     crossencoder:

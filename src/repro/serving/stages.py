@@ -30,14 +30,15 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..index import EntityShard, RetrievalResult
 from ..kb.entity import Entity, Mention
 from ..linking.biencoder import BiEncoder
-from ..linking.candidates import EntityIndex, RetrievalResult, ShardedEntityIndex
+from ..linking.candidates import ShardedEntityIndex
 from ..linking.crossencoder import CrossEncoder
 from ..text.normalization import normalize_text
 from ..text.tokenizer import Tokenizer
 
-AnyIndex = Union[EntityIndex, ShardedEntityIndex]
+AnyIndex = Union[EntityShard, ShardedEntityIndex]
 
 
 @dataclass
@@ -148,8 +149,9 @@ class RetrieveStage:
 
     Contract: reads ``batch.query_vectors`` (and each mention's ``domain``
     when the index is sharded), fills ``batch.retrievals`` (one
-    :class:`RetrievalResult` per mention) and ``batch.candidates`` (resolved
-    Entity lists, ranking order preserved).
+    :class:`RetrievalResult` per mention) and ``batch.candidates`` (the
+    Entity lists the search itself resolved, ranking order preserved — never
+    a second id lookup, which a concurrent removal could fail).
     """
 
     name = "retrieve"
@@ -172,10 +174,7 @@ class RetrieveStage:
             batch.retrievals = self.index.search_routed(batch.query_vectors, self.k, routes)
         else:
             batch.retrievals = self.index.search(batch.query_vectors, self.k)
-        batch.candidates = [
-            [self.index.entity(entity_id) for entity_id in retrieval.entity_ids]
-            for retrieval in batch.retrievals
-        ]
+        batch.candidates = [retrieval.entities for retrieval in batch.retrievals]
         return batch
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from repro.bench import enlarge_kb, synthetic_kb
 from repro.eval import recall_at_k
-from repro.index import IVFShard
+from repro.index import EntityShard, IVFBackend
 from repro.kb import Entity
-from repro.linking import EntityIndex
 
 
 def base_kb(count=20, dim=6, seed=0):
@@ -71,8 +70,10 @@ class TestSyntheticKb:
         """The enlarger's raison d'etre: aliases huddle around base points,
         so IVF recall on a synthetic KB is high at modest nprobe."""
         entities, vectors = synthetic_kb(2000, dim=16, num_base=64, seed=3)
-        exact = EntityIndex(entities, vectors)
-        shard = IVFShard(entities, vectors, num_cells=32, nprobe=8, seed=3)
+        exact = EntityShard(entities, vectors)
+        shard = EntityShard(
+            entities, vectors, cells=IVFBackend(num_cells=32, nprobe=8, seed=3)
+        )
         queries = np.random.default_rng(4).normal(size=(16, 16))
         recall = recall_at_k(shard.search(queries, k=32), exact.search(queries, k=32))
         assert recall >= 0.9

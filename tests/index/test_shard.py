@@ -1,4 +1,8 @@
-"""IVFShard: parity with the exact index, recall, rank stability, mutation."""
+"""EntityShard: parity of the two coarse stages, recall, pinned-state reads, mutation.
+
+Tests that take ``cells`` run on both coarse stages: ``None`` is the
+exhaustive scan, an :class:`IVFBackend` the celled probe.
+"""
 
 import threading
 
@@ -6,9 +10,23 @@ import numpy as np
 import pytest
 
 from repro.eval import recall_at_k
-from repro.index import IVFBackend, IVFShard, default_num_cells, kmeans
+from repro.index import EntityShard, IVFBackend, default_num_cells, kmeans
 from repro.kb import Entity
-from repro.linking import EntityIndex, ShardedEntityIndex
+from repro.linking import ShardedEntityIndex
+
+
+def stages(nprobe):
+    """Parametrise ``cells`` over both coarse stages, 10 cells when celled."""
+    return pytest.mark.parametrize(
+        "cells",
+        [None, IVFBackend(num_cells=10, nprobe=nprobe)],
+        ids=["exhaustive", f"celled-nprobe{nprobe}"],
+    )
+
+
+#: The celled stage probes every cell here, so it must agree with the
+#: exhaustive one exactly.
+BOTH_STAGES = stages(nprobe=10)
 
 
 def make_entities(world, count):
@@ -73,8 +91,8 @@ class TestExactParity:
     def test_full_probe_no_quantization_matches_exact(self, kb, queries):
         """Acceptance criterion: nprobe = all cells + float64 == exact."""
         entities, vectors = kb
-        exact = EntityIndex(entities, vectors)
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10)
+        exact = EntityShard(entities, vectors)
+        shard = EntityShard(entities, vectors, cells=IVFBackend(num_cells=10, nprobe=10))
         exact_results = exact.search(queries, k=12)
         ivf_results = shard.search(queries, k=12)
         for a, b in zip(exact_results, ivf_results):
@@ -95,8 +113,8 @@ class TestExactParity:
 
     def test_partial_probe_recall_reasonable(self, kb, queries):
         entities, vectors = kb
-        exact = EntityIndex(entities, vectors)
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=6)
+        exact = EntityShard(entities, vectors)
+        shard = EntityShard(entities, vectors, cells=IVFBackend(num_cells=10, nprobe=6))
         recall = recall_at_k(shard.search(queries, k=10), exact.search(queries, k=10))
         assert recall >= 0.5  # random gaussian data is the worst case
 
@@ -105,16 +123,20 @@ class TestExactParity:
         cells probed, int8 ranks match a brute-force ranking of the decoded
         (quantized) matrix, so quantization error never reorders re-scoring."""
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10, codec="int8")
-        decoded = shard._state.storage.to_dense()
-        reference = EntityIndex(entities, decoded)
+        shard = EntityShard(
+            entities, vectors, cells=IVFBackend(num_cells=10, nprobe=10, codec="int8")
+        )
+        decoded = shard.storage.to_dense()
+        reference = EntityShard(entities, decoded)
         for a, b in zip(shard.search(queries, k=12), reference.search(queries, k=12)):
             assert a.entity_ids == b.entity_ids
 
     def test_int8_topk_overlaps_exact(self, kb, queries):
         entities, vectors = kb
-        exact = EntityIndex(entities, vectors)
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10, codec="int8")
+        exact = EntityShard(entities, vectors)
+        shard = EntityShard(
+            entities, vectors, cells=IVFBackend(num_cells=10, nprobe=10, codec="int8")
+        )
         recall = recall_at_k(shard.search(queries, k=10), exact.search(queries, k=10))
         assert recall >= 0.9  # int8 noise may swap distant neighbours only
 
@@ -122,10 +144,11 @@ class TestExactParity:
 class TestSearchShapes:
     def test_padding_when_probed_cells_are_small(self, kb):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=30, nprobe=1)
-        scores, positions = shard.search_arrays(vectors[:3], k=50)
+        shard = EntityShard(entities, vectors, cells=IVFBackend(num_cells=30, nprobe=1))
+        scores, positions, found = shard.search_arrays(vectors[:3], k=50)
         assert (positions < 0).any()  # one cell rarely holds 50 entities
         assert np.all(scores[positions < 0] == -np.inf)
+        assert all(entity is None for entity in found[positions < 0])
         # RetrievalResult rows never contain padding.
         for result in shard.search(vectors[:3], k=50):
             assert "-1" not in result.entity_ids
@@ -133,7 +156,7 @@ class TestSearchShapes:
 
     def test_deterministic_across_calls(self, kb, queries):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=3)
+        shard = EntityShard(entities, vectors, cells=IVFBackend(num_cells=10, nprobe=3))
         first = shard.search(queries, k=5)
         second = shard.search(queries, k=5)
         for a, b in zip(first, second):
@@ -141,83 +164,83 @@ class TestSearchShapes:
 
 
 class TestSnapshotConsistency:
-    def test_search_arrays_with_ids_matches_positions(self, kb, queries):
+    @BOTH_STAGES
+    def test_search_arrays_entities_match_positions(self, kb, queries, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=30, nprobe=1)
-        _, positions, ids = shard.search_arrays_with_ids(queries, k=50)
-        assert ids.shape == positions.shape
-        for position, entity_id in zip(positions.ravel(), ids.ravel()):
+        shard = EntityShard(entities, vectors, cells=cells)
+        shard.remove([entities[2].entity_id])
+        _, positions, found = shard.search_arrays(queries, k=500)
+        assert found.shape == positions.shape
+        assert entities[2] not in found.ravel().tolist()
+        for position, entity in zip(positions.ravel(), found.ravel()):
             if position < 0:
-                assert entity_id is None
+                assert entity is None
             else:
-                assert entity_id == shard.entity_id_at(int(position))
+                assert entity is entities[int(position)]
 
-    def test_exact_shard_search_arrays_with_ids(self, kb, queries):
-        entities, vectors = kb
-        exact = EntityIndex(entities, vectors)
-        _, positions, ids = exact.search_arrays_with_ids(queries, k=7)
-        for position, entity_id in zip(positions.ravel(), ids.ravel()):
-            assert entity_id == exact.entity_id_at(int(position))
-
+    @BOTH_STAGES
     def test_compact_mid_search_resolves_captured_generation(
-        self, kb, monkeypatch
+        self, kb, monkeypatch, cells
     ):
-        """A compact() landing between scoring and id resolution must not
+        """A compact() landing between scoring and entity resolution must not
         remap positions: both steps read the state captured at call time.
         The pending-tail position here exceeds every range of the compacted
         generation, so resolving through the wrong state would raise or
-        return a wrong id."""
+        return a wrong entity."""
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10)
+        shard = EntityShard(entities, vectors, cells=cells)
         new = Entity(entity_id="w:new", title="new", description="d", domain="w")
         target = np.full((1, 16), 5.0)
         shard.add([new], target)
         shard.remove([entities[0].entity_id])
 
-        inner = IVFShard._search_arrays
+        inner = EntityShard._topk
 
-        def racing(self, state, query_vectors, k):
-            result = inner(self, state, query_vectors, k)
-            self.compact()  # generation swap before ids are resolved
+        def racing(self, state, queries, k):
+            result = inner(self, state, queries, k)
+            self.compact()  # generation swap before entities are resolved
             return result
 
-        monkeypatch.setattr(IVFShard, "_search_arrays", racing)
-        assert shard.search(target, k=1)[0].entity_ids == ["w:new"]
-        _, _, ids = shard.search_arrays_with_ids(target, k=1)
-        assert ids[0][0] == "w:new"
-        assert shard.retrieve_entities(target, k=1)[0][0].entity_id == "w:new"
+        monkeypatch.setattr(EntityShard, "_topk", racing)
+        result = shard.search(target, k=1)[0]
+        assert result.entity_ids == ["w:new"] and result.entities == [new]
+        shard.remove([entities[1].entity_id])  # the next compact() shifts rows again
+        _, _, found = shard.search_arrays(target, k=1)
+        assert found[0][0] is new
+        assert shard.generation == 2
 
-    def test_fanout_merge_resolves_ids_atomically(self, monkeypatch):
-        """The sharded fan-out merge must take ids from the shard's own
+    @BOTH_STAGES
+    def test_fanout_merge_resolves_ids_atomically(self, monkeypatch, cells):
+        """The sharded fan-out merge must take entities from the shard's own
         atomic search, not re-resolve positions after the fact."""
         rng = np.random.default_rng(9)
         entities = make_entities("a", 40) + make_entities("b", 30)
         table = {e.entity_id: rng.normal(size=16) for e in entities}
         embed = lambda chunk: np.stack([table[e.entity_id] for e in chunk])
-        index = ShardedEntityIndex.from_entities(
-            entities, embed_fn=embed, backend=IVFBackend(nprobe=10**9)
-        )
+        index = ShardedEntityIndex.from_entities(entities, embed_fn=embed, backend=cells)
         for world in index.worlds():
             index.shard(world)
         new = Entity(entity_id="a:new", title="n", description="d", domain="a")
         target = np.full((1, 16), 5.0)
         index.add_entities([new], target)
 
-        inner = IVFShard._search_arrays
+        inner = EntityShard._topk
 
-        def racing(self, state, query_vectors, k):
-            result = inner(self, state, query_vectors, k)
+        def racing(self, state, queries, k):
+            result = inner(self, state, queries, k)
             self.compact()
             return result
 
-        monkeypatch.setattr(IVFShard, "_search_arrays", racing)
+        monkeypatch.setattr(EntityShard, "_topk", racing)
         assert index.search(target, k=1)[0].entity_ids == ["a:new"]
+        assert index.shard("a").generation == 1
 
 
 class TestMutation:
-    def test_added_entities_searchable_immediately(self, kb):
+    @stages(nprobe=2)
+    def test_added_entities_searchable_immediately(self, kb, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=2)
+        shard = EntityShard(entities, vectors, cells=cells)
         new = Entity(entity_id="w:new", title="new", description="d", domain="w")
         vector = np.full((1, 16), 5.0)
         shard.add([new], vector)
@@ -226,52 +249,84 @@ class TestMutation:
         result = shard.search(vector, k=1)[0]
         assert result.entity_ids == ["w:new"]
 
-    def test_add_duplicate_rejected(self, kb):
+    @BOTH_STAGES
+    def test_add_duplicate_rejected(self, kb, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors)
+        shard = EntityShard(entities, vectors, cells=cells)
         with pytest.raises(ValueError, match="update"):
             shard.add([entities[0]], vectors[:1])
 
-    def test_remove_tombstones(self, kb, queries):
+    @BOTH_STAGES
+    def test_misaligned_vectors_rejected(self, kb, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10)
+        shard = EntityShard(entities, vectors, cells=cells)
+        new = Entity(entity_id="w:new", title="new", description="d", domain="w")
+        with pytest.raises(ValueError, match="align"):
+            shard.add([new], vectors[:2])
+        with pytest.raises(ValueError, match="align"):
+            shard.update([entities[0]], vectors[:2])
+
+    @BOTH_STAGES
+    def test_remove_tombstones(self, kb, queries, cells):
+        entities, vectors = kb
+        shard = EntityShard(entities, vectors, cells=cells)
         shard.remove([entities[0].entity_id, entities[5].entity_id])
         assert len(shard) == len(entities) - 2
         assert shard.num_tombstones == 2
         for result in shard.search(queries, k=len(entities)):
+            assert len(result) == len(entities) - 2
             assert entities[0].entity_id not in result.entity_ids
             assert entities[5].entity_id not in result.entity_ids
 
-    def test_remove_unknown_raises(self, kb):
+    @BOTH_STAGES
+    def test_remove_unknown_raises(self, kb, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors)
+        shard = EntityShard(entities, vectors, cells=cells)
         with pytest.raises(KeyError):
             shard.remove(["w:missing"])
+        assert len(shard) == len(entities)
 
-    def test_update_moves_entity_to_pending(self, kb):
+    @stages(nprobe=1)
+    def test_update_moves_entity_to_pending(self, kb, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=1)
+        shard = EntityShard(entities, vectors, cells=cells)
         moved = np.full((1, 16), 9.0)
         shard.update([entities[3]], moved)
         assert np.allclose(shard.vector(entities[3].entity_id), moved[0])
         result = shard.search(moved, k=1)[0]
         assert result.entity_ids == [entities[3].entity_id]
 
-    def test_update_is_one_atomic_state_swap(self, kb):
+    @BOTH_STAGES
+    def test_update_unknown_raises(self, kb, cells):
+        entities, vectors = kb
+        shard = EntityShard(entities, vectors, cells=cells)
+        ghost = Entity(entity_id="w:ghost", title="g", description="d", domain="w")
+        with pytest.raises(KeyError):
+            shard.update([ghost], vectors[:1])
+
+    @BOTH_STAGES
+    def test_update_is_one_atomic_state_swap(self, kb, cells):
         """update() tombstones and appends in a single state publication:
         no published state may ever lack the updated entity (the old
         remove()+add() composition exposed a window where a concurrent
-        search saw the entity absent entirely)."""
+        search saw the entity absent entirely), and every published state
+        holds an entity for each of its positions (growing the matrix
+        before the entity list let a search index past the list)."""
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10)
+        shard = EntityShard(entities, vectors, cells=cells)
         target = entities[7]
-        absent = []
+        broken = []
         stop = threading.Event()
 
         def hammer():
             while not stop.is_set():
-                if target.entity_id not in shard._state.id_to_position:
-                    absent.append(True)
+                state = shard._state
+                if target.entity_id not in state.id_to_position or not (
+                    len(state.entities)
+                    == len(state.alive)
+                    == len(state.storage) + len(state.pending_vectors)
+                ):
+                    broken.append(True)
                     return
 
         thread = threading.Thread(target=hammer)
@@ -282,12 +337,13 @@ class TestMutation:
         finally:
             stop.set()
             thread.join()
-        assert not absent
+        assert not broken
         assert np.allclose(shard.vector(target.entity_id), 199.0)
 
-    def test_compact_folds_pending_and_tombstones(self, kb, queries):
+    @BOTH_STAGES
+    def test_compact_folds_pending_and_tombstones(self, kb, queries, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors, num_cells=10, nprobe=10)
+        shard = EntityShard(entities, vectors, cells=cells)
         new = Entity(entity_id="w:new", title="new", description="d", domain="w")
         shard.add([new], np.full((1, 16), 5.0))
         shard.remove([entities[0].entity_id])
@@ -299,31 +355,39 @@ class TestMutation:
         assert shard.num_tombstones == 0
         assert len(shard) == len(entities)  # -1 removed, +1 added
         after = [r.entity_ids for r in shard.search(queries, k=20)]
-        assert [sorted(ids) for ids in before] == [sorted(ids) for ids in after]
+        assert before == after
+        assert shard.compact() == 1  # nothing to fold: the generation stands
 
-    def test_compact_to_zero_entities_rejected(self, kb):
+    @BOTH_STAGES
+    def test_removing_everything_leaves_a_legal_empty_shard(self, kb, queries, cells):
         entities, vectors = kb
-        shard = IVFShard(entities, vectors)
+        shard = EntityShard(entities, vectors, cells=cells)
         shard.remove([e.entity_id for e in entities])
-        with pytest.raises(ValueError):
-            shard.compact()
+        assert len(shard) == 0
+        assert all(len(result) == 0 for result in shard.search(queries, k=5))
+        shard.compact()
+        assert shard.stats()["storage_bytes"] == 0
+        assert all(len(result) == 0 for result in shard.search(queries, k=5))
+        shard.add([entities[4]], vectors[4:5])
+        shard.compact()
+        assert [r.entity_ids for r in shard.search(queries, k=5)] == [
+            [entities[4].entity_id]
+        ] * len(queries)
 
 
+@BOTH_STAGES
 class TestShardedMutation:
-    def build(self):
+    def build(self, cells):
         rng = np.random.default_rng(11)
         entities = make_entities("a", 40) + make_entities("b", 30)
         table = {e.entity_id: rng.normal(size=8) for e in entities}
         embed = lambda chunk: np.stack(
             [table.setdefault(e.entity_id, rng.normal(size=8)) for e in chunk]
         )
-        index = ShardedEntityIndex.from_entities(
-            entities, embed_fn=embed, backend=IVFBackend(nprobe=4)
-        )
-        return index
+        return ShardedEntityIndex.from_entities(entities, embed_fn=embed, backend=cells)
 
-    def test_add_routes_by_domain_and_creates_worlds(self):
-        index = self.build()
+    def test_add_routes_by_domain_and_creates_worlds(self, cells):
+        index = self.build(cells)
         additions = [
             Entity(entity_id="a:new", title="n", description="d", domain="a"),
             Entity(entity_id="c:0", title="n", description="d", domain="c"),
@@ -331,27 +395,29 @@ class TestShardedMutation:
         index.add_entities(additions)
         assert "a:new" in index and "c:0" in index
         assert "c" in index.worlds()
+        assert len(index) == 72
         assert index.search(index.vector("a:new"), k=1)[0].entity_ids == ["a:new"]
 
-    def test_remove_and_cache_invalidation(self):
-        index = self.build()
+    def test_remove_and_cache_invalidation(self, cells):
+        index = self.build(cells)
         index.vector("a:3")  # populate the LRU cache
         assert "a:3" in index.embedding_cache
         index.remove_entities(["a:3"])
         assert "a:3" not in index
         assert "a:3" not in index.embedding_cache
+        assert len(index) == 69
 
-    def test_update_refreshes_vector(self):
-        index = self.build()
+    def test_update_refreshes_vector(self, cells):
+        index = self.build(cells)
         target = index.entity("b:2")
         moved = np.full((1, 8), 7.0)
         index.update_entities([target], moved)
         assert np.allclose(index.vector("b:2"), moved[0])
 
-    def test_compact_returns_generations(self):
-        index = self.build()
+    def test_compact_returns_generations(self, cells):
+        index = self.build(cells)
         index.add_entities(
             [Entity(entity_id="a:new", title="n", description="d", domain="a")]
         )
         generations = index.compact()
-        assert generations.get("a") == 1
+        assert generations == {"a": 1}  # "b" was never searched, so never built

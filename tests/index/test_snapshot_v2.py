@@ -1,4 +1,4 @@
-"""Version-2 snapshots: quantized codecs, mmap, IVF state, generations."""
+"""Version-2 snapshots: quantized codecs, mmap, live shard state, generations."""
 
 import json
 import shutil
@@ -11,17 +11,18 @@ from repro.index import (
     UnknownCodecError,
     compact_to_generation,
     current_generation,
+    encode_matrix,
     list_generations,
     write_generation,
 )
-from repro.kb import Entity
-from repro.linking import ShardedEntityIndex
-from repro.linking.candidates import (
+from repro.index.snapshot import (
     SNAPSHOT_ARRAYS,
     SNAPSHOT_ARRAYS_OLD,
     SNAPSHOT_ARRAYS_TOKEN,
     SNAPSHOT_MANIFEST,
 )
+from repro.kb import Entity
+from repro.linking import ShardedEntityIndex
 
 
 def make_entities(world, count):
@@ -110,12 +111,32 @@ class TestMmapLoading:
         index = build_index()
         index.save(tmp_path / "snap")
         mapped = ShardedEntityIndex.load(tmp_path / "snap", mmap=True)
-        vectors = mapped.shard("alpha").vectors
+        vectors = mapped.shard("alpha").storage.arrays()[""]
         assert isinstance(vectors.base, np.memmap) or isinstance(vectors, np.memmap)
         assert not vectors.flags.writeable
 
+    def test_quantized_mmap_exhaustive_shard_stays_lazy(self, tmp_path, queries):
+        """An int8 snapshot loaded without a backend is scanned block by
+        block: searching never decodes the matrix into a float64 copy."""
+        index = build_index()
+        index.save(tmp_path / "snap", codec="int8")
+        mapped = ShardedEntityIndex.load(tmp_path / "snap", mmap=True)
+        shard = mapped.shard("alpha")
+        before = shard.stats()
+        assert before["backend"] == "exact" and before["codec"] == "int8"
+        results = mapped.search(queries, k=8, worlds=["alpha"])
+        assert shard.stats() == before  # still int8, same bytes
+        codes = shard.storage.arrays()["codes"]
+        assert isinstance(codes, np.memmap) or isinstance(codes.base, np.memmap)
+        # Ranks equal a brute-force ranking of the whole decoded matrix.
+        scores = queries @ shard.storage.to_dense().T
+        members = shard.entities()
+        for result, row in zip(results, scores):
+            order = np.lexsort((np.arange(len(row)), -row))[:8]
+            assert result.entity_ids == [members[i].entity_id for i in order]
+
     def test_mmap_index_still_updatable(self, tmp_path):
-        """update() on a mapped exact shard copies-on-write, never writes
+        """update() on a mapped shard lands in the in-RAM tail, never writes
         through to the snapshot files."""
         index = build_index()
         path = index.save(tmp_path / "snap")
@@ -128,9 +149,12 @@ class TestMmapLoading:
         assert not np.allclose(fresh.vector("alpha:0"), 3.0)
 
 
-class TestIVFSnapshots:
-    def test_ivf_round_trip_with_pending_and_tombstones(self, tmp_path, queries):
-        index = build_index(backend=IVFBackend(nprobe=4))
+class TestLiveStateSnapshots:
+    @pytest.mark.parametrize(
+        "backend", [None, IVFBackend(nprobe=4)], ids=["exhaustive", "celled"]
+    )
+    def test_ivf_round_trip_with_pending_and_tombstones(self, tmp_path, queries, backend):
+        index = build_index(backend=backend)
         index.add_entities(
             [Entity(entity_id="alpha:new", title="n", description="d", domain="alpha")],
             np.full((1, 12), 4.0),
@@ -141,10 +165,13 @@ class TestIVFSnapshots:
         restored = ShardedEntityIndex.load(tmp_path / "snap", mmap=True)
         shard = restored.shard("alpha")
         assert shard.num_pending == 1
+        assert restored.shard("beta").num_tombstones == 1
         assert "alpha:new" in restored
         assert "beta:3" not in restored
+        assert len(restored) == len(index) == 80
         for a, b in zip(index.search(queries, k=10), restored.search(queries, k=10)):
             assert a.entity_ids == b.entity_ids
+            assert a.scores == b.scores
 
     def test_ivf_snapshot_restores_as_ivf_without_backend_arg(self, tmp_path):
         index = build_index(backend=IVFBackend(nprobe=2, codec="int8"))
@@ -262,3 +289,97 @@ class TestCrashSafeResave:
         shutil.rmtree(snap / SNAPSHOT_ARRAYS)
         with pytest.raises(ValueError, match="arrays_token"):
             ShardedEntityIndex.load(snap)
+
+
+class TestEarlierLayouts:
+    """Snapshots written before exhaustive shards carried a tail: laid out by
+    hand here from the manifest keys and array names those builds wrote."""
+
+    def write_parent_layout(self, path, dim=12):
+        rng = np.random.default_rng(5)
+        worlds = {name: make_entities(name, 20) for name in ("f64", "i8", "ivf", "cold")}
+        vectors = {name: rng.normal(size=(20, dim)) for name in ("f64", "i8", "ivf")}
+        arrays_dir = path / SNAPSHOT_ARRAYS
+        arrays_dir.mkdir(parents=True)
+        exact = {"backend": "exact", "materialized": True}
+        shards = [
+            {"world": "f64", "codec": "float64", **exact,
+             "entities": [e.to_dict() for e in worlds["f64"]]},
+            {"world": "i8", "codec": "int8", **exact,
+             "entities": [e.to_dict() for e in worlds["i8"]]},
+        ]
+        np.save(arrays_dir / "shard_0.npy", vectors["f64"])
+        quantized = encode_matrix(vectors["i8"], "int8")
+        for key, array in quantized.arrays().items():
+            np.save(arrays_dir / f"shard_1__{key}.npy", array)
+
+        # Three hand-made cells over 20 main rows, row 4 tombstoned, and a
+        # two-row pending tail whose first row is tombstoned.
+        assignments = np.arange(20) % 3
+        tail = make_entities("ivf-tail", 2)
+        tail = [Entity(e.entity_id, e.title, e.description, "ivf") for e in tail]
+        tail_vectors = rng.normal(size=(2, dim))
+        main_alive = np.ones(20, dtype=bool)
+        main_alive[4] = False
+        ivf_arrays = {
+            "centroids": np.stack([vectors["ivf"][assignments == c].mean(axis=0) for c in range(3)]),
+            "members": np.argsort(assignments, kind="stable").astype(np.int64),
+            "offsets": np.concatenate([[0], np.cumsum(np.bincount(assignments))]).astype(np.int64),
+            "main_alive": main_alive,
+            "pending_vectors": tail_vectors,
+            "pending_alive": np.array([False, True]),
+            "storage": vectors["ivf"],
+        }
+        for key, array in ivf_arrays.items():
+            np.save(arrays_dir / f"shard_2__{key}.npy", array)
+        shards.append({
+            "backend": "ivf", "codec": "float64", "nprobe": 3, "num_cells": 3,
+            "num_cells_config": 3, "seed": 0, "kmeans_iters": 8, "generation": 2,
+            "entities": [e.to_dict() for e in worlds["ivf"]],
+            "pending_entities": [e.to_dict() for e in tail],
+            "world": "ivf", "materialized": True,
+        })
+        shards.append({"world": "cold", "backend": "exact", "codec": "float64",
+                       "materialized": False,
+                       "entities": [e.to_dict() for e in worlds["cold"]]})
+        (arrays_dir / SNAPSHOT_ARRAYS_TOKEN).write_text("by-hand")
+        manifest = {"format_version": 2, "block_size": 8, "cache_size": 16,
+                    "shards": shards, "arrays_token": "by-hand"}
+        (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
+        live = {
+            "f64": (worlds["f64"], vectors["f64"]),
+            "i8": (worlds["i8"], quantized.to_dense()),
+            "ivf": (
+                [e for i, e in enumerate(worlds["ivf"]) if i != 4] + tail[1:],
+                np.concatenate([np.delete(vectors["ivf"], 4, axis=0), tail_vectors[1:]]),
+            ),
+        }
+        return live
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["ram", "mmap"])
+    def test_parent_written_layout_loads_and_ranks_identically(self, tmp_path, mmap):
+        live = self.write_parent_layout(tmp_path / "snap")
+        restored = ShardedEntityIndex.load(tmp_path / "snap", mmap=mmap)
+        assert restored.worlds() == ["f64", "i8", "ivf", "cold"]
+        assert not restored.is_materialized("cold") and len(restored) == 20 * 4
+        assert restored.shard("i8").stats()["codec"] == "int8"
+        ivf = restored.shard("ivf")
+        assert (ivf.generation, ivf.num_pending, ivf.num_tombstones) == (2, 1, 2)
+        assert ivf.stats()["backend"] == "ivf" and ivf.stats()["nprobe"] == 3
+        queries = np.random.default_rng(6).normal(size=(5, 12))
+        for world, (members, matrix) in live.items():
+            for result, row in zip(restored.search(queries, k=7, worlds=[world]), queries @ matrix.T):
+                order = np.lexsort((np.arange(len(row)), -row))[:7]
+                assert result.entity_ids == [members[i].entity_id for i in order]
+                assert np.allclose(result.scores, row[order], rtol=0.0, atol=1e-12)
+
+    def test_version1_npz_snapshot_is_refused_with_a_clear_error(self, tmp_path):
+        path = tmp_path / "snap-v1"
+        path.mkdir()
+        shard = {"world": "w", "materialized": True,
+                 "entities": [e.to_dict() for e in make_entities("w", 3)]}
+        manifest = {"format_version": 1, "block_size": 4, "cache_size": 16, "shards": [shard]}
+        (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
+        np.savez(path / "vectors.npz", shard_0=np.eye(3))
+        with pytest.raises(ValueError, match="unsupported snapshot format version 1.*re-saved"):
+            ShardedEntityIndex.load(path)

@@ -12,7 +12,7 @@ from repro.linking import (
     CrossEncoder,
     CrossEncoderTrainer,
     DL4ELTrainer,
-    EntityIndex,
+    EntityShard,
     NameMatchingLinker,
     build_ranking_examples,
     encode_pair_batch,
@@ -57,7 +57,7 @@ class TestEncodersAndIndex:
         _, _, entities = domain_data
         vectors = np.eye(len(entities))[:, : max(4, len(entities))]
         vectors = np.eye(len(entities))
-        index = EntityIndex(entities, vectors)
+        index = EntityShard(entities, vectors)
         result = index.search(vectors[3][None, :], k=2)[0]
         assert result.entity_ids[0] == entities[3].entity_id
         assert result.rank_of(entities[3].entity_id) == 0
@@ -65,13 +65,13 @@ class TestEncodersAndIndex:
     def test_entity_index_validates_inputs(self, domain_data):
         _, _, entities = domain_data
         with pytest.raises(ValueError):
-            EntityIndex(entities, np.zeros((1, 4)))
+            EntityShard(entities, np.zeros((1, 4)))
         with pytest.raises(ValueError):
-            EntityIndex([], np.zeros((0, 4)))
+            EntityShard([], np.zeros((0, 4)))
 
     def test_recall_at_k(self, domain_data):
         _, _, entities = domain_data
-        index = EntityIndex(entities, np.eye(len(entities)))
+        index = EntityShard(entities, np.eye(len(entities)))
         results = index.search(np.eye(len(entities))[:4], k=1)
         gold = [entities[i].entity_id for i in range(4)]
         assert recall_at_k(results, gold) == 1.0
@@ -79,7 +79,7 @@ class TestEncodersAndIndex:
 
     def test_search_k_validation(self, domain_data):
         _, _, entities = domain_data
-        index = EntityIndex(entities, np.eye(len(entities)))
+        index = EntityShard(entities, np.eye(len(entities)))
         with pytest.raises(ValueError):
             index.search(np.eye(len(entities))[:1], k=0)
 

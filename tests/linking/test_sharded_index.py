@@ -5,7 +5,7 @@ import pytest
 
 from repro.kb import Entity
 from repro.linking import (
-    EntityIndex,
+    EntityShard,
     LRUEmbeddingCache,
     RetrievalResult,
     ShardedEntityIndex,
@@ -79,11 +79,11 @@ class TestBlockedTopk:
         assert positions[0, 0] == 0
 
 
-class TestEntityIndexBlocked:
+class TestEntityShardBlocked:
     def test_search_is_deterministic_across_calls(self):
         entities = make_entities("lego", 20)
         rng = np.random.default_rng(3)
-        index = EntityIndex(entities, rng.normal(size=(20, 6)), block_size=4)
+        index = EntityShard(entities, rng.normal(size=(20, 6)), block_size=4)
         queries = rng.normal(size=(4, 6))
         first = index.search(queries, k=5)
         second = index.search(queries, k=5)
@@ -93,13 +93,13 @@ class TestEntityIndexBlocked:
 
     def test_k_larger_than_index_returns_everything(self):
         entities = make_entities("lego", 4)
-        index = EntityIndex(entities, np.eye(4))
+        index = EntityShard(entities, np.eye(4))
         result = index.search(np.eye(4)[:1], k=64)[0]
         assert len(result) == 4
 
     def test_contains(self):
         entities = make_entities("lego", 3)
-        index = EntityIndex(entities, np.eye(3))
+        index = EntityShard(entities, np.eye(3))
         assert "lego:1" in index
         assert "other:1" not in index
 

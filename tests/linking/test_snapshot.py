@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.kb import Entity
-from repro.linking import ShardedEntityIndex
-from repro.linking.candidates import (
+from repro.index.snapshot import (
     SNAPSHOT_ARRAYS,
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MANIFEST,
-    SNAPSHOT_VECTORS,
 )
+from repro.kb import Entity
+from repro.linking import ShardedEntityIndex
 
 
 def make_entities(world, count):
@@ -71,7 +70,9 @@ class TestSnapshotRoundTrip:
         index.shard("lego")
         index.save(tmp_path / "snap")
         restored = ShardedEntityIndex.load(tmp_path / "snap")
-        assert np.array_equal(index.shard("lego").vectors, restored.shard("lego").vectors)
+        assert np.array_equal(
+            index.shard("lego").storage.to_dense(), restored.shard("lego").storage.to_dense()
+        )
 
     def test_save_never_materialises(self, tmp_path):
         embedder = CountingEmbedder()
@@ -147,39 +148,12 @@ class TestSnapshotRoundTrip:
         assert (path / SNAPSHOT_MANIFEST).exists()
         manifest = json.loads((path / SNAPSHOT_MANIFEST).read_text())
         assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
-        # Version 2 writes one raw .npy per array (mmap-able), not an npz.
+        # One raw .npy per array (mmap-able), only for the built shard: its
+        # storage plus the (here trivial) tombstone mask and pending tail.
         arrays = sorted(p.name for p in (path / SNAPSHOT_ARRAYS).glob("*.npy"))
-        assert arrays == ["shard_0.npy"]
-
-    def test_version1_npz_snapshot_still_loads(self, tmp_path):
-        """Snapshots written by the old (v1) format remain readable."""
-        embedder = CountingEmbedder()
-        index = build_index(embedder)
-        queries = np.random.default_rng(1).normal(size=(4, 6))
-        before = index.search(queries, k=6)  # materialises every shard
-
-        # Write the v1 layout by hand: manifest + one npz of shard arrays.
-        path = tmp_path / "snap-v1"
-        path.mkdir()
-        shards = []
-        arrays = {}
-        for position, world in enumerate(index.worlds()):
-            shard = index.shard(world)
-            entities = index._shard_entities[world]
-            shards.append(
-                {
-                    "world": world,
-                    "materialized": shard is not None,
-                    "entities": [entity.to_dict() for entity in entities],
-                }
-            )
-            if shard is not None:
-                arrays[f"shard_{position}"] = shard.vectors
-        manifest = {"format_version": 1, "block_size": 4, "cache_size": 16, "shards": shards}
-        (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
-        np.savez(path / SNAPSHOT_VECTORS, **arrays)
-
-        restored = ShardedEntityIndex.load(path)
-        after = restored.search(queries, k=6)
-        for a, b in zip(before, after):
-            assert a.entity_ids == b.entity_ids
+        assert arrays == [
+            "shard_0__main_alive.npy",
+            "shard_0__pending_alive.npy",
+            "shard_0__pending_vectors.npy",
+            "shard_0__storage.npy",
+        ]

@@ -1,12 +1,13 @@
 """Online KB mutation under serving: live add/update/remove + compaction.
 
-The acceptance story of the approximate index layer: entities added to a
-*live* IVF-backed index are linkable immediately (pending-tail hits),
-removals disappear from candidates, and an explicit ``compact()`` racing a
-stream of in-flight requests loses none of them — searches read an
-immutable state snapshot, compaction swaps it atomically.
+The acceptance story of the index layer: entities added to a *live* index
+are linkable immediately (pending-tail hits), removals disappear from
+candidates, and removes, re-adds and ``compact()`` racing a stream of
+in-flight requests lose none of them — a search reads one immutable state
+and takes its candidates from it, mutations swap that state atomically.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -131,3 +132,58 @@ class TestMutationUnderServing:
         assert index.shard("lego").generation >= 1
         # ... and the temporary additions are gone again.
         assert "lego:live-0" not in index
+
+    @pytest.mark.parametrize(
+        "backend", [None, IVFBackend(nprobe=10**9)], ids=["exhaustive", "celled"]
+    )
+    def test_remove_and_readd_mid_link_loses_nothing(self, serving_setup, backend):
+        """The retrieve stage used to look candidate ids up again after the
+        search had returned, so a remove landing in between made ``link``
+        raise KeyError.  Candidates now come from the state that scored
+        them: nothing is lost, and with ``k`` covering the whole world every
+        candidate list is exactly the live set of one committed state."""
+        blink, entities, mentions = serving_setup
+        index = blink.biencoder.build_sharded_index(entities, lazy=False, backend=backend)
+        lego = [e for e in entities if e.domain == "lego"]
+        churned = lego[::2]
+        churned_ids = [e.entity_id for e in churned]
+        vectors = np.stack([index.vector(entity_id) for entity_id in churned_ids])
+        everything = frozenset(e.entity_id for e in lego)
+        committed = {everything, everything - frozenset(churned_ids)}
+        pipeline = EntityLinkingPipeline(
+            blink.biencoder, index, k=len(lego), rerank=False, batch_size=8
+        )
+
+        stop = threading.Event()
+        mutation_errors = []
+
+        def churn():
+            try:
+                cycle = 0
+                # The pauses leave the reader most of the interpreter: a
+                # mutator that spins starves it and the test takes minutes.
+                while not stop.wait(0.0002):
+                    index.remove_entities(churned_ids)
+                    stop.wait(0.0002)
+                    index.add_entities(churned, vectors)
+                    cycle += 1
+                    if cycle % 8 == 0:
+                        index.compact()  # keeps tail and tombstones bounded
+            except Exception as error:  # pragma: no cover - fails the test
+                mutation_errors.append(error)
+
+        mutator = threading.Thread(target=churn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often: more interleavings
+        try:
+            mutator.start()
+            results = [r for _ in range(40) for r in pipeline.link(mentions)]
+        finally:
+            stop.set()
+            mutator.join(timeout=RESULT_TIMEOUT)
+            sys.setswitchinterval(interval)
+
+        assert not mutator.is_alive() and not mutation_errors
+        assert len(results) == 40 * len(mentions)
+        seen = {frozenset(r.candidate_ids) for r in results}
+        assert seen <= committed
