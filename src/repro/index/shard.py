@@ -120,14 +120,95 @@ def build_results(scores: np.ndarray, entities: np.ndarray) -> List[RetrievalRes
     return results
 
 
+#: :func:`_sorted_topk` sorts inputs of at most this many scores directly: the
+#: selection pass costs a fixed ~25 us of array bookkeeping, which a sort of a
+#: serving-size input (8 queries x 64 entities) undercuts.
+_DIRECT_SORT_SIZE = 1024
+
+
 def _sorted_topk(
     scores: np.ndarray, positions: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep the best ``k`` columns per row under (score desc, position asc)."""
+    """Keep the best ``k`` columns per row under (score desc, position asc).
+
+    Select, then sort: each row's k-th largest score is found with
+    ``np.partition``, the columns at or above it survive, and only the
+    ``k`` survivors per row are sorted.  A row whose ties straddle the cut
+    has more than ``k`` columns at or above it; that row alone is resolved
+    under the total order.  Small inputs are sorted directly.
+    """
+    num_rows, width = scores.shape
+    if k < width and scores.size > _DIRECT_SORT_SIZE:
+        kth = np.partition(scores, width - k, axis=1)[:, width - k, None]
+        keep = scores >= kth
+        for row in np.flatnonzero(np.count_nonzero(keep, axis=1) != k):
+            keep[row] = False
+            keep[row, np.lexsort((positions[row], -scores[row]))[:k]] = True
+        scores = scores[keep].reshape(num_rows, k)
+        positions = positions[keep].reshape(num_rows, k)
     order = np.lexsort((positions, -scores), axis=1)[:, :k]
     return (
         np.take_along_axis(scores, order, axis=1),
         np.take_along_axis(positions, order, axis=1),
+    )
+
+
+def _scan_topk(
+    query_vectors: np.ndarray,
+    entity_vectors: np.ndarray,
+    k: int,
+    block_size: int,
+    alive: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`blocked_topk` over the rows ``alive`` marks (all when ``None``).
+
+    Dead rows are scored with their block (the product is the same one an
+    unmasked scan computes) but never enter the candidate buffer.
+    """
+    num_entities = len(entity_vectors)
+    k = min(k, num_entities if alive is None else int(np.count_nonzero(alive)))
+    if k <= 0:
+        empty = np.zeros((len(query_vectors), 0))
+        return empty, empty.astype(np.int64)
+
+    compact_width = max(16 * k, 256)
+    buffer_scores: List[np.ndarray] = []
+    buffer_positions: List[np.ndarray] = []
+    width = 0
+    # Each query's k-th best score at the last compaction.  k columns at
+    # earlier positions already reach it, so a later column matters only
+    # where it beats the cut strictly: an equal score loses the tie-break.
+    cut: Optional[np.ndarray] = None
+
+    for start in range(0, num_entities, block_size):
+        block = entity_vectors[start:start + block_size]
+        scores = query_vectors @ block.T
+        wanted = None if alive is None else alive[start:start + block.shape[0]]
+        if cut is not None:
+            beats = (scores > cut).any(axis=0)
+            wanted = beats if wanted is None else beats & wanted
+        if wanted is None:
+            columns = np.arange(block.shape[0], dtype=np.int64)
+        else:
+            columns = np.flatnonzero(wanted)
+            if not columns.size:
+                continue
+            scores = scores[:, columns]
+        buffer_scores.append(scores)
+        buffer_positions.append(np.broadcast_to(start + columns, scores.shape))
+        width += columns.size
+        if width > compact_width:
+            merged = _sorted_topk(
+                np.concatenate(buffer_scores, axis=1),
+                np.concatenate(buffer_positions, axis=1),
+                k,
+            )
+            buffer_scores, buffer_positions = [merged[0]], [merged[1]]
+            width = k
+            cut = merged[0][:, -1:]
+
+    return _sorted_topk(
+        np.concatenate(buffer_scores, axis=1), np.concatenate(buffer_positions, axis=1), k
     )
 
 
@@ -139,13 +220,16 @@ def blocked_topk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Blocked maximum-inner-product top-k over ``entity_vectors``.
 
-    Scores are computed ``block_size`` entities at a time; a running candidate
-    buffer per query is compacted to the best ``k`` columns under the total
-    order (score desc, position asc), so peak memory is
-    ``O(num_queries * (block_size + 4k))`` instead of
-    ``O(num_queries * num_entities)``.  Because retention always uses that
-    total order, streaming compaction is exact: the result equals the top-k
-    of the full score matrix.
+    Scores are computed ``block_size`` entities at a time into a running
+    candidate buffer per query.  Whenever the buffer has grown past ``16k``
+    columns it is compacted to the best ``k`` under the total order (score
+    desc, position asc) and each query's k-th score becomes its *cut*: a
+    later block contributes only the columns where some query beats its cut
+    strictly, and a block with no such column is skipped after its product.
+    Peak memory is ``O(num_queries * (block_size + 16k))`` instead of
+    ``O(num_queries * num_entities)``.  Retention always follows the total
+    order and a column at or below every cut cannot reach any top-k, so the
+    result equals the top-k of the full score matrix.
 
     ``entity_vectors`` is only measured and sliced, so a
     :class:`~repro.index.codecs.VectorStorage` (which decodes one block per
@@ -155,32 +239,7 @@ def blocked_topk(
     each row sorted by decreasing score; ties are broken by ascending entity
     position, deterministically.
     """
-    num_entities = len(entity_vectors)
-    k = min(k, num_entities)
-    if k <= 0:
-        empty = np.zeros((len(query_vectors), 0))
-        return empty, empty.astype(np.int64)
-
-    buffer_scores: Optional[np.ndarray] = None
-    buffer_positions: Optional[np.ndarray] = None
-    compact_width = max(4 * k, 256)
-
-    for start in range(0, num_entities, block_size):
-        block = entity_vectors[start:start + block_size]
-        scores = query_vectors @ block.T
-        positions = np.broadcast_to(
-            np.arange(start, start + block.shape[0], dtype=np.int64), scores.shape
-        )
-        if buffer_scores is None:
-            buffer_scores, buffer_positions = scores, np.ascontiguousarray(positions)
-        else:
-            buffer_scores = np.concatenate([buffer_scores, scores], axis=1)
-            buffer_positions = np.concatenate([buffer_positions, positions], axis=1)
-        if buffer_scores.shape[1] > compact_width:
-            buffer_scores, buffer_positions = _sorted_topk(buffer_scores, buffer_positions, k)
-
-    assert buffer_scores is not None and buffer_positions is not None
-    return _sorted_topk(buffer_scores, buffer_positions, k)
+    return _scan_topk(query_vectors, entity_vectors, k, block_size, None)
 
 
 def default_num_cells(num_entities: int) -> int:
@@ -559,35 +618,36 @@ class EntityShard:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exhaustive stage: blocked top-k over main storage, plus the tail.
 
-        The kernel cannot skip tombstones, so it is asked for one extra
-        candidate per dead main row (each can displace at most one live
-        row); the dead ones then sink to ``-inf`` and fall off the cut, which
-        never reaches past the live rows.  An un-mutated shard returns the
-        kernel's result untouched.
+        Tombstoned main rows are masked out of the scan's candidate buffer,
+        so the kernel selects ``min(k, live main rows)`` whatever the number
+        of tombstones.  An un-mutated shard returns the kernel's result
+        untouched.
         """
         num_main = state.num_main
         main_alive = state.alive[:num_main]
-        dead = num_main - int(main_alive.sum())
-        scores, positions = blocked_topk(
-            queries, state.storage, k + dead, block_size=self._block_size
+        scores, positions = _scan_topk(
+            queries,
+            state.storage,
+            k,
+            self._block_size,
+            None if main_alive.all() else main_alive,
         )
         tail = num_main + np.flatnonzero(state.alive[num_main:])
-        if not dead and not tail.size:
+        if not tail.size:
             return scores, positions
-        scores = np.where(main_alive[positions], scores, -np.inf)
-        if tail.size:
-            tail_scores = queries @ state.pending_vectors[tail - num_main].T
-            scores = np.concatenate([scores, tail_scores], axis=1)
-            positions = np.concatenate(
-                [positions, np.broadcast_to(tail, tail_scores.shape)], axis=1
-            )
-        return _sorted_topk(scores, positions, min(k, num_main - dead + tail.size))
+        tail_scores = queries @ state.pending_vectors[tail - num_main].T
+        return _sorted_topk(
+            np.concatenate([scores, tail_scores], axis=1),
+            np.concatenate([positions, np.broadcast_to(tail, tail_scores.shape)], axis=1),
+            k,
+        )
 
     def _probe(
         self, state: ShardState, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Celled stage, vectorized over the batch: centroid scoring, ragged
-        gather of every probed cell, one fused re-score, one lexsort."""
+        gather of every probed cell, one fused re-score, one top-k selection
+        over the candidates laid out as a padded rectangle."""
         num_queries = len(queries)
         cand_rows, cand_positions = self._gather_candidates(state, queries)
         if cand_positions.size == 0:
@@ -608,74 +668,59 @@ class EntityShard:
             ]
         scores = np.einsum("td,td->t", vectors, queries[cand_rows])
 
-        # Per-query top-k over the ragged candidate groups: order rows by
-        # (query, score desc, position asc) and keep the first k per group.
-        order = np.lexsort((cand_positions, -scores, cand_rows))
-        sorted_rows = cand_rows[order]
-        group_starts = np.searchsorted(sorted_rows, np.arange(num_queries))
-        rank_in_group = np.arange(len(order)) - group_starts[sorted_rows]
-        keep = rank_in_group < k
-        kept = order[keep]
-        kept_rows = cand_rows[kept]
-        kept_rank = rank_in_group[keep]
-
-        width = min(k, int(np.bincount(kept_rows, minlength=num_queries).max()))
-        out_scores = np.full((num_queries, width), -np.inf)
-        out_positions = np.full((num_queries, width), -1, dtype=np.int64)
-        out_scores[kept_rows, kept_rank] = scores[kept]
-        out_positions[kept_rows, kept_rank] = cand_positions[kept]
-        return out_scores, out_positions
+        # The pairs arrive grouped by query, so a candidate's column is its
+        # offset within its group; shorter groups stay padded (-inf, -1),
+        # which sorts after every real candidate.
+        counts = np.bincount(cand_rows, minlength=num_queries)
+        columns = np.arange(len(cand_rows)) - (np.cumsum(counts) - counts)[cand_rows]
+        shape = (num_queries, int(counts.max()))
+        padded_scores = np.full(shape, -np.inf)
+        padded_positions = np.full(shape, -1, dtype=np.int64)
+        padded_scores[cand_rows, columns] = scores
+        padded_positions[cand_rows, columns] = cand_positions
+        return _sorted_topk(padded_scores, padded_positions, k)
 
     def _gather_candidates(
         self, state: ShardState, queries: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(query_row, candidate_position)`` pairs for the batch.
+        """Flat ``(query_row, candidate_position)`` pairs, grouped by query.
 
-        Probes the top ``nprobe`` centroids per query, expands their
-        inverted lists with a vectorized ragged gather, filters tombstones
-        and appends the alive pending tail to every query's candidates.
+        Probes the top ``nprobe`` centroids per query and expands, with one
+        vectorized ragged gather, their inverted lists followed by the alive
+        pending tail (every query scans it); tombstones are filtered out.
         """
         num_queries = len(queries)
         num_cells = len(state.centroids)
         nprobe = min(self._cells.nprobe, num_cells)
-
-        rows_parts: List[np.ndarray] = []
-        positions_parts: List[np.ndarray] = []
-        if state.num_main:
-            if nprobe >= num_cells:
-                probe = np.broadcast_to(
-                    np.arange(num_cells, dtype=np.int64), (num_queries, num_cells)
-                )
-            else:
-                cell_scores = queries @ state.centroids.T
-                probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
-            starts = state.offsets[probe].ravel()
-            lengths = (state.offsets[probe + 1] - state.offsets[probe]).ravel()
-            total = int(lengths.sum())
-            if total:
-                # Ragged ranges: members[starts[i] : starts[i]+lengths[i]]
-                # for every probed cell, without a Python loop.
-                ends = np.cumsum(lengths)
-                flat = np.arange(total, dtype=np.int64) + np.repeat(
-                    starts - (ends - lengths), lengths
-                )
-                positions = state.members[flat]
-                rows = np.repeat(
-                    np.arange(num_queries, dtype=np.int64),
-                    lengths.reshape(num_queries, -1).sum(axis=1),
-                )
-                alive = state.alive[positions]
-                rows_parts.append(rows[alive])
-                positions_parts.append(positions[alive])
-        tail = state.num_main + np.flatnonzero(state.alive[state.num_main:])
-        if tail.size:
-            rows_parts.append(
-                np.repeat(np.arange(num_queries, dtype=np.int64), len(tail))
+        if nprobe >= num_cells:
+            probe = np.broadcast_to(
+                np.arange(num_cells, dtype=np.int64), (num_queries, num_cells)
             )
-            positions_parts.append(np.tile(tail, num_queries))
-        if not rows_parts:
-            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        return np.concatenate(rows_parts), np.concatenate(positions_parts)
+        else:
+            cell_scores = queries @ state.centroids.T
+            probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
+        tail = state.num_main + np.flatnonzero(state.alive[state.num_main:])
+
+        # Ragged ranges source[starts[i] : starts[i]+lengths[i]] without a
+        # Python loop: per query its probed cells, then the tail.
+        source = np.concatenate([state.members, tail])
+        last = np.ones((num_queries, 1), dtype=np.int64)
+        starts = np.concatenate(
+            [state.offsets[probe], len(state.members) * last], axis=1
+        )
+        lengths = np.concatenate(
+            [state.offsets[probe + 1] - state.offsets[probe], tail.size * last], axis=1
+        )
+        per_query = lengths.sum(axis=1)
+        starts, lengths = starts.ravel(), lengths.ravel()
+        ends = np.cumsum(lengths)
+        flat = np.arange(lengths.sum(), dtype=np.int64) + np.repeat(
+            starts - (ends - lengths), lengths
+        )
+        positions = source[flat]
+        rows = np.repeat(np.arange(num_queries, dtype=np.int64), per_query)
+        alive = state.alive[positions]
+        return rows[alive], positions[alive]
 
     # ------------------------------------------------------------------
     # Online mutation (pending tail + tombstones, one publication each)

@@ -1,0 +1,236 @@
+"""The top-k selection kernel: select, then sort, with a running cut.
+
+``_sorted_topk`` must return exactly what sorting every column returns (the
+reference below is the body it replaced), and ``blocked_topk`` exactly the
+top-k of the full score matrix — ties at the cut and across block boundaries
+included.  Two tests count what is sorted rather than timing it, so a return
+to sorting whole scan buffers fails on any machine.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.index import EntityShard, IVFBackend, blocked_topk, encode_matrix
+from repro.index import shard as shard_module
+from repro.index.shard import _sorted_topk
+from repro.kb import Entity
+
+K = 5
+
+
+def reference_topk(scores, positions, k):
+    """Sort every column under (score desc, position asc), keep ``k``."""
+    order = np.lexsort((positions, -scores), axis=1)[:, :k]
+    return (
+        np.take_along_axis(scores, order, axis=1),
+        np.take_along_axis(positions, order, axis=1),
+    )
+
+
+def assert_same(actual, expected):
+    for got, want in zip(actual, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def make_entities(count):
+    return [
+        Entity(entity_id=f"e{i}", title=f"entity {i}", description="", domain="w")
+        for i in range(count)
+    ]
+
+
+# ----------------------------------------------------------------------
+# _sorted_topk against the sort-everything reference
+# ----------------------------------------------------------------------
+#: Widths around the cut, and one wide enough that a single row takes the
+#: selection path; the tallest row count takes it at every width above ``K``.
+WIDTHS = [K - 1, K, K + 1, 2 * K, 2 * K + 1, shard_module._DIRECT_SORT_SIZE + 7]
+ROW_COUNTS = [1, 3, 16, shard_module._DIRECT_SORT_SIZE // K + 1]
+
+
+@st.composite
+def tied_buffers(draw):
+    """Score rows over at most four distinct values, so ties sit on and
+    across the cut; some rows are padded with ``-inf`` down to fewer than
+    ``K`` real candidates, the way a celled probe pads."""
+    num_rows = draw(st.sampled_from(ROW_COUNTS))
+    width = draw(st.sampled_from(WIDTHS))
+    levels = np.array(draw(st.lists(
+        st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=4
+    )))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = levels[rng.integers(len(levels), size=(num_rows, width))]
+    positions = rng.permuted(np.tile(np.arange(width, dtype=np.int64), (num_rows, 1)), axis=1)
+    if draw(st.booleans()):
+        real = rng.integers(0, width + 1, size=num_rows)
+        padding = np.arange(width) >= real[:, None]
+        scores[padding] = -np.inf
+        positions[padding] = -1
+    return scores, positions
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_buffers())
+def test_sorted_topk_equals_sorting_everything(buffer):
+    scores, positions = buffer
+    assert_same(_sorted_topk(scores, positions, K), reference_topk(scores, positions, K))
+
+
+def test_sorted_topk_resolves_a_straddling_row_without_touching_the_others():
+    """One row's ties straddle the cut; its neighbours select exactly."""
+    rng = np.random.default_rng(0)
+    scores = rng.normal(size=(16, 400))
+    positions = rng.permuted(np.tile(np.arange(400, dtype=np.int64), (16, 1)), axis=1)
+    scores[7, :300] = 9.0   # 300 columns tie for the top 64 places of row 7
+    assert_same(_sorted_topk(scores, positions, 64), reference_topk(scores, positions, 64))
+
+
+# ----------------------------------------------------------------------
+# blocked_topk against the full score matrix
+# ----------------------------------------------------------------------
+def brute_force(queries, matrix, k, block_size):
+    """Top-k of the full score matrix.  The products are taken block by
+    block, as the scan takes them: BLAS rounds the last bit of a product
+    differently for different operand shapes, and this oracle is about
+    selection, not arithmetic."""
+    scores = np.concatenate(
+        [
+            queries @ matrix[start:start + block_size].T
+            for start in range(0, len(matrix), block_size)
+        ],
+        axis=1,
+    )
+    positions = np.broadcast_to(np.arange(len(matrix), dtype=np.int64), scores.shape)
+    return reference_topk(scores, positions, k)
+
+
+def duplicated_matrix(rng, num_rows, dim):
+    """A matrix drawn from a handful of distinct rows: every score is tied
+    many times over, across any block boundary."""
+    distinct = rng.normal(size=(6, dim))
+    return distinct[rng.integers(len(distinct), size=num_rows)]
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 64, 700])
+@pytest.mark.parametrize("codec", ["float64", "float16", "int8"])
+def test_blocked_topk_equals_brute_force_on_duplicated_rows(block_size, codec):
+    rng = np.random.default_rng(block_size)
+    storage = encode_matrix(duplicated_matrix(rng, 700, 8), codec)
+    queries = rng.normal(size=(5, 8))
+    # The oracle scores what the scan scores: the rows as the codec decodes them.
+    expected = brute_force(queries, storage.to_dense(), 64, block_size)
+    assert_same(blocked_topk(queries, storage, 64, block_size=block_size), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rows=st.integers(1, 90),
+    block_size=st.sampled_from([1, 7, K, 90]),
+    k=st.sampled_from([1, K, 200]),
+)
+def test_blocked_topk_equals_brute_force(seed, num_rows, block_size, k):
+    """Random shapes, ``k`` above the row count included; half the rows are
+    duplicates, so ties straddle both the cut and the block boundaries."""
+    rng = np.random.default_rng(seed)
+    matrix = duplicated_matrix(rng, num_rows, 4)
+    matrix[::2] = rng.normal(size=matrix[::2].shape)
+    queries = rng.normal(size=(3, 4))
+    assert_same(
+        blocked_topk(queries, matrix, k, block_size=block_size),
+        brute_force(queries, matrix, k, block_size),
+    )
+
+
+# ----------------------------------------------------------------------
+# Both coarse stages return what the replaced kernel returned
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "cells", [None, IVFBackend(num_cells=12, nprobe=3)], ids=["exhaustive", "celled"]
+)
+def test_search_is_bit_identical_to_sorting_everything(cells, monkeypatch):
+    """Search a mutated shard (tombstones + pending tail), then search it
+    again with the kernel swapped for the sort-everything reference."""
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(3000, 8))
+    vectors[1000:2000] = vectors[:1000]           # exact duplicates → tied scores
+    entities = make_entities(3100)
+    shard = EntityShard(entities[:3000], vectors, block_size=512, cells=cells)
+    shard.remove([entity.entity_id for entity in entities[5:3000:7]])
+    shard.add(entities[3000:], rng.normal(size=(100, 8)))
+    queries = rng.normal(size=(16, 8))
+
+    actual = shard.search_arrays(queries, 64)
+    monkeypatch.setattr(shard_module, "_sorted_topk", reference_topk)
+    expected = shard.search_arrays(queries, 64)
+    assert_same(actual[:2], expected[:2])
+    assert np.array_equal(actual[2], expected[2])
+
+
+# ----------------------------------------------------------------------
+# Counting what is sorted
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sorted_shapes(monkeypatch):
+    """Shape of the first key of every numpy sort made while the test runs."""
+    shapes = []
+
+    def record(name, first_key):
+        original = getattr(np, name)
+
+        def wrapper(keys, *args, **kwargs):
+            shapes.append(np.shape(first_key(keys)))
+            return original(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapper)
+
+    record("lexsort", lambda keys: keys[0])
+    record("argsort", lambda array: array)
+    record("sort", lambda array: array)
+    return shapes
+
+
+def test_scan_sorts_a_small_multiple_of_k_per_compaction(sorted_shapes):
+    """16 queries, k=64, over a 25k x 32 shard in 13 blocks: each compaction
+    sorts its ``Q x k`` survivors, not the ``Q x ~2300`` buffer (which, at
+    every block, is 478k elements sorted per scan)."""
+    num_queries, k = 16, 64
+    rng = np.random.default_rng(2)
+    vectors = rng.normal(size=(25_000, 32))
+    shard = EntityShard(make_entities(25_000), vectors)
+    queries = vectors[:num_queries] + 0.05 * rng.normal(size=(num_queries, 32))
+    del sorted_shapes[:]
+
+    shard.search_arrays(queries, k)
+
+    blocks = -(-25_000 // shard_module.DEFAULT_BLOCK_SIZE)
+    assert 1 <= len(sorted_shapes) <= blocks + 1
+    elements = sum(int(np.prod(shape)) for shape in sorted_shapes)
+    assert elements <= 2 * num_queries * k * len(sorted_shapes)
+
+
+def test_tombstones_do_not_widen_the_selection(sorted_shapes):
+    """A fifth of the shard removed: results equal a shard rebuilt from the
+    survivors, and the kernel still sorts ``k`` columns per query — not one
+    more per tombstone."""
+    k = 64
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(5000, 16))
+    entities = make_entities(5000)
+    removed = rng.choice(5000, size=1000, replace=False)
+    survivors = np.setdiff1d(np.arange(5000), removed)
+    queries = rng.normal(size=(8, 16))
+
+    shard = EntityShard(entities, vectors, block_size=512)
+    shard.remove([entities[i].entity_id for i in removed])
+    del sorted_shapes[:]
+    results = shard.search(queries, k)
+    assert max(shape[-1] for shape in sorted_shapes) <= 2 * k
+
+    rebuilt = EntityShard([entities[i] for i in survivors], vectors[survivors], block_size=512)
+    for got, want in zip(results, rebuilt.search(queries, k)):
+        assert got.entity_ids == want.entity_ids
+        assert got.scores == want.scores
