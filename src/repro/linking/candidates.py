@@ -58,6 +58,7 @@ from ..index import (
     storage_codec,
     write_snapshot,
 )
+from ..index.shard import _sorted_topk
 from ..kb.entity import Entity
 
 #: Default capacity of the per-index embedding LRU cache (entity-id keyed).
@@ -506,24 +507,16 @@ class ShardedEntityIndex:
             scores, _, entities = blocks[0]
             return build_results(scores, entities)
 
-        # Fan-out: one vectorized merge.  The lexsort keys encode the
-        # deterministic ordering (score desc, shard insertion order, entity
-        # position); padding slots sort last and are dropped by build_results.
+        # Fan-out: one vectorized merge.  Blocks are concatenated in shard
+        # insertion order and each is already ordered (score desc, position
+        # asc), so the tie-break (shard order, entity position) is the
+        # concatenated column index; padding slots sort last and are dropped
+        # by build_results.
         scores = np.concatenate([block[0] for block in blocks], axis=1)
-        positions = np.concatenate([block[1] for block in blocks], axis=1)
         entities = np.concatenate([block[2] for block in blocks], axis=1)
-        shard_orders = np.concatenate(
-            [
-                np.full(block[1].shape, shard_order, dtype=np.int64)
-                for shard_order, block in enumerate(blocks)
-            ],
-            axis=1,
-        )
-        order = np.lexsort((positions, shard_orders, -scores), axis=1)[:, :k]
-        return build_results(
-            np.take_along_axis(scores, order, axis=1),
-            np.take_along_axis(entities, order, axis=1),
-        )
+        columns = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+        scores, columns = _sorted_topk(scores, columns, k)
+        return build_results(scores, np.take_along_axis(entities, columns, axis=1))
 
     def search_routed(
         self,

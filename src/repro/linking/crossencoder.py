@@ -34,9 +34,11 @@ NUM_LEXICAL_FEATURES = 3
 # head from ignoring them early in training.
 LEXICAL_FEATURE_SCALE = 5.0
 
-# Batched reranking pushes (mention, candidate) rows through the encoder in
-# chunks of this many rows: large enough to amortise per-call overhead, small
-# enough that the attention temporaries stay cache-resident.
+# The gradient-tracked forward pushes (mention, candidate) rows through the
+# encoder in chunks of this many rows: large enough to amortise per-call
+# overhead, small enough that the attention temporaries stay cache-resident.
+# (Inference needs no outer chunking: ``TransformerEncoder.encode`` buckets
+# rows by length itself under ``no_grad``.)
 MAX_FORWARD_ROWS = 128
 
 # Capacity of the per-entity token/feature caches; beyond this the oldest
@@ -50,9 +52,20 @@ def _cache_put(cache: Dict, key: str, value) -> None:
 
     Overwriting an existing key never evicts: the dict does not grow, so
     removing the oldest entry would throw away an unrelated cached value.
+
+    Thread replicas share one :class:`CrossEncoder`, so another thread may be
+    inserting or evicting at the same moment.  Eviction tolerates that without
+    a lock on the hot path: a key the other evictor already removed pops to
+    nothing, an iterator the other thread invalidated is retried, and the
+    loop runs until the cache is below capacity, so racing threads leave at
+    most one entry each above it.
     """
-    if key not in cache and len(cache) >= ENTITY_CACHE_CAPACITY:
-        del cache[next(iter(cache))]
+    if key not in cache:
+        while len(cache) >= ENTITY_CACHE_CAPACITY:
+            try:
+                cache.pop(next(iter(cache), None), None)
+            except RuntimeError:  # resized by another thread between iter() and next()
+                pass
     cache[key] = value
 
 
@@ -293,10 +306,9 @@ class CrossEncoder(Module):
         """Candidate scores for many mentions in one encoder forward pass.
 
         All ``(mention, candidate)`` rows are concatenated into a single id
-        matrix and scored together (in :data:`MAX_FORWARD_ROWS` chunks) — the
-        vectorized rerank stage of the serving pipeline.  Returns one score
-        array per mention, aligned with its candidate list (empty array for
-        an empty list).
+        matrix and scored together — the vectorized rerank stage of the
+        serving pipeline.  Returns one score array per mention, aligned with
+        its candidate list (empty array for an empty list).
 
         ``mention_tokens`` optionally carries per-mention tokenisation
         artefacts (objects exposing ``prefix_ids``, ``surface_tokens``,
@@ -339,18 +351,7 @@ class CrossEncoder(Module):
         features = np.concatenate(feature_blocks, axis=0)
         self.eval()
         with no_grad():
-            if len(ids) <= MAX_FORWARD_ROWS:
-                flat_scores = self.scores_from_ids(ids, features).data.copy()
-            else:
-                flat_scores = np.concatenate(
-                    [
-                        self.scores_from_ids(
-                            ids[start:start + MAX_FORWARD_ROWS],
-                            features[start:start + MAX_FORWARD_ROWS],
-                        ).data
-                        for start in range(0, len(ids), MAX_FORWARD_ROWS)
-                    ]
-                )
+            flat_scores = self.scores_from_ids(ids, features).data.copy()
 
         scores: List[np.ndarray] = []
         offset = 0

@@ -1,0 +1,168 @@
+"""The graph-free encoder forward that inference takes.
+
+:meth:`TransformerEncoder.encode` routes here whenever gradients are disabled
+and the module is in eval mode.  It is the arithmetic of the
+:class:`~repro.nn.tensor.Tensor` path in the same dtype, written on raw numpy
+arrays: rows are ordered by real length and processed in fixed-size chunks,
+each trimmed to its own longest row, so padding never reaches a matmul or the
+``L x L`` attention scores, and every element-wise step updates a buffer in
+place instead of allocating an array and a ``Tensor`` node per op.  Training
+keeps the ``Tensor`` path because it needs the graph;
+``tests/nn/test_inference_forward.py`` holds the two together (they agree to
+rounding: sums run in another order, the ``1/sqrt(head_dim)`` scale is applied
+to the queries and the softmax denominator to the weighted sum).
+
+Every buffer lives in a :class:`_Workspace` local to one call.  Thread
+replicas share one encoder (``EntityLinkingPipeline.clone()``), so two threads
+run this on the same module at the same time: nothing may be kept on the
+module or at module level.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING, Dict
+
+import numpy as np
+
+from .attention import MultiHeadAttention
+from .layers import LayerNorm, Linear
+from .tensor import Tensor, active_compute_dtype
+
+if TYPE_CHECKING:
+    from .transformer import TransformerEncoder, TransformerEncoderLayer
+
+#: Rows per chunk, chosen by measurement on the serving cross-encoder (128 rows
+#: of <= 72 tokens, 2 heads, float64): at 8-16 rows a chunk's score buffer
+#: (16 x 2 x 72 x 72 doubles, 1.3 MB) stays cache-resident and the ~0.25 ms of
+#: numpy call overhead a chunk costs is amortised; 32 rows measure 15 % slower
+#: or worse, 128 rows 1.8x.
+_CHUNK_ROWS = 16
+
+_GELU_SCALE = math.sqrt(2.0 / math.pi)
+
+
+def _array(parameter: Tensor) -> np.ndarray:
+    """The parameter's payload in the dtype this forward runs in."""
+    dtype = active_compute_dtype()
+    return parameter.data if dtype is None else parameter.cast(dtype)
+
+
+class _Workspace:
+    """One call's scratch memory: a flat array per name, handed out as a
+    contiguous view of the requested shape.  Chunks run widest first, so each
+    name is allocated once and later chunks reuse the front of it."""
+
+    def __init__(self, dtype: np.dtype) -> None:
+        self._dtype = dtype
+        self._flat: Dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype=self._dtype)
+        return flat[:size].reshape(shape)
+
+
+def _layer_norm(x: np.ndarray, norm: LayerNorm, out: np.ndarray) -> np.ndarray:
+    """``out = standardize(x) * weight + bias`` over the last axis."""
+    mean = np.einsum("...d->...", x)[..., None]
+    mean /= x.shape[-1]
+    np.subtract(x, mean, out=out)
+    deviation = np.einsum("...d,...d->...", out, out)[..., None]
+    deviation /= x.shape[-1]
+    deviation += norm.eps
+    np.sqrt(deviation, out=deviation)
+    out /= deviation
+    out *= _array(norm.weight)
+    out += _array(norm.bias)
+    return out
+
+
+def _linear(x: np.ndarray, linear: Linear, out: np.ndarray) -> np.ndarray:
+    # x stays 3-D: one small gemm per row, which OpenBLAS runs single-threaded.
+    np.matmul(x, _array(linear.weight).T, out=out)
+    out += _array(linear.bias)
+    return out
+
+
+def _gelu(x: np.ndarray, inner: np.ndarray) -> None:
+    """``Tensor.gelu`` in place, in its order of operations; ``inner`` is scratch."""
+    np.multiply(x, x, out=inner)
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_SCALE
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    x *= 0.5
+    x *= inner
+
+
+def _encoder_layer(
+    hidden: np.ndarray, bias: np.ndarray, layer: "TransformerEncoderLayer", work: _Workspace
+) -> None:
+    """One pre-norm block, accumulated into ``hidden`` (rows, length, dim)."""
+    attention, feed_forward = layer.self_attention, layer.feed_forward
+    rows, length, _ = hidden.shape
+    split = (rows, length, attention.num_heads, attention.head_dim)
+    normed = _layer_norm(hidden, layer.norm_attention, work("normed", *hidden.shape))
+    q = _linear(normed, attention.query_proj, work("q", *hidden.shape))
+    q *= 1.0 / math.sqrt(attention.head_dim)
+    k = _linear(normed, attention.key_proj, work("k", *hidden.shape))
+    v = _linear(normed, attention.value_proj, work("v", *hidden.shape))
+    q, k, v = (x.reshape(split).transpose(0, 2, 1, 3) for x in (q, k, v))
+    scores = work("scores", rows, attention.num_heads, length, length)
+    np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
+    scores += bias
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    merged = work("merged", *hidden.shape)
+    attended = merged.reshape(split).transpose(0, 2, 1, 3)
+    np.matmul(scores, v, out=attended)
+    attended /= scores.sum(axis=-1, keepdims=True)
+    hidden += _linear(merged, attention.out_proj, work("update", *hidden.shape))
+
+    normed = _layer_norm(hidden, layer.norm_feed_forward, normed)
+    wide_shape = (rows, length, feed_forward.expand.out_features)
+    wide = _linear(normed, feed_forward.expand, work("wide", *wide_shape))
+    _gelu(wide, work("wide_scratch", *wide_shape))
+    hidden += _linear(wide, feed_forward.project, work("update", *hidden.shape))
+
+
+def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.ndarray:
+    """Mean over real tokens of the final hidden states, one row per row of
+    ``token_ids`` (2-D int64), in input order; builds no graph."""
+    encoder.token_embedding.check_indices(token_ids)
+    num_rows, width = token_ids.shape
+    positions = encoder.position_embedding.rows(width)
+    table = _array(encoder.token_embedding.weight)
+    dtype, dim = table.dtype, table.shape[1]
+    work = _Workspace(dtype)
+
+    # A row's extent ends at its last real token: trailing padding is cut,
+    # interior padding stays and is masked as the Tensor path masks it.
+    real = token_ids != encoder.padding_idx
+    extents = (real * np.arange(1, width + 1)).max(axis=1, initial=0)
+    order = np.argsort(-extents, kind="stable")
+    # All-padding rows pool to the zero vector and never enter a chunk.
+    order = order[: np.count_nonzero(extents)]
+    pooled = np.zeros((num_rows, dim), dtype=dtype)
+
+    for start in range(0, len(order), _CHUNK_ROWS):
+        chunk = order[start:start + _CHUNK_ROWS]
+        length = int(extents[chunk[0]])
+        keep = real[chunk, :length]
+        bias = MultiHeadAttention.padding_bias(~keep, dtype=dtype)
+        hidden = work("hidden", len(chunk), length, dim)
+        # Indices were range-checked above; "clip" only skips take's bounce buffer.
+        np.take(table, token_ids[chunk, :length], axis=0, out=hidden, mode="clip")
+        hidden += positions[:length]
+        for layer in encoder.layers:
+            _encoder_layer(hidden, bias, layer, work)
+        normed = _layer_norm(hidden, encoder.final_norm, work("normed", *hidden.shape))
+        weights = keep.astype(dtype)
+        weights /= weights.sum(axis=1, keepdims=True)
+        pooled[chunk] = np.matmul(weights[:, None, :], normed)[:, 0]
+    return pooled

@@ -67,13 +67,17 @@ class Embedding(Module):
             weight[padding_idx] = 0.0
         self.weight = Parameter(weight, name="weight")
 
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
+    def check_indices(self, indices: np.ndarray) -> None:
+        """Raise ``IndexError`` unless every index addresses a table row."""
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings}): "
                 f"min={indices.min()}, max={indices.max()}"
             )
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        indices = np.asarray(indices, dtype=np.int64)
+        self.check_indices(indices)
         return F.embedding(self.weight, indices)
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .attention import KVCache, MultiHeadAttention
+from .inference import pooled_encode
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
 from .tensor import Tensor, active_compute_dtype, is_grad_enabled
@@ -44,17 +45,23 @@ class PositionalEmbedding(Module):
         self.weight = Parameter(init.normal((max_length, model_dim), rng, std=0.02), name="weight")
         self._position_ids = np.arange(max_length, dtype=np.int64)
 
-    def forward(self, length: int, offset: int = 0) -> Tensor:
+    def rows(self, length: int, offset: int = 0) -> np.ndarray:
+        """The table rows for ``[offset, offset + length)`` as a raw array in
+        the active inference dtype: a slice of the table, outside any graph."""
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
         if offset + length > self.max_length:
             raise ValueError(
                 f"positions [{offset}, {offset + length}) exceed max_length {self.max_length}"
             )
+        dtype = active_compute_dtype()
+        table = self.weight.cast(dtype) if dtype is not None else self.weight.data
+        return table[offset:offset + length]
+
+    def forward(self, length: int, offset: int = 0) -> Tensor:
+        rows = self.rows(length, offset)
         if not (is_grad_enabled() and self.weight.requires_grad):
-            dtype = active_compute_dtype()
-            table = self.weight.cast(dtype) if dtype is not None else self.weight.data
-            return Tensor(table[offset:offset + length])
+            return Tensor(rows)
         return F.embedding(self.weight, self._position_ids[offset:offset + length])
 
 
@@ -132,10 +139,17 @@ class TransformerEncoder(Module):
         return self.final_norm(hidden)
 
     def encode(self, token_ids: np.ndarray) -> Tensor:
-        """Return a pooled (mean over real tokens) representation per sequence."""
+        """Return a pooled (mean over real tokens) representation per sequence.
+
+        With gradients disabled and the module in eval mode this is the
+        graph-free forward of :mod:`repro.nn.inference`; otherwise (training,
+        or dropout active) the ``Tensor`` forward below.
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
+        if not (is_grad_enabled() or self.training):
+            return Tensor(pooled_encode(self, token_ids))
         hidden = self.forward(token_ids)
         keep = (token_ids != self.padding_idx).astype(hidden.data.dtype)
         denom = np.maximum(keep.sum(axis=1, keepdims=True), 1.0)

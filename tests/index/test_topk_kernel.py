@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import EntityShard, IVFBackend, blocked_topk, encode_matrix
+from repro.index import EntityShard, IVFBackend, blocked_topk, build_results, encode_matrix
 from repro.index import shard as shard_module
 from repro.index.shard import _sorted_topk
 from repro.kb import Entity
+from repro.linking import ShardedEntityIndex
 
 K = 5
 
@@ -168,6 +169,51 @@ def test_search_is_bit_identical_to_sorting_everything(cells, monkeypatch):
     expected = shard.search_arrays(queries, 64)
     assert_same(actual[:2], expected[:2])
     assert np.array_equal(actual[2], expected[2])
+
+
+# ----------------------------------------------------------------------
+# The fan-out merge calls the same kernel
+# ----------------------------------------------------------------------
+def reference_merge(blocks, k):
+    """The merge the kernel call replaced: a three-key lexsort of the whole
+    ``Q x shards*k`` buffer under (score desc, shard order, position asc)."""
+    scores = np.concatenate([block[0] for block in blocks], axis=1)
+    positions = np.concatenate([block[1] for block in blocks], axis=1)
+    entities = np.concatenate([block[2] for block in blocks], axis=1)
+    shard_orders = np.concatenate(
+        [np.full(block[1].shape, order, dtype=np.int64) for order, block in enumerate(blocks)],
+        axis=1,
+    )
+    order = np.lexsort((positions, shard_orders, -scores), axis=1)[:, :k]
+    return build_results(
+        np.take_along_axis(scores, order, axis=1),
+        np.take_along_axis(entities, order, axis=1),
+    )
+
+
+@pytest.mark.parametrize("k", [3, K, 64], ids=["k<shard", "k=5", "k>shards"])
+@pytest.mark.parametrize("num_queries", [2, 120], ids=["direct-sort", "selected"])
+def test_fanout_merge_breaks_ties_by_shard_then_position(k, num_queries):
+    """Every shard holds the same few distinct vectors many times over, so
+    scores tie within a shard and across shards; the uneven last shard adds
+    ``-inf`` padding once ``k`` exceeds its size."""
+    rng = np.random.default_rng(k)
+    distinct = rng.normal(size=(4, 8))
+    index = ShardedEntityIndex()
+    for world, size in (("a", 30), ("b", 30), ("c", 30), ("d", 7)):
+        entities = [
+            Entity(entity_id=f"{world}{i}", title=f"{world} {i}", description="", domain=world)
+            for i in range(size)
+        ]
+        index.add_shard(world, entities, distinct[rng.integers(len(distinct), size=size)])
+    queries = rng.normal(size=(num_queries, 8))
+
+    expected = reference_merge(
+        [index.shard(world).search_arrays(queries, k) for world in ("a", "b", "c", "d")], k
+    )
+    for got, want in zip(index.search(queries, k), expected):
+        assert got.entity_ids == want.entity_ids
+        assert got.scores == want.scores
 
 
 # ----------------------------------------------------------------------

@@ -260,3 +260,49 @@ class TestEntityCacheEviction:
         crossencoder._cache_put(cache, "b", 2)
         crossencoder._cache_put(cache, "c", 3)
         assert cache == {"b": 2, "c": 3}
+
+    def test_eviction_tolerates_a_concurrent_evictor(self, monkeypatch, tiny_tokenizer):
+        # Thread replicas share one CrossEncoder, so its caches are mutated
+        # from several threads at once.  ``del cache[next(iter(cache))]`` died
+        # with KeyError (same oldest key deleted twice) or "dictionary changed
+        # size during iteration", failing every request of the batch.
+        import sys
+        import threading
+        import time
+
+        from repro.linking import crossencoder
+
+        capacity, num_threads = 4, 4
+        monkeypatch.setattr(crossencoder, "ENTITY_CACHE_CAPACITY", capacity)
+        model = CrossEncoder(CX_CFG, tiny_tokenizer)
+        shared = {}
+        errors = []
+        deadline = time.monotonic() + 1.0
+
+        def hammer(worker):
+            serial = 0
+            try:
+                while time.monotonic() < deadline:
+                    serial += 1
+                    key = f"w{worker}-{serial}"
+                    crossencoder._cache_put(shared, key, serial)
+                    model._entity_suffix_ids(Entity(key, f"title {serial}", "a description", "lego"))
+                    sizes = len(shared), len(model._entity_suffix_cache)
+                    assert max(sizes) <= capacity + num_threads, sizes
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(num_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(shared) <= capacity + num_threads
+        assert len(model._entity_suffix_cache) <= capacity + num_threads
