@@ -5,9 +5,9 @@ Every benchmark regenerates one table or figure of the paper through
 corpus, tokenizer, synthetic-data bundles and the general-domain training
 pairs are built once and reused by all benchmarks.
 
-The configuration is deliberately small (see ``DESIGN.md``): the goal is to
-reproduce the *shape* of each result in CPU-minutes, not the absolute
-numbers of the authors' GPU runs.
+The configuration is deliberately small (see README § "Tests and
+benchmarks"): the goal is to reproduce the *shape* of each result in
+CPU-minutes, not the absolute numbers of the authors' GPU runs.
 """
 
 from dataclasses import replace

@@ -4,18 +4,17 @@
 Walks a curated list of public modules (the serving pipeline, the sharded
 index and the batched encoder entry points), pulls signatures via
 ``inspect`` and docstrings via ``pydoc``, and writes a deterministic
-markdown reference.  CI runs ``--check`` to fail when the committed
-``docs/api.md`` is stale.
+markdown reference.  ``docs/api.md`` is a build product (gitignored): CI
+renders it — which fails if a listed module no longer imports — and
+publishes the file as an artefact.
 
 Usage::
 
-    PYTHONPATH=src python scripts/generate_api_docs.py            # write docs/api.md
-    PYTHONPATH=src python scripts/generate_api_docs.py --check    # exit 1 if stale
+    python scripts/generate_api_docs.py            # write docs/api.md
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import inspect
 import pydoc
@@ -27,12 +26,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Modules documented, in order.  Each entry: (module name, section title).
 MODULES = [
-    ("repro.bench", "repro.bench — load & scenario lab"),
-    ("repro.bench.workloads", "repro.bench.workloads — deterministic workload generation"),
-    ("repro.bench.harness", "repro.bench.harness — SLO-tracked load harness"),
-    ("repro.bench.slo", "repro.bench.slo — declarative SLOs"),
-    ("repro.bench.report", "repro.bench.report — scenario reports"),
-    ("repro.bench.baselines", "repro.bench.baselines — benchmark regression gate"),
     ("repro.bench.synthetic", "repro.bench.synthetic — synthetic KB enlarger"),
     ("repro.serving", "repro.serving — serving layer"),
     ("repro.serving.service", "repro.serving.service — dynamic-batching frontend"),
@@ -139,27 +132,7 @@ def render() -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero when docs/api.md differs from the rendered output",
-    )
-    args = parser.parse_args()
-
     rendered = render()
-    if args.check:
-        current = OUTPUT.read_text() if OUTPUT.exists() else ""
-        if current != rendered:
-            print(
-                "docs/api.md is stale — regenerate with "
-                "`PYTHONPATH=src python scripts/generate_api_docs.py`",
-                file=sys.stderr,
-            )
-            return 1
-        print("docs/api.md is up to date")
-        return 0
-
     OUTPUT.parent.mkdir(parents=True, exist_ok=True)
     OUTPUT.write_text(rendered)
     print(f"wrote {OUTPUT.relative_to(REPO_ROOT)} ({len(rendered.splitlines())} lines)")

@@ -25,7 +25,6 @@ keyed) so unchanged files cost one hash instead of a parse.
 from __future__ import annotations
 
 import argparse
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -101,10 +100,6 @@ def main(argv=None) -> int:
         help="also print findings covered by the baseline (text format)",
     )
     parser.add_argument(
-        "--bench-output", default=None, metavar="FILE",
-        help="write lint wall time / files-per-second metrics as JSON",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules and exit",
     )
@@ -157,30 +152,6 @@ def main(argv=None) -> int:
     result = run_lint(
         args.paths, config=config, baseline=baseline, restrict_paths=restrict,
     )
-
-    if args.bench_output:
-        metrics = {
-            "lint_wall_seconds": result.elapsed_seconds,
-            "lint_files_per_second": result.files_per_second,
-            "lint_files_count": result.files,
-            "lint_findings_count": len(result.findings) + len(result.baselined),
-            "config": {
-                "paths": list(args.paths),
-                "rules": sorted(registered_rules()) if enabled is None else enabled,
-                # Interprocedural pass metrics live under `config` so the
-                # regression gate treats them as informational, not gated —
-                # cache hit rate flips between cold/warm runs by design.
-                "callgraph_build_seconds": result.callgraph_seconds,
-                "callgraph_functions": result.functions,
-                "callgraph_edges": result.call_edges,
-                "summary_cache_hits": result.cache_hits,
-                "summary_cache_misses": result.cache_misses,
-                "summary_cache_hit_rate": result.cache_hit_rate,
-            },
-        }
-        Path(args.bench_output).write_text(
-            json.dumps(metrics, indent=1) + "\n", encoding="utf-8"
-        )
 
     if args.baseline_update:
         previous = baseline if baseline is not None else Baseline.load(baseline_path)

@@ -388,7 +388,7 @@ class LintResult:
     files: int = 0
     elapsed_seconds: float = 0.0
     suppressed: int = 0
-    # Interprocedural pass metrics (PR 9) — surfaced into BENCH_lint.json.
+    # Interprocedural pass metrics (PR 9).
     callgraph_seconds: float = 0.0
     functions: int = 0
     call_edges: int = 0
@@ -516,7 +516,7 @@ def run_lint(
     Files that fail to parse produce a single :data:`SYNTAX_ERROR_RULE`
     finding instead of aborting the run.  Timing covers the whole pass
     (file IO + parse + project call-graph build + every rule) so the
-    ``BENCH_lint.json`` numbers reflect what CI actually pays.
+    reported seconds reflect what CI actually pays.
 
     ``restrict_paths`` (repo-relative posix paths) is the ``--changed-only``
     contract: *every* file is still read into the interprocedural project —

@@ -1,4 +1,4 @@
-"""``bounded-wait``: blocking primitives in serving/bench must time out.
+"""``bounded-wait``: blocking primitives in serving must time out.
 
 Distilled from the PR 8 scheduler hang: ``LinkingService._run`` parked in
 an unbounded ``self._work_ready.wait()``, so one missed wakeup (a frozen
@@ -8,10 +8,9 @@ was a heartbeat timeout; this rule makes the pattern a lint error so the
 next unbounded park is caught at review time instead of as a wedged
 cluster.
 
-Scope is the concurrent tiers (``repro.serving`` and ``repro.bench``) —
-elsewhere a bare ``join()`` on a short-lived helper is idiomatic and not
-worth the noise.  Justified exceptions go in the lint baseline like every
-other rule.
+Scope is the concurrent tier (``repro.serving``) — elsewhere a bare
+``join()`` on a short-lived helper is idiomatic and not worth the noise.
+Justified exceptions go in the lint baseline like every other rule.
 """
 
 from __future__ import annotations
@@ -34,15 +33,13 @@ class BoundedWaitRule(Rule):
     it passes neither a positional argument (the timeout slot of all four
     primitives) nor a ``timeout=`` keyword.  The receiver's type is not
     resolved — any attribute call with one of these names counts, which is
-    exactly the conservatism wanted in the concurrent tiers; a justified
+    exactly the conservatism wanted in the concurrent tier; a justified
     unbounded wait belongs in the baseline with its reason in a comment.
     """
 
     name = "bounded-wait"
-    description = (
-        "blocking waits in repro.serving/repro.bench must pass a timeout"
-    )
-    default_paths = ("src/repro/serving/", "src/repro/bench/")
+    description = "blocking waits in repro.serving must pass a timeout"
+    default_paths = ("src/repro/serving/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

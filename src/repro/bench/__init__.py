@@ -1,84 +1,11 @@
-"""The serving load lab: workloads, harness, SLOs, reports, regression gate.
+"""Synthetic KB enlarger: scale a small entity slice to benchmark size.
 
-``repro.bench`` sits between the serving frontend
-(:class:`~repro.serving.service.LinkingService`) and the eval/reporting
-stack: it generates deterministic traffic, replays it against the service,
-evaluates the measurements against declarative SLOs, and gates fresh
-benchmark payloads against the committed ``BENCH_*.json`` baselines.
-
-Quick tour::
-
-    pools = mentions_by_world(test_mentions)
-    workload = scenario_catalogue(pools, seed=13)["steady_poisson"]
-    result = LoadHarness(service).run(workload)
-    attach_slo(result, SLOSpec(max_p99_ms=500.0).evaluate(result))
-    print(render_markdown([result]))
-    compare(results_payload([result]), load_bench("BENCH_load.json")).passed
+The one thing left here is :mod:`repro.bench.synthetic`, which the
+benchmark (``perf/``) and the index tests use to build large, clustered,
+deterministic KBs without shipping data.  Measurement itself — workloads,
+load generation, verdicts — lives in ``perf/``.
 """
 
-from .baselines import (
-    BENCH_FILES,
-    ComparisonReport,
-    MetricCheck,
-    compare,
-    flatten_metrics,
-    load_all_baselines,
-    load_bench,
-    metric_direction,
-)
-from .harness import LoadHarness, ScenarioResult
-from .report import attach_slo, render_markdown, results_payload, write_json
-from .slo import SLOCheck, SLOReport, SLOSpec, load_slo_file
 from .synthetic import DEFAULT_NOISE, alias_entity, enlarge_kb, synthetic_kb
-from .workloads import (
-    BurstyArrivals,
-    ClosedLoopArrivals,
-    ClusterScenario,
-    PoissonArrivals,
-    RampArrivals,
-    Schedule,
-    TraceReplaySampler,
-    UniformMentionSampler,
-    Workload,
-    ZipfMentionSampler,
-    cluster_scenario_catalogue,
-    mentions_by_world,
-    scenario_catalogue,
-)
 
-__all__ = [
-    "BENCH_FILES",
-    "BurstyArrivals",
-    "ClosedLoopArrivals",
-    "ClusterScenario",
-    "ComparisonReport",
-    "LoadHarness",
-    "MetricCheck",
-    "PoissonArrivals",
-    "RampArrivals",
-    "Schedule",
-    "ScenarioResult",
-    "SLOCheck",
-    "SLOReport",
-    "SLOSpec",
-    "TraceReplaySampler",
-    "UniformMentionSampler",
-    "Workload",
-    "ZipfMentionSampler",
-    "alias_entity",
-    "attach_slo",
-    "cluster_scenario_catalogue",
-    "compare",
-    "enlarge_kb",
-    "flatten_metrics",
-    "load_all_baselines",
-    "load_bench",
-    "load_slo_file",
-    "mentions_by_world",
-    "metric_direction",
-    "render_markdown",
-    "results_payload",
-    "scenario_catalogue",
-    "synthetic_kb",
-    "write_json",
-]
+__all__ = ["DEFAULT_NOISE", "alias_entity", "enlarge_kb", "synthetic_kb"]

@@ -17,8 +17,8 @@ data, the index benchmarks *enlarge* a small real KB deterministically:
   benchmarks need no real data at all.
 
 Everything is a pure function of its arguments and ``seed`` — two calls
-with equal arguments produce bit-identical entities and embeddings, which
-is what lets the benchmark gate compare runs across machines.
+with equal arguments produce bit-identical entities and embeddings, so a
+benchmark run or a test is reproducible from its seed alone.
 """
 
 from __future__ import annotations

@@ -276,9 +276,8 @@ class Seq2SeqModel(Module):
         """Reference greedy decoder: full re-forward over the growing prefix.
 
         The original O(T²) loop, kept verbatim as the ground truth for the
-        KV-cache parity suite and as the baseline of the decode-throughput
-        benchmark.  Constraints here are flat id sequences shared by the
-        whole batch (the pre-engine signature).
+        KV-cache parity suite.  Constraints here are flat id sequences
+        shared by the whole batch (the pre-engine signature).
         """
         source_ids = np.asarray(source_ids, dtype=np.int64)
         if source_ids.ndim == 1:

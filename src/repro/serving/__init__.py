@@ -16,8 +16,8 @@ cross-encoder reranking) into a production-shaped serving path:
   :class:`~repro.serving.cluster.Router` with world-affinity dispatch,
   least-pending balancing, admission control (explicit
   :class:`~repro.serving.cluster.RejectedError` sheds) and automatic requeue
-  from dead replicas, plus :class:`~repro.serving.cluster.FaultPlan` scripts
-  for chaos testing.
+  from dead replicas, plus :class:`~repro.serving.cluster.FaultEvent`
+  injuries for chaos testing.
 * :mod:`repro.serving.resilience` — the self-healing layer: a
   :class:`~repro.serving.resilience.Supervisor` thread that auto-restarts
   dead replicas under a :class:`~repro.serving.resilience.RestartPolicy`,
@@ -50,7 +50,6 @@ from .cluster import (
     ClusterStats,
     FaultEvent,
     FaultInjector,
-    FaultPlan,
     ProcessReplica,
     RejectedError,
     Replica,
@@ -104,7 +103,6 @@ __all__ = [
     "EntityLinkingPipeline",
     "FaultEvent",
     "FaultInjector",
-    "FaultPlan",
     "LinkingResult",
     "LinkingService",
     "OverCapacityError",

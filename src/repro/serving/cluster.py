@@ -35,10 +35,10 @@ service.  This module scales the front door out to N workers:
     :class:`ReplicaDiedError` and the router resubmits them to healthy
     replicas; callers only see an error when every retry is exhausted.
 
-* :class:`FaultPlan` — a timed script of replica injuries (kill / slow /
-  freeze / unfreeze / drain / restart) that the load harness replays
-  against the router mid-scenario, so the degraded-replica benchmarks can
-  assert graceful degradation instead of collapse.
+* :class:`FaultEvent` — one scheduled replica injury (kill / slow / freeze
+  / unfreeze / drain / restart) that :meth:`Router.apply_fault` performs;
+  the chaos tests script them against a router under load to assert
+  graceful degradation instead of collapse.
 
 Example::
 
@@ -57,7 +57,6 @@ import hashlib
 import multiprocessing
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -80,8 +79,8 @@ from ..linking.biencoder import BiEncoder
 from ..linking.crossencoder import CrossEncoder
 from .pipeline import (
     DEFAULT_BATCH_SIZE,
-    LATENCY_WINDOW,
     EntityLinkingPipeline,
+    LatencyWindow,
     LinkingResult,
     PipelineStats,
 )
@@ -106,7 +105,7 @@ DEAD = "dead"
 #: Poll period of loops that must stay responsive to kill/unfreeze (seconds).
 FAULT_POLL_SECONDS = 0.02
 
-#: Recognised fault-plan actions.
+#: Recognised :class:`FaultEvent` actions.
 FAULT_ACTIONS = ("kill", "slow", "freeze", "unfreeze", "drain", "restart")
 
 
@@ -607,7 +606,7 @@ class AdmissionPolicy:
 
 
 # ----------------------------------------------------------------------
-# Fault plans
+# Fault events
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FaultEvent:
@@ -635,52 +634,6 @@ class FaultEvent:
             raise ValueError("value must be non-negative")
 
 
-@dataclass(frozen=True)
-class FaultPlan:
-    """A time-ordered script of :class:`FaultEvent` injuries.
-
-    The load harness replays the plan against the router while a scenario
-    runs (see :meth:`~repro.bench.harness.LoadHarness.run`), recording when
-    each event was actually applied.  Builders cover the common chaos
-    shapes::
-
-        FaultPlan.kill(at=1.0, replica=1)
-        FaultPlan.slow(at=0.5, replica=0, delay=0.2)
-        FaultPlan.freeze_thaw(freeze_at=0.5, thaw_at=1.0, replica=0)
-    """
-
-    events: Tuple[FaultEvent, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "events", tuple(sorted(self.events, key=lambda e: e.at))
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def then(self, event: FaultEvent) -> "FaultPlan":
-        """A new plan with ``event`` merged in (kept time-ordered)."""
-        return FaultPlan(self.events + (event,))
-
-    @classmethod
-    def kill(cls, at: float, replica: int) -> "FaultPlan":
-        return cls((FaultEvent(at=at, action="kill", replica=replica),))
-
-    @classmethod
-    def slow(cls, at: float, replica: int, delay: float) -> "FaultPlan":
-        return cls((FaultEvent(at=at, action="slow", replica=replica, value=delay),))
-
-    @classmethod
-    def freeze_thaw(cls, freeze_at: float, thaw_at: float, replica: int) -> "FaultPlan":
-        if thaw_at < freeze_at:
-            raise ValueError("thaw_at must not precede freeze_at")
-        return cls((
-            FaultEvent(at=freeze_at, action="freeze", replica=replica),
-            FaultEvent(at=thaw_at, action="unfreeze", replica=replica),
-        ))
-
-
 # ----------------------------------------------------------------------
 # Aggregated stats
 # ----------------------------------------------------------------------
@@ -703,7 +656,7 @@ class ClusterStats:
     def __init__(self, pool: "ReplicaPool") -> None:
         self._pool = pool
         self._lock = threading.Lock()
-        self._latencies = deque(maxlen=LATENCY_WINDOW)
+        self._latency = LatencyWindow()
         self._submitted = 0
         self._completed = 0
         self._errors = 0
@@ -731,9 +684,9 @@ class ClusterStats:
 
     def record_completed(self, latency_seconds: float, requeued: bool) -> None:
         now = time.perf_counter()
+        self._latency.record(latency_seconds)
         with self._lock:
             self._completed += 1
-            self._latencies.append(latency_seconds)
             if requeued:
                 self._last_requeue_done_at = now
 
@@ -884,30 +837,13 @@ class ClusterStats:
     def batches(self) -> int:
         return sum(r.stats.snapshot()["batches"] for r in self._pool.replicas)
 
-    def _latency_array(self) -> np.ndarray:
-        with self._lock:
-            return np.fromiter(self._latencies, dtype=np.float64)
-
     def latency_percentile(self, percentile: float) -> float:
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        samples = self._latency_array()
-        if samples.size == 0:
-            return 0.0
-        return float(np.percentile(samples, percentile))
+        """See :meth:`~repro.serving.pipeline.LatencyWindow.percentile`."""
+        return self._latency.percentile(percentile)
 
     def latency_summary(self) -> Dict[str, float]:
-        samples = self._latency_array()
-        if samples.size == 0:
-            return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-        p50, p90, p99 = np.percentile(samples, [50.0, 90.0, 99.0])
-        return {
-            "count": float(samples.size),
-            "mean": float(samples.mean()),
-            "p50": float(p50),
-            "p90": float(p90),
-            "p99": float(p99),
-        }
+        """See :meth:`~repro.serving.pipeline.LatencyWindow.summary`."""
+        return self._latency.summary()
 
     def snapshot(self) -> Dict[str, object]:
         """One consistent report: router counters + merged replica stats."""
@@ -967,8 +903,8 @@ class ClusterStats:
 
     def reset(self) -> None:
         """Clear router counters and every live replica's pipeline stats."""
+        self._latency.clear()
         with self._lock:
-            self._latencies.clear()
             self._submitted = 0
             self._completed = 0
             self._errors = 0
@@ -986,7 +922,7 @@ class ClusterStats:
             self._brownout_engagements = 0
             self._degraded_seconds = 0.0
             # A live brownout spell survives the reset: only the accumulated
-            # time is cleared, so a scenario starting mid-brownout still
+            # time is cleared, so a measurement starting mid-brownout still
             # accounts the ongoing spell from its own start.
             if self._degraded_active:
                 self._degraded_since = time.perf_counter()
@@ -1481,7 +1417,7 @@ class Router:
             else:
                 request.caller.set_result(result)
         except InvalidStateError:
-            pass  # caller cancelled (e.g. harness timeout) — result discarded
+            pass  # caller cancelled (e.g. its own timeout) — result discarded
 
     # ------------------------------------------------------------------
     # Observability
@@ -1502,13 +1438,6 @@ class Router:
         with self._lock:
             self._peak_pending = self._pending
             return self._peak_pending
-
-    def depths(self) -> Dict[int, int]:
-        """Per-slot queue depth (replica-local pending), for monitoring."""
-        return {
-            slot: replica.pending
-            for slot, replica in enumerate(self.pool.replicas)
-        }
 
     @property
     def running(self) -> bool:
@@ -1605,7 +1534,7 @@ class Router:
         self.close()
 
     def apply_fault(self, event: FaultEvent) -> None:
-        """Apply one :class:`FaultEvent` to the pool (harness hook)."""
+        """Apply one :class:`FaultEvent` to the pool (fault-injection hook)."""
         slot = event.replica
         if not 0 <= slot < len(self.pool):
             raise ValueError(
@@ -1622,7 +1551,7 @@ class Router:
             self.pool.replica(slot).unfreeze()
         elif event.action == "drain":
             # Draining blocks until the replica's queue flushes; run it off
-            # the injector thread so later plan events stay on schedule.
+            # the injecting thread so its later events stay on schedule.
             threading.Thread(
                 target=self.pool.drain, args=(slot,),
                 name=f"drain-replica-{slot}", daemon=True,

@@ -48,9 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Default micro-batch size of the serving pipeline.
 DEFAULT_BATCH_SIZE = 64
 
-#: Per-request latency samples retained by :class:`PipelineStats`; a rolling
-#: window keeps the memory of a long-running serving process bounded while
-#: the percentiles track recent traffic.
+#: Per-request latency samples retained by a :class:`LatencyWindow`; a
+#: rolling window keeps the memory of a long-running serving process bounded
+#: while the percentiles track recent traffic.
 LATENCY_WINDOW = 8192
 
 
@@ -91,28 +91,93 @@ class LinkingResult:
         )
 
 
+class LatencyWindow:
+    """Rolling window of per-request latency samples (seconds) + percentiles.
+
+    The last :data:`LATENCY_WINDOW` samples in a bounded deque under the
+    window's own lock: a recorder thread appends while monitoring callers
+    read percentiles or :meth:`clear`, and every read works on a copy taken
+    under the lock (iterating the live deque mid-append raises).  Both
+    :class:`PipelineStats` (submit → completion inside one service) and
+    :class:`~repro.serving.cluster.ClusterStats` (router submit → final
+    result, requeues included) hold one.
+    """
+
+    def __init__(self) -> None:
+        self._samples: Deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._lock = threading.Lock()
+
+    def record(self, seconds: float) -> None:
+        with self._lock:
+            self._samples.append(seconds)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._samples.clear()
+
+    def _copy(self) -> List[float]:
+        with self._lock:
+            return list(self._samples)
+
+    def percentile(self, percentile: float) -> float:
+        """Latency percentile in seconds over the window (0.0 if empty).
+
+        ``percentile`` is in [0, 100]; linear interpolation between samples,
+        matching ``numpy.percentile``'s default behaviour.
+        """
+        if not 0.0 <= percentile <= 100.0:
+            raise ValueError("percentile must be in [0, 100]")
+        samples = self._copy()
+        if not samples:
+            return 0.0
+        return float(np.percentile(samples, percentile))
+
+    def summary(self) -> Dict[str, float]:
+        """p50 / p90 / p99 / mean / count of the window (zeros if empty)."""
+        samples = np.asarray(self._copy())
+        if samples.size == 0:
+            return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
+        p50, p90, p99 = np.percentile(samples, [50.0, 90.0, 99.0])
+        return {
+            "count": float(samples.size),
+            "mean": float(samples.mean()),
+            "p50": float(p50),
+            "p90": float(p90),
+            "p99": float(p99),
+        }
+
+    # Pickle support for process-backed replicas: a lock cannot cross a
+    # process boundary, so only the samples travel and the receiving side
+    # gets a fresh, unheld lock.
+    def __getstate__(self) -> Dict[str, List[float]]:
+        return {"samples": self._copy()}
+
+    def __setstate__(self, state: Dict[str, List[float]]) -> None:
+        self._samples = deque(state["samples"], maxlen=LATENCY_WINDOW)
+        self._lock = threading.Lock()
+
+
 @dataclass
 class PipelineStats:
     """Cumulative serving counters: mentions, batches, per-stage seconds.
 
-    ``request_latencies`` holds per-request wall-clock samples (seconds,
-    submit → completion) recorded by the :class:`~repro.serving.service.LinkingService`
-    frontend, kept in a rolling :data:`LATENCY_WINDOW`-sized window so the
-    percentiles reflect recent traffic with bounded memory.
+    Per-request wall-clock samples (seconds, submit → completion) recorded
+    by the :class:`~repro.serving.service.LinkingService` frontend live in a
+    :class:`LatencyWindow`, so the percentiles reflect recent traffic with
+    bounded memory.
 
-    All mutation happens under one internal lock: counters and stage seconds
-    are written by the scheduler thread while monitoring callers (e.g. the
-    load harness) read summaries or :meth:`reset` between scenarios, so
-    every read-modify-write below must be atomic against a concurrent
-    ``reset()`` — otherwise a cleared dict can resurrect a stale stage total
-    or a percentile read can iterate a deque mid-append.
+    Counter mutation happens under one internal lock: counters and stage
+    seconds are written by the scheduler thread while monitoring callers
+    read summaries or :meth:`reset` between measurements, so every
+    read-modify-write below must be atomic against a concurrent ``reset()``
+    — otherwise a cleared dict can resurrect a stale stage total.
     """
 
     mentions: int = 0
     batches: int = 0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    request_latencies: Deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    _latency: LatencyWindow = field(
+        default_factory=LatencyWindow, init=False, repr=False, compare=False
     )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False, compare=False
@@ -147,39 +212,15 @@ class PipelineStats:
 
     def record_latency(self, seconds: float) -> None:
         """Add one per-request latency sample (submit → completion)."""
-        with self._lock:
-            self.request_latencies.append(seconds)
-
-    def _latency_samples(self) -> np.ndarray:
-        with self._lock:
-            return np.fromiter(self.request_latencies, dtype=np.float64)
+        self._latency.record(seconds)
 
     def latency_percentile(self, percentile: float) -> float:
-        """Latency percentile in seconds over the rolling window (0.0 if empty).
-
-        ``percentile`` is in [0, 100]; linear interpolation between samples,
-        matching ``numpy.percentile``'s default behaviour.
-        """
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        samples = self._latency_samples()
-        if samples.size == 0:
-            return 0.0
-        return float(np.percentile(samples, percentile))
+        """See :meth:`LatencyWindow.percentile`."""
+        return self._latency.percentile(percentile)
 
     def latency_summary(self) -> Dict[str, float]:
-        """p50 / p90 / p99 / mean / count of the rolling latency window."""
-        samples = self._latency_samples()
-        if samples.size == 0:
-            return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-        p50, p90, p99 = np.percentile(samples, [50.0, 90.0, 99.0])
-        return {
-            "count": float(samples.size),
-            "mean": float(samples.mean()),
-            "p50": float(p50),
-            "p90": float(p90),
-            "p99": float(p99),
-        }
+        """See :meth:`LatencyWindow.summary`."""
+        return self._latency.summary()
 
     def snapshot(self) -> Dict[str, object]:
         """Consistent point-in-time copy of every counter, taken under the lock.
@@ -187,15 +228,13 @@ class PipelineStats:
         The cluster layer merges snapshots from many replicas into one
         aggregate view; each snapshot is internally consistent (no counter
         can be mid-update) even while the owning scheduler thread keeps
-        recording.  ``request_latencies`` is materialised as a tuple so the
-        caller never aliases the live rolling deque.
+        recording.
         """
         with self._lock:
             return {
                 "mentions": self.mentions,
                 "batches": self.batches,
                 "stage_seconds": dict(self.stage_seconds),
-                "request_latencies": tuple(self.request_latencies),
             }
 
     def reset(self) -> None:
@@ -203,7 +242,7 @@ class PipelineStats:
             self.mentions = 0
             self.batches = 0
             self.stage_seconds.clear()
-            self.request_latencies.clear()
+        self._latency.clear()
 
     # Pickle support for process-backed replicas: a lock cannot cross a
     # process boundary, so it is dropped on the way out and recreated on the
@@ -211,13 +250,10 @@ class PipelineStats:
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
         del state["_lock"]
-        state["request_latencies"] = list(self.request_latencies)
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        latencies = state.pop("request_latencies")
         self.__dict__.update(state)
-        self.request_latencies = deque(latencies, maxlen=LATENCY_WINDOW)
         self._lock = threading.Lock()
 
 

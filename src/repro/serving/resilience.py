@@ -417,7 +417,7 @@ class Supervisor:
             if slot in self._quarantined:
                 # Re-assert every tick: ClusterStats.reset() clears the
                 # quarantine set, and a hidden quarantine would read as a
-                # healthy pool in the benchmark payload.
+                # healthy pool in the next stats snapshot.
                 self.router.stats.record_quarantine(slot)
                 return
             if slot not in self._down_since:

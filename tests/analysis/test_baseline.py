@@ -206,15 +206,3 @@ class TestCli:
 
         gated = self.run(str(dirty), "--baseline", str(baseline))
         assert gated.returncode == 0, gated.stdout + gated.stderr
-
-    def test_bench_output_written(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("VALUE = 1\n")
-        bench = tmp_path / "BENCH_lint.json"
-        proc = self.run(str(clean), "--no-baseline",
-                        "--bench-output", str(bench))
-        assert proc.returncode == 0
-        metrics = json.loads(bench.read_text())
-        assert metrics["lint_files_count"] == 1
-        assert metrics["lint_wall_seconds"] > 0
-        assert "lint_files_per_second" in metrics

@@ -670,8 +670,6 @@ class TestPytestMarkerDeclared:
 class TestBoundedWait:
     RULE = "bounded-wait"
 
-    BENCH_PATH = "src/repro/bench/ticker.py"
-
     def test_unbounded_event_wait_flagged(self):
         findings = lint(
             """
@@ -691,7 +689,7 @@ class TestBoundedWait:
                 thread.join()
                 return future.result()
             """,
-            self.BENCH_PATH, self.RULE,
+            SERVING_PATH, self.RULE,
         )
         assert sorted(f.symbol for f in findings) == [
             "future.result", "thread.join",
@@ -715,7 +713,7 @@ class TestBoundedWait:
                 thread.join(5.0)
                 return future.result(30.0)
             """,
-            self.BENCH_PATH, self.RULE,
+            SERVING_PATH, self.RULE,
         )
         assert findings == []
 

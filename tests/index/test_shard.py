@@ -9,8 +9,15 @@ import threading
 import numpy as np
 import pytest
 
+from repro.bench import synthetic_kb
 from repro.eval import recall_at_k
-from repro.index import EntityShard, IVFBackend, default_num_cells, kmeans
+from repro.index import (
+    EntityShard,
+    IVFBackend,
+    default_num_cells,
+    encode_matrix,
+    kmeans,
+)
 from repro.kb import Entity
 from repro.linking import ShardedEntityIndex
 
@@ -139,6 +146,28 @@ class TestExactParity:
         )
         recall = recall_at_k(shard.search(queries, k=10), exact.search(queries, k=10))
         assert recall >= 0.9  # int8 noise may swap distant neighbours only
+
+    def test_recall_floors_on_a_clustered_kb(self):
+        """The floors the index is held to at serving shape: a partial probe
+        (8 of 64 cells) over a clustered KB keeps recall@64 >= 0.95 against
+        the exhaustive float64 scan, float16 storage >= 0.98 and int8
+        >= 0.92.  125 aliases per base keep a true top-64 inside one cluster;
+        with fewer than 2k rows per base the same probe reads ~0.75, which is
+        geometry, not a defect."""
+        k = 64
+        entities, vectors = synthetic_kb(8000, dim=32, num_base=64, num_worlds=4, seed=13)
+        rng = np.random.default_rng(13)
+        rows = rng.choice(len(vectors), size=128, replace=False)
+        rms = float(np.sqrt(np.mean(vectors**2)))
+        queries = vectors[rows] + 0.05 * rms * rng.standard_normal((128, 32))
+        exact = EntityShard(entities, vectors).search(queries, k=k)
+        cells = IVFBackend(num_cells=64, nprobe=8, seed=13)
+        floors = {"float64": 0.95, "float16": 0.98, "int8": 0.92}
+        for codec, floor in floors.items():
+            storage = vectors if codec == "float64" else encode_matrix(vectors, codec)
+            shard = EntityShard(entities, storage, cells=cells)
+            recall = recall_at_k(shard.search(queries, k=k), exact)
+            assert recall >= floor, (codec, recall)
 
 
 class TestSearchShapes:

@@ -19,7 +19,7 @@ from repro.linking import BlinkPipeline
 from repro.serving import (
     AdmissionPolicy,
     EntityLinkingPipeline,
-    FaultPlan,
+    FaultEvent,
     ProcessReplica,
     RejectedError,
     ReplicaPool,
@@ -74,7 +74,7 @@ class TestKillReplica:
                     break
                 time.sleep(0.01)
             assert victim.pending > 0
-            router.apply_fault(FaultPlan.kill(at=0.0, replica=0).events[0])
+            router.apply_fault(FaultEvent(at=0.0, action="kill", replica=0))
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
         assert len(results) == len(mentions) * 2
         snapshot = router.stats.snapshot()["router"]
@@ -117,7 +117,7 @@ class TestSlowReplica:
         # one keeps a backlog, so least-pending steers later waves away.
         pipeline, mentions = fault_setup
         with make_router(pipeline, replicas=3, affinity=False) as router:
-            router.apply_fault(FaultPlan.slow(at=0.0, replica=0, delay=0.4).events[0])
+            router.apply_fault(FaultEvent(at=0.0, action="slow", replica=0, value=0.4))
             futures = []
             for _ in range(4):
                 futures.extend(router.submit(m) for m in mentions[:9])

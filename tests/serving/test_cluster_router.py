@@ -15,7 +15,6 @@ from repro.serving import (
     AdmissionPolicy,
     EntityLinkingPipeline,
     FaultEvent,
-    FaultPlan,
     RejectedError,
     ReplicaPool,
     Router,
@@ -167,17 +166,7 @@ class TestAdmissionControl:
         assert AdmissionPolicy(watermark=4).limit_for("anything") == 4
 
 
-class TestFaultPlanValidation:
-    def test_events_sort_by_time(self):
-        plan = FaultPlan((
-            FaultEvent(at=2.0, action="kill", replica=1),
-            FaultEvent(at=0.5, action="slow", replica=0, value=0.1),
-        ))
-        assert [event.at for event in plan.events] == [0.5, 2.0]
-        extended = plan.then(FaultEvent(at=1.0, action="freeze", replica=0))
-        assert [event.at for event in extended.events] == [0.5, 1.0, 2.0]
-        assert len(plan) == 2 and len(extended) == 3
-
+class TestFaultEventValidation:
     def test_invalid_events_rejected(self):
         with pytest.raises(ValueError):
             FaultEvent(at=-1.0, action="kill", replica=0)
@@ -185,8 +174,6 @@ class TestFaultPlanValidation:
             FaultEvent(at=0.0, action="explode", replica=0)
         with pytest.raises(ValueError):
             FaultEvent(at=0.0, action="slow", replica=0, value=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlan.freeze_thaw(freeze_at=1.0, thaw_at=0.5, replica=0)
 
     def test_fault_outside_pool_rejected(self, cluster_setup):
         pipeline, _ = cluster_setup

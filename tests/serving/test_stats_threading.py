@@ -1,16 +1,20 @@
-"""Concurrent-access tests for PipelineStats.
+"""Concurrent-access tests for PipelineStats and the shared latency window.
 
-The load harness resets the stats between scenarios from its own thread
-while the service scheduler thread keeps recording stage times and request
-latencies — every counter mutation must be atomic against a concurrent
-``reset()``.  Without the internal lock these tests trip "deque mutated
-during iteration" in the percentile reads or lose stage-seconds updates.
+A monitoring caller resets the stats between measurements from its own
+thread while the service scheduler thread keeps recording stage times and
+request latencies — every counter mutation must be atomic against a
+concurrent ``reset()``.  Without the internal locks these tests trip "deque
+mutated during iteration" in the percentile reads or lose stage-seconds
+updates.
 """
 
+import pickle
 import threading
 
+import numpy as np
 import pytest
 
+from repro.serving.cluster import ClusterStats
 from repro.serving.pipeline import PipelineStats
 
 
@@ -108,3 +112,69 @@ class TestPipelineStatsThreading:
             stop.set()
             worker.join(timeout=30.0)
         assert stats.latency_summary()["count"] > 0
+
+
+class _EmptyPool:
+    replicas = ()
+
+
+def _pipeline_owner():
+    stats = PipelineStats()
+    return stats, stats.record_latency
+
+
+def _cluster_owner():
+    stats = ClusterStats(_EmptyPool())
+    return stats, lambda seconds: stats.record_completed(seconds, requeued=False)
+
+
+@pytest.mark.parametrize("make_owner", [_pipeline_owner, _cluster_owner])
+def test_latency_window_contract_is_the_same_for_both_owners(make_owner):
+    # PipelineStats and ClusterStats delegate to one LatencyWindow, so both
+    # must read exactly numpy's percentiles of the samples they were fed.
+    stats, record = make_owner()
+    empty = {"count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
+    assert stats.latency_summary() == empty
+    assert stats.latency_percentile(99.0) == 0.0
+    for outside in (-0.1, 100.1):
+        with pytest.raises(ValueError):
+            stats.latency_percentile(outside)
+
+    samples = np.random.default_rng(5).gamma(2.0, 0.01, size=257)
+    for value in samples:
+        record(float(value))
+    p50, p90, p99 = np.percentile(samples, [50.0, 90.0, 99.0])
+    assert stats.latency_summary() == {
+        "count": 257.0, "mean": float(samples.mean()),
+        "p50": float(p50), "p90": float(p90), "p99": float(p99),
+    }
+    assert stats.latency_percentile(100.0) == float(samples.max())
+
+    def writer():
+        for i in range(3000):
+            record(i * 1e-6)
+
+    def resetter():
+        for _ in range(100):
+            stats.reset()
+            stats.latency_summary()
+
+    hammer([writer, resetter])
+    stats.reset()
+    assert stats.latency_summary() == empty
+
+
+def test_pipeline_stats_pickle_carries_the_window_and_a_fresh_lock():
+    # Spawned process replicas receive the pipeline, stats included, by pickle.
+    stats = PipelineStats()
+    empty = pickle.loads(pickle.dumps(stats))  # a fresh pipeline's stats
+    empty.record_latency(0.5)
+    assert empty.latency_summary()["count"] == 1.0
+    stats.record_latency(0.25)
+    stats.record_batch(3)
+    clone = pickle.loads(pickle.dumps(stats))
+    assert clone.snapshot() == stats.snapshot()
+    assert clone.latency_summary() == stats.latency_summary()
+    clone.record_latency(0.75)
+    assert clone.latency_summary()["count"] == 2.0
+    assert stats.latency_summary()["count"] == 1.0
