@@ -1,4 +1,4 @@
-"""Ablation: exact per-example gradients vs the JVP fast path (DESIGN.md §4)."""
+"""Ablation: the JVP reweighting path vs the exact per-example oracle, on the trained loss."""
 
 import numpy as np
 
@@ -6,7 +6,7 @@ from repro.data import pairs_from_mentions, split_domain
 from repro.generation import build_exact_match_data
 from repro.linking import BiEncoder, BiEncoderTrainer
 from repro.meta import ExampleReweighter, few_shot_seed
-from repro.utils.config import MetaConfig
+from repro.training import BiEncoderMetaTask
 
 from .conftest import run_once
 
@@ -17,26 +17,24 @@ def _setup(suite):
     split = split_domain(corpus, domain, seed_size=suite.config.seed_size, dev_size=suite.config.dev_size)
     seed_pairs = few_shot_seed(pairs_from_mentions(corpus, domain, split.train, source="seed"))
     synthetic = build_exact_match_data(corpus, domain, per_entity=2)
-    entities = corpus.entities(domain)
     model = BiEncoder(suite.config.biencoder, suite.tokenizer)
     BiEncoderTrainer(model, suite.config.biencoder).fit(seed_pairs, epochs=1, seed=0)
-    negatives = entities[:16]
-    loss_fn = lambda pairs, reduction="sum": model.pairs_loss_with_negatives(pairs, negatives, reduction=reduction)
-    return model, loss_fn, synthetic[:16], seed_pairs[:16]
+    reweighter = ExampleReweighter(model, BiEncoderMetaTask(model), suite.config.meta)
+    return reweighter, synthetic[:16], seed_pairs[:16]
 
 
-def test_ablation_exact_vs_jvp_meta_gradients(benchmark, suite):
-    model, loss_fn, synthetic, seed_pairs = _setup(suite)
+def test_ablation_jvp_vs_oracle_meta_gradients(benchmark, suite):
+    reweighter, synthetic, seed_pairs = _setup(suite)
 
     def compare():
-        exact = ExampleReweighter(model, loss_fn, MetaConfig(use_exact_per_example_gradients=True))
-        fast = ExampleReweighter(model, loss_fn, MetaConfig(use_exact_per_example_gradients=False))
-        exact_result = exact.compute_weights(synthetic, seed_pairs)
-        fast_result = fast.compute_weights(synthetic, seed_pairs)
-        return exact_result, fast_result
+        jvp = reweighter.compute_weights(synthetic, seed_pairs).raw_gradients
+        oracle = reweighter.config.inner_learning_rate * reweighter.per_example_gradient_dots(
+            synthetic, reweighter.seed_gradient(seed_pairs)
+        )
+        return oracle, jvp
 
-    exact_result, fast_result = run_once(benchmark, compare)
-    if np.std(exact_result.raw_gradients) > 0 and np.std(fast_result.raw_gradients) > 0:
-        correlation = np.corrcoef(exact_result.raw_gradients, fast_result.raw_gradients)[0, 1]
-        print(f"\nexact-vs-JVP raw gradient correlation: {correlation:.4f}")
+    oracle, jvp = run_once(benchmark, compare)
+    if np.std(oracle) > 0 and np.std(jvp) > 0:
+        correlation = np.corrcoef(oracle, jvp)[0, 1]
+        print(f"\nJVP-vs-oracle raw gradient correlation (in-batch loss): {correlation:.4f}")
         assert correlation > 0.9

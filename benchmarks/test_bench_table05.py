@@ -2,6 +2,7 @@
 
 from .conftest import run_once
 from repro.eval import format_table
+from repro.eval.experiments import TABLE5_6_SEED
 
 METHODS = [
     "name_matching",
@@ -17,7 +18,11 @@ METHODS = [
 def test_table5_forgotten_realms_and_lego(benchmark, suite):
     rows = run_once(benchmark, suite.run_table5_6, domains=["lego"], methods=METHODS)
     print()
-    print(format_table(rows, title="Table V — few-shot linking (Lego; Forgotten Realms via --full sweep)"))
+    print(format_table(
+        rows,
+        title="Table V — few-shot linking (Lego; Forgotten Realms via --full sweep); "
+              f"every method on shuffle seed {TABLE5_6_SEED}",
+    ))
     assert len(rows) == len(METHODS)
     methods = [row["method"] for row in rows]
     assert methods == METHODS

@@ -15,16 +15,13 @@ import numpy as np
 
 from ..index import EntityShard
 from ..kb.entity import Entity, EntityMentionPair, Mention
-from ..nn import Adam, Module, Tensor, TransformerEncoder, clip_grad_norm, concatenate, no_grad
+from ..nn import Module, Tensor, TransformerEncoder, no_grad
 from ..nn import functional as F
 from ..text.tokenizer import Tokenizer
 from ..utils.config import BiEncoderConfig
-from ..utils.logging import MetricHistory, get_logger
-from ..utils.rng import batched_indices
+from ..utils.logging import MetricHistory
 from .candidates import ShardedEntityIndex
 from .encoders import encode_entity_inputs, encode_mention_inputs, encode_pair_batch
-
-_LOGGER = get_logger("biencoder")
 
 #: Default chunk size for the batched inference entry points.
 DEFAULT_EMBED_BATCH_SIZE = 64
@@ -228,80 +225,21 @@ class BiEncoder(Module):
         return self.batch_loss(batch.mention_ids, batch.entity_ids, sample_weights=weights,
                                reduction=reduction)
 
-    def fixed_negative_loss_from_ids(
-        self,
-        mention_ids: np.ndarray,
-        entity_ids: np.ndarray,
-        negative_ids: np.ndarray,
-        sample_weights: Optional[np.ndarray] = None,
-        reduction: str = "mean",
-    ):
-        """Fixed-negative contrastive loss from pre-tokenized id matrices.
-
-        The id-level core of :meth:`pairs_loss_with_negatives`; callers that
-        evaluate the same batch repeatedly (the meta-reweighting probes)
-        tokenize once and re-enter here at different parameters.
-        """
-        mention_vectors = self.encode_mention_ids(mention_ids)
-        gold_vectors = self.encode_entity_ids(entity_ids)
-        negative_vectors = self.encode_entity_ids(negative_ids)
-
-        gold_scores = (mention_vectors * gold_vectors).sum(axis=-1, keepdims=True) * 10.0
-        negative_scores = mention_vectors.matmul(negative_vectors.T) * 10.0
-        scores = concatenate([gold_scores, negative_scores], axis=1)
-        targets = np.zeros(len(mention_ids), dtype=np.int64)
-        return F.cross_entropy(scores, targets, reduction=reduction, sample_weights=sample_weights)
-
-    def pairs_loss_with_negatives(
-        self,
-        pairs: Sequence[EntityMentionPair],
-        negatives: Sequence[Entity],
-        reduction: str = "mean",
-    ):
-        """Contrastive loss of each pair against a *fixed* negative entity set.
-
-        Unlike the in-batch loss, this is well defined for a single pair, which
-        is what the meta-learning reweighter needs when it computes exact
-        per-example gradients (the in-batch loss of a batch of one is
-        identically zero).
-        """
-        if not negatives:
-            raise ValueError("negative entity list must not be empty")
-        batch = encode_pair_batch(pairs, self.tokenizer, self.config.encoder.max_length)
-        negative_ids = encode_entity_inputs(negatives, self.tokenizer, self.config.encoder.max_length)
-        weights = batch.weights if not np.allclose(batch.weights, 1.0) else None
-        return self.fixed_negative_loss_from_ids(
-            batch.mention_ids, batch.entity_ids, negative_ids,
-            sample_weights=weights, reduction=reduction,
-        )
-
-    def prepare_pairs_loss(
-        self,
-        pairs: Sequence[EntityMentionPair],
-        negatives: Optional[Sequence[Entity]] = None,
-    ):
+    def prepare_pairs_loss(self, pairs: Sequence[EntityMentionPair]):
         """Tokenize a pair batch once; return a closure re-evaluating its loss.
 
         The closure ``run(reduction="sum", sample_weights=None)`` computes the
-        (fixed-negative when ``negatives`` is given, else in-batch) loss of
-        the *same* examples at the model's **current** parameters.  The
-        meta-reweighter uses it to share one tokenisation pass between the
-        base and shifted JVP evaluations and across exact probe blocks.
+        in-batch loss of the *same* examples at the model's **current**
+        parameters (``pair.weight`` is not applied; weights enter through
+        ``sample_weights``).  The training loop builds its objective from it,
+        and the meta-reweighter shares one tokenisation pass between the base
+        and shifted JVP evaluations.
         """
         batch = encode_pair_batch(pairs, self.tokenizer, self.config.encoder.max_length)
-        negative_ids = (
-            encode_entity_inputs(negatives, self.tokenizer, self.config.encoder.max_length)
-            if negatives else None
-        )
 
         def run(reduction: str = "sum", sample_weights: Optional[np.ndarray] = None):
-            if negative_ids is None:
-                return self.batch_loss(
-                    batch.mention_ids, batch.entity_ids,
-                    sample_weights=sample_weights, reduction=reduction,
-                )
-            return self.fixed_negative_loss_from_ids(
-                batch.mention_ids, batch.entity_ids, negative_ids,
+            return self.batch_loss(
+                batch.mention_ids, batch.entity_ids,
                 sample_weights=sample_weights, reduction=reduction,
             )
 
@@ -309,7 +247,7 @@ class BiEncoder(Module):
 
 
 class BiEncoderTrainer:
-    """Standard (non-meta) training loop for the bi-encoder."""
+    """BLINK's bi-encoder training: the shared loop, every pair under its own weight."""
 
     def __init__(self, model: BiEncoder, config: Optional[BiEncoderConfig] = None) -> None:
         self.model = model
@@ -321,37 +259,13 @@ class BiEncoderTrainer:
         epochs: Optional[int] = None,
         seed: int = 0,
     ) -> MetricHistory:
-        """Train on weighted pairs with Adam; returns per-epoch mean loss."""
-        if not pairs:
-            raise ValueError("cannot train on an empty pair list")
-        epochs = self.config.epochs if epochs is None else epochs
-        batch = encode_pair_batch(pairs, self.model.tokenizer, self.config.encoder.max_length)
-        optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        history = MetricHistory()
-        rng = np.random.default_rng(seed)
+        """Train on weighted pairs; returns per-epoch mean loss.
 
-        self.model.train()
-        try:
-            for epoch in range(epochs):
-                losses: List[float] = []
-                for index_batch in batched_indices(len(batch), self.config.batch_size, rng):
-                    if len(index_batch) < 2:
-                        continue  # in-batch negatives need at least two examples
-                    weights = batch.weights[index_batch]
-                    sample_weights = None if np.allclose(weights, 1.0) else weights
-                    loss = self.model.batch_loss(
-                        batch.mention_ids[index_batch],
-                        batch.entity_ids[index_batch],
-                        sample_weights=sample_weights,
-                    )
-                    self.model.zero_grad()
-                    loss.backward()
-                    clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
-                    optimizer.step()
-                    losses.append(loss.item())
-                mean_loss = float(np.mean(losses)) if losses else float("nan")
-                history.add("loss", mean_loss)
-                _LOGGER.debug("bi-encoder epoch %d loss %.4f", epoch, mean_loss)
-        finally:
-            self.model.eval()
-        return history
+        The engine that ran is kept as ``self.engine`` (step metrics,
+        checkpoint helpers).
+        """
+        # Imported here: repro.training's task adapters import this module.
+        from ..training import BiEncoderMetaTask, TrainingEngine
+
+        self.engine = TrainingEngine.for_stage(self.model, BiEncoderMetaTask(self.model), self.config)
+        return self.engine.fit(pairs, epochs=epochs, seed=seed)

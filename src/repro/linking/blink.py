@@ -20,7 +20,7 @@ from ..text.tokenizer import Tokenizer
 from ..utils.config import BiEncoderConfig, CrossEncoderConfig
 from ..utils.logging import MetricHistory, get_logger
 from .biencoder import BiEncoder, BiEncoderTrainer
-from .crossencoder import CrossEncoder, CrossEncoderTrainer, build_ranking_examples
+from .crossencoder import CrossEncoder, CrossEncoderTrainer, RankingExample, build_ranking_examples
 from .encoders import unique_entities
 
 _LOGGER = get_logger("blink")
@@ -96,16 +96,24 @@ class BlinkPipeline:
             report.biencoder = BiEncoderTrainer(self.biencoder, self.biencoder_config).fit(pairs, seed=seed)
         if train_crossencoder:
             pool = list(candidate_pool) if candidate_pool is not None else unique_entities(pairs)
-            ranking_pairs = list(pairs)
-            if max_crossencoder_examples is not None and len(ranking_pairs) > max_crossencoder_examples:
-                ranking_pairs = ranking_pairs[:max_crossencoder_examples]
-            examples = build_ranking_examples(
-                ranking_pairs, pool, self.crossencoder_config.num_candidates, seed=seed
-            )
+            examples = self.ranking_examples(pairs, pool, max_crossencoder_examples, seed=seed)
             report.crossencoder = CrossEncoderTrainer(self.crossencoder, self.crossencoder_config).fit(
                 examples, seed=seed
             )
         return report
+
+    def ranking_examples(
+        self,
+        pairs: Sequence[EntityMentionPair],
+        candidate_pool: Sequence[Entity],
+        limit: Optional[int],
+        seed: int,
+    ) -> List[RankingExample]:
+        """Cross-encoder training examples for the first ``limit`` pairs
+        (``None`` = all), negatives drawn from ``candidate_pool``."""
+        return build_ranking_examples(
+            list(pairs)[:limit], candidate_pool, self.crossencoder_config.num_candidates, seed=seed
+        )
 
     # ------------------------------------------------------------------
     # Inference

@@ -16,16 +16,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..kb.entity import Entity, EntityMentionPair, Mention
-from ..nn import Adam, Linear, Module, Tensor, TransformerEncoder, clip_grad_norm, concatenate, no_grad
+from ..nn import Linear, Module, Tensor, TransformerEncoder, concatenate, no_grad
 from ..nn import functional as F
 from ..text.normalization import normalize_text, simple_tokenize, strip_disambiguation
 from ..text.tokenizer import Tokenizer
 from ..text.vocab import SEP_TOKEN
 from ..utils.config import CrossEncoderConfig
-from ..utils.logging import MetricHistory, get_logger
-from ..utils.rng import batched_indices, derive_seed
-
-_LOGGER = get_logger("crossencoder")
+from ..utils.logging import MetricHistory
+from ..utils.rng import derive_seed
 
 NUM_LEXICAL_FEATURES = 3
 
@@ -533,7 +531,7 @@ def build_ranking_examples(
 
 
 class CrossEncoderTrainer:
-    """Training loop over :class:`RankingExample` lists."""
+    """BLINK's cross-encoder training: the shared loop over :class:`RankingExample` lists."""
 
     def __init__(self, model: CrossEncoder, config: Optional[CrossEncoderConfig] = None) -> None:
         self.model = model
@@ -545,38 +543,12 @@ class CrossEncoderTrainer:
         epochs: Optional[int] = None,
         seed: int = 0,
     ) -> MetricHistory:
-        """Train with Adam; per-example weights scale each example's loss."""
-        if not examples:
-            raise ValueError("cannot train on an empty example list")
-        epochs = self.config.epochs if epochs is None else epochs
-        optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        history = MetricHistory()
-        rng = np.random.default_rng(seed)
-        examples = list(examples)
+        """Train on ranking examples, each under its own weight.
 
-        self.model.train()
-        try:
-            for epoch in range(epochs):
-                losses: List[float] = []
-                for index_batch in batched_indices(len(examples), self.config.batch_size, rng):
-                    batch_examples = [examples[i] for i in index_batch]
-                    total = None
-                    weight_sum = 0.0
-                    for example in batch_examples:
-                        example_loss = self.model.example_loss(example) * example.weight
-                        total = example_loss if total is None else total + example_loss
-                        weight_sum += example.weight
-                    if total is None or weight_sum == 0.0:
-                        continue
-                    loss = total * (1.0 / max(weight_sum, 1e-8))
-                    self.model.zero_grad()
-                    loss.backward()
-                    clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
-                    optimizer.step()
-                    losses.append(loss.item())
-                mean_loss = float(np.mean(losses)) if losses else float("nan")
-                history.add("loss", mean_loss)
-                _LOGGER.debug("cross-encoder epoch %d loss %.4f", epoch, mean_loss)
-        finally:
-            self.model.eval()
-        return history
+        The engine that ran is kept as ``self.engine``.
+        """
+        # Imported here: repro.training's task adapters import this module.
+        from ..training import CrossEncoderMetaTask, TrainingEngine
+
+        self.engine = TrainingEngine.for_stage(self.model, CrossEncoderMetaTask(self.model), self.config)
+        return self.engine.fit(examples, epochs=epochs, seed=seed)

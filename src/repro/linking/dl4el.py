@@ -5,8 +5,8 @@ the model learn which examples to trust by pushing the posterior "is this
 example clean?" distribution towards that prior (via a KL term).  We keep the
 essential mechanism in a compact form: every batch computes per-example
 losses, converts them into a clean-probability distribution (low loss → more
-likely clean), calibrates it so that on average ``1 - noise_ratio`` of the
-mass survives, and trains on the re-weighted loss.
+likely clean), keeps the likeliest-clean ``1 - noise_ratio`` fraction at full
+weight, and trains on the re-weighted loss.
 
 The paper applies DL4EL only to the bi-encoder (the cross-encoder's batch size
 is too small for in-batch denoising) and finds it does not help much because
@@ -16,19 +16,14 @@ behaviour is reproduced here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..kb.entity import EntityMentionPair
-from ..nn import Adam, clip_grad_norm
 from ..utils.config import BiEncoderConfig
-from ..utils.logging import MetricHistory, get_logger
-from ..utils.rng import batched_indices
+from ..utils.logging import MetricHistory
 from .biencoder import BiEncoder
-from .encoders import encode_pair_batch
-
-_LOGGER = get_logger("dl4el")
 
 
 class DL4ELTrainer:
@@ -54,9 +49,9 @@ class DL4ELTrainer:
     def _denoising_weights(self, per_example_losses: np.ndarray) -> np.ndarray:
         """Convert losses into weights that keep ~(1 - noise_ratio) of the batch.
 
-        Low-loss examples receive weights close to 1, the highest-loss
-        ``noise_ratio`` fraction is strongly down-weighted; weights are then
-        rescaled so their mean equals ``1 - noise_ratio``, matching the prior.
+        The lowest-loss ``1 - noise_ratio`` fraction receives weight 1, the
+        rest is strongly down-weighted.  (The training objective divides by
+        the weight sum, so the scale of the weights does not matter.)
         """
         losses = np.asarray(per_example_losses, dtype=np.float64)
         if losses.size == 0:
@@ -64,10 +59,7 @@ class DL4ELTrainer:
         clean_scores = np.exp(-(losses - losses.min()) / self.temperature)
         keep = max(1, int(round((1.0 - self.noise_ratio) * losses.size)))
         threshold = np.sort(clean_scores)[::-1][keep - 1]
-        weights = np.where(clean_scores >= threshold, 1.0, clean_scores / (threshold + 1e-12))
-        target_mean = 1.0 - self.noise_ratio
-        weights = weights * (target_mean * losses.size / max(weights.sum(), 1e-12))
-        return weights
+        return np.where(clean_scores >= threshold, 1.0, clean_scores / (threshold + 1e-12))
 
     # ------------------------------------------------------------------
     def fit(
@@ -77,34 +69,12 @@ class DL4ELTrainer:
         seed: int = 0,
     ) -> MetricHistory:
         """Train the bi-encoder with the denoising reweighting."""
-        if not pairs:
-            raise ValueError("cannot train on an empty pair list")
-        epochs = self.config.epochs if epochs is None else epochs
-        batch = encode_pair_batch(pairs, self.model.tokenizer, self.config.encoder.max_length)
-        optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        history = MetricHistory()
-        rng = np.random.default_rng(seed)
+        # Imported here: repro.training's task adapters import repro.linking.
+        from ..training import BiEncoderMetaTask, TrainingEngine
 
-        self.model.train()
-        try:
-            for epoch in range(epochs):
-                losses: List[float] = []
-                for index_batch in batched_indices(len(batch), self.config.batch_size, rng):
-                    if len(index_batch) < 2:
-                        continue
-                    mention_ids = batch.mention_ids[index_batch]
-                    entity_ids = batch.entity_ids[index_batch]
-                    per_example = self.model.batch_loss(mention_ids, entity_ids, reduction="none")
-                    weights = self._denoising_weights(per_example.data)
-                    loss = self.model.batch_loss(mention_ids, entity_ids, sample_weights=weights)
-                    self.model.zero_grad()
-                    loss.backward()
-                    clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
-                    optimizer.step()
-                    losses.append(loss.item())
-                mean_loss = float(np.mean(losses)) if losses else float("nan")
-                history.add("loss", mean_loss)
-                _LOGGER.debug("dl4el epoch %d loss %.4f", epoch, mean_loss)
-        finally:
-            self.model.eval()
-        return history
+        task = BiEncoderMetaTask(self.model)
+        self.engine = TrainingEngine.for_stage(
+            self.model, task, self.config,
+            weighting=lambda batch: self._denoising_weights(task.prepare(batch)(reduction="none").data),
+        )
+        return self.engine.fit(pairs, epochs=epochs, seed=seed)

@@ -1,11 +1,6 @@
 """Meta-learning core: example reweighting and the MetaBLINK trainer."""
 
-from .metablink import (
-    MetaBiEncoderTrainer,
-    MetaBlinkTrainer,
-    MetaCrossEncoderTrainer,
-    MetaTrainingReport,
-)
+from .metablink import MetaBlinkTrainer, MetaTrainingReport
 from .reweight import ExampleReweighter, ReweightResult, normalize_weights
 from .seed import (
     SEED_SOURCE,
@@ -19,8 +14,6 @@ __all__ = [
     "ExampleReweighter",
     "ReweightResult",
     "normalize_weights",
-    "MetaBiEncoderTrainer",
-    "MetaCrossEncoderTrainer",
     "MetaBlinkTrainer",
     "MetaTrainingReport",
     "SEED_SOURCE",

@@ -1,161 +1,48 @@
-"""MetaBLINK: meta-learning enhanced entity linking (Algorithms 1 and 2).
+"""MetaBLINK: meta-learning enhanced entity linking (Algorithm 2).
 
-``MetaBiEncoderTrainer`` and ``MetaCrossEncoderTrainer`` implement Algorithm 1
-for the two BLINK stages as thin facades over the
-:class:`~repro.training.MetaTrainingEngine`: every step reweights the
-synthetic batch using the seed batch (via
-:class:`~repro.meta.reweight.ExampleReweighter`) and then applies a
-warmup-scheduled optimiser update with the weighted loss (Eq. 15).  The
-engine adds gradient accumulation, per-step structured metrics and resumable
-checkpointing; pass an :class:`~repro.training.EngineConfig` to turn those
-knobs.
-
-``MetaBlinkTrainer`` implements Algorithm 2: it owns a
-:class:`~repro.linking.blink.BlinkPipeline` and trains both stages on the
-synthetic data ``D_f`` under the supervision of the seed set ``D_g``.
+``MetaBlinkTrainer`` owns a :class:`~repro.linking.blink.BlinkPipeline` and
+trains both stages on the synthetic data ``D_f`` under the supervision of the
+seed set ``D_g``: one :class:`~repro.training.MetaTrainingEngine` per stage
+runs Algorithm 1 — the shared training loop with every synthetic batch
+reweighted against a seed batch (via
+:class:`~repro.meta.reweight.ExampleReweighter`) before the weighted update
+of Eq. 15.  Pass an :class:`~repro.training.EngineConfig` for gradient
+accumulation and resumable checkpointing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..kb.entity import Entity, EntityMentionPair
-from ..linking.biencoder import BiEncoder
+from ..linking.biencoder import BiEncoderTrainer
 from ..linking.blink import BlinkPipeline
-from ..linking.crossencoder import CrossEncoder, RankingExample, build_ranking_examples
+from ..linking.crossencoder import CrossEncoderTrainer
 from ..linking.encoders import unique_entities
 from ..text.tokenizer import Tokenizer
 from ..training.engine import EngineConfig, MetaTrainingEngine
 from ..training.tasks import BiEncoderMetaTask, CrossEncoderMetaTask
 from ..utils.config import BiEncoderConfig, CrossEncoderConfig, MetaConfig
-from ..utils.logging import MetricHistory, get_logger
-from .reweight import ExampleReweighter
-
-_LOGGER = get_logger("metablink")
+from ..utils.logging import MetricHistory
 
 
 @dataclass
 class MetaTrainingReport:
-    """Diagnostics collected while training MetaBLINK."""
+    """Diagnostics collected while training MetaBLINK.
+
+    ``mean_selected_fraction`` averages and ``skipped_steps`` sums the two
+    stages' values; each stage's own are in its loss history.
+    """
 
     biencoder_loss: Optional[MetricHistory] = None
     crossencoder_loss: Optional[MetricHistory] = None
     mean_selected_fraction: float = 0.0
+    skipped_steps: int = 0
     extra: Dict[str, object] = field(default_factory=dict)
-
-
-class MetaBiEncoderTrainer:
-    """Algorithm 1 applied to the bi-encoder stage.
-
-    ``negative_entities`` supplies a fixed negative pool for the per-example
-    loss used by the reweighter (the in-batch loss degenerates for single
-    examples); it defaults to the entities of the seed pairs at fit time.
-    ``engine_config`` tunes the underlying engine (accumulation, warmup,
-    checkpointing); the engine that ran the last ``fit`` is exposed as
-    ``self.engine`` (step metrics, checkpoint helpers).
-    """
-
-    def __init__(
-        self,
-        model: BiEncoder,
-        config: Optional[BiEncoderConfig] = None,
-        meta_config: Optional[MetaConfig] = None,
-        negative_entities: Optional[Sequence[Entity]] = None,
-        max_negatives: int = 16,
-        engine_config: Optional[EngineConfig] = None,
-    ) -> None:
-        self.model = model
-        self.config = config or model.config
-        self.meta_config = meta_config or MetaConfig()
-        self.engine_config = engine_config
-        self.max_negatives = max_negatives
-        self._negatives: List[Entity] = list(negative_entities or [])[:max_negatives]
-        self.reweighter = ExampleReweighter(model, self._loss_fn, self.meta_config)
-        self.engine: Optional[MetaTrainingEngine] = None
-
-    def _loss_fn(self, pairs: Sequence[EntityMentionPair], reduction: str = "sum"):
-        if self._negatives:
-            return self.model.pairs_loss_with_negatives(pairs, self._negatives, reduction=reduction)
-        return self.model.pairs_loss(pairs, reduction=reduction)
-
-    def fit(
-        self,
-        synthetic_pairs: Sequence[EntityMentionPair],
-        seed_pairs: Sequence[EntityMentionPair],
-        epochs: Optional[int] = None,
-        seed: int = 0,
-    ) -> MetricHistory:
-        """Train the bi-encoder on weighted synthetic batches (Alg. 1)."""
-        if not synthetic_pairs:
-            raise ValueError("synthetic pair list must not be empty")
-        if not seed_pairs:
-            raise ValueError("seed pair list must not be empty")
-        seed_pairs = list(seed_pairs)
-        if not self._negatives:
-            self._negatives = unique_entities(seed_pairs)[: self.max_negatives]
-        task = BiEncoderMetaTask(self.model, self._negatives)
-        self.engine = MetaTrainingEngine(
-            self.model,
-            task,
-            learning_rate=self.config.learning_rate,
-            batch_size=self.config.batch_size,
-            epochs=self.config.epochs,
-            max_grad_norm=self.config.max_grad_norm,
-            meta_config=self.meta_config,
-            engine_config=self.engine_config,
-        )
-        return self.engine.fit(list(synthetic_pairs), seed_pairs, epochs=epochs, seed=seed)
-
-
-class MetaCrossEncoderTrainer:
-    """Algorithm 1 applied to the cross-encoder (ranking) stage."""
-
-    def __init__(
-        self,
-        model: CrossEncoder,
-        config: Optional[CrossEncoderConfig] = None,
-        meta_config: Optional[MetaConfig] = None,
-        engine_config: Optional[EngineConfig] = None,
-    ) -> None:
-        self.model = model
-        self.config = config or model.config
-        self.meta_config = meta_config or MetaConfig()
-        self.engine_config = engine_config
-        self.reweighter = ExampleReweighter(model, self._loss_fn, self.meta_config)
-        self.engine: Optional[MetaTrainingEngine] = None
-
-    def _loss_fn(self, examples: Sequence[RankingExample], reduction: str = "sum"):
-        """Batched ranking loss; raises ``ValueError`` on an empty list."""
-        return self.model.examples_loss(examples, reduction=reduction)
-
-    def fit(
-        self,
-        synthetic_examples: Sequence[RankingExample],
-        seed_examples: Sequence[RankingExample],
-        epochs: Optional[int] = None,
-        seed: int = 0,
-    ) -> MetricHistory:
-        """Train the cross-encoder on weighted synthetic ranking examples."""
-        if not synthetic_examples:
-            raise ValueError("synthetic example list must not be empty")
-        if not seed_examples:
-            raise ValueError("seed example list must not be empty")
-        task = CrossEncoderMetaTask(self.model)
-        self.engine = MetaTrainingEngine(
-            self.model,
-            task,
-            learning_rate=self.config.learning_rate,
-            batch_size=self.config.batch_size,
-            epochs=self.config.epochs,
-            max_grad_norm=self.config.max_grad_norm,
-            meta_config=self.meta_config,
-            engine_config=self.engine_config,
-        )
-        return self.engine.fit(list(synthetic_examples), list(seed_examples), epochs=epochs, seed=seed)
 
 
 class MetaBlinkTrainer:
@@ -176,15 +63,17 @@ class MetaBlinkTrainer:
         self.engine_config = engine_config
         self.pipeline = BlinkPipeline(tokenizer, self.biencoder_config, self.crossencoder_config)
 
-    def _stage_engine_config(self, stage: str) -> Optional[EngineConfig]:
-        """Per-stage engine config: each stage checkpoints into its own
+    def _stage_engine(self, stage: str, model, task, config) -> MetaTrainingEngine:
+        """One stage's Algorithm 1 engine.  Each stage checkpoints into its own
         subdirectory, otherwise the two engines would overwrite (and prune)
         each other's ``epoch-*.npz`` files."""
-        if self.engine_config is None or not self.engine_config.checkpoint_dir:
-            return self.engine_config
-        return replace(
-            self.engine_config,
-            checkpoint_dir=str(Path(self.engine_config.checkpoint_dir) / stage),
+        engine_config = self.engine_config
+        if engine_config is not None and engine_config.checkpoint_dir:
+            engine_config = replace(
+                engine_config, checkpoint_dir=str(Path(engine_config.checkpoint_dir) / stage)
+            )
+        return MetaTrainingEngine.for_stage(
+            model, task, config, meta_config=self.meta_config, engine_config=engine_config
         )
 
     def train(
@@ -206,54 +95,37 @@ class MetaBlinkTrainer:
         the paper describes.
         """
         report = MetaTrainingReport()
-        negatives = list(candidate_pool) if candidate_pool is not None else None
-        bi_trainer = MetaBiEncoderTrainer(
-            self.pipeline.biencoder,
-            self.biencoder_config,
-            self.meta_config,
-            negative_entities=negatives,
-            engine_config=self._stage_engine_config("biencoder"),
+        pipeline = self.pipeline
+        bi_engine = self._stage_engine(
+            "biencoder", pipeline.biencoder, BiEncoderMetaTask(pipeline.biencoder), self.biencoder_config
         )
-        report.biencoder_loss = bi_trainer.fit(synthetic_pairs, seed_pairs, seed=seed)
-
-        selected = [report.biencoder_loss.last("selected_fraction")]
+        report.biencoder_loss = bi_engine.fit(synthetic_pairs, seed_pairs, seed=seed)
+        histories = [report.biencoder_loss]
         if train_crossencoder:
             pool = list(candidate_pool) if candidate_pool is not None else unique_entities(
                 list(synthetic_pairs) + list(seed_pairs)
             )
-            ranking_pairs = list(synthetic_pairs)
-            if max_crossencoder_examples is not None and len(ranking_pairs) > max_crossencoder_examples:
-                ranking_pairs = ranking_pairs[:max_crossencoder_examples]
-            synthetic_examples = build_ranking_examples(
-                ranking_pairs, pool, self.crossencoder_config.num_candidates, seed=seed
+            cross_engine = self._stage_engine(
+                "crossencoder", pipeline.crossencoder, CrossEncoderMetaTask(pipeline.crossencoder),
+                self.crossencoder_config,
             )
-            seed_examples = build_ranking_examples(
-                list(seed_pairs), pool, self.crossencoder_config.num_candidates, seed=seed + 1
+            report.crossencoder_loss = cross_engine.fit(
+                pipeline.ranking_examples(synthetic_pairs, pool, max_crossencoder_examples, seed=seed),
+                pipeline.ranking_examples(seed_pairs, pool, None, seed=seed + 1),
+                seed=seed,
             )
-            cross_trainer = MetaCrossEncoderTrainer(
-                self.pipeline.crossencoder, self.crossencoder_config, self.meta_config,
-                engine_config=self._stage_engine_config("crossencoder"),
-            )
-            report.crossencoder_loss = cross_trainer.fit(synthetic_examples, seed_examples, seed=seed)
-            selected.append(report.crossencoder_loss.last("selected_fraction"))
-        report.mean_selected_fraction = float(np.mean(selected))
+            histories.append(report.crossencoder_loss)
+        report.mean_selected_fraction = float(np.mean([h.last("selected_fraction") for h in histories]))
+        report.skipped_steps = int(sum(h.last("skipped_steps") for h in histories))
 
         if finetune_on_seed:
-            from ..linking.biencoder import BiEncoderTrainer
-            from ..linking.crossencoder import CrossEncoderTrainer
-
-            BiEncoderTrainer(self.pipeline.biencoder, self.biencoder_config).fit(
+            BiEncoderTrainer(pipeline.biencoder, self.biencoder_config).fit(
                 list(seed_pairs), epochs=1, seed=seed + 100
             )
             if train_crossencoder:
-                pool = list(candidate_pool) if candidate_pool is not None else unique_entities(
-                    list(synthetic_pairs) + list(seed_pairs)
-                )
-                seed_examples = build_ranking_examples(
-                    list(seed_pairs), pool, self.crossencoder_config.num_candidates, seed=seed + 101
-                )
-                CrossEncoderTrainer(self.pipeline.crossencoder, self.crossencoder_config).fit(
-                    seed_examples, epochs=1, seed=seed + 101
+                CrossEncoderTrainer(pipeline.crossencoder, self.crossencoder_config).fit(
+                    pipeline.ranking_examples(seed_pairs, pool, None, seed=seed + 101),
+                    epochs=1, seed=seed + 101,
                 )
         return report
 

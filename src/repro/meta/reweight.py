@@ -16,19 +16,14 @@ meta-gradient has a closed form:
    = -\\alpha \\; \\langle \\nabla_\\phi l_j(\\phi_t),\\; \\nabla_\\phi L_{seed}(\\phi_t) \\rangle
 
 i.e. a synthetic example receives positive weight exactly when its gradient
-points in the same direction as the seed-set gradient.  The implementation
-offers two ways to obtain the per-example gradients:
-
-* **exact** — backpropagate each synthetic example separately.  The probe
-  forward is batched: examples are grouped into *probe blocks*, the
-  per-example loss vector of a block is built with one shared forward pass
-  (one tokenisation, one negative-pool encode), and each example's gradient
-  is read off that shared graph with a one-hot-seeded backward;
-* **jvp** — a finite-difference Jacobian-vector product along the *unit*
-  seed direction: evaluate every example's loss at ``φ`` and at
-  ``φ + ε·g/‖g‖`` and rescale the quotient by ``‖g‖``.  This costs two
-  batched graph-free forward passes instead of ``n`` backward passes and
-  matches the exact dot products to first order.
+points in the same direction as the seed-set gradient.  The dot products come
+from a finite-difference Jacobian-vector product along the *unit* seed
+direction (:meth:`ExampleReweighter.jvp_gradient_dots`): evaluate every
+example's loss at ``φ`` and at ``φ + ε·g/‖g‖`` and rescale the quotient by
+``‖g‖`` — two batched graph-free forward passes that match the exact dot
+products to first order.  The exact dots
+(:meth:`ExampleReweighter.per_example_gradient_dots`, one backward per
+example) are kept as the reference the tests compare the JVP against.
 
 All probe evaluations (seed gradient included) run with the model in eval
 mode: dropout draws a fresh mask per forward, so probing in training mode
@@ -37,7 +32,7 @@ the finite difference, whose quotient divides that noise by ε.  The mode is
 restored afterwards, so the *update* step of Algorithm 1 still trains with
 dropout active.
 
-Both paths end with the paper's Eq. 13–14: negative weights are clipped to
+The weights then follow the paper's Eq. 13–14: negative ones are clipped to
 zero and the remainder is normalised to sum to one.
 """
 
@@ -60,8 +55,7 @@ _LOGGER = get_logger("meta.reweight")
 # per-pair losses) or, with reduction="none", to a vector of per-pair losses.
 # Objects that additionally expose ``prepare(items) -> callable(reduction=...)``
 # let the reweighter tokenize a probe batch once and re-evaluate it at
-# different parameters (the JVP path) or reuse its graph inputs (the exact
-# path); see repro.training.tasks for such adapters.
+# different parameters; see repro.training.tasks for such adapters.
 LossFunction = Callable[..., object]
 
 
@@ -120,10 +114,9 @@ class ExampleReweighter:
         losses for ``reduction="none"``.  When the callable also exposes
         ``prepare(pairs)`` (see :mod:`repro.training.tasks`), the probe batch
         is tokenized once and shared between the base and shifted JVP
-        evaluations and across a probe block's exact backwards.
+        evaluations.
     config:
-        Meta-learning hyper-parameters (inner learning rate, JVP epsilon,
-        probe block size...).
+        Meta-learning hyper-parameters (inner learning rate, JVP epsilon...).
     """
 
     def __init__(self, model, loss_fn: LossFunction, config: Optional[MetaConfig] = None) -> None:
@@ -150,10 +143,9 @@ class ExampleReweighter:
         """Run probes in eval mode; restore the previous mode afterwards.
 
         Dropout draws an independent mask per forward pass, so probe losses
-        evaluated in training mode are noisy point estimates: the JVP finite
-        difference would divide that noise by ε, and exact per-example
-        gradients would each see a different network.  Evaluation mode makes
-        every probe deterministic at the current parameters.
+        evaluated in training mode are noisy point estimates, and the JVP
+        finite difference would divide that noise by ε.  Evaluation mode
+        makes every probe deterministic at the current parameters.
         """
         was_training = self.model.training
         self.model.eval()
@@ -181,37 +173,27 @@ class ExampleReweighter:
         self,
         synthetic_pairs: Sequence[EntityMentionPair],
         seed_gradient: np.ndarray,
-        block_size: Optional[int] = None,
     ) -> np.ndarray:
-        """⟨∇_φ l_j, g_seed⟩ for every synthetic example (exact path).
+        """Exact ⟨∇_φ l_j, g_seed⟩ for every synthetic example: the test oracle.
 
-        Examples are processed in probe blocks of ``block_size`` (default
-        ``config.probe_block_size``): one batched forward builds the block's
-        per-example loss vector — tokenisation and any shared sub-forward
-        (e.g. the fixed negative pool of the bi-encoder loss) happen once per
-        block instead of once per example — and each example's exact gradient
-        is then extracted with a one-hot-seeded backward on that shared graph.
+        One forward builds the whole batch's per-example loss vector (so an
+        in-batch loss sees the same negatives it trains with) and each
+        example's gradient is read off that shared graph with a
+        one-hot-seeded backward — ``n`` backwards where
+        :meth:`jvp_gradient_dots` needs two forwards.
         """
-        block_size = block_size or self.config.probe_block_size
-        block_size = max(1, int(block_size))
         dots = np.zeros(len(synthetic_pairs))
         with self._probe_mode():
             self.model.zero_grad()
-            for start in range(0, len(synthetic_pairs), block_size):
-                block = list(synthetic_pairs[start:start + block_size])
-                probe = self._prepare_probe(block)
-                losses = probe(reduction="none")
-                nodes = _graph_tensors(losses)
-                seed = np.zeros(len(block))
-                for offset in range(len(block)):
-                    for node in nodes:
-                        node.grad = None
-                    seed[:] = 0.0
-                    seed[offset] = 1.0
-                    losses.backward(seed)
-                    dots[start + offset] = float(self.model.gradient_vector() @ seed_gradient)
+            losses = self._prepare_probe(synthetic_pairs)(reduction="none")
+            nodes = _graph_tensors(losses)
+            for position, one_hot in enumerate(np.eye(len(dots))):
                 for node in nodes:
                     node.grad = None
+                losses.backward(one_hot)
+                dots[position] = float(self.model.gradient_vector() @ seed_gradient)
+            for node in nodes:
+                node.grad = None
             self.model.zero_grad()
         return dots
 
@@ -220,7 +202,7 @@ class ExampleReweighter:
         synthetic_pairs: Sequence[EntityMentionPair],
         seed_gradient: np.ndarray,
     ) -> np.ndarray:
-        """Finite-difference estimate of the same dot products (fast path).
+        """Finite-difference estimate of ⟨∇_φ l_j, g_seed⟩ for every example.
 
         ``‖g‖ · (l_j(φ + ε·g/‖g‖) - l_j(φ)) / ε ≈ ⟨∇_φ l_j, g⟩`` — one extra
         batched forward pass evaluates every example's directional derivative
@@ -255,17 +237,12 @@ class ExampleReweighter:
         self,
         synthetic_pairs: Sequence[EntityMentionPair],
         seed_pairs: Sequence[EntityMentionPair],
-        exact: Optional[bool] = None,
     ) -> ReweightResult:
         """Weights for one synthetic batch given one seed batch (Alg. 1, lines 2–9)."""
         if not synthetic_pairs:
             raise ValueError("synthetic batch must not be empty")
-        use_exact = self.config.use_exact_per_example_gradients if exact is None else exact
         seed_grad = self.seed_gradient(seed_pairs)
-        if use_exact:
-            dots = self.per_example_gradient_dots(synthetic_pairs, seed_grad)
-        else:
-            dots = self.jvp_gradient_dots(synthetic_pairs, seed_grad)
+        dots = self.jvp_gradient_dots(synthetic_pairs, seed_grad)
         # Eq. 12: ∂L_seed/∂w_j |_{w=0} = -α ⟨g_j, g_seed⟩; the weight is the
         # *negative* of that derivative, i.e. +α ⟨g_j, g_seed⟩.
         raw = self.config.inner_learning_rate * dots
@@ -285,7 +262,6 @@ class ExampleReweighter:
         seed_pairs: Sequence[EntityMentionPair],
         batch_size: Optional[int] = None,
         seed: int = 0,
-        exact: Optional[bool] = None,
     ) -> dict:
         """Fraction of examples with positive weight, grouped by pair ``source``.
 
@@ -301,7 +277,7 @@ class ExampleReweighter:
             batch = [synthetic_pairs[i] for i in order[start:start + batch_size]]
             if len(batch) < 2:
                 continue
-            result = self.compute_weights(batch, seed_pairs, exact=exact)
+            result = self.compute_weights(batch, seed_pairs)
             for pair, weight in zip(batch, result.weights):
                 totals[pair.source] = totals.get(pair.source, 0) + 1
                 if weight > 0:

@@ -10,7 +10,7 @@ from . import functional
 from .attention import KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter, Sequential
-from .optim import SGD, Adam, LinearWarmupSchedule, Optimizer, clip_grad_norm
+from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .serialization import (
     load_checkpoint,
     load_training_checkpoint,
@@ -72,7 +72,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "LinearWarmupSchedule",
     "clip_grad_norm",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,9 +1,9 @@
-"""Optimisers (SGD, Adam), LR schedules and gradient utilities.
+"""Optimisers (SGD, Adam) and gradient utilities.
 
-Optimisers and :class:`LinearWarmupSchedule` expose ``state_dict`` /
-``load_state_dict`` so a training run can be checkpointed and resumed
-bit-identically (moment buffers, step counters and the scheduled learning
-rate all round-trip; see :func:`repro.nn.serialization.save_training_checkpoint`).
+Optimisers expose ``state_dict`` / ``load_state_dict`` so a training run can
+be checkpointed and resumed bit-identically (moment buffers, step counters
+and the learning rate all round-trip; see
+:func:`repro.nn.serialization.save_training_checkpoint`).
 """
 
 from __future__ import annotations
@@ -163,50 +163,3 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
         for parameter in parameters:
             parameter.grad = parameter.grad * scale
     return total
-
-
-class LinearWarmupSchedule:
-    """Learning-rate schedule with linear warmup then linear decay.
-
-    Mirrors the schedule commonly used to fine-tune BERT-style encoders.
-    """
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int, total_steps: int) -> None:
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.warmup_steps = max(0, warmup_steps)
-        self.total_steps = total_steps
-        self._step_count = 0
-
-    def _factor(self, step: int) -> float:
-        if self.warmup_steps and step <= self.warmup_steps:
-            return step / self.warmup_steps
-        remaining = max(self.total_steps - step, 0)
-        denominator = max(self.total_steps - self.warmup_steps, 1)
-        return max(remaining / denominator, 0.0)
-
-    def step(self) -> float:
-        """Advance one step and return the new learning rate."""
-        self._step_count += 1
-        self.optimizer.lr = self.base_lr * self._factor(self._step_count)
-        return self.optimizer.lr
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialisable schedule state (counters + base learning rate)."""
-        return {
-            "step_count": int(self._step_count),
-            "warmup_steps": int(self.warmup_steps),
-            "total_steps": int(self.total_steps),
-            "base_lr": float(self.base_lr),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the schedule and re-apply the scheduled learning rate."""
-        self.warmup_steps = int(state["warmup_steps"])
-        self.total_steps = int(state["total_steps"])
-        self.base_lr = float(state["base_lr"])
-        self._step_count = int(state["step_count"])
-        if self._step_count > 0:
-            self.optimizer.lr = self.base_lr * self._factor(self._step_count)

@@ -1,18 +1,20 @@
-"""``repro.training`` — the meta-training engine and its stage adapters.
+"""``repro.training`` — the training engine and its stage adapters.
 
-The engine (:class:`MetaTrainingEngine`) owns the Algorithm 1
-reweight→accumulate→update cycle — gradient accumulation, linear-warmup
-scheduling, per-step structured metrics and resumable checkpointing — while
-task adapters (:class:`BiEncoderMetaTask`, :class:`CrossEncoderMetaTask`)
-bind it to the two BLINK stages.  The ``repro.meta`` trainers are thin
-facades over this subsystem.
+The engine (:class:`TrainingEngine`) owns the one
+weight→accumulate→update loop every method trains with — shuffling, the
+weighted objective, gradient accumulation, clipping, constant-rate Adam,
+per-step structured metrics and resumable checkpointing — parameterised by
+how a batch is weighted; :class:`MetaTrainingEngine` is its seed-supervised
+form (Algorithm 1).  Task adapters (:class:`BiEncoderMetaTask`,
+:class:`CrossEncoderMetaTask`) bind it to the two BLINK stages.
 """
 
-from .engine import EngineConfig, MetaTrainingEngine, StepMetrics
+from .engine import EngineConfig, MetaTrainingEngine, StepMetrics, TrainingEngine
 from .tasks import BiEncoderMetaTask, CrossEncoderMetaTask
 
 __all__ = [
     "EngineConfig",
+    "TrainingEngine",
     "MetaTrainingEngine",
     "StepMetrics",
     "BiEncoderMetaTask",

@@ -1,38 +1,47 @@
-"""The meta-training engine: reweight → accumulate → update, restartably.
+"""The training loop: weight a batch → accumulate → update, restartably.
 
-:class:`MetaTrainingEngine` owns the full Algorithm 1 training cycle for one
-stage (bi-encoder or cross-encoder, abstracted behind a task adapter from
-:mod:`repro.training.tasks`):
+:class:`TrainingEngine` owns the one epoch loop both linking stages (bi-encoder
+or cross-encoder, abstracted behind a task adapter from
+:mod:`repro.training.tasks`) are trained with, whatever the method.  The
+methods the paper compares differ only in how a batch is *weighted*:
 
-1. **reweight** — every synthetic batch is weighted against a freshly sampled
-   seed batch by an :class:`~repro.meta.reweight.ExampleReweighter` (exact
-   probe blocks or the batched JVP, per ``MetaConfig``);
-2. **accumulate** — the weighted-loss gradient of each micro-batch is added
-   to a flat accumulation buffer (``EngineConfig.accumulation_steps`` of them
-   per update), which survives the reweighter's own zero-grad cycles;
-3. **update** — the averaged gradient is clipped, the
-   :class:`~repro.nn.optim.LinearWarmupSchedule` advances the learning rate,
-   and Adam applies the step.
+* BLINK — every example under its own ``weight`` (1 unless the data says
+  otherwise): :func:`item_weights`, the default;
+* DL4EL — weights from the batch's own per-example losses
+  (:class:`repro.linking.dl4el.DL4ELTrainer`);
+* MetaBLINK — weights from a freshly sampled seed batch through an
+  :class:`~repro.meta.reweight.ExampleReweighter` (Alg. 1, Eq. 13–14):
+  :class:`MetaTrainingEngine`.
+
+Each step then runs the same cycle:
+
+1. **weight** — the weighting maps the shuffled batch to per-example weights;
+   a batch whose weights are all ≤ 0 is skipped (and counted);
+2. **accumulate** — the gradient of the task's weighted objective
+   ``Σ w_j l_j / Σ w_j`` is added to a flat accumulation buffer
+   (``EngineConfig.accumulation_steps`` of them per update), which survives
+   a reweighter's own zero-grad cycles;
+3. **update** — the averaged gradient is clipped and Adam applies the step at
+   a constant learning rate.
 
 Every step appends a :class:`StepMetrics` record, and with a
 ``checkpoint_dir`` configured the engine writes a full training checkpoint
 (parameters, Adam moments, engine *and* dropout RNG states, epoch cursor,
-loss history) every ``checkpoint_every`` epochs.  :meth:`MetaTrainingEngine.restore`
-reloads one and :meth:`MetaTrainingEngine.fit` continues the run
-bit-identically to an uninterrupted one.
+loss history) every ``checkpoint_every`` epochs.  :meth:`TrainingEngine.restore`
+reloads one and :meth:`TrainingEngine.fit` continues the run bit-identically
+to an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..nn import Adam, LinearWarmupSchedule, clip_grad_norm
+from ..nn import Adam, clip_grad_norm
 from ..nn.layers import Dropout
 from ..nn.serialization import load_training_checkpoint, save_training_checkpoint
 from ..utils.config import MetaConfig
@@ -43,23 +52,26 @@ _LOGGER = get_logger("training.engine")
 
 PathLike = Union[str, Path]
 
+#: A weighting maps one batch of items to one weight per item.
+Weighting = Callable[[Sequence], np.ndarray]
+
+
+def item_weights(batch: Sequence) -> np.ndarray:
+    """Uniform weighting: every item under the ``weight`` it carries (1 by default)."""
+    return np.array([item.weight for item in batch], dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Orchestration knobs of the meta-training engine.
+    """Orchestration knobs of the training engine.
 
     ``accumulation_steps`` micro-batches contribute to each optimiser update
-    (their gradients are averaged).  ``warmup_fraction`` of the planned
-    optimiser steps warm the learning rate up linearly before the linear
-    decay (set ``use_warmup_schedule=False`` for a constant rate).  With a
-    ``checkpoint_dir``, a training checkpoint is written every
-    ``checkpoint_every`` epochs and the oldest beyond ``keep_checkpoints``
-    are pruned.
+    (their gradients are averaged).  With a ``checkpoint_dir``, a training
+    checkpoint is written every ``checkpoint_every`` epochs and the oldest
+    beyond ``keep_checkpoints`` are pruned.
     """
 
     accumulation_steps: int = 1
-    use_warmup_schedule: bool = True
-    warmup_fraction: float = 0.1
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 1
     keep_checkpoints: int = 3
@@ -67,7 +79,7 @@ class EngineConfig:
 
 @dataclass
 class StepMetrics:
-    """Structured record of one reweight→accumulate(→update) step."""
+    """Structured record of one weight→accumulate(→update) step."""
 
     step: int
     epoch: int
@@ -84,129 +96,112 @@ class StepMetrics:
         return asdict(self)
 
 
-class MetaTrainingEngine:
-    """Own the reweight→accumulate→update cycle for one training stage.
+class TrainingEngine:
+    """Own the weight→accumulate→update cycle for one training stage.
 
     Parameters
     ----------
     model:
         The stage's :class:`repro.nn.Module`.
     task:
-        A task adapter (see :mod:`repro.training.tasks`): callable probe loss
-        plus ``prepare`` / ``weighted_loss`` hooks.
+        A task adapter (see :mod:`repro.training.tasks`): ``weighted_loss``
+        is the update objective, ``min_batch_size`` the smallest batch its
+        loss is defined on.
+    weighting:
+        How a batch is weighted (default :func:`item_weights`).
     learning_rate / batch_size / epochs / max_grad_norm:
-        Stage hyper-parameters (usually lifted from the stage config).
-    meta_config / engine_config:
-        Reweighting and orchestration knobs.
-
-    Example::
-
-        task = BiEncoderMetaTask(model, negatives)
-        engine = MetaTrainingEngine(model, task, learning_rate=5e-3,
-                                    batch_size=16, epochs=3)
-        history = engine.fit(synthetic_pairs, seed_pairs, seed=0)
-        # ... interrupted?  restore and continue:
-        engine2 = MetaTrainingEngine(fresh_model, task2, ...)
-        engine2.restore("ckpts/epoch-0002.npz")
-        engine2.fit(synthetic_pairs, seed_pairs, seed=0)   # epochs 3..N
+        Stage hyper-parameters (:meth:`for_stage` lifts them from a stage
+        config).
+    engine_config:
+        Orchestration knobs.
     """
 
     def __init__(
         self,
         model,
         task,
+        weighting: Weighting = item_weights,
         *,
         learning_rate: float,
         batch_size: int,
         epochs: int,
         max_grad_norm: float = 1.0,
-        meta_config: Optional[MetaConfig] = None,
         engine_config: Optional[EngineConfig] = None,
     ) -> None:
         self.model = model
         self.task = task
+        self.weighting = weighting
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         self.default_epochs = epochs
         self.max_grad_norm = max_grad_norm
-        self.meta_config = meta_config or MetaConfig()
         self.config = engine_config or EngineConfig()
         if self.config.accumulation_steps < 1:
             raise ValueError("accumulation_steps must be at least 1")
-        # Imported here (not at module level): repro.meta's trainers are
-        # facades over this engine, so the packages reference each other.
-        from ..meta.reweight import ExampleReweighter
-
-        self.reweighter = ExampleReweighter(model, task, self.meta_config)
         self.optimizer = Adam(model.parameters(), lr=learning_rate)
         self.history = MetricHistory()
         self.step_metrics: List[StepMetrics] = []
-        self.schedule: Optional[LinearWarmupSchedule] = None
+        #: ‖∇L_seed‖ behind the latest weights (0 for weightings without a seed set).
+        self.seed_gradient_norm = 0.0
         self._rng: Optional[np.random.Generator] = None
         self._completed_epochs = 0
         self._optimizer_steps = 0
-        self._selected_fractions: List[float] = []
-        self._restored_schedule_state: Optional[Dict[str, object]] = None
-        self._total_steps_hint: Optional[int] = None
+
+    @classmethod
+    def for_stage(cls, model, task, config, **kwargs) -> "TrainingEngine":
+        """An engine with a stage config's learning rate, batch size, epochs and clipping norm."""
+        return cls(
+            model,
+            task,
+            learning_rate=config.learning_rate,
+            batch_size=config.batch_size,
+            epochs=config.epochs,
+            max_grad_norm=config.max_grad_norm,
+            **kwargs,
+        )
 
     # ------------------------------------------------------------------
     # Training loop
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        synthetic_items: Sequence,
-        seed_items: Sequence,
-        epochs: Optional[int] = None,
-        seed: int = 0,
-    ) -> MetricHistory:
-        """Run (or, after :meth:`restore`, continue) meta-weighted training.
+    def fit(self, items: Sequence, epochs: Optional[int] = None, seed: int = 0) -> MetricHistory:
+        """Run (or, after :meth:`restore`, continue) training on ``items``.
 
         ``epochs`` is the *total* epoch count of the run: a restored engine
         trains only the epochs beyond its checkpoint cursor, drawing from the
         restored RNG stream so the continuation matches an uninterrupted run
-        exactly.  Returns the per-epoch loss history (plus the mean
-        ``selected_fraction``), mirroring the legacy trainer API.
+        exactly.  Returns the per-epoch mean loss history plus, over all
+        steps so far, the mean ``selected_fraction`` and the count of
+        ``skipped_steps``.
         """
-        synthetic_items = list(synthetic_items)
-        seed_items = list(seed_items)
-        if not synthetic_items:
-            raise ValueError("synthetic item list must not be empty")
-        if not seed_items:
-            raise ValueError("seed item list must not be empty")
+        items = list(items)
+        if not items:
+            raise ValueError("cannot train on an empty item list")
         epochs = self.default_epochs if epochs is None else epochs
         if self._rng is None:
             self._rng = np.random.default_rng(seed)
-        # The LR schedule is planned over the engine's full epoch budget (not
-        # this call's stopping point), so a run interrupted mid-way follows
-        # the same trajectory as an uninterrupted one.
-        self._ensure_schedule(len(synthetic_items), max(epochs, self.default_epochs))
         accumulation = self.config.accumulation_steps
+        warned = False
 
         self.model.train()
         try:
             for epoch in range(self._completed_epochs, epochs):
                 epoch_losses: List[float] = []
+                epoch_skipped = 0
                 accumulated: Optional[np.ndarray] = None
                 accumulated_count = 0
-                for index_batch in batched_indices(len(synthetic_items), self.batch_size, self._rng):
-                    if len(index_batch) < 2:
+                for index_batch in batched_indices(len(items), self.batch_size, self._rng):
+                    if len(index_batch) < self.task.min_batch_size:
                         continue
                     step_start = time.perf_counter()
-                    batch = [synthetic_items[i] for i in index_batch]
-                    seed_batch_size = min(self.meta_config.seed_batch_size, len(seed_items))
-                    seed_indices = self._rng.choice(len(seed_items), size=seed_batch_size, replace=False)
-                    seed_batch = [seed_items[i] for i in seed_indices]
-
-                    result = self.reweighter.compute_weights(batch, seed_batch)
-                    self._selected_fractions.append(result.selected_fraction)
-                    weight_sum = float(result.weights.sum())
-                    if weight_sum <= 0.0:
-                        # Nothing in this batch helps the seed loss.
-                        self._record_step(epoch, float("nan"), result, weight_sum,
-                                          len(batch), True, step_start)
+                    batch = [items[i] for i in index_batch]
+                    weights = np.asarray(self.weighting(batch), dtype=np.float64)
+                    if weights.sum() <= 0.0:
+                        # Nothing in this batch is worth a step.
+                        epoch_skipped += 1
+                        self._record_step(epoch, float("nan"), weights, True, step_start)
                         continue
 
-                    loss = self.task.weighted_loss(batch, result.weights)
+                    loss = self.task.weighted_loss(batch, weights)
                     self.model.zero_grad()
                     loss.backward()
                     gradient = self.model.gradient_vector()
@@ -216,35 +211,30 @@ class MetaTrainingEngine:
                         self._apply_update(accumulated, accumulated_count)
                         accumulated, accumulated_count = None, 0
                     epoch_losses.append(loss.item())
-                    self._record_step(epoch, loss.item(), result, weight_sum,
-                                      len(batch), False, step_start)
+                    self._record_step(epoch, loss.item(), weights, False, step_start)
                 if accumulated is not None:
                     # Flush the trailing partial accumulation window.
                     self._apply_update(accumulated, accumulated_count)
                 mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
                 self.history.add("loss", mean_loss)
-                _LOGGER.debug("meta engine epoch %d loss %.4f", epoch, mean_loss)
+                _LOGGER.debug("engine epoch %d loss %.4f", epoch, mean_loss)
+                if not warned and epoch_skipped > len(epoch_losses):
+                    warned = True
+                    _LOGGER.warning(
+                        "epoch %d skipped %d of %d steps: their weights were all <= 0",
+                        epoch, epoch_skipped, epoch_skipped + len(epoch_losses),
+                    )
                 self._completed_epochs = epoch + 1
                 self._maybe_checkpoint()
+            steps = self.step_metrics
             self.history.add(
                 "selected_fraction",
-                float(np.mean(self._selected_fractions)) if self._selected_fractions else 0.0,
+                float(np.mean([m.selected_fraction for m in steps])) if steps else 0.0,
             )
+            self.history.add("skipped_steps", sum(m.skipped for m in steps))
         finally:
             self.model.eval()
         return self.history
-
-    def _ensure_schedule(self, num_items: int, epochs: int) -> None:
-        if not self.config.use_warmup_schedule or self.schedule is not None:
-            return
-        batches_per_epoch = max(1, math.ceil(num_items / self.batch_size))
-        steps_per_epoch = max(1, math.ceil(batches_per_epoch / self.config.accumulation_steps))
-        total_steps = self._total_steps_hint or max(1, epochs * steps_per_epoch)
-        warmup_steps = int(round(self.config.warmup_fraction * total_steps))
-        self.schedule = LinearWarmupSchedule(self.optimizer, warmup_steps, total_steps)
-        if self._restored_schedule_state is not None:
-            self.schedule.load_state_dict(self._restored_schedule_state)
-            self._restored_schedule_state = None
 
     def _apply_update(self, accumulated: np.ndarray, count: int) -> None:
         """Write the averaged accumulated gradient back and take one step."""
@@ -255,21 +245,12 @@ class MetaTrainingEngine:
             parameter.grad = flat[offset:offset + size].reshape(parameter.shape)
             offset += size
         clip_grad_norm(self.model.parameters(), self.max_grad_norm)
-        if self.schedule is not None:
-            self.schedule.step()
         self.optimizer.step()
         self.model.zero_grad()
         self._optimizer_steps += 1
 
     def _record_step(
-        self,
-        epoch: int,
-        loss: float,
-        result,
-        weight_sum: float,
-        batch_size: int,
-        skipped: bool,
-        step_start: float,
+        self, epoch: int, loss: float, weights: np.ndarray, skipped: bool, step_start: float
     ) -> None:
         self.step_metrics.append(
             StepMetrics(
@@ -277,11 +258,11 @@ class MetaTrainingEngine:
                 epoch=epoch,
                 loss=float(loss),
                 learning_rate=float(self.optimizer.lr),
-                selected_fraction=float(result.selected_fraction),
-                seed_gradient_norm=float(result.seed_gradient_norm),
-                weight_sum=float(weight_sum),
-                batch_size=int(batch_size),
-                skipped=bool(skipped),
+                selected_fraction=float((weights > 0).mean()),
+                seed_gradient_norm=float(self.seed_gradient_norm),
+                weight_sum=float(weights.sum()),
+                batch_size=len(weights),
+                skipped=skipped,
                 duration_s=time.perf_counter() - step_start,
             )
         )
@@ -309,9 +290,7 @@ class MetaTrainingEngine:
                 "completed_epochs": self._completed_epochs,
                 "optimizer_steps": self._optimizer_steps,
                 "loss_history": self.history.as_dict(),
-                "selected_fractions": list(self._selected_fractions),
                 "step_metrics": [m.to_dict() for m in self.step_metrics],
-                "total_steps": self.schedule.total_steps if self.schedule else None,
                 "learning_rate": self.learning_rate,
                 "batch_size": self.batch_size,
             },
@@ -319,7 +298,6 @@ class MetaTrainingEngine:
                 "engine": self._rng.bit_generator.state if self._rng is not None else None,
                 "dropout": self._dropout_states(),
             },
-            "schedule": self.schedule.state_dict() if self.schedule else None,
         }
         return save_training_checkpoint(self.model, path, optimizer=self.optimizer, metadata=metadata)
 
@@ -334,8 +312,6 @@ class MetaTrainingEngine:
         engine_meta = metadata.get("engine", {})
         self._completed_epochs = int(engine_meta.get("completed_epochs", 0))
         self._optimizer_steps = int(engine_meta.get("optimizer_steps", 0))
-        self._selected_fractions = [float(v) for v in engine_meta.get("selected_fractions", [])]
-        self._total_steps_hint = engine_meta.get("total_steps")
         self.history = MetricHistory()
         for name, values in engine_meta.get("loss_history", {}).items():
             for value in values:
@@ -346,7 +322,6 @@ class MetaTrainingEngine:
             self._rng = np.random.default_rng()
             self._rng.bit_generator.state = rng_meta["engine"]
         self._restore_dropout_states(rng_meta.get("dropout", {}))
-        self._restored_schedule_state = metadata.get("schedule")
         return metadata
 
     def _maybe_checkpoint(self) -> None:
@@ -360,3 +335,68 @@ class MetaTrainingEngine:
         checkpoints = sorted(directory.glob("epoch-*.npz"))
         for stale in checkpoints[:-self.config.keep_checkpoints]:
             stale.unlink()
+
+
+class MetaTrainingEngine(TrainingEngine):
+    """The loop's seed-supervised form (Algorithm 1).
+
+    Every synthetic batch is weighted against a seed batch freshly drawn from
+    the engine's own RNG stream (so a resumed run redraws the same ones);
+    ``meta_config`` holds the reweighting hyper-parameters.
+
+    Example::
+
+        task = BiEncoderMetaTask(model)
+        engine = MetaTrainingEngine(model, task, learning_rate=5e-3,
+                                    batch_size=16, epochs=3)
+        history = engine.fit(synthetic_pairs, seed_pairs, seed=0)
+        # ... interrupted?  restore and continue:
+        engine2 = MetaTrainingEngine(fresh_model, task2, ...)
+        engine2.restore("ckpts/epoch-0002.npz")
+        engine2.fit(synthetic_pairs, seed_pairs, seed=0)   # epochs 3..N
+    """
+
+    def __init__(
+        self,
+        model,
+        task,
+        *,
+        learning_rate: float,
+        batch_size: int,
+        epochs: int,
+        max_grad_norm: float = 1.0,
+        meta_config: Optional[MetaConfig] = None,
+        engine_config: Optional[EngineConfig] = None,
+    ) -> None:
+        super().__init__(
+            model, task, self._seed_supervised_weights,
+            learning_rate=learning_rate, batch_size=batch_size, epochs=epochs,
+            max_grad_norm=max_grad_norm, engine_config=engine_config,
+        )
+        self.meta_config = meta_config or MetaConfig()
+        # Imported here (not at module level): repro.meta's trainer builds
+        # this engine, so the packages reference each other.
+        from ..meta.reweight import ExampleReweighter
+
+        self.reweighter = ExampleReweighter(model, task, self.meta_config)
+        self._seed_items: List = []
+
+    def fit(
+        self,
+        synthetic_items: Sequence,
+        seed_items: Sequence,
+        epochs: Optional[int] = None,
+        seed: int = 0,
+    ) -> MetricHistory:
+        """Train on ``synthetic_items`` weighted under ``seed_items``' supervision."""
+        self._seed_items = list(seed_items)
+        if not self._seed_items:
+            raise ValueError("seed item list must not be empty")
+        return super().fit(synthetic_items, epochs=epochs, seed=seed)
+
+    def _seed_supervised_weights(self, batch: Sequence) -> np.ndarray:
+        size = min(self.meta_config.seed_batch_size, len(self._seed_items))
+        seed_indices = self._rng.choice(len(self._seed_items), size=size, replace=False)
+        result = self.reweighter.compute_weights(batch, [self._seed_items[i] for i in seed_indices])
+        self.seed_gradient_norm = result.seed_gradient_norm
+        return result.weights

@@ -1,74 +1,73 @@
-"""Stage adapters binding models to the :class:`MetaTrainingEngine`.
+"""Stage adapters binding models to the :class:`TrainingEngine`.
 
 A *task* is the engine's view of one training stage: a callable computing the
 probe loss of a batch of items (the interface
 :class:`~repro.meta.reweight.ExampleReweighter` expects of its ``loss_fn``),
-plus two hooks the engine uses around it:
+plus what the engine and the weightings use around it:
 
 ``prepare(items)``
-    Tokenize the batch once and return a closure re-evaluating its
-    per-example losses at the model's current parameters.  The reweighter
-    calls it so the JVP base/shifted evaluations and exact probe blocks share
-    a single encode pass.
+    Tokenize the batch once and return a closure
+    ``run(reduction, sample_weights)`` re-evaluating its per-example losses
+    at the model's current parameters.  The reweighter calls it so the JVP
+    base and shifted evaluations share a single encode pass.
 
 ``weighted_loss(items, weights)``
-    The Eq. 15 update objective: the weighted sum of the batch's losses under
-    the *same* loss the weights were derived for.
+    The update objective :func:`weighted_objective` of the batch under the
+    *same* loss the weights were derived for.
+
+``min_batch_size``
+    The smallest batch the loss is defined on; the engine drops a trailing
+    batch below it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..kb.entity import Entity, EntityMentionPair
-from ..linking.biencoder import BiEncoder
-from ..linking.crossencoder import CrossEncoder, RankingExample
+from ..kb.entity import EntityMentionPair
+from ..linking.crossencoder import RankingExample
 
 
-class BiEncoderMetaTask:
-    """Bi-encoder stage: fixed-negative (or in-batch) contrastive loss.
+def weighted_objective(run, weights: np.ndarray):
+    """``Σ w_j l_j / Σ w_j``: Eq. 15 under Eq. 14's normalisation.
 
-    ``negatives`` supplies the fixed negative pool the per-example loss needs
-    (the in-batch loss degenerates for single examples); without one the task
-    falls back to the in-batch loss.
+    ``run`` is a ``prepare`` closure.  Unit weights take the plain mean, the
+    same number by the operations of an unweighted loss.
     """
+    if np.all(weights == 1.0):
+        return run(reduction="mean")
+    return run(reduction="sum", sample_weights=weights) * (1.0 / weights.sum())
 
-    def __init__(self, model: BiEncoder, negatives: Optional[Sequence[Entity]] = None) -> None:
+
+class _StageTask:
+    """What both stages share: the probe loss and the update objective, both
+    built from the subclass's ``prepare`` closure."""
+
+    def __init__(self, model) -> None:
         self.model = model
-        self.negatives: List[Entity] = list(negatives or [])
 
-    def __call__(self, pairs: Sequence[EntityMentionPair], reduction: str = "sum"):
-        if self.negatives:
-            return self.model.pairs_loss_with_negatives(pairs, self.negatives, reduction=reduction)
-        return self.model.pairs_loss(pairs, reduction=reduction)
+    def __call__(self, items: Sequence, reduction: str = "sum"):
+        return self.prepare(items)(reduction=reduction)
+
+    def weighted_loss(self, items: Sequence, weights: np.ndarray):
+        return weighted_objective(self.prepare(items), weights)
+
+
+class BiEncoderMetaTask(_StageTask):
+    """Bi-encoder stage: in-batch contrastive loss (Eq. 6) of a :class:`BiEncoder`."""
+
+    min_batch_size = 2  # a lone example has no in-batch negatives: its loss is 0
 
     def prepare(self, pairs: Sequence[EntityMentionPair]):
-        return self.model.prepare_pairs_loss(pairs, negatives=self.negatives or None)
-
-    def weighted_loss(self, pairs: Sequence[EntityMentionPair], weights: np.ndarray):
-        # Route the reweighted batch through the public pair-loss entry point
-        # (weights embedded in pair.weight) so the update demonstrably
-        # optimises the objective the reweighter probed (Alg. 1 / Eq. 15).
-        reweighted = [pair.reweighted(float(weight)) for pair, weight in zip(pairs, weights)]
-        return self(reweighted, reduction="sum")
+        return self.model.prepare_pairs_loss(pairs)
 
 
-class CrossEncoderMetaTask:
-    """Cross-encoder stage: batched softmax ranking loss over candidates."""
+class CrossEncoderMetaTask(_StageTask):
+    """Cross-encoder stage: batched softmax ranking loss of a :class:`CrossEncoder`."""
 
-    def __init__(self, model: CrossEncoder) -> None:
-        self.model = model
-
-    def __call__(self, examples: Sequence[RankingExample], reduction: str = "sum"):
-        return self.model.examples_loss(examples, reduction=reduction)
+    min_batch_size = 1
 
     def prepare(self, examples: Sequence[RankingExample]):
         return self.model.prepare_examples_loss(examples)
-
-    def weighted_loss(self, examples: Sequence[RankingExample], weights: np.ndarray):
-        # The weighted sum runs over *all* examples (zero-weight ones
-        # contribute exactly 0), so the logged step loss is the same quantity
-        # the bi-encoder stage records.
-        return self.model.examples_loss(examples, reduction="sum", sample_weights=weights)

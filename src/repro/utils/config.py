@@ -85,20 +85,12 @@ class RewriterConfig:
 
 @dataclass(frozen=True)
 class MetaConfig:
-    """Meta-learning (learning-to-reweight) hyper-parameters.
-
-    ``probe_block_size`` controls the exact reweighting path: per-example
-    gradients are extracted from one shared batched forward per block of this
-    many examples (tokenisation and shared sub-forwards amortised across the
-    block) instead of one full forward/backward per example.
-    """
+    """Meta-learning (learning-to-reweight) hyper-parameters."""
 
     inner_learning_rate: float = 0.05
     meta_batch_size: int = 16
     seed_batch_size: int = 16
-    use_exact_per_example_gradients: bool = True
     jvp_epsilon: float = 1e-3
-    probe_block_size: int = 4
     seed: int = 31
 
     def to_dict(self) -> Dict[str, object]:

@@ -7,8 +7,9 @@ from repro.data import pairs_from_mentions, split_domain
 from repro.generation import build_exact_match_data
 from repro.linking import CrossEncoder
 from repro.linking.crossencoder import build_ranking_examples
-from repro.meta import MetaCrossEncoderTrainer, few_shot_seed
-from repro.utils.config import CrossEncoderConfig, EncoderConfig, MetaConfig
+from repro.meta import few_shot_seed
+from repro.training import CrossEncoderMetaTask, MetaTrainingEngine
+from repro.utils.config import CrossEncoderConfig, EncoderConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
 CX_CFG = CrossEncoderConfig(encoder=ENC, epochs=1, batch_size=4, num_candidates=3,
@@ -36,9 +37,8 @@ class TestExamplesLoss:
 
     def test_trainer_loss_fn_empty_raises_value_error(self, ranking_data):
         model, _, _ = ranking_data
-        trainer = MetaCrossEncoderTrainer(model, CX_CFG, MetaConfig())
         with pytest.raises(ValueError, match="at least one ranking example"):
-            trainer._loss_fn([])
+            CrossEncoderMetaTask(model)([])
 
     def test_batched_matches_per_example_loop(self, ranking_data):
         model, examples, _ = ranking_data
@@ -113,15 +113,13 @@ class TestExamplesLoss:
             model.examples_loss(examples[:2], reduction="median")
 
 
-class TestMetaCrossEncoderTrainer:
+class TestMetaCrossEncoderEngine:
     def test_fit_records_weighted_sum_epoch_loss(self, ranking_data):
         model, examples, seed_examples = ranking_data
-        trainer = MetaCrossEncoderTrainer(
-            model, CX_CFG, MetaConfig(use_exact_per_example_gradients=False)
-        )
-        history = trainer.fit(examples, seed_examples, epochs=1, seed=0)
+        engine = MetaTrainingEngine.for_stage(model, CrossEncoderMetaTask(model), CX_CFG)
+        history = engine.fit(examples, seed_examples, epochs=1, seed=0)
         assert len(history.series("loss")) == 1
-        recorded = [m for m in trainer.engine.step_metrics if not m.skipped]
+        recorded = [m for m in engine.step_metrics if not m.skipped]
         if recorded:
             assert np.isfinite(history.last("loss"))
             assert history.last("loss") == pytest.approx(

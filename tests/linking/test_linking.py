@@ -117,18 +117,6 @@ class TestBiEncoder:
         with pytest.raises(ValueError):
             BiEncoderTrainer(model, BI_CFG).fit([])
 
-    def test_pairs_loss_with_negatives_single_pair(self, domain_data, tiny_tokenizer):
-        _, pairs, entities = domain_data
-        model = BiEncoder(BI_CFG, tiny_tokenizer)
-        loss = model.pairs_loss_with_negatives(pairs[:1], entities[:8], reduction="sum")
-        assert loss.item() > 0.0
-
-    def test_pairs_loss_with_negatives_requires_negatives(self, domain_data, tiny_tokenizer):
-        _, pairs, _ = domain_data
-        model = BiEncoder(BI_CFG, tiny_tokenizer)
-        with pytest.raises(ValueError):
-            model.pairs_loss_with_negatives(pairs[:1], [])
-
 
 class TestCrossEncoder:
     def test_lexical_features_ranges(self, domain_data):

@@ -8,7 +8,6 @@ from repro.generation import build_exact_match_data, mix_with_noise
 from repro.linking import BiEncoder, BiEncoderTrainer
 from repro.meta import (
     ExampleReweighter,
-    MetaBiEncoderTrainer,
     MetaBlinkTrainer,
     build_zero_shot_seed,
     few_shot_seed,
@@ -16,13 +15,13 @@ from repro.meta import (
     normalize_weights,
     self_match_pairs,
 )
+from repro.training import BiEncoderMetaTask, MetaTrainingEngine
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig, MetaConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
 BI_CFG = BiEncoderConfig(encoder=ENC, epochs=1, batch_size=8, learning_rate=5e-3)
 CX_CFG = CrossEncoderConfig(encoder=ENC, epochs=1, batch_size=4, num_candidates=3, learning_rate=5e-3)
-META_JVP = MetaConfig(use_exact_per_example_gradients=False)
-META_EXACT = MetaConfig(use_exact_per_example_gradients=True)
+META_JVP = MetaConfig()
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +36,7 @@ def meta_data(tiny_corpus):
 
 def make_reweighter(tokenizer, entities, config):
     model = BiEncoder(BI_CFG, tokenizer)
-    negatives = entities[:8]
-    return model, ExampleReweighter(
-        model,
-        lambda pairs, reduction="sum": model.pairs_loss_with_negatives(pairs, negatives, reduction=reduction),
-        config,
-    )
+    return model, ExampleReweighter(model, BiEncoderMetaTask(model), config)
 
 
 class TestNormalizeWeights:
@@ -70,15 +64,16 @@ class TestExampleReweighter:
 
     def test_exact_and_jvp_paths_agree(self, meta_data, tiny_tokenizer):
         _, _, seed_pairs, synthetic, entities = meta_data
-        model, reweighter = make_reweighter(tiny_tokenizer, entities, META_EXACT)
+        model, reweighter = make_reweighter(tiny_tokenizer, entities, META_JVP)
         # train a little so gradients are informative
         BiEncoderTrainer(model, BI_CFG).fit(seed_pairs, epochs=1, seed=0)
-        exact = reweighter.compute_weights(synthetic[:6], seed_pairs[:6], exact=True)
-        jvp = reweighter.compute_weights(synthetic[:6], seed_pairs[:6], exact=False)
-        # Raw gradient signals should be strongly correlated between the two paths.
-        if np.std(exact.raw_gradients) > 0 and np.std(jvp.raw_gradients) > 0:
-            correlation = np.corrcoef(exact.raw_gradients, jvp.raw_gradients)[0, 1]
-            assert correlation > 0.9
+        jvp = reweighter.compute_weights(synthetic[:6], seed_pairs[:6])
+        exact = META_JVP.inner_learning_rate * reweighter.per_example_gradient_dots(
+            synthetic[:6], reweighter.seed_gradient(seed_pairs[:6])
+        )
+        # The trained path's raw weights follow the exact per-example oracle.
+        assert np.std(exact) > 0 and np.std(jvp.raw_gradients) > 0
+        assert np.corrcoef(exact, jvp.raw_gradients)[0, 1] > 0.9
 
     def test_parameters_restored_after_jvp(self, meta_data, tiny_tokenizer):
         _, _, seed_pairs, synthetic, entities = meta_data
@@ -140,52 +135,63 @@ class TestSeedConstruction:
 
 class TestMetaTrainers:
     def test_meta_biencoder_training_runs(self, meta_data, tiny_tokenizer):
-        _, _, seed_pairs, synthetic, entities = meta_data
-        model = BiEncoder(BI_CFG, tiny_tokenizer)
-        trainer = MetaBiEncoderTrainer(model, BI_CFG, META_JVP, negative_entities=entities[:8])
-        history = trainer.fit(synthetic[:24], seed_pairs, epochs=1, seed=0)
+        _, _, seed_pairs, synthetic, _ = meta_data
+        trainer = MetaBlinkTrainer(tiny_tokenizer, BI_CFG, CX_CFG, META_JVP)
+        report = trainer.train(
+            synthetic[:24], seed_pairs, train_crossencoder=False, finetune_on_seed=False, seed=0
+        )
+        history = report.biencoder_loss
         assert len(history.series("loss")) == 1
         assert 0.0 <= history.last("selected_fraction") <= 1.0
+        assert report.skipped_steps == history.last("skipped_steps")
 
     def test_meta_biencoder_validation(self, meta_data, tiny_tokenizer):
         _, _, seed_pairs, synthetic, _ = meta_data
-        model = BiEncoder(BI_CFG, tiny_tokenizer)
-        trainer = MetaBiEncoderTrainer(model, BI_CFG, META_JVP)
+        trainer = MetaBlinkTrainer(tiny_tokenizer, BI_CFG, CX_CFG, META_JVP)
         with pytest.raises(ValueError):
-            trainer.fit([], seed_pairs)
+            trainer.train([], seed_pairs)
         with pytest.raises(ValueError):
-            trainer.fit(synthetic[:4], [])
+            trainer.train(synthetic[:4], [])
 
     def test_weighted_update_uses_reweighter_loss(self, meta_data, tiny_tokenizer, monkeypatch):
         # Regression (Alg. 1 / Eq. 15): the weighted parameter update must be
-        # taken under the same fixed-negative loss the reweighter derived the
-        # weights for.  With a negative pool configured, nothing in fit() may
-        # fall back to the in-batch loss.
-        _, _, seed_pairs, synthetic, entities = meta_data
+        # taken under the same loss the reweighter derived the weights for —
+        # the task's prepared closure — and with exactly those weights.
+        _, _, seed_pairs, synthetic, _ = meta_data
         model = BiEncoder(BI_CFG, tiny_tokenizer)
-        trainer = MetaBiEncoderTrainer(model, BI_CFG, META_JVP, negative_entities=entities[:8])
+        task = BiEncoderMetaTask(model)
+        engine = MetaTrainingEngine.for_stage(model, task, BI_CFG, meta_config=META_JVP)
 
-        in_batch_calls = []
-        fixed_negative_batches = []
-        original = BiEncoder.pairs_loss_with_negatives
+        probed, updated = [], []
+        original_compute = engine.reweighter.compute_weights
+        original_prepare = task.prepare
 
-        def record_in_batch(self, pairs, reduction="mean"):
-            in_batch_calls.append(len(pairs))
-            raise AssertionError("fit() used the in-batch loss despite a negative pool")
+        def record_compute(batch, seed_batch):
+            result = original_compute(batch, seed_batch)
+            probed.append(([pair.mention.mention_id for pair in batch], result.weights))
+            return result
 
-        def record_fixed(self, pairs, negatives, reduction="mean"):
-            fixed_negative_batches.append([pair.weight for pair in pairs])
-            return original(self, pairs, negatives, reduction=reduction)
+        def record_prepare(pairs):
+            run = original_prepare(pairs)
 
-        monkeypatch.setattr(BiEncoder, "pairs_loss", record_in_batch)
-        monkeypatch.setattr(BiEncoder, "pairs_loss_with_negatives", record_fixed)
-        history = trainer.fit(synthetic[:16], seed_pairs, epochs=1, seed=0)
-        assert in_batch_calls == []
-        # The update path passes the *reweighted* batch through the same loss:
-        # at least one recorded batch carries non-uniform meta weights.
-        assert any(
-            any(weight != 1.0 for weight in weights) for weights in fixed_negative_batches
-        )
+            def recording_run(reduction="sum", sample_weights=None):
+                if sample_weights is not None:
+                    updated.append(([pair.mention.mention_id for pair in pairs], sample_weights))
+                return run(reduction=reduction, sample_weights=sample_weights)
+
+            return recording_run
+
+        monkeypatch.setattr(engine.reweighter, "compute_weights", record_compute)
+        monkeypatch.setattr(task, "prepare", record_prepare)
+        history = engine.fit(synthetic[:16], seed_pairs, epochs=1, seed=0)
+
+        trained = [entry for entry in probed if entry[1].sum() > 0]
+        assert trained and len(updated) == len(trained)
+        for (probed_ids, probed_weights), (updated_ids, updated_weights) in zip(trained, updated):
+            assert probed_ids == updated_ids
+            assert np.array_equal(probed_weights, updated_weights)
+        # The update passes non-uniform meta weights through that loss.
+        assert any(len(set(weights.tolist())) > 1 for _, weights in updated)
         assert len(history.series("loss")) == 1
 
     def test_metablink_end_to_end(self, meta_data, tiny_tokenizer):

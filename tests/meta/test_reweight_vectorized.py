@@ -1,20 +1,22 @@
-"""Tests for the vectorized reweighting paths and the fixed JVP estimator."""
+"""Tests for the JVP reweighting path against the exact per-example oracle."""
 
 import numpy as np
 import pytest
 
 from repro.data import pairs_from_mentions, split_domain
 from repro.generation import build_exact_match_data
-from repro.linking import BiEncoder
+from repro.linking import BiEncoder, BiEncoderTrainer, CrossEncoder, CrossEncoderTrainer
+from repro.linking.crossencoder import build_ranking_examples
 from repro.meta import ExampleReweighter, few_shot_seed, normalize_weights
-from repro.training import BiEncoderMetaTask
-from repro.utils.config import BiEncoderConfig, EncoderConfig, MetaConfig
+from repro.training import BiEncoderMetaTask, CrossEncoderMetaTask
+from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig, MetaConfig
 
 # Dropout deliberately on: the probes must be immune to it (they run in eval
 # mode), which is exactly what the JVP fix is about.
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32,
                     max_length=32, dropout=0.2)
 BI_CFG = BiEncoderConfig(encoder=ENC, epochs=1, batch_size=8, learning_rate=5e-3)
+CX_CFG = CrossEncoderConfig(encoder=ENC, epochs=1, batch_size=4, num_candidates=3, learning_rate=5e-3)
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +31,7 @@ def reweight_data(tiny_corpus):
 
 def make_reweighter(tokenizer, entities, config=None):
     model = BiEncoder(BI_CFG, tokenizer)
-    task = BiEncoderMetaTask(model, entities[:8])
-    return model, ExampleReweighter(model, task, config or MetaConfig())
+    return model, ExampleReweighter(model, BiEncoderMetaTask(model), config or MetaConfig())
 
 
 class TestNormalizeWeightsEdgeCases:
@@ -49,15 +50,20 @@ class TestNormalizeWeightsEdgeCases:
 
 class TestExactBlockedPath:
     def test_blocked_matches_per_example_loop(self, reweight_data, tiny_tokenizer):
-        """Every probe block size must reproduce the one-example-at-a-time dots."""
+        """The oracle's shared graph must reproduce one fresh forward/backward per example."""
         seed_pairs, synthetic, entities = reweight_data
         model, reweighter = make_reweighter(tiny_tokenizer, entities)
         seed_grad = reweighter.seed_gradient(seed_pairs[:8])
         batch = synthetic[:10]
-        reference = reweighter.per_example_gradient_dots(batch, seed_grad, block_size=1)
-        for block_size in (2, 3, 10, 64):
-            blocked = reweighter.per_example_gradient_dots(batch, seed_grad, block_size=block_size)
-            assert np.allclose(blocked, reference, rtol=1e-9, atol=1e-9), block_size
+        reference = np.zeros(len(batch))
+        model.eval()
+        for position in range(len(batch)):
+            model.zero_grad()
+            reweighter.loss_fn(batch, reduction="none")[position].backward()
+            reference[position] = model.gradient_vector() @ seed_grad
+        model.zero_grad()
+        shared = reweighter.per_example_gradient_dots(batch, seed_grad)
+        assert np.allclose(shared, reference, rtol=1e-9, atol=1e-9)
 
     def test_training_mode_restored_and_grads_cleared(self, reweight_data, tiny_tokenizer):
         seed_pairs, synthetic, entities = reweight_data
@@ -123,3 +129,57 @@ class TestJvpEstimator:
         model, reweighter = make_reweighter(tiny_tokenizer, entities)
         dots = reweighter.jvp_gradient_dots(synthetic[:5], np.zeros(model.num_parameters()))
         assert np.array_equal(dots, np.zeros(5))
+
+
+def _trained_losses(tokenizer, seed_pairs, synthetic, entities):
+    """(name, reweighter, synthetic items, seed items) for the two trained losses,
+    each model warmed up for an epoch so the gradients carry signal."""
+    biencoder = BiEncoder(BI_CFG, tokenizer)
+    BiEncoderTrainer(biencoder, BI_CFG).fit(seed_pairs, epochs=1, seed=0)
+    crossencoder = CrossEncoder(CX_CFG, tokenizer)
+    seed_examples = build_ranking_examples(seed_pairs, entities, CX_CFG.num_candidates, seed=1)
+    CrossEncoderTrainer(crossencoder, CX_CFG).fit(seed_examples, epochs=1, seed=0)
+    examples = build_ranking_examples(synthetic, entities, CX_CFG.num_candidates, seed=0)
+    return [
+        ("in-batch", ExampleReweighter(biencoder, BiEncoderMetaTask(biencoder)), synthetic, seed_pairs),
+        ("ranking", ExampleReweighter(crossencoder, CrossEncoderMetaTask(crossencoder)),
+         examples, seed_examples),
+    ]
+
+
+class TestJvpAgainstOracleOnTrainedLosses:
+    """JVP is the path training runs; the exact dots are what it is held to, on
+    the in-batch bi-encoder loss and the cross-encoder ranking loss."""
+
+    def test_raw_weights_follow_the_oracle(self, reweight_data, tiny_tokenizer):
+        seed_pairs, synthetic, entities = reweight_data
+        for name, reweighter, items, seed_items in _trained_losses(
+            tiny_tokenizer, seed_pairs, synthetic, entities
+        ):
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                batch = [items[i] for i in rng.choice(len(items), size=8, replace=False)]
+                seed_batch = [seed_items[i] for i in rng.choice(len(seed_items), size=8, replace=False)]
+                reweighter.model.train()  # dropout on: the probes must neutralise it
+                result = reweighter.compute_weights(batch, seed_batch)
+                oracle = reweighter.config.inner_learning_rate * reweighter.per_example_gradient_dots(
+                    batch, reweighter.seed_gradient(seed_batch)
+                )
+                assert np.corrcoef(oracle, result.raw_gradients)[0, 1] >= 0.99, name
+                assert (np.sign(oracle) == np.sign(result.raw_gradients)).mean() >= 0.9, name
+                assert np.all(result.weights >= 0.0), name
+                assert result.weights.sum() == pytest.approx(1.0) or not result.weights.any(), name
+
+    def test_probe_leaves_the_model_as_it_found_it(self, reweight_data, tiny_tokenizer):
+        seed_pairs, synthetic, entities = reweight_data
+        for name, reweighter, items, seed_items in _trained_losses(
+            tiny_tokenizer, seed_pairs, synthetic, entities
+        ):
+            model = reweighter.model
+            for training in (True, False):
+                model.train(training)
+                before = model.flatten_parameters()
+                reweighter.compute_weights(items[:6], seed_items[:6])
+                assert np.array_equal(before, model.flatten_parameters()), name
+                assert model.training is training, name
+                assert all(p.grad is None for p in model.parameters()), name

@@ -6,7 +6,6 @@ import pytest
 from repro.nn import (
     SGD,
     Adam,
-    LinearWarmupSchedule,
     Linear,
     Module,
     Tensor,
@@ -113,21 +112,6 @@ class TestGradClippingAndSchedule:
         layer = Linear(2, 2)
         assert clip_grad_norm(layer.parameters(), 1.0) == 0.0
 
-    def test_warmup_schedule_shape(self):
-        layer = Linear(1, 1)
-        optimizer = SGD(layer.parameters(), lr=1.0)
-        schedule = LinearWarmupSchedule(optimizer, warmup_steps=5, total_steps=10)
-        lrs = [schedule.step() for _ in range(10)]
-        assert lrs[0] == pytest.approx(0.2)
-        assert lrs[4] == pytest.approx(1.0)
-        assert lrs[-1] == pytest.approx(0.0)
-
-    def test_schedule_invalid_total(self):
-        layer = Linear(1, 1)
-        optimizer = SGD(layer.parameters(), lr=1.0)
-        with pytest.raises(ValueError):
-            LinearWarmupSchedule(optimizer, warmup_steps=1, total_steps=0)
-
 
 class CheckpointModel(Module):
     def __init__(self, seed=0):
@@ -204,18 +188,6 @@ class TestOptimizerStateDicts:
         state["m"][0] = np.zeros(7)
         with pytest.raises(ValueError):
             Adam(model.parameters(), lr=0.1).load_state_dict(state)
-
-    def test_schedule_state_roundtrip(self):
-        layer = Linear(1, 1)
-        optimizer = SGD(layer.parameters(), lr=1.0)
-        schedule = LinearWarmupSchedule(optimizer, warmup_steps=5, total_steps=10)
-        for _ in range(3):
-            schedule.step()
-        fresh_optimizer = SGD(layer.parameters(), lr=1.0)
-        fresh = LinearWarmupSchedule(fresh_optimizer, warmup_steps=1, total_steps=2)
-        fresh.load_state_dict(schedule.state_dict())
-        assert fresh_optimizer.lr == optimizer.lr
-        assert fresh.step() == schedule.step()
 
 
 class TestTrainingCheckpoint:
