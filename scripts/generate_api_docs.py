@@ -47,6 +47,7 @@ MODULES = [
     ("repro.meta.metablink", "repro.meta.metablink — MetaBLINK trainer (Alg. 2)"),
     ("repro.generation.seq2seq", "repro.generation.seq2seq — seq2seq model + greedy decoding"),
     ("repro.generation.rewriter", "repro.generation.rewriter — mention rewriter"),
+    ("repro.nn.functional", "repro.nn.functional — graph ops incl. the fused linear / attention-weights nodes"),
     ("repro.nn.transformer", "repro.nn.transformer — encoder/decoder stacks + DecoderState"),
     ("repro.nn.attention", "repro.nn.attention — multi-head attention + KVCache"),
     ("repro.eval.protocol", "repro.eval.protocol — evaluation protocol"),

@@ -40,12 +40,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..kb.entity import EntityMentionPair
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import no_grad
 from ..utils.config import MetaConfig
 from ..utils.logging import get_logger
 
@@ -82,21 +82,6 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         return clipped  # all-zero weights: the batch is skipped by callers
     return clipped / total
-
-
-def _graph_tensors(root: Tensor) -> List[Tensor]:
-    """Every tensor reachable from ``root`` through recorded parents."""
-    nodes: List[Tensor] = []
-    seen: set = set()
-    stack: List[Tensor] = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
 
 
 class ExampleReweighter:
@@ -184,16 +169,11 @@ class ExampleReweighter:
         """
         dots = np.zeros(len(synthetic_pairs))
         with self._probe_mode():
-            self.model.zero_grad()
             losses = self._prepare_probe(synthetic_pairs)(reduction="none")
-            nodes = _graph_tensors(losses)
             for position, one_hot in enumerate(np.eye(len(dots))):
-                for node in nodes:
-                    node.grad = None
+                self.model.zero_grad()
                 losses.backward(one_hot)
                 dots[position] = float(self.model.gradient_vector() @ seed_gradient)
-            for node in nodes:
-                node.grad = None
             self.model.zero_grad()
         return dots
 

@@ -120,13 +120,12 @@ class MultiHeadAttention(Module):
 
     def _attend(self, q: Tensor, k, v, bias: Optional[np.ndarray]) -> Tensor:
         """Score / softmax / weight-sum / merge / output-project."""
-        scores = q.matmul(k) * (1.0 / math.sqrt(self.head_dim))
-        if bias is not None:
-            # Additive -1e9 bias broadcasts over the head/query axes, so no
-            # (batch, heads, query, key) mask is ever materialised.
-            scores = scores + bias
-        weights = F.softmax(scores, axis=-1)
-        weights = self.dropout(weights)
+        # The additive -1e9 bias broadcasts over the head/query axes, so no
+        # (batch, heads, query, key) mask is ever materialised.
+        scores = q.matmul(k)
+        weights = F.attention_weights(
+            scores, 1.0 / math.sqrt(self.head_dim), bias, self.dropout.keep_scale(scores.shape)
+        )
         attended = weights.matmul(v)
         return self.out_proj(self._merge_heads(attended))
 

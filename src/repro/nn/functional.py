@@ -2,7 +2,8 @@
 
 These free functions mirror the subset of ``torch.nn.functional`` the paper's
 models rely on: activations, softmax / log-softmax, cross entropy, embedding
-lookups, masking and dropout.
+lookups, masking and dropout, plus the two fused nodes every layer is built
+from — :func:`linear` and :func:`attention_weights`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ __all__ = [
     "tanh",
     "sigmoid",
     "softmax",
+    "attention_weights",
     "log_softmax",
     "cross_entropy",
     "nll_loss",
     "embedding",
+    "linear",
     "dropout",
+    "keep_scale",
     "masked_fill",
     "cosine_similarity",
     "normalize",
@@ -138,15 +142,96 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor(out_data, requires_grad=True, _parents=(weight,), _backward=backward)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Fused affine map ``x @ weight.T + bias`` over the last axis of ``x``.
+
+    One graph node where the composition builds three (transpose, matmul,
+    add): ``x`` is flattened to 2-D so the product, the input gradient and
+    the weight gradient are one GEMM each, and the bias is added in place
+    into the product this node owns.  Under an active inference compute
+    dtype the cached casts of the parameters are used, as in
+    :func:`embedding`.
+    """
+    dtype = active_compute_dtype()
+    w = weight.cast(dtype) if dtype is not None else weight.data
+    flat_x = x.data.reshape(-1, x.shape[-1])
+    flat_out = flat_x @ w.T
+    if bias is not None:
+        flat_out += bias.cast(dtype) if dtype is not None else bias.data
+    out_data = flat_out.reshape(x.shape[:-1] + (w.shape[0],))
+
+    def backward(grad: np.ndarray) -> None:
+        flat_grad = grad.reshape(-1, w.shape[0])
+        if x.requires_grad:
+            x._accumulate((flat_grad @ w).reshape(x.shape))
+        if weight.requires_grad:
+            weight._accumulate(flat_grad.T @ flat_x)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(flat_grad.sum(axis=0))
+
+    return x._make(out_data, (x, weight) if bias is None else (x, weight, bias), backward)
+
+
+def keep_scale(shape, rate: float, rng: Optional[np.random.Generator]) -> np.ndarray:
+    """Inverted-dropout multiplier: ``1 / (1 - rate)`` where kept, else 0.
+
+    One ``rng.random(shape)`` call (the draw every trajectory is seeded by),
+    thresholded and scaled in the array it returns.
+    """
+    if rate >= 1.0:
+        raise ValueError("dropout rate must be < 1")
+    rng = rng if rng is not None else np.random.default_rng()
+    keep = rng.random(shape)
+    np.greater_equal(keep, rate, out=keep)
+    keep /= 1.0 - rate
+    return keep
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout; a no-op when ``training`` is False or ``rate`` is 0."""
     if not training or rate <= 0.0:
         return x
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
-    rng = rng if rng is not None else np.random.default_rng()
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    keep = keep_scale(x.shape, rate, rng)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad * keep)
+
+    return x._make(x.data * keep, (x,), backward)
+
+
+def attention_weights(
+    scores: Tensor, scale: float, bias: Optional[np.ndarray], keep: Optional[np.ndarray]
+) -> Tensor:
+    """Fused ``softmax(scores * scale + bias, axis=-1) * keep``.
+
+    One graph node and one map-sized buffer where the composition builds
+    four nodes and as many arrays; ``bias`` is a constant additive mask
+    (``-1e9`` at padded / future keys) broadcast against the scores, or
+    ``None``.  ``keep`` is the inverted-dropout multiplier of the map
+    (:meth:`Dropout.keep_scale`: the draw :func:`dropout` would make, so a
+    seeded generator yields the same trajectory either way), ``None`` when
+    dropout is inert.
+    """
+    probs = scores.data * scale
+    if bias is not None:
+        probs += bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data = probs if keep is None else probs * keep
+
+    def backward(grad: np.ndarray) -> None:
+        # Two passes over buffers of this closure's own: the row-wise inner
+        # product of the softmax Jacobian, then the scaled difference.
+        flowing = grad if keep is None else grad * keep
+        work = flowing * probs
+        inner = work.sum(axis=-1, keepdims=True)
+        np.subtract(flowing, inner, out=work)
+        work *= probs
+        work *= scale
+        scores._accumulate(work)
+
+    return scores._make(out_data, (scores,), backward)
 
 
 def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:

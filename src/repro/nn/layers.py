@@ -30,18 +30,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        dtype = active_compute_dtype()
-        if dtype is None:
-            out = x.matmul(self.weight.T)
-            if self.bias is not None:
-                out = out + self.bias
-            return out
-        # Inference compute-dtype path: feed cached low-precision casts of
-        # the parameters so the matmul runs (and stays) in that dtype.
-        out = x.matmul(Tensor(self.weight.cast(dtype)).T)
-        if self.bias is not None:
-            out = out + Tensor(self.bias.cast(dtype))
-        return out
+        return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear(in={self.in_features}, out={self.out_features})"
@@ -119,6 +108,12 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, training=self.training, rng=self._rng)
+
+    def keep_scale(self, shape) -> Optional[np.ndarray]:
+        """The multiplier :meth:`forward` would draw for a ``shape`` array; ``None`` when inert."""
+        if not self.training or self.rate <= 0.0:
+            return None
+        return F.keep_scale(shape, self.rate, self._rng)
 
     def __repr__(self) -> str:
         return f"Dropout(rate={self.rate})"

@@ -157,7 +157,7 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     parameters = [p for p in parameters if p.grad is not None]
     if not parameters:
         return 0.0
-    total = float(np.sqrt(sum(float((p.grad ** 2).sum()) for p in parameters)))
+    total = float(np.sqrt(sum(float((p.grad * p.grad).sum()) for p in parameters)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for parameter in parameters:

@@ -405,9 +405,22 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                sech_sq = 1.0 - t * t
-                local = 0.5 * (1.0 + t) + 0.5 * x * sech_sq * c * (1.0 + 0.134145 * (x * x))
-                self._accumulate(grad * local)
+                # 0.5 * (1 + t) + 0.5 * x * sech_sq * c * (1 + 0.134145 * x * x),
+                # term by term in two buffers of this closure's own.
+                local = t * t
+                np.subtract(1.0, local, out=local)
+                slope = 0.5 * x
+                slope *= local
+                slope *= c
+                np.multiply(x, x, out=local)
+                local *= 0.134145
+                local += 1.0
+                slope *= local
+                np.add(t, 1.0, out=local)
+                local *= 0.5
+                local += slope
+                local *= grad
+                self._accumulate(local)
 
         return self._make(out_data, (self,), backward)
 
@@ -428,8 +441,13 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 grad_mean = grad.mean(axis=-1, keepdims=True)
-                projection = (grad * out_data).mean(axis=-1, keepdims=True)
-                self._accumulate(inv_std * (grad - grad_mean - out_data * projection))
+                work = grad * out_data
+                projection = work.mean(axis=-1, keepdims=True)
+                np.multiply(out_data, projection, out=work)
+                result = grad - grad_mean
+                result -= work
+                result *= inv_std
+                self._accumulate(result)
 
         return self._make(out_data, (self,), backward)
 
@@ -445,8 +463,11 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                inner = (grad * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (grad - inner))
+                work = grad * out_data
+                inner = work.sum(axis=axis, keepdims=True)
+                np.subtract(grad, inner, out=work)
+                work *= out_data
+                self._accumulate(work)
 
         return self._make(out_data, (self,), backward)
 
@@ -502,14 +523,9 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad_arr = np.asarray(grad)
-            if axis is None:
-                expanded = np.broadcast_to(grad_arr, self.shape)
-            else:
-                if not keepdims:
-                    grad_arr = np.expand_dims(grad_arr, axis=axis)
-                expanded = np.broadcast_to(grad_arr, self.shape)
-            self._accumulate(expanded.astype(self.data.dtype, copy=True))
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis=axis)
+            self._accumulate(np.broadcast_to(grad, self.shape))
 
         return self._make(out_data, (self,), backward)
 
@@ -594,8 +610,17 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Take ownership of ``grad`` (first contribution) or add it out of place.
+
+        The ownership rule every backward closure follows: *a closure never
+        writes into an array it received as* ``grad`` *or has already handed
+        to* ``_accumulate`` *— in-place work is allowed only on buffers the
+        closure allocated itself.*  That is what makes keeping the array
+        (often a view of, or the very same array as, another node's gradient)
+        safe without a defensive copy.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = np.asarray(grad, dtype=np.float64)
         else:
             self.grad = self.grad + grad
 
@@ -606,8 +631,10 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar")
-            grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+            grad = np.ones_like(self.data, dtype=np.float64)
+        else:
+            # The caller keeps its buffer: the graph only ever sees a copy.
+            grad = np.array(grad, dtype=np.float64)
 
         ordering: list[Tensor] = []
         visited: set[int] = set()
@@ -631,7 +658,11 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                # A non-leaf's gradient is released as soon as it is consumed:
+                # only leaves accumulate across calls, so a second backward
+                # through a retained graph starts from clean intermediates.
+                consumed, node.grad = node.grad, None
+                node._backward(consumed)
 
 
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:

@@ -210,8 +210,9 @@ class TrainingEngine:
                     if accumulated_count >= accumulation:
                         self._apply_update(accumulated, accumulated_count)
                         accumulated, accumulated_count = None, 0
-                    epoch_losses.append(loss.item())
-                    self._record_step(epoch, loss.item(), weights, False, step_start)
+                    loss_value = loss.item()
+                    epoch_losses.append(loss_value)
+                    self._record_step(epoch, loss_value, weights, False, step_start)
                 if accumulated is not None:
                     # Flush the trailing partial accumulation window.
                     self._apply_update(accumulated, accumulated_count)

@@ -123,6 +123,21 @@ class TestArithmeticGradients:
         out.backward()
         assert np.allclose(a.grad, [5.0])
 
+    def test_second_backward_through_a_retained_graph(self, graph_nodes):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        hidden = (a @ b).tanh()
+        doubled = hidden + hidden
+        loss = (doubled * doubled).sum()
+        loss.backward()
+        once_a, once_b = a.grad.copy(), b.grad.copy()
+        loss.backward()
+        assert np.allclose(a.grad, 2 * once_a, rtol=1e-14, atol=0)
+        assert np.allclose(b.grad, 2 * once_b, rtol=1e-14, atol=0)
+        holders = [node for node in graph_nodes(loss) if node.grad is not None]
+        assert {id(node) for node in holders} == {id(a), id(b)}
+
 
 class TestElementwiseGradients:
     @pytest.mark.parametrize(
