@@ -4,9 +4,8 @@ Usage::
 
     python scripts/generate_experiments_report.py [output_path]
 
-Uses the same scaled-down configuration as the benchmark harness, so the
-numbers written here match what ``pytest benchmarks/ --benchmark-only``
-exercises.
+Renders ``benchmarks/tables.py``'s entries on its ``benchmark_config()`` — the
+listing ``pytest benchmarks`` asserts on, so both run the same cells.
 """
 
 from __future__ import annotations
@@ -14,90 +13,31 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO_ROOT), str(REPO_ROOT / "src")]
 
-from conftest import benchmark_config  # type: ignore  # benchmarks/conftest.py
+from benchmarks.tables import ENTRIES, benchmark_config
 
 from repro.eval import ExperimentSuite, markdown_table
-
-PAPER_NOTES = {
-    "figure1": "Paper: accuracy of a full-transformer linker drops sharply as "
-               "in-domain training data shrinks.  Measured: the untrained model is "
-               "far below models trained on 10 / 30 in-domain samples.",
-    "table5_6": "Paper (Tables V+VI): MetaBLINK (syn*+seed) is best on all four domains; "
-                "syn data boosts recall, seed data boosts ranking accuracy; DL4EL does not help. "
-                "Measured: same ordering of data sources at small scale (see rows).",
-    "table7": "Paper: MetaBLINK improves zero-shot transfer slightly on near domains and "
-              "clearly on far domains (Lego, YuGiOh).",
-    "table8": "Paper: the domain gap (BLINK+FT − BLINK) is small for Forgotten Realms / Star Trek "
-              "and large for Lego / YuGiOh.",
-    "table9": "Paper: combining general-domain data, synthetic data and the seed gives the best "
-              "average transfer accuracy.",
-    "figure4": "Paper: the meta-learner keeps ~50% of normal synthetic data but only ~20% of "
-               "deliberately corrupted data.  Measured: corrupted data is selected less often than "
-               "normal data.",
-    "table10": "Paper: syn > exact match and syn* ≥ syn for both recall and ranking accuracy.",
-    "table11": "Paper: ROUGE-1 F1 against golden mentions — syn* > syn > exact match.",
-}
+from repro.eval.experiments import CELL_SEED
 
 
 def main() -> None:
-    output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+    output = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO_ROOT / "EXPERIMENTS.md"
     suite = ExperimentSuite(benchmark_config())
-
-    sections = []
-    sections.append("# EXPERIMENTS — paper vs measured\n")
-    sections.append(
+    sections = [
+        "# EXPERIMENTS — paper vs measured\n",
         "All experiments run on the synthetic Zeshel substitute with the scaled-down models of\n"
-        "`benchmarks/conftest.py::benchmark_config` (CPU-only).  Absolute numbers are therefore not\n"
-        "comparable to the paper's GPU/BERT results; each section records the paper's qualitative\n"
-        "claim and whether the measured rows reproduce its *shape*.  Regenerate this file with\n"
-        "`python scripts/generate_experiments_report.py`.\n"
-    )
-
-    def add(title: str, note_key: str, rows) -> None:
-        sections.append(f"## {title}\n")
-        sections.append(PAPER_NOTES[note_key] + "\n")
-        if isinstance(rows, dict):
-            rows = [rows]
-        sections.append(markdown_table(rows) + "\n")
-
-    add("Figure 1 — accuracy vs in-domain training size (YuGiOh)", "figure1",
-        suite.run_figure1(domain="yugioh", sizes=(0, 10, 30)))
-
-    sections.append("## Tables III / IV — dataset statistics and few-shot splits\n")
-    sections.append("Structural tables; the synthetic corpus keeps the paper's 8/4/4 domain split "
-                    "and the 50/50/rest few-shot protocol (scaled seed/dev sizes in benchmarks).\n")
-    sections.append(markdown_table(suite.run_table4_splits()) + "\n")
-
-    add("Tables V / VI — few-shot entity linking (Lego / YuGiOh)", "table5_6",
-        suite.run_table5_6(domains=["lego", "yugioh"]))
-
-    add("Table VII — zero-shot domain transfer", "table7",
-        suite.run_table7_transfer(domains=["lego", "yugioh"]))
-
-    add("Table VIII — domain gap", "table8",
-        suite.run_table8_gap(domains=["star_trek", "yugioh"], finetune_size=60))
-
-    add("Table IX — transfer with different training sources (YuGiOh)", "table9",
-        suite.run_table9_sources(domains=["yugioh"]))
-
-    add("Figure 4 — selection ratio of normal vs corrupted data", "figure4",
-        suite.run_figure4_selection(domain="yugioh"))
-
-    add("Table X — effectiveness of mention rewriting (YuGiOh)", "table10",
-        suite.run_table10_rewriting(domains=["yugioh"]))
-
-    add("Table XI — ROUGE-1 of generated mentions", "table11",
-        suite.run_table11_rouge(domains=["lego", "yugioh"], sample_size=40))
-
-    sections.append("## Table II — qualitative errors of exact-match training\n")
-    table2 = suite.run_table2_examples(domain="yugioh", max_rows=3)
-    if table2:
-        sections.append(markdown_table(table2) + "\n")
-    else:
-        sections.append("(no qualifying error examples found at this corpus scale on this seed)\n")
-
+        "`benchmarks/tables.py::benchmark_config` (CPU-only).  Absolute numbers are therefore not\n"
+        "comparable to the paper's GPU/BERT results; each section records the paper's claim above\n"
+        f"the measured rows.  Every trained cell uses shuffle seed {CELL_SEED}; the mean over seeds is\n"
+        "`pytest benchmarks/test_bench_seed_matrix.py -s`.  Regenerate this file with\n"
+        "`python scripts/generate_experiments_report.py`.\n",
+    ]
+    for entry in ENTRIES:
+        rows = entry.run(suite)
+        table = markdown_table(rows) if rows else "(no rows at this corpus scale on this seed)"
+        sections += [f"## {entry.title}\n", f"Paper: {entry.claim}\n", table + "\n"]
     output.write_text("\n".join(sections), encoding="utf-8")
     print(f"wrote {output}")
 

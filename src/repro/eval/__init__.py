@@ -10,7 +10,6 @@ from .metrics import (
 )
 from .protocol import (
     EvaluationResult,
-    evaluate_meta_trainer,
     evaluate_name_matching,
     evaluate_pipeline,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "recall_at_k",
     "EvaluationResult",
     "evaluate_pipeline",
-    "evaluate_meta_trainer",
     "evaluate_name_matching",
     "ExperimentSuite",
     "small_experiment_config",

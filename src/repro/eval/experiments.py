@@ -1,19 +1,24 @@
-"""Experiment runners: one function per table / figure of the paper.
+"""Experiment runners: the paper's tables and figures as views over cells.
 
-Every runner returns plain row dictionaries (ready for
-:func:`repro.eval.reporting.format_table`), so the same code backs the unit
-tests, the benchmark harness and the EXPERIMENTS.md generation script.
+Every accuracy number of the paper is the same experiment — train a two-stage
+linker on some combination of data sources for one domain, evaluate — so the
+unit here is the *cell* ``(domain, Method, seed)``.  :meth:`ExperimentSuite.cell`
+is the one place that trains, :meth:`ExperimentSuite.metrics` the one place
+that evaluates; a ``run_table*`` / ``run_figure*`` only says which cells it
+shows, as plain row dictionaries (ready for :func:`repro.eval.reporting.format_table`),
+so one cell reads one number in every table that shows it.
 
-The :class:`ExperimentSuite` caches expensive shared artefacts — the corpus,
-the tokenizer, few-shot splits, synthetic-data bundles and the
-general-domain BLINK model — so running several experiments in one process
-does not repeat work.
+The suite caches, in memory and for its own lifetime: the corpus, the
+tokenizer, the few-shot splits, the pairs of each training source, and the
+trained cells.  A cached cell is shared by every caller — read it (``predict``,
+``metrics``, probe its gradients), never train it further.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,33 +34,81 @@ from ..data.worlds import DISPLAY_NAMES, TEST_DOMAINS
 from ..data.zeshel import Corpus, generate_corpus
 from ..generation.noise import mix_with_noise
 from ..generation.synthesis import (
-    SyntheticDataBundle,
-    build_bundle,
+    build_exact_match_data,
+    build_synthetic_data,
     build_tokenizer_for_corpus,
     source_domain_pairs,
+    train_rewriter,
 )
-from ..kb.entity import EntityMentionPair
+from ..kb.entity import EntityMentionPair, Mention
 from ..linking.blink import BlinkPipeline
-from ..linking.biencoder import BiEncoder, BiEncoderTrainer
-from ..linking.crossencoder import CrossEncoderTrainer
 from ..linking.dl4el import DL4ELTrainer
 from ..meta.metablink import MetaBlinkTrainer
 from ..meta.reweight import ExampleReweighter
 from ..meta.seed import build_zero_shot_seed, few_shot_seed
+from ..serving.pipeline import EntityLinkingPipeline
 from ..text.rouge import corpus_rouge_1_f1
+from ..text.tokenizer import Tokenizer
 from ..training.tasks import BiEncoderMetaTask
 from ..utils.config import EncoderConfig, ExperimentConfig
-from ..utils.logging import get_logger
 from ..utils.rng import derive_seed
+from .protocol import evaluate_name_matching, evaluate_pipeline
 
-_LOGGER = get_logger("experiments")
+Row = Dict[str, object]
 
-# One shuffle seed per (table, domain) cell: rows of a cell differ by method,
-# not by the order their batches were drawn in.
-TABLE5_6_SEED = 1
-TABLE7_SEED = 8
-TABLE9_SEED = 13
-FIGURE4_SEED = 16
+# The shuffle seed of every cell a table shows, and the seeds the directional
+# check averages over (benchmarks/test_bench_seed_matrix.py).
+CELL_SEED = 1
+SEEDS = (1, 2, 3, 4, 5)
+
+# Training-source names :meth:`ExperimentSuite.pairs` resolves.
+SOURCES = ("seed", "exact_match", "syn", "syn_star", "general", "heuristic_seed", "gold:<size>")
+SYNTHETIC_SOURCES = ("exact_match", "syn", "syn_star")
+
+
+@dataclass(frozen=True)
+class Method:
+    """What a cell trains on and how a batch is weighted — the cell's identity.
+
+    ``train`` names the sources concatenated into the training set (empty: the
+    untrained model), ``weighting`` is ``unit`` (BLINK), ``dl4el`` (denoising
+    bi-encoder) or ``meta`` (MetaBLINK, Algorithm 2), and ``guide`` names the
+    clean set that steers a ``meta`` cell's weights.
+    """
+
+    train: Tuple[str, ...]
+    weighting: str = "unit"
+    guide: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.weighting not in ("unit", "dl4el", "meta"):
+            raise ValueError(f"unknown weighting {self.weighting!r}")
+
+
+# Row label → method, per table.  Labels are the paper's and are local to a
+# table (``blink_seed`` is *seed only* in Table V and *general + heuristic
+# seed* in Table VII); the Method is the identity.  ``None`` is the Name
+# Matching heuristic: no model, so no cell.
+TABLE5_6_METHODS: Dict[str, Optional[Method]] = {
+    "name_matching": None,
+    "blink_seed": Method(("seed",)),
+    "blink_syn": Method(("syn",)),
+    "blink_syn_seed": Method(("syn", "seed")),
+    "dl4el_syn_seed": Method(("syn", "seed"), "dl4el"),
+    "metablink_syn_seed": Method(("syn",), "meta", "seed"),
+    "metablink_synstar_seed": Method(("syn_star",), "meta", "seed"),
+}
+TABLE7_METHODS: Dict[str, Method] = {
+    "blink": Method(("general",)),
+    "blink_seed": Method(("general", "heuristic_seed")),
+    "metablink_syn_seed": Method(("syn",), "meta", "heuristic_seed"),
+}
+TABLE9_METHODS: Dict[str, Method] = {
+    **TABLE7_METHODS,
+    "metablink_general_seed": Method(("general",), "meta", "heuristic_seed"),
+    "metablink_general_syn_seed": Method(("general", "syn"), "meta", "heuristic_seed"),
+    "metablink_general_synstar_seed": Method(("general", "syn_star"), "meta", "heuristic_seed"),
+}
 
 
 def small_experiment_config(seed: int = 13) -> ExperimentConfig:
@@ -89,164 +142,218 @@ class ExperimentSuite:
 
     def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
         self.config = config or small_experiment_config()
-        self._corpus: Optional[Corpus] = None
-        self._tokenizer = None
-        self._splits: Optional[Dict[str, FewShotSplit]] = None
-        self._bundles: Dict[str, SyntheticDataBundle] = {}
-        self._general_pairs: Optional[List[EntityMentionPair]] = None
+        self._pairs: Dict[Tuple[Optional[str], str], List[EntityMentionPair]] = {}
+        self._cells: Dict[Tuple[str, Method, int], BlinkPipeline] = {}
 
     # ------------------------------------------------------------------
     # Cached artefacts
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def corpus(self) -> Corpus:
-        if self._corpus is None:
-            self._corpus = generate_corpus(self.config.corpus)
-        return self._corpus
+        return generate_corpus(self.config.corpus)
 
-    @property
-    def tokenizer(self):
-        if self._tokenizer is None:
-            self._tokenizer = build_tokenizer_for_corpus(
-                self.corpus, max_length=self.config.biencoder.encoder.max_length
-            )
-        return self._tokenizer
+    @cached_property
+    def tokenizer(self) -> Tokenizer:
+        return build_tokenizer_for_corpus(self.corpus, max_length=self.config.biencoder.encoder.max_length)
 
-    @property
+    @cached_property
     def splits(self) -> Dict[str, FewShotSplit]:
-        if self._splits is None:
-            self._splits = split_all_test_domains(
-                self.corpus,
-                seed_size=self.config.seed_size,
-                dev_size=self.config.dev_size,
-                seed=self.config.seed,
-            )
-        return self._splits
+        return split_all_test_domains(
+            self.corpus, seed_size=self.config.seed_size, dev_size=self.config.dev_size, seed=self.config.seed
+        )
 
-    def bundle(self, domain: str, include_syn_star: bool = True) -> SyntheticDataBundle:
-        """Exact-match / syn / syn* data for a domain (cached)."""
-        key = f"{domain}:{include_syn_star}"
-        if key not in self._bundles:
-            self._bundles[key] = build_bundle(
-                self.corpus,
-                domain,
-                tokenizer=self.tokenizer,
-                rewriter_config=self.config.rewriter,
-                per_entity=2,
-                include_syn_star=include_syn_star,
-                limit_per_domain=40,
-                seed=self.config.seed,
-            )
-        return self._bundles[key]
+    def pairs(self, domain: str, source: str) -> List[EntityMentionPair]:
+        """The training pairs a source name stands for in ``domain`` (cached).
 
-    def general_pairs(self, limit_per_domain: int = 30) -> List[EntityMentionPair]:
-        """Gold pairs from the 8 training (general) domains."""
-        if self._general_pairs is None:
-            self._general_pairs = source_domain_pairs(self.corpus, limit_per_domain=limit_per_domain)
-        return self._general_pairs
+        The one resolver of source names (:data:`SOURCES`).  ``general`` does
+        not depend on the domain and is one list for all of them.
+        """
+        key = (None if source == "general" else domain, source)
+        if key in self._pairs:
+            return self._pairs[key]
+        corpus, config = self.corpus, self.config
+        if source == "seed":
+            pairs = few_shot_seed(pairs_from_mentions(corpus, domain, self.splits[domain].train, source="seed"))
+        elif source == "exact_match":
+            pairs = build_exact_match_data(corpus, domain, per_entity=2, seed=config.seed)
+        elif source in ("syn", "syn_star"):
+            # build_bundle's recipe, one generator at a time: syn* adds the
+            # denoising pass over the target domain's documents.
+            star = source == "syn_star"
+            rewriter = train_rewriter(
+                corpus, self.tokenizer, target_domain=domain if star else None,
+                config=config.rewriter, limit_per_domain=40,
+                seed=config.seed + 1 if star else config.seed,
+            )
+            pairs = build_synthetic_data(corpus, domain, rewriter, exact_pairs=self.pairs(domain, "exact_match"))
+        elif source == "general":
+            pairs = source_domain_pairs(corpus, limit_per_domain=30)
+        elif source == "heuristic_seed":
+            pairs = build_zero_shot_seed(
+                self.pairs(domain, "syn"), corpus.entities(domain),
+                size=config.seed_size, seed=config.seed,
+            )
+        elif source.startswith("gold:"):
+            # That many labelled in-domain mentions: the seed first, then drawn from test.
+            size = int(source.partition(":")[2])
+            mentions = sample_training_subset(self.splits[domain], size, corpus, seed=config.seed)
+            pairs = pairs_from_mentions(corpus, domain, mentions, source="gold")
+        else:
+            raise KeyError(f"unknown source {source!r}; known: {', '.join(SOURCES)}")
+        self._pairs[key] = pairs
+        return pairs
 
     # ------------------------------------------------------------------
-    # Training / evaluation helpers
+    # The cell: the one place that trains, the one place that evaluates
     # ------------------------------------------------------------------
-    def seed_pairs(self, domain: str) -> List[EntityMentionPair]:
-        return few_shot_seed(
-            pairs_from_mentions(self.corpus, domain, self.splits[domain].train, source="seed")
-        )
-
-    def _new_pipeline(self) -> BlinkPipeline:
-        return BlinkPipeline(self.tokenizer, self.config.biencoder, self.config.crossencoder)
-
-    def _evaluate(self, pipeline: BlinkPipeline, domain: str, mentions=None) -> Dict[str, float]:
-        """Evaluate through the batched serving pipeline (one index build)."""
-        from ..serving.pipeline import EntityLinkingPipeline
-        from .protocol import evaluate_pipeline
-
-        mentions = mentions if mentions is not None else self.splits[domain].test
-        serving = EntityLinkingPipeline.from_blink(
-            pipeline, entities=self.corpus.entities(domain), k=self.config.recall_k
-        )
-        result = evaluate_pipeline(serving, mentions)
-        return result.metrics.rounded().as_dict()
-
-    def train_blink(self, pairs: Sequence[EntityMentionPair], domain: str, seed: int = 0) -> BlinkPipeline:
-        """Train a vanilla BLINK pipeline on the given pairs."""
-        pipeline = self._new_pipeline()
-        pipeline.train(
-            pairs,
-            candidate_pool=self.corpus.entities(domain),
-            max_crossencoder_examples=60,
-            seed=seed,
-        )
+    def cell(self, domain: str, method: Method, seed: int = CELL_SEED) -> BlinkPipeline:
+        """The pipeline trained by ``method`` on ``domain`` with shuffle seed ``seed`` (cached)."""
+        key = (domain, method, seed)
+        if key in self._cells:
+            return self._cells[key]
+        config, pool = self.config, self.corpus.entities(domain)
+        training = [pair for source in method.train for pair in self.pairs(domain, source)]
+        if method.weighting == "meta":
+            trainer = MetaBlinkTrainer(self.tokenizer, config.biencoder, config.crossencoder, config.meta)
+            trainer.train(
+                training, self.pairs(domain, method.guide),
+                candidate_pool=pool, max_crossencoder_examples=60, seed=seed,
+            )
+            pipeline = trainer.pipeline
+        else:
+            pipeline = BlinkPipeline(self.tokenizer, config.biencoder, config.crossencoder)
+            if method.weighting == "dl4el":
+                DL4ELTrainer(pipeline.biencoder, config.biencoder).fit(training, seed=seed)
+            if training:
+                pipeline.train(
+                    training, candidate_pool=pool, train_biencoder=method.weighting == "unit",
+                    max_crossencoder_examples=60, seed=seed,
+                )
+        self._cells[key] = pipeline
         return pipeline
 
-    def train_dl4el(self, pairs: Sequence[EntityMentionPair], domain: str, seed: int = 0) -> BlinkPipeline:
-        """DL4EL baseline: denoising bi-encoder + standard cross-encoder."""
-        pipeline = self._new_pipeline()
-        DL4ELTrainer(pipeline.biencoder, self.config.biencoder).fit(pairs, seed=seed)
-        examples = pipeline.ranking_examples(pairs, self.corpus.entities(domain), 60, seed=seed)
-        CrossEncoderTrainer(pipeline.crossencoder, self.config.crossencoder).fit(examples, seed=seed)
-        return pipeline
-
-    def train_metablink(
+    def metrics(
         self,
-        synthetic: Sequence[EntityMentionPair],
-        seed_pairs: Sequence[EntityMentionPair],
         domain: str,
-        seed: int = 0,
-    ) -> MetaBlinkTrainer:
-        """Train MetaBLINK (Algorithm 2) on synthetic + seed data."""
-        trainer = MetaBlinkTrainer(
-            self.tokenizer, self.config.biencoder, self.config.crossencoder, self.config.meta
+        method: Method,
+        seed: int = CELL_SEED,
+        mentions: Optional[Sequence[Mention]] = None,
+    ) -> Dict[str, float]:
+        """Recall@k / N.Acc / U.Acc of a cell on ``mentions`` (default: the test split),
+        through the batched serving pipeline (one index build)."""
+        serving = EntityLinkingPipeline.from_blink(
+            self.cell(domain, method, seed), entities=self.corpus.entities(domain), k=self.config.recall_k
         )
-        trainer.train(
-            synthetic,
-            seed_pairs,
-            candidate_pool=self.corpus.entities(domain),
-            max_crossencoder_examples=60,
-            seed=seed,
-        )
-        return trainer
+        mentions = self.splits[domain].test if mentions is None else mentions
+        return evaluate_pipeline(serving, mentions).metrics.rounded().as_dict()
+
+    def _method_rows(
+        self,
+        domains: Sequence[str],
+        methods: Mapping[str, Optional[Method]],
+        label: str = "method",
+    ) -> List[Row]:
+        """One row per (domain, labelled method): what Tables V–VII, IX and X are."""
+        rows: List[Row] = []
+        for domain in domains:
+            for name, method in methods.items():
+                if method is None:
+                    # No candidate-generation stage: only U.Acc exists for this row.
+                    scores = evaluate_name_matching(self.corpus.entities(domain), self.splits[domain].test)
+                    metrics = {**scores.rounded().as_dict(), "recall": "n/a", "normalized_accuracy": "n/a"}
+                else:
+                    metrics = self.metrics(domain, method)
+                rows.append({"domain": DISPLAY_NAMES[domain], label: name, **metrics})
+        return rows
 
     # ------------------------------------------------------------------
-    # Figure 1 — accuracy degradation with less in-domain data
+    # Tables V–VII, IX, X — labelled methods per domain
     # ------------------------------------------------------------------
+    def run_table5_6(
+        self,
+        domains: Sequence[str] = ("forgotten_realms", "lego"),
+        methods: Optional[Sequence[str]] = None,
+    ) -> List[Row]:
+        """The main few-shot comparison (Table V covers FR+Lego, VI covers ST+YuGiOh)."""
+        names = TABLE5_6_METHODS if methods is None else methods
+        return self._method_rows(domains, {name: TABLE5_6_METHODS[name] for name in names})
+
+    def run_table7_transfer(self, domains: Sequence[str] = TEST_DOMAINS) -> List[Row]:
+        """Zero-shot transfer: BLINK (general), +heuristic seed, MetaBLINK syn+seed."""
+        return self._method_rows(domains, TABLE7_METHODS)
+
+    def run_table9_sources(self, domains: Sequence[str] = ("lego", "yugioh")) -> List[Row]:
+        """Zero-shot transfer with different training-source combinations."""
+        return self._method_rows(domains, TABLE9_METHODS)
+
+    def run_table10_rewriting(self, domains: Sequence[str] = ("lego", "yugioh")) -> List[Row]:
+        """Recall / N.Acc of BLINK trained on Exact Match vs Syn vs Syn* data."""
+        methods = {source: Method((source,)) for source in SYNTHETIC_SOURCES}
+        return self._method_rows(domains, methods, label="data")
+
+    # ------------------------------------------------------------------
+    # Figure 1, Table VIII — in-domain gold subsets, scored on the test mentions left over
+    # ------------------------------------------------------------------
+    def _held_out(self, domain: str, method: Method) -> List[Mention]:
+        """The test mentions ``method`` does not train on."""
+        used = [pair.mention for source in method.train for pair in self.pairs(domain, source)]
+        return remaining_test_mentions(self.splits[domain], used)
+
     def run_figure1(
         self,
         domain: str = "yugioh",
         sizes: Sequence[int] = (0, 10, 25, 50),
-    ) -> List[Dict[str, object]]:
+    ) -> List[Row]:
         """U.Acc of a BLINK-style linker as the in-domain training set shrinks."""
-        split = self.splits[domain]
-        rows: List[Dict[str, object]] = []
+        rows: List[Row] = []
         for size in sizes:
-            if size == 0:
-                pipeline = self._new_pipeline()  # untrained model
-                eval_mentions = split.test
-            else:
-                train_mentions = sample_training_subset(split, size, self.corpus, seed=self.config.seed)
-                pairs = pairs_from_mentions(self.corpus, domain, train_mentions, source="gold")
-                pipeline = self.train_blink(pairs, domain, seed=size)
-                eval_mentions = remaining_test_mentions(split, train_mentions)
-            metrics = self._evaluate(pipeline, domain, mentions=eval_mentions)
+            method = Method((f"gold:{size}",) if size else ())
+            metrics = self.metrics(domain, method, mentions=self._held_out(domain, method))
             rows.append({"domain": DISPLAY_NAMES[domain], "train_size": size, **metrics})
         return rows
 
-    # ------------------------------------------------------------------
-    # Table II — qualitative errors of exact-match training
-    # ------------------------------------------------------------------
-    def run_table2_examples(self, domain: str = "yugioh", max_rows: int = 3) -> List[Dict[str, object]]:
-        """Mentions the exact-match model gets wrong but the syn model gets right."""
-        bundle = self.bundle(domain, include_syn_star=False)
-        split = self.splits[domain]
-        exact_pipeline = self.train_blink(bundle.exact_match, domain, seed=1)
-        syn_pipeline = self.train_blink(bundle.syn, domain, seed=1)
-        entities = self.corpus.entities(domain)
-        exact_preds = exact_pipeline.predict(split.test, entities, k=self.config.recall_k)
-        syn_preds = syn_pipeline.predict(split.test, entities, k=self.config.recall_k)
+    def run_table8_gap(
+        self,
+        domains: Sequence[str] = TEST_DOMAINS,
+        finetune_size: int = 100,
+    ) -> List[Row]:
+        """Gap = U.Acc(BLINK fine-tuned on in-domain data) − U.Acc(BLINK general),
+        both on the test mentions the fine-tuning did not see."""
+        rows: List[Row] = []
+        for domain in domains:
+            split = self.splits[domain]
+            available = len(split.train) + len(split.test) - 10
+            size = min(finetune_size, max(available, len(split.train)))
+            finetuned_on = Method(("general", f"gold:{size}"))
+            held_out = self._held_out(domain, finetuned_on)
+            blink, finetuned = (
+                self.metrics(domain, method, mentions=held_out)["unnormalized_accuracy"]
+                for method in (TABLE7_METHODS["blink"], finetuned_on)
+            )
+            rows.append(
+                {
+                    "domain": DISPLAY_NAMES[domain],
+                    "blink": blink,
+                    "blink_ft": finetuned,
+                    "gap": round(finetuned - blink, 2),
+                }
+            )
+        return rows
 
+    # ------------------------------------------------------------------
+    # Table II, Figure 4 — looking inside cached cells
+    # ------------------------------------------------------------------
+    def run_table2_examples(self, domain: str = "yugioh", max_rows: int = 3) -> List[Row]:
+        """Mentions the exact-match model gets wrong but the syn model gets right."""
+        test = self.splits[domain].test
+        entities = self.corpus.entities(domain)
+        exact_preds, syn_preds = (
+            self.cell(domain, Method((source,))).predict(test, entities, k=self.config.recall_k)
+            for source in ("exact_match", "syn")
+        )
         index = self.corpus.domain(domain).entity_index
-        rows: List[Dict[str, object]] = []
-        for mention, exact_pred, syn_pred in zip(split.test, exact_preds, syn_preds):
+        rows: List[Row] = []
+        for mention, exact_pred, syn_pred in zip(test, exact_preds, syn_preds):
             if len(rows) >= max_rows:
                 break
             if exact_pred.correct or not syn_pred.correct:
@@ -263,12 +370,35 @@ class ExperimentSuite:
             )
         return rows
 
+    def run_figure4_selection(
+        self,
+        domain: str = "yugioh",
+        noise_fraction: float = 0.5,
+    ) -> Dict[str, float]:
+        """Selection ratio of normal vs corrupted synthetic data (bi-encoder)."""
+        syn, seed_pairs = self.pairs(domain, "syn"), self.pairs(domain, "seed")
+        # Gradient alignment is informative on a warmed-up bi-encoder, as it is
+        # mid-training in Algorithm 1: borrow the syn + seed cell's.  Probing
+        # restores its parameters and mode; it is not trained here.
+        biencoder = self.cell(domain, TABLE5_6_METHODS["blink_syn_seed"]).biencoder
+        mixed = mix_with_noise(
+            syn, self.corpus.entities(domain), fraction=noise_fraction, seed=self.config.seed
+        )
+        reweighter = ExampleReweighter(biencoder, BiEncoderMetaTask(biencoder), self.config.meta)
+        ratios = reweighter.selection_ratio_by_source(
+            mixed, seed_pairs, batch_size=self.config.meta.meta_batch_size, seed=CELL_SEED
+        )
+        return {
+            "normal_selected_ratio": round(ratios.get("rewritten", ratios.get("exact_match", 0.0)), 4),
+            "bad_selected_ratio": round(ratios.get("noise", 0.0), 4),
+        }
+
     # ------------------------------------------------------------------
-    # Tables III and IV — dataset statistics and few-shot splits
+    # Tables III, IV, XI — the data alone
     # ------------------------------------------------------------------
-    def run_table3_statistics(self) -> List[Dict[str, object]]:
+    def run_table3_statistics(self) -> List[Row]:
         """Per-domain entity counts grouped by split (Table III analogue)."""
-        rows: List[Dict[str, object]] = []
+        rows: List[Row] = []
         for name, data in sorted(self.corpus.domains.items(), key=lambda item: (item[1].split, item[0])):
             rows.append(
                 {
@@ -280,259 +410,29 @@ class ExperimentSuite:
             )
         return rows
 
-    def run_table4_splits(self) -> List[Dict[str, object]]:
+    def run_table4_splits(self) -> List[Row]:
         """Few-shot train/dev/test sizes per test domain (Table IV)."""
         rows = table4_rows(self.splits)
         for row in rows:
             row["domain"] = DISPLAY_NAMES[str(row["domain"])]
         return rows
 
-    # ------------------------------------------------------------------
-    # Tables V and VI — few-shot entity linking in specific domains
-    # ------------------------------------------------------------------
-    def run_table5_6(
-        self,
-        domains: Sequence[str] = ("forgotten_realms", "lego"),
-        methods: Optional[Sequence[str]] = None,
-    ) -> List[Dict[str, object]]:
-        """The main few-shot comparison (Table V covers FR+Lego, VI covers ST+YuGiOh)."""
-        all_methods = [
-            "name_matching",
-            "blink_seed",
-            "blink_syn",
-            "blink_syn_seed",
-            "dl4el_syn_seed",
-            "metablink_syn_seed",
-            "metablink_synstar_seed",
-        ]
-        methods = list(methods) if methods is not None else all_methods
-        rows: List[Dict[str, object]] = []
-        for domain in domains:
-            rows.extend(self._run_domain_method_rows(domain, methods))
-        return rows
-
-    def _run_domain_method_rows(self, domain: str, methods: Sequence[str]) -> List[Dict[str, object]]:
-        from .protocol import evaluate_name_matching
-
-        split = self.splits[domain]
-        seed_pairs = self.seed_pairs(domain)
-        needs_syn_star = "metablink_synstar_seed" in methods
-        bundle = self.bundle(domain, include_syn_star=needs_syn_star)
-        entities = self.corpus.entities(domain)
-        rows: List[Dict[str, object]] = []
-
-        seed = TABLE5_6_SEED
-        for method in methods:
-            _LOGGER.debug("running %s on %s", method, domain)
-            if method == "name_matching":
-                # No candidate-generation stage: only U.Acc exists for this row.
-                metrics = {
-                    **evaluate_name_matching(entities, split.test).rounded().as_dict(),
-                    "recall": "n/a",
-                    "normalized_accuracy": "n/a",
-                }
-            elif method == "blink_seed":
-                metrics = self._evaluate(self.train_blink(seed_pairs, domain, seed=seed), domain)
-            elif method == "blink_syn":
-                metrics = self._evaluate(self.train_blink(bundle.syn, domain, seed=seed), domain)
-            elif method == "blink_syn_seed":
-                metrics = self._evaluate(
-                    self.train_blink(bundle.syn + seed_pairs, domain, seed=seed), domain
-                )
-            elif method == "dl4el_syn_seed":
-                metrics = self._evaluate(
-                    self.train_dl4el(bundle.syn + seed_pairs, domain, seed=seed), domain
-                )
-            elif method == "metablink_syn_seed":
-                trainer = self.train_metablink(bundle.syn, seed_pairs, domain, seed=seed)
-                metrics = self._evaluate(trainer.pipeline, domain)
-            elif method == "metablink_synstar_seed":
-                trainer = self.train_metablink(bundle.syn_star, seed_pairs, domain, seed=seed)
-                metrics = self._evaluate(trainer.pipeline, domain)
-            else:
-                raise KeyError(f"unknown method {method!r}")
-            rows.append({"domain": DISPLAY_NAMES[domain], "method": method, **metrics})
-        return rows
-
-    # ------------------------------------------------------------------
-    # Table VII — zero-shot domain transfer
-    # ------------------------------------------------------------------
-    def run_table7_transfer(
-        self,
-        domains: Sequence[str] = TEST_DOMAINS,
-    ) -> List[Dict[str, object]]:
-        """Zero-shot transfer: BLINK (general), +heuristic seed, MetaBLINK syn+seed."""
-        rows: List[Dict[str, object]] = []
-        general = self.general_pairs()
-        for domain in domains:
-            entities = self.corpus.entities(domain)
-            bundle = self.bundle(domain, include_syn_star=False)
-            heuristic_seed = build_zero_shot_seed(
-                bundle.syn, entities, size=self.config.seed_size, seed=self.config.seed
-            )
-
-            base = self.train_blink(general, domain, seed=TABLE7_SEED)
-            base_metrics = self._evaluate(base, domain)
-
-            seeded = self.train_blink(general + heuristic_seed, domain, seed=TABLE7_SEED)
-            seeded_metrics = self._evaluate(seeded, domain)
-
-            meta = self.train_metablink(bundle.syn, heuristic_seed, domain, seed=TABLE7_SEED)
-            meta_metrics = self._evaluate(meta.pipeline, domain)
-
-            display = DISPLAY_NAMES[domain]
-            rows.append({"domain": display, "method": "blink", **base_metrics})
-            rows.append({"domain": display, "method": "blink_seed", **seeded_metrics})
-            rows.append({"domain": display, "method": "metablink_syn_seed", **meta_metrics})
-        return rows
-
-    # ------------------------------------------------------------------
-    # Table VIII — domain gap
-    # ------------------------------------------------------------------
-    def run_table8_gap(
-        self,
-        domains: Sequence[str] = TEST_DOMAINS,
-        finetune_size: int = 100,
-    ) -> List[Dict[str, object]]:
-        """Gap = U.Acc(BLINK fine-tuned on in-domain data) − U.Acc(BLINK general)."""
-        rows: List[Dict[str, object]] = []
-        general = self.general_pairs()
-        for domain in domains:
-            split = self.splits[domain]
-            base = self.train_blink(general, domain, seed=11)
-
-            available = len(split.train) + len(split.test) - 10
-            size = min(finetune_size, max(available, len(split.train)))
-            train_mentions = sample_training_subset(split, size, self.corpus, seed=self.config.seed)
-            in_domain = pairs_from_mentions(self.corpus, domain, train_mentions, source="gold")
-            finetuned = self.train_blink(general + in_domain, domain, seed=12)
-
-            eval_mentions = remaining_test_mentions(split, train_mentions)
-            base_metrics = self._evaluate(base, domain, mentions=eval_mentions)
-            finetuned_metrics = self._evaluate(finetuned, domain, mentions=eval_mentions)
-            rows.append(
-                {
-                    "domain": DISPLAY_NAMES[domain],
-                    "blink": base_metrics["unnormalized_accuracy"],
-                    "blink_ft": finetuned_metrics["unnormalized_accuracy"],
-                    "gap": round(
-                        finetuned_metrics["unnormalized_accuracy"]
-                        - base_metrics["unnormalized_accuracy"],
-                        2,
-                    ),
-                }
-            )
-        return rows
-
-    # ------------------------------------------------------------------
-    # Table IX — transfer with different training sources
-    # ------------------------------------------------------------------
-    def run_table9_sources(
-        self,
-        domains: Sequence[str] = ("lego", "yugioh"),
-    ) -> List[Dict[str, object]]:
-        """Zero-shot transfer with different training-source combinations."""
-        rows: List[Dict[str, object]] = []
-        general = self.general_pairs()
-        for domain in domains:
-            entities = self.corpus.entities(domain)
-            bundle = self.bundle(domain, include_syn_star=True)
-            heuristic_seed = build_zero_shot_seed(
-                bundle.syn, entities, size=self.config.seed_size, seed=self.config.seed
-            )
-            display = DISPLAY_NAMES[domain]
-
-            configurations = [
-                ("blink", None, False),
-                ("blink_seed", general + heuristic_seed, False),
-                ("metablink_syn_seed", bundle.syn, True),
-                ("metablink_general_seed", general, True),
-                ("metablink_general_syn_seed", general + bundle.syn, True),
-                ("metablink_general_synstar_seed", general + bundle.syn_star, True),
-            ]
-            for name, data, is_meta in configurations:
-                if name == "blink":
-                    pipeline = self.train_blink(general, domain, seed=TABLE9_SEED)
-                    metrics = self._evaluate(pipeline, domain)
-                elif not is_meta:
-                    pipeline = self.train_blink(data, domain, seed=TABLE9_SEED)
-                    metrics = self._evaluate(pipeline, domain)
-                else:
-                    trainer = self.train_metablink(data, heuristic_seed, domain, seed=TABLE9_SEED)
-                    metrics = self._evaluate(trainer.pipeline, domain)
-                rows.append({"domain": display, "method": name, **metrics})
-        return rows
-
-    # ------------------------------------------------------------------
-    # Figure 4 — effect of meta-learning on bad data
-    # ------------------------------------------------------------------
-    def run_figure4_selection(
-        self,
-        domain: str = "yugioh",
-        noise_fraction: float = 0.5,
-    ) -> Dict[str, float]:
-        """Selection ratio of normal vs corrupted synthetic data (bi-encoder)."""
-        bundle = self.bundle(domain, include_syn_star=False)
-        seed_pairs = self.seed_pairs(domain)
-        entities = self.corpus.entities(domain)
-
-        # Warm up the bi-encoder so gradient alignment is informative, as it is
-        # mid-training in Algorithm 1.
-        biencoder = BiEncoder(self.config.biencoder, self.tokenizer)
-        BiEncoderTrainer(biencoder, self.config.biencoder).fit(
-            bundle.syn + seed_pairs, epochs=max(1, self.config.biencoder.epochs), seed=FIGURE4_SEED
-        )
-
-        mixed = mix_with_noise(bundle.syn, entities, fraction=noise_fraction, seed=self.config.seed)
-        reweighter = ExampleReweighter(biencoder, BiEncoderMetaTask(biencoder), self.config.meta)
-        ratios = reweighter.selection_ratio_by_source(
-            mixed, seed_pairs, batch_size=self.config.meta.meta_batch_size, seed=FIGURE4_SEED
-        )
-        return {
-            "normal_selected_ratio": round(ratios.get("rewritten", ratios.get("exact_match", 0.0)), 4),
-            "bad_selected_ratio": round(ratios.get("noise", 0.0), 4),
-        }
-
-    # ------------------------------------------------------------------
-    # Table X — effectiveness of mention rewriting
-    # ------------------------------------------------------------------
-    def run_table10_rewriting(
-        self,
-        domains: Sequence[str] = ("lego", "yugioh"),
-    ) -> List[Dict[str, object]]:
-        """Recall / N.Acc of BLINK trained on Exact Match vs Syn vs Syn* data."""
-        rows: List[Dict[str, object]] = []
-        for domain in domains:
-            bundle = self.bundle(domain, include_syn_star=True)
-            for source_name in ("exact_match", "syn", "syn_star"):
-                data = bundle.by_name(source_name)
-                metrics = self._evaluate(self.train_blink(data, domain, seed=18), domain)
-                rows.append({"domain": DISPLAY_NAMES[domain], "data": source_name, **metrics})
-        return rows
-
-    # ------------------------------------------------------------------
-    # Table XI — ROUGE-1 of generated mentions
-    # ------------------------------------------------------------------
     def run_table11_rouge(
         self,
         domains: Sequence[str] = ("lego", "yugioh"),
         sample_size: int = 60,
-    ) -> List[Dict[str, object]]:
+    ) -> List[Row]:
         """ROUGE-1 F1 of Exact Match / Syn / Syn* mentions vs golden mentions."""
-        rows: List[Dict[str, object]] = []
+        rows: List[Row] = []
         for domain in domains:
-            bundle = self.bundle(domain, include_syn_star=True)
             golden_pool = [mention.surface for mention in self.splits[domain].test]
             rng = np.random.default_rng(derive_seed(self.config.seed, "rouge", domain))
-            row: Dict[str, object] = {"domain": DISPLAY_NAMES[domain]}
-            for source_name in ("exact_match", "syn", "syn_star"):
-                candidates = [pair.mention.surface for pair in bundle.by_name(source_name)]
-                if not candidates:
-                    row[source_name] = 0.0
-                    continue
+            row: Row = {"domain": DISPLAY_NAMES[domain]}
+            for source in SYNTHETIC_SOURCES:
+                candidates = [pair.mention.surface for pair in self.pairs(domain, source)]
                 size = min(sample_size, len(candidates), len(golden_pool))
                 candidate_sample = [candidates[i] for i in rng.choice(len(candidates), size=size, replace=False)]
                 golden_sample = [golden_pool[i] for i in rng.choice(len(golden_pool), size=size, replace=False)]
-                row[source_name] = round(corpus_rouge_1_f1(candidate_sample, golden_sample), 2)
+                row[source] = round(corpus_rouge_1_f1(candidate_sample, golden_sample), 2)
             rows.append(row)
         return rows

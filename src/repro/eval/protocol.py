@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Union
 from ..kb.entity import Entity, Mention
 from ..linking.blink import BlinkPipeline, LinkingPrediction
 from ..linking.name_matching import NameMatchingLinker
-from ..meta.metablink import MetaBlinkTrainer
 from ..serving.pipeline import EntityLinkingPipeline
 from .metrics import LinkingMetrics, compute_metrics
 
@@ -69,17 +68,6 @@ def evaluate_pipeline(
             rerank=True if rerank is None else rerank,
         )
     return EvaluationResult(metrics=compute_metrics(predictions), predictions=predictions)
-
-
-def evaluate_meta_trainer(
-    trainer: MetaBlinkTrainer,
-    mentions: Sequence[Mention],
-    entities: Sequence[Entity],
-    k: int = 16,
-    rerank: bool = True,
-) -> EvaluationResult:
-    """Evaluate the pipeline owned by a MetaBLINK trainer."""
-    return evaluate_pipeline(trainer.pipeline, mentions, entities, k=k, rerank=rerank)
 
 
 def evaluate_name_matching(

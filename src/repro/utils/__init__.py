@@ -1,4 +1,4 @@
-"""Shared utilities: configuration, deterministic RNG, logging, registries."""
+"""Shared utilities: configuration, deterministic RNG, logging."""
 
 from .config import (
     BiEncoderConfig,
@@ -11,7 +11,6 @@ from .config import (
     default_config,
 )
 from .logging import MetricHistory, get_logger, set_verbosity, timed
-from .registry import Registry
 from .rng import DEFAULT_SEED, batched_indices, derive_seed, make_rng, shuffled, spawn_rngs
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "get_logger",
     "set_verbosity",
     "timed",
-    "Registry",
     "DEFAULT_SEED",
     "make_rng",
     "spawn_rngs",

@@ -1,4 +1,4 @@
-"""Unit tests for configuration, RNG helpers, registry and logging utilities."""
+"""Unit tests for configuration, RNG helpers and logging utilities."""
 
 import logging
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils import (
     MetricHistory,
-    Registry,
     batched_indices,
     default_config,
     derive_seed,
@@ -64,35 +63,6 @@ class TestRng:
         flat = np.concatenate(batches)
         assert sorted(flat.tolist()) == list(range(10))
         assert all(len(batch) <= 3 for batch in batches)
-
-
-class TestRegistry:
-    def test_register_and_get(self):
-        registry: Registry = Registry("demo")
-        registry.add("a", 1)
-        assert registry.get("a") == 1
-        assert "a" in registry and len(registry) == 1
-
-    def test_duplicate_rejected(self):
-        registry: Registry = Registry("demo")
-        registry.add("a", 1)
-        with pytest.raises(KeyError):
-            registry.add("a", 2)
-
-    def test_unknown_name_lists_known(self):
-        registry: Registry = Registry("demo")
-        registry.add("known", 1)
-        with pytest.raises(KeyError, match="known"):
-            registry.get("missing")
-
-    def test_decorator_registration(self):
-        registry: Registry = Registry("demo")
-
-        @registry.register("func")
-        def func():
-            return "ok"
-
-        assert registry.get("func")() == "ok"
 
 
 class TestLoggingHelpers:
