@@ -52,8 +52,6 @@ MODULES = [
     ("repro.nn.attention", "repro.nn.attention — multi-head attention + KVCache"),
     ("repro.eval.protocol", "repro.eval.protocol — evaluation protocol"),
     ("repro.analysis", "repro.analysis — project-native static analysis"),
-    ("repro.analysis.callgraph", "repro.analysis.callgraph — symbol table & call graph"),
-    ("repro.analysis.dataflow", "repro.analysis.dataflow — effect summaries & fixpoint"),
     ("repro.analysis.rules", "repro.analysis.rules — domain lint rules"),
 ]
 

@@ -1,74 +1,52 @@
 """Project-native static analysis for the repro codebase.
 
-An AST-based lint framework whose rules encode *this repo's* invariants —
+An AST-based linter whose rules encode *this repo's* invariants —
 thread-local grad state, ``self._lock`` discipline, probe-mode restore,
-the ``compute_dtype`` switch, future settlement in ``repro.serving`` and
-pytest marker registration.  Every rule is distilled from a bug this
-codebase actually shipped.
+the ``compute_dtype`` switch, future settlement and bounded waits in
+``repro.serving``.  Every rule is distilled from a bug this codebase
+actually shipped, and each file is checked on its own: one parse, the
+rules whose ``paths`` match, nothing carried between files.
 
 Entry points:
 
 * ``scripts/run_lint.py`` — the CLI gate (exit code = verdict).
 * :func:`run_lint` / :func:`lint_source` — the library API.
-* ``lint_baseline.json`` — committed grandfathered findings, matched by
-  ``(rule, path, symbol)`` fingerprint with per-entry justifications.
 
-Suppress a single finding inline with ``# repro: disable=<rule>``.
+The one way to excuse a finding is ``# repro: disable=<rule>`` on its
+line, with the reason in the comment line above; ``unused-suppression``
+flags the comment once it no longer absorbs anything.
 """
 
-from .baseline import (
-    Baseline,
-    BaselineEntry,
-    DEFAULT_BASELINE_NAME,
-    TODO_JUSTIFICATION,
-)
-from .callgraph import CallGraph, CallResolver, SymbolTable
 from .core import (
     FileContext,
     Finding,
     LintConfig,
     LintResult,
-    ProjectRule,
     Rule,
     SYNTAX_ERROR_RULE,
     iter_python_files,
     lint_source,
-    lint_sources,
     register,
     registered_rules,
     run_lint,
 )
-from .dataflow import ProjectContext, Summary
-from .reporters import render_json, render_rule_table, render_text, summarize
+from .reporters import render_text, summarize
 
 # Importing the rules package registers every domain rule.
 from . import rules as _rules  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_BASELINE_NAME",
-    "TODO_JUSTIFICATION",
-    "CallGraph",
-    "CallResolver",
-    "SymbolTable",
     "FileContext",
     "Finding",
     "LintConfig",
     "LintResult",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "SYNTAX_ERROR_RULE",
-    "Summary",
     "iter_python_files",
     "lint_source",
-    "lint_sources",
     "register",
     "registered_rules",
     "run_lint",
-    "render_json",
-    "render_rule_table",
     "render_text",
     "summarize",
 ]

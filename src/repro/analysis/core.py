@@ -11,23 +11,23 @@ the ``compute_dtype`` switch, future settlement in ``repro.serving``).
 
 Pieces:
 
-* :class:`Finding` — one ``file:line:rule`` diagnostic with a stable
-  ``fingerprint`` used by the committed baseline.
+* :class:`Finding` — one ``file:line:rule`` diagnostic.
 * :class:`Rule` — base class; subclasses declare a ``name``, the path
   prefixes they apply to, and a ``check(ctx)`` generator.  Register with
   the :func:`register` decorator.
 * :class:`FileContext` — parsed AST + inline suppression table for one
   file.  ``# repro: disable=<rule>[,<rule>...]`` on a line suppresses
-  findings anchored to that line.
+  findings anchored to that line; it is the only way to excuse one, and
+  the reason goes in the comment line above it.
 * :class:`LintConfig` / :func:`run_lint` / :func:`lint_source` — the
-  engine: select rules, walk files, filter suppressions, partition
-  against a :class:`~repro.analysis.baseline.Baseline`.
+  engine: for each file, parse once, run the rules whose ``paths`` match,
+  drop suppressed findings, report suppressions that absorbed nothing.
 
 Example::
 
-    from repro.analysis import run_lint, LintConfig, Baseline
+    from repro.analysis import run_lint
 
-    result = run_lint(["src"], baseline=Baseline.load("lint_baseline.json"))
+    result = run_lint(["src"])
     for finding in result.findings:
         print(finding.describe())        # path:line: rule: message
     assert result.ok
@@ -40,20 +40,9 @@ import io
 import re
 import time
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 #: Inline suppression syntax: a comment of the form
 #: ``code  # repro: disable=rule-a,rule-b`` (same line).  Anchored to the
@@ -69,9 +58,9 @@ SYNTAX_ERROR_RULE = "syntax-error"
 class Finding:
     """One diagnostic: where, which rule, and what is wrong.
 
-    ``symbol`` names the enclosing scope (e.g. ``PipelineStats.reset``) and
-    is what the baseline matches on — line numbers drift with every edit,
-    symbols rarely do.
+    ``symbol`` names what the finding is about (the enclosing scope, e.g.
+    ``PipelineStats.reset``, or the offending name) so tests and readers
+    can match on something that survives line-number drift.
     """
 
     path: str
@@ -80,39 +69,10 @@ class Finding:
     message: str
     column: int = 0
     symbol: str = ""
-    #: Interprocedural witness: one "path:line: qualname — why" string per
-    #: hop, caller first, blocking/raising/compute site last.  A tuple so
-    #: the frozen/ordered dataclass stays hashable and sortable.
-    chain: Tuple[str, ...] = ()
 
     def describe(self) -> str:
-        """The canonical ``path:line: rule: message`` diagnostic line.
-
-        Interprocedural findings append their call chain, one indented
-        ``via`` line per hop, so the gate output reads like a sanitizer
-        report instead of a bare file:line.
-        """
-        head = f"{self.path}:{self.line}: {self.rule}: {self.message}"
-        if not self.chain:
-            return head
-        return head + "".join(f"\n    via {step}" for step in self.chain)
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Stable identity for baseline matching: (rule, path, symbol)."""
-        return (self.rule, self.path, self.symbol or self.message)
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "symbol": self.symbol,
-            "message": self.message,
-        }
-        if self.chain:
-            payload["chain"] = list(self.chain)
-        return payload
+        """The canonical ``path:line: rule: message`` diagnostic line."""
+        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
 
 def _parse_suppressions(source: str) -> Dict[int, Set[str]]:
@@ -138,24 +98,15 @@ def _parse_suppressions(source: str) -> Dict[int, Set[str]]:
 
 
 class FileContext:
-    """Everything a rule needs about one file: AST, source, suppressions.
+    """Everything a rule needs about one file: its AST and suppressions.
 
     ``path`` is the repo-relative posix path rules scope on (e.g.
-    ``src/repro/serving/cluster.py``); ``project_root`` lets rules resolve
-    project files such as ``pytest.ini``.
+    ``src/repro/serving/cluster.py``).
     """
 
-    def __init__(
-        self,
-        source: str,
-        path: str,
-        project_root: Optional[Path] = None,
-    ) -> None:
-        self.source = source
+    def __init__(self, source: str, path: str) -> None:
         self.path = Path(path).as_posix()
-        self.project_root = Path(project_root) if project_root is not None else None
         self.tree = ast.parse(source)
-        self.lines = source.splitlines()
         self.suppressions = _parse_suppressions(source)
 
     def suppressed(self, rule: str, line: int) -> bool:
@@ -231,25 +182,16 @@ def enclosing_symbol(tree: ast.AST, target: ast.AST) -> str:
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set ``name`` (kebab-case, used in diagnostics / suppressions
-    / the baseline), ``description`` (one line, shown by ``--list-rules``),
-    and ``default_paths`` (repo-relative posix prefixes the rule applies
-    to).  ``check`` yields :class:`Finding` objects; the engine filters
-    inline suppressions afterwards, so rules never need to consult them.
+    Subclasses set ``name`` (kebab-case, used in diagnostics and
+    suppressions), ``description`` (one line, shown by ``--list-rules``),
+    and ``paths`` (repo-relative posix prefixes the rule applies to).
+    ``check`` yields :class:`Finding` objects; the engine filters inline
+    suppressions afterwards, so rules never need to consult them.
     """
 
     name: str = ""
     description: str = ""
-    default_paths: Tuple[str, ...] = ("src/repro/",)
-
-    def __init__(self, options: Optional[Mapping[str, object]] = None) -> None:
-        self.options: Dict[str, object] = dict(options or {})
-
-    def paths(self) -> Tuple[str, ...]:
-        configured = self.options.get("paths")
-        if configured is None:
-            return self.default_paths
-        return tuple(str(p) for p in configured)  # type: ignore[union-attr]
+    paths: Tuple[str, ...] = ("src/repro/",)
 
     def applies_to(self, ctx: FileContext) -> bool:
         # Prefix match for repo-relative paths; substring-at-segment match
@@ -257,44 +199,11 @@ class Rule:
         # seeded copies under /tmp in tests) still hit the right rules.
         return any(
             ctx.path.startswith(prefix) or f"/{prefix}" in ctx.path
-            for prefix in self.paths()
+            for prefix in self.paths
         )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    # -- interprocedural hooks (PR 9) ----------------------------------
-    def bind_project(self, project: object) -> None:
-        """Receive the whole-project :class:`~repro.analysis.dataflow.
-        ProjectContext` before any checks run.  Per-file rules may consult
-        it from ``check``; pure project rules use ``check_project``."""
-        self.project = project
-
-    def check_project(self, project: object) -> Iterator[Finding]:
-        """Whole-project pass, run once after every file's ``check``.
-
-        The base implementation yields nothing; interprocedural rules (and
-        per-file rules that also want a global pass) override it.
-        """
-        return iter(())
-
-    def applies_to_path(self, path: str) -> bool:
-        """Path-only variant of :meth:`applies_to` for project findings."""
-        return any(
-            path.startswith(prefix) or f"/{prefix}" in path
-            for prefix in self.paths()
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for rules that only make sense over the whole project.
-
-    Subclasses implement :meth:`check_project`; the per-file ``check`` is a
-    no-op so the engine's file loop skips them cheaply.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -321,15 +230,15 @@ class UnusedSuppressionRule(Rule):
 
     Stale suppressions rot silently: the code they excused gets fixed or
     deleted and the comment keeps granting a blanket waiver to whatever
-    lands on that line next.  The engine tracks which suppressions actually
-    absorbed a finding during the run and emits one finding per dead entry;
-    this class only carries the name/description — the detection lives in
-    :func:`run_lint` because it needs the whole run's suppression usage.
+    lands on that line next.  The engine tracks which suppressions absorbed
+    a finding and emits one finding per dead entry; this class only carries
+    the name/description/scope — the detection lives in the per-file pass
+    because it needs every other rule's findings for the file.
     """
 
     name = "unused-suppression"
     description = "inline `repro: disable` comment that suppresses nothing"
-    default_paths = ("src/repro/", "src/", "tests/", "benchmarks/", "scripts/")
+    paths = ("src/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
@@ -337,36 +246,23 @@ class UnusedSuppressionRule(Rule):
 
 @dataclass
 class LintConfig:
-    """Which rules run, with what options, against which project root.
-
-    ``enabled=None`` means every registered rule; ``disabled`` subtracts.
-    ``rule_options`` maps rule name -> options dict (e.g. ``{"paths":
-    [...]}`` to re-scope a rule, or rule-specific knobs such as the marker
-    rule's ``declared`` list).
-    """
+    """Which rules run (``enabled=None``: every registered rule) and the
+    root that reported paths are made relative to."""
 
     enabled: Optional[Sequence[str]] = None
-    disabled: Sequence[str] = ()
-    rule_options: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     project_root: Optional[Path] = None
-    #: Where per-file interprocedural summaries are cached between runs
-    #: (content-hash keyed).  ``None`` disables the cache.
-    cache_path: Optional[Path] = None
 
     def build_rules(self) -> List[Rule]:
         registry = registered_rules()
         if self.enabled is None:
-            names = sorted(registry)
-        else:
-            unknown = sorted(set(self.enabled) - set(registry))
-            if unknown:
-                raise ValueError(
-                    f"unknown rule(s) {', '.join(unknown)}; "
-                    f"known: {', '.join(sorted(registry))}"
-                )
-            names = list(self.enabled)
-        names = [name for name in names if name not in set(self.disabled)]
-        return [registry[name](self.rule_options.get(name)) for name in names]
+            return [registry[name]() for name in sorted(registry)]
+        unknown = sorted(set(self.enabled) - set(registry))
+        if unknown:
+            raise ValueError(
+                f"unknown rule(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(registry))}"
+            )
+        return [registry[name]() for name in self.enabled]
 
 
 # ----------------------------------------------------------------------
@@ -374,26 +270,13 @@ class LintConfig:
 # ----------------------------------------------------------------------
 @dataclass
 class LintResult:
-    """Outcome of one lint pass.
-
-    ``findings`` are *new* diagnostics (not covered by the baseline);
-    ``baselined`` are grandfathered ones matched to baseline entries;
-    ``stale`` are baseline entries that no longer match any finding (fixed
-    code whose entry should be pruned with ``--baseline-update``).
-    """
+    """Outcome of one lint pass: the findings nothing excused, and how
+    many an inline suppression absorbed."""
 
     findings: List[Finding]
-    baselined: List[Finding] = field(default_factory=list)
-    stale: List[object] = field(default_factory=list)
     files: int = 0
     elapsed_seconds: float = 0.0
     suppressed: int = 0
-    # Interprocedural pass metrics (PR 9).
-    callgraph_seconds: float = 0.0
-    functions: int = 0
-    call_edges: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -404,18 +287,6 @@ class LintResult:
         if self.elapsed_seconds <= 0:
             return 0.0
         return self.files / self.elapsed_seconds
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def counts_by_rule(self) -> Dict[str, int]:
-        """New-finding counts per rule, for the failure summary table."""
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def iter_python_files(paths: Iterable[object]) -> List[Path]:
@@ -434,216 +305,96 @@ def iter_python_files(paths: Iterable[object]) -> List[Path]:
     return sorted(out)
 
 
-def _relative_posix(path: Path, root: Optional[Path]) -> str:
-    resolved = path.resolve()
-    if root is not None:
-        try:
-            return resolved.relative_to(Path(root).resolve()).as_posix()
-        except ValueError:
-            pass
-    return path.as_posix()
+def _relative_posix(path: Path, root: Path) -> str:
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
 
 
-def lint_sources(
-    sources: Mapping[str, str],
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint a set of in-memory ``path -> source`` blobs as one project.
+def _lint_file(ctx: FileContext, rules: Sequence[Rule]) -> Tuple[List[Finding], int]:
+    """One file through every rule whose ``paths`` match it.
 
-    The multi-file workhorse of the interprocedural test-suite: fixture
-    modules are analysed together, so cross-module call chains (a serving
-    entry point reaching nn compute two files away) resolve exactly as they
-    would on disk.  Syntax errors propagate — a fixture that does not parse
-    is a broken test, not a lint finding.
+    Returns the findings no inline comment absorbed — including, when
+    ``unused-suppression`` is among ``rules``, one per suppression that
+    absorbed nothing — and the number that were absorbed.
     """
-    from .dataflow import ProjectContext  # local: avoids a core<->rules cycle
-
-    config = config or LintConfig()
-    if rules is None:
-        rules = config.build_rules()
-    ctxs: Dict[str, FileContext] = {}
-    for path, source in sources.items():
-        ctx = FileContext(source, path, project_root=config.project_root)
-        ctxs[ctx.path] = ctx
-    project = ProjectContext.build(
-        [(ctx.path, ctx.source, ctx.tree) for ctx in ctxs.values()]
-    )
-    for rule in rules:
-        rule.bind_project(project)
     findings: List[Finding] = []
-    for ctx in ctxs.values():
-        for rule in rules:
-            if not rule.applies_to(ctx):
-                continue
-            for finding in rule.check(ctx):
-                if not ctx.suppressed(finding.rule, finding.line):
-                    findings.append(finding)
+    used_lines: Set[int] = set()
+    suppressed = 0
+    report_unused = False
     for rule in rules:
-        for finding in rule.check_project(project):
-            ctx = ctxs.get(finding.path)
-            if ctx is not None and ctx.suppressed(finding.rule, finding.line):
+        if not rule.applies_to(ctx):
+            continue
+        if isinstance(rule, UnusedSuppressionRule):
+            report_unused = True
+        for finding in rule.check(ctx):
+            if ctx.suppressed(finding.rule, finding.line):
+                used_lines.add(finding.line)
+                suppressed += 1
+            else:
+                findings.append(finding)
+    if report_unused:
+        for line, names in sorted(ctx.suppressions.items()):
+            if line in used_lines:
                 continue
-            findings.append(finding)
-    return sorted(findings)
+            listed = ",".join(sorted(names))
+            findings.append(Finding(
+                path=ctx.path, line=line, rule=UnusedSuppressionRule.name,
+                message=(
+                    f"suppression `repro: disable={listed}` never fires; "
+                    "remove the stale comment"
+                ),
+                symbol=f"disable={listed}",
+            ))
+    return findings, suppressed
 
 
 def lint_source(
-    source: str,
-    path: str,
-    config: Optional[LintConfig] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    source: str, path: str, config: Optional[LintConfig] = None,
 ) -> List[Finding]:
     """Lint one in-memory source blob as if it lived at ``path``.
 
     The workhorse of the rule test-suite: fixture snippets are linted
     against synthetic repo paths so each rule's path scoping applies
-    exactly as it would on disk.  Inline suppressions are honoured, and the
-    blob gets a single-module project context so interprocedural rules see
-    chains that stay within the file.
+    exactly as it would on disk.  Syntax errors propagate — a fixture that
+    does not parse is a broken test, not a lint finding.
     """
-    return lint_sources({path: source}, config=config, rules=rules)
+    rules = (config or LintConfig()).build_rules()
+    return sorted(_lint_file(FileContext(source, path), rules)[0])
 
 
-def run_lint(
-    paths: Sequence[object],
-    config: Optional[LintConfig] = None,
-    baseline: Optional[object] = None,
-    restrict_paths: Optional[Iterable[str]] = None,
-) -> LintResult:
-    """Lint every python file under ``paths``; partition against ``baseline``.
+def run_lint(paths: Sequence[object], config: Optional[LintConfig] = None) -> LintResult:
+    """Lint every python file under ``paths``.
 
     Files that fail to parse produce a single :data:`SYNTAX_ERROR_RULE`
     finding instead of aborting the run.  Timing covers the whole pass
-    (file IO + parse + project call-graph build + every rule) so the
-    reported seconds reflect what CI actually pays.
-
-    ``restrict_paths`` (repo-relative posix paths) is the ``--changed-only``
-    contract: *every* file is still read into the interprocedural project —
-    summaries must stay whole-program-correct — then the restricted set is
-    expanded to its reverse-dependency closure (callers of changed code can
-    see a different interprocedural verdict), and only that closure gets
-    per-file rules, findings, and stale-entry reporting.  Unchanged files
-    hit the summary cache, so the skipped work is the parse plus every
-    file rule.
+    (file IO + parse + every rule) so the reported seconds reflect what CI
+    actually pays.
     """
-    from .dataflow import ProjectContext  # local: avoids a core<->rules cycle
-
     config = config or LintConfig()
     root = config.project_root if config.project_root is not None else Path.cwd()
     rules = config.build_rules()
     files = iter_python_files(paths)
-    restrict: Optional[Set[str]] = (
-        {Path(p).as_posix() for p in restrict_paths}
-        if restrict_paths is not None
-        else None
-    )
 
     started = time.perf_counter()
-    raw: List[Finding] = []
+    findings: List[Finding] = []
     suppressed = 0
-    ctxs: Dict[str, FileContext] = {}
-    sources: List[Tuple[str, str]] = []
-    #: (path, line) suppression entries that absorbed at least one finding.
-    used_suppressions: Set[Tuple[str, int]] = set()
-
-    def absorb(ctx: FileContext, finding: Finding) -> bool:
-        if ctx.suppressed(finding.rule, finding.line):
-            used_suppressions.add((ctx.path, finding.line))
-            return True
-        return False
-
-    def make_ctx(rel: str, source: str) -> Optional[FileContext]:
+    for file_path in files:
+        rel = _relative_posix(file_path, root)
         try:
-            ctx = FileContext(source, rel, project_root=root)
+            ctx = FileContext(file_path.read_text(encoding="utf-8"), rel)
         except SyntaxError as error:
-            raw.append(Finding(
+            findings.append(Finding(
                 path=rel, line=error.lineno or 1, rule=SYNTAX_ERROR_RULE,
                 message=f"file does not parse: {error.msg}",
             ))
-            return None
-        ctxs[rel] = ctx
-        return ctx
-
-    for file_path in files:
-        rel = _relative_posix(file_path, root)
-        sources.append((rel, file_path.read_text(encoding="utf-8")))
-
-    if restrict is None:
-        # Full run: parse once, share the tree with the project build.
-        project_files: List[Tuple[str, str, Optional[ast.AST]]] = []
-        for rel, source in sources:
-            ctx = make_ctx(rel, source)
-            if ctx is not None:
-                project_files.append((rel, source, ctx.tree))
-        project = ProjectContext.build(project_files, cache_path=config.cache_path)
-    else:
-        # Changed-only run: build the project first (cache makes unchanged
-        # files parse-free), expand the restriction to the reverse-
-        # dependency closure, then parse just the closure.
-        project = ProjectContext.build(
-            [(rel, source, None) for rel, source in sources],
-            cache_path=config.cache_path,
-        )
-        restrict = project.graph.reverse_dependency_paths(project.table, restrict)
-        for rel, source in sources:
-            if rel in restrict:
-                make_ctx(rel, source)
-    callgraph_seconds = project.build_seconds
-    for rule in rules:
-        rule.bind_project(project)
-
-    for ctx in ctxs.values():
-        for rule in rules:
-            if not rule.applies_to(ctx):
-                continue
-            for finding in rule.check(ctx):
-                if absorb(ctx, finding):
-                    suppressed += 1
-                else:
-                    raw.append(finding)
-
-    for rule in rules:
-        for finding in rule.check_project(project):
-            if restrict is not None and finding.path not in restrict:
-                continue
-            ctx = ctxs.get(finding.path)
-            if ctx is not None and absorb(ctx, finding):
-                suppressed += 1
-            else:
-                raw.append(finding)
-
-    if any(isinstance(rule, UnusedSuppressionRule) for rule in rules):
-        for ctx in ctxs.values():
-            for line, names in sorted(ctx.suppressions.items()):
-                if (ctx.path, line) in used_suppressions:
-                    continue
-                listed = ",".join(sorted(names))
-                raw.append(Finding(
-                    path=ctx.path, line=line, rule=UnusedSuppressionRule.name,
-                    message=(
-                        f"suppression `repro: disable={listed}` never fires; "
-                        "remove the stale comment"
-                    ),
-                    symbol=f"disable={listed}",
-                ))
+            continue
+        new, absorbed = _lint_file(ctx, rules)
+        findings += new
+        suppressed += absorbed
     elapsed = time.perf_counter() - started
-
-    raw.sort()
-    if baseline is not None:
-        new, matched, stale = baseline.partition(raw, root=root)
-        if restrict is not None:
-            # A restricted run cannot prove an entry stale — the finding may
-            # live in a file that simply was not linted this time.
-            stale = [entry for entry in stale if getattr(entry, "path", None) in restrict]
-    else:
-        new, matched, stale = raw, [], []
     return LintResult(
-        findings=list(new), baselined=list(matched), stale=list(stale),
-        files=len(ctxs) if restrict is not None else len(files),
+        findings=sorted(findings), files=len(files),
         elapsed_seconds=elapsed, suppressed=suppressed,
-        callgraph_seconds=callgraph_seconds,
-        functions=len(project.table.functions),
-        call_edges=project.graph.edge_count,
-        cache_hits=project.cache_hits, cache_misses=project.cache_misses,
     )

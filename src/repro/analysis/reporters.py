@@ -1,14 +1,10 @@
-"""Render a :class:`~repro.analysis.core.LintResult` as text or JSON.
+"""Render a :class:`~repro.analysis.core.LintResult` as text.
 
-The text reporter prints the canonical ``path:line: rule: message`` lines
-(the format CI greps and editors jump on) followed by a one-line summary;
-the JSON reporter emits a machine-readable payload for tooling.
+The canonical ``path:line: rule: message`` lines (the format CI greps and
+editors jump on) followed by a one-line summary.
 """
 
 from __future__ import annotations
-
-import json
-from typing import Dict
 
 from .core import LintResult
 
@@ -16,76 +12,15 @@ from .core import LintResult
 def summarize(result: LintResult) -> str:
     """One-line verdict: files, timing, finding counts."""
     verdict = "clean" if result.ok else f"{len(result.findings)} finding(s)"
-    extras = []
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
-    if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.stale:
-        extras.append(f"{len(result.stale)} stale baseline entr(y/ies)")
-    detail = f" ({', '.join(extras)})" if extras else ""
-    graph = ""
-    if result.functions:
-        graph = (
-            f" [callgraph: {result.functions} fns, {result.call_edges} edges "
-            f"in {result.callgraph_seconds:.2f}s, "
-            f"cache {result.cache_hit_rate:.0%}]"
-        )
+    detail = f" ({result.suppressed} suppressed)" if result.suppressed else ""
     return (
         f"lint: {result.files} files in {result.elapsed_seconds:.2f}s "
-        f"({result.files_per_second:.0f} files/s) -> {verdict}{detail}{graph}"
+        f"({result.files_per_second:.0f} files/s) -> {verdict}{detail}"
     )
 
 
-def render_rule_table(result: LintResult) -> str:
-    """Per-rule new-finding counts, aligned — printed by CI on failure."""
-    counts = result.counts_by_rule()
-    if not counts:
-        return "no new findings"
-    width = max(len(rule) for rule in counts)
-    lines = [f"{rule:<{width}}  {count:>4}" for rule, count in counts.items()]
-    lines.append(f"{'total':<{width}}  {sum(counts.values()):>4}")
-    return "\n".join(lines)
-
-
-def render_text(result: LintResult, show_baselined: bool = False) -> str:
-    """Diagnostic lines + stale-entry warnings + summary."""
+def render_text(result: LintResult) -> str:
+    """Diagnostic lines + summary."""
     lines = [finding.describe() for finding in result.findings]
-    if show_baselined:
-        lines += [
-            f"{finding.describe()} [baselined]" for finding in result.baselined
-        ]
-    for entry in result.stale:
-        lines.append(
-            f"stale baseline entry (fixed? prune with --baseline-update): "
-            f"{entry.describe()}"
-        )
     lines.append(summarize(result))
     return "\n".join(lines)
-
-
-def render_json(result: LintResult) -> str:
-    """Machine-readable report: findings, baselined, stale, summary block."""
-    payload: Dict[str, object] = {
-        "findings": [finding.to_dict() for finding in result.findings],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale": [entry.to_dict() for entry in result.stale],
-        "summary": {
-            "files": result.files,
-            "elapsed_seconds": result.elapsed_seconds,
-            "files_per_second": result.files_per_second,
-            "new": len(result.findings),
-            "baselined": len(result.baselined),
-            "suppressed": result.suppressed,
-            "stale": len(result.stale),
-            "ok": result.ok,
-            "callgraph_seconds": result.callgraph_seconds,
-            "functions": result.functions,
-            "call_edges": result.call_edges,
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-            "cache_hit_rate": result.cache_hit_rate,
-        },
-        "by_rule": result.counts_by_rule(),
-    }
-    return json.dumps(payload, indent=1) + "\n"

@@ -9,13 +9,6 @@ from .bounded_wait import BoundedWaitRule
 from .dtype import InferenceDtypeRule
 from .futures import FutureHygieneRule
 from .grad_mode import ProbeModeDisciplineRule
-from .interprocedural import (
-    BlockingUnderLockRule,
-    LockOrderRule,
-    RouterExceptionTaxonomyRule,
-    ServingGradLeakRule,
-)
-from .markers import PytestMarkerDeclaredRule
 from .threading_rules import LockDisciplineRule, ThreadLocalStateRule
 
 __all__ = [
@@ -23,11 +16,6 @@ __all__ = [
     "InferenceDtypeRule",
     "FutureHygieneRule",
     "ProbeModeDisciplineRule",
-    "PytestMarkerDeclaredRule",
     "LockDisciplineRule",
     "ThreadLocalStateRule",
-    "BlockingUnderLockRule",
-    "LockOrderRule",
-    "RouterExceptionTaxonomyRule",
-    "ServingGradLeakRule",
 ]

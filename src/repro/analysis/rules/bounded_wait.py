@@ -10,7 +10,8 @@ cluster.
 
 Scope is the concurrent tier (``repro.serving``) — elsewhere a bare
 ``join()`` on a short-lived helper is idiomatic and not worth the noise.
-Justified exceptions go in the lint baseline like every other rule.
+A justified exception takes an inline ``# repro: disable=bounded-wait``
+with its reason in the comment line above it, like every other rule.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ class BoundedWaitRule(Rule):
     primitives) nor a ``timeout=`` keyword.  The receiver's type is not
     resolved — any attribute call with one of these names counts, which is
     exactly the conservatism wanted in the concurrent tier; a justified
-    unbounded wait belongs in the baseline with its reason in a comment.
+    unbounded wait is suppressed inline with its reason in a comment.
     """
 
     name = "bounded-wait"
     description = "blocking waits in repro.serving must pass a timeout"
-    default_paths = ("src/repro/serving/",)
+    paths = ("src/repro/serving/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -13,9 +13,9 @@ Correct patterns::
     dtype = active_compute_dtype()          # follow the switch
     step = np.asarray(row, dtype=memory.data.dtype)   # inherit upstream
 
-Deliberate float64 (e.g. latency statistics, loss accumulation) goes in
-the committed baseline with a justification, or takes an inline
-``# repro: disable=inference-dtype``.
+Deliberate float64 (e.g. latency statistics, loss accumulation) takes an
+inline ``# repro: disable=inference-dtype`` with the reason in the comment
+line above it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class InferenceDtypeRule(Rule):
         "no hard-coded float64 in serving/decode hot paths; use the "
         "compute_dtype switch or inherit the upstream array dtype"
     )
-    default_paths = ("src/repro/serving/", "src/repro/generation/")
+    paths = ("src/repro/serving/", "src/repro/generation/")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         docstrings = _docstring_nodes(ctx.tree)

@@ -85,7 +85,7 @@ class FutureHygieneRule(Rule):
         "Futures in repro.serving must settle under an InvalidStateError "
         "guard (or before escaping) and done-callbacks must not raise"
     )
-    default_paths = ("src/repro/serving/",)
+    paths = ("src/repro/serving/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func, qualname in ctx.scoped_functions():

@@ -101,7 +101,7 @@ class ProbeModeDisciplineRule(Rule):
         "training/eval toggles and no_grad must restore state via context "
         "manager or try/finally"
     )
-    default_paths = ("src/repro/",)
+    paths = ("src/repro/",)
 
     #: Module that owns the thread-local grad flag and may mutate it.
     GRAD_STATE_OWNER = "src/repro/nn/tensor.py"

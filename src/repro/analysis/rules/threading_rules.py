@@ -92,7 +92,7 @@ class ThreadLocalStateRule(Rule):
         "module-level mutable state in repro.nn/repro.serving must use "
         "threading.local()"
     )
-    default_paths = ("src/repro/nn/", "src/repro/serving/")
+    paths = ("src/repro/nn/", "src/repro/serving/")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         module_state: Dict[str, ast.stmt] = {}
@@ -213,7 +213,9 @@ class LockDisciplineRule(Rule):
     Conventions honoured: ``__init__``/pickle dunders are exempt (no
     concurrent observer exists yet), and methods whose name ends in
     ``_locked`` are assumed to run with the lock already held by the
-    caller (the ``PipelineStats._total_seconds_locked`` convention).
+    caller (the ``PipelineStats._total_seconds_locked`` convention) — a
+    promise the rule holds the class's other methods to: calling
+    ``self.<name>_locked()`` with no class lock held is a finding too.
     """
 
     name = "lock-discipline"
@@ -221,39 +223,12 @@ class LockDisciplineRule(Rule):
         "attributes mutated under `with self._lock` must never be mutated "
         "outside it"
     )
-    default_paths = ("src/repro/",)
+    paths = ("src/repro/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(ctx, node)
-
-    def check_project(self, project: object) -> Iterator[Finding]:
-        """Interprocedural leg (PR 9): the ``*_locked`` naming convention
-        promises the caller already holds a lock — verify every resolved
-        call site into a ``*_locked`` method actually does.  Callers that
-        are themselves ``*_locked`` inherit the promise from *their*
-        caller and are skipped."""
-        for info in project.functions_under(self.paths()):
-            if info.name.endswith("_locked"):
-                continue
-            for call in project.graph.calls_from(info.fid):
-                if call.locks or not call.name.endswith("_locked"):
-                    continue
-                if not any(
-                    project.table.functions.get(callee) is not None
-                    for callee, _kind in call.callees
-                ):
-                    continue
-                yield Finding(
-                    path=info.path, line=call.line, rule=self.name,
-                    symbol=info.qualname,
-                    message=(
-                        f"{call.name}() promises the caller holds a lock "
-                        f"(`_locked` suffix) but {info.qualname} calls it "
-                        f"with no lock held"
-                    ),
-                )
 
     # ------------------------------------------------------------------
     def _check_class(self, ctx: FileContext, cls: ast.ClassDef) -> Iterator[Finding]:
@@ -264,9 +239,27 @@ class LockDisciplineRule(Rule):
         # (attr, node, method, held) mutation events across all methods.
         events: List[Tuple[str, ast.AST, str, bool]] = []
         for stmt in cls.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                assume_held = stmt.name.endswith("_locked")
-                self._collect(stmt, stmt.name, lock_attrs, assume_held, events)
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assume_held = stmt.name.endswith("_locked")
+            for node, held in self._walk_held(stmt, lock_attrs, assume_held):
+                for attr in _mutated_self_attrs(node):
+                    events.append((attr, node, stmt.name, held))
+                callee = _self_locked_call(node)
+                if callee is None or held or stmt.name in EXEMPT_METHODS:
+                    continue
+                # The `_locked` suffix promises the caller already holds
+                # the lock; a `*_locked` caller inherits the promise from
+                # *its* caller (assume_held), everyone else must keep it.
+                yield Finding(
+                    path=ctx.path, line=node.lineno, column=node.col_offset,
+                    rule=self.name, symbol=f"{cls.name}.{stmt.name}",
+                    message=(
+                        f"{callee}() promises the caller holds a lock "
+                        f"(`_locked` suffix) but {cls.name}.{stmt.name} "
+                        f"calls it with no lock held"
+                    ),
+                )
 
         guarded = {
             attr for attr, _, _, held in events
@@ -296,73 +289,71 @@ class LockDisciplineRule(Rule):
         for node in ast.walk(cls):
             if isinstance(node, ast.Assign) and _is_lock_factory(node.value):
                 for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        locks.add(target.attr)
+                    attr = _self_attr(target)
+                    if attr is not None:
+                        locks.add(attr)
         return locks
 
-    def _collect(
-        self,
-        node: ast.AST,
-        method: str,
-        lock_attrs: Set[str],
-        held: bool,
-        events: List[Tuple[str, ast.AST, str, bool]],
-    ) -> None:
-        """Walk one method, tracking whether a class lock is held."""
+    def _walk_held(
+        self, node: ast.AST, lock_attrs: Set[str], held: bool,
+    ) -> Iterator[Tuple[ast.AST, bool]]:
+        """Every node under ``node``, once, with whether a class lock is
+        held there (inside a ``with self.<lock>:`` block, or ``held``)."""
         for child in ast.iter_child_nodes(node):
-            child_held = held
-            if isinstance(child, ast.With):
-                for item in child.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Attribute)
-                        and isinstance(expr.value, ast.Name)
-                        and expr.value.id == "self"
-                        and expr.attr in lock_attrs
-                    ):
-                        child_held = True
-            self._record_mutations(child, method, child_held, events)
-            self._collect(child, method, lock_attrs, child_held, events)
-
-    @staticmethod
-    def _record_mutations(
-        node: ast.AST,
-        method: str,
-        held: bool,
-        events: List[Tuple[str, ast.AST, str, bool]],
-    ) -> None:
-        def self_attr(expr: ast.AST) -> Optional[str]:
-            # self.X or self.X[...] as a mutation target
-            if isinstance(expr, ast.Subscript):
-                expr = expr.value
-            if (
-                isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-            ):
-                return expr.attr
-            return None
-
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
+            child_held = held or (
+                isinstance(child, ast.With)
+                and any(
+                    _self_attr(item.context_expr) in lock_attrs
+                    for item in child.items
+                )
             )
-            for target in targets:
-                attr = self_attr(target)
-                if attr is not None:
-                    events.append((attr, node, method, held))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                attr = self_attr(target)
-                if attr is not None:
-                    events.append((attr, node, method, held))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
-                attr = self_attr(func.value)
-                if attr is not None:
-                    events.append((attr, node, method, held))
+            yield child, child_held
+            yield from self._walk_held(child, lock_attrs, child_held)
+
+
+def _self_attr(expr: ast.AST) -> Optional[str]:
+    """``X`` for the expression ``self.X``, else ``None``."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return expr.attr
+    return None
+
+
+def _self_locked_call(node: ast.AST) -> Optional[str]:
+    """``name`` when ``node`` is the call ``self.<name>_locked(...)``."""
+    if isinstance(node, ast.Call):
+        name = _self_attr(node.func)
+        if name is not None and name.endswith("_locked"):
+            return name
+    return None
+
+
+def _mutated_self_attrs(node: ast.AST) -> List[str]:
+    """Attributes of ``self`` that ``node`` itself assigns, deletes or
+    mutates in place (``self.X = ...``, ``self.X[k] += 1``,
+    ``del self.X[k]``, ``self.X.append(...)``)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Delete):
+        targets = node.targets
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in MUTATOR_METHODS
+    ):
+        targets = [node.func.value]
+    else:
+        return []
+    attrs = []
+    for target in targets:
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        attr = _self_attr(target)
+        if attr is not None:
+            attrs.append(attr)
+    return attrs

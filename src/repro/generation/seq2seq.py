@@ -77,7 +77,10 @@ class Seq2SeqModel(Module):
         batch, length, vocab = logits.shape
         flat_logits = logits.reshape(batch * length, vocab)
         flat_targets = decoder_target.reshape(-1)
-        keep = (flat_targets != self.pad_id).astype(np.float64)
+        # Training-path loss accumulation: float64 keeps the summed
+        # cross-entropy stable over long epochs and never runs on the serving
+        # hot path (greedy_decode follows the compute dtype).
+        keep = (flat_targets != self.pad_id).astype(np.float64)  # repro: disable=inference-dtype
         total_real = max(keep.sum(), 1.0)
         loss = F.cross_entropy(flat_logits, flat_targets, reduction="none", sample_weights=keep)
         return loss.sum() * (1.0 / total_real)
