@@ -12,16 +12,20 @@ cross-encoder reranking) into a production-shaped serving path:
 * :mod:`repro.serving.stages` — the vectorized stage implementations and the
   :class:`~repro.serving.stages.PipelineBatch` carrier they transform.
 * :mod:`repro.serving.cluster` — the multi-worker tier: a
-  :class:`~repro.serving.cluster.ReplicaPool` of pipeline clones behind a
+  :class:`~repro.serving.cluster.ReplicaPool` of
+  :class:`~repro.serving.cluster.ThreadReplica` (or forked
+  :class:`~repro.serving.cluster.ProcessReplica`) pipeline clones behind a
   :class:`~repro.serving.cluster.Router` with world-affinity dispatch,
   least-pending balancing, admission control (explicit
   :class:`~repro.serving.cluster.RejectedError` sheds) and automatic requeue
   from dead replicas, plus :class:`~repro.serving.cluster.FaultEvent`
-  injuries for chaos testing.
+  injuries for chaos testing.  Its counters are read through
+  ``router.stats.snapshot()``.
 * :mod:`repro.serving.resilience` — the self-healing layer: a
   :class:`~repro.serving.resilience.Supervisor` thread that auto-restarts
-  dead replicas under a :class:`~repro.serving.resilience.RestartPolicy`,
-  per-replica circuit breakers, end-to-end request deadlines and a
+  dead replicas under a :class:`~repro.serving.resilience.RestartPolicy`
+  and owns the set of quarantined slots, per-replica circuit breakers,
+  end-to-end request deadlines and a
   :class:`~repro.serving.resilience.BrownoutController` that trades answer
   quality for latency under sustained overload.
 
@@ -52,7 +56,6 @@ from .cluster import (
     FaultInjector,
     ProcessReplica,
     RejectedError,
-    Replica,
     ReplicaDiedError,
     ReplicaHealth,
     ReplicaPool,
@@ -109,7 +112,6 @@ __all__ = [
     "PipelineStats",
     "ProcessReplica",
     "RejectedError",
-    "Replica",
     "ReplicaDiedError",
     "ReplicaHealth",
     "ReplicaPool",

@@ -4,22 +4,20 @@ The single :class:`~repro.serving.service.LinkingService` caps throughput at
 one scheduler thread feeding one pipeline, and any stall freezes the whole
 service.  This module scales the front door out to N workers:
 
-* :class:`Replica` — the worker interface: submit/pending/probe plus the
-  lifecycle verbs (``drain``, ``kill``) and fault hooks (``set_delay``,
-  ``freeze``/``unfreeze``) the chaos tests drive.
-* :class:`ThreadReplica` — a replica backed by its own scheduler thread and
+* :class:`ThreadReplica` — one pool worker: its own scheduler thread and
   an :meth:`~repro.serving.pipeline.EntityLinkingPipeline.clone` of the
   pipeline; the heavyweight read-only state (encoder weights, the index
-  snapshot) is shared across the pool.
-* :class:`ProcessReplica` — the same interface backed by a worker *process*
-  (fork by default); batches cross a pipe, faults and batching stay on the
-  parent side, so every lifecycle/fault path behaves identically.
+  snapshot) is shared across the pool.  Its :class:`FaultInjector`
+  (``replica.faults``) is where the chaos tests slow or freeze it.
+* :class:`ProcessReplica` — a :class:`ThreadReplica` whose pipeline runs in
+  a forked worker *process*; batches cross a pipe, faults and batching stay
+  on the parent side, so every lifecycle/fault path behaves identically.
 * :class:`ReplicaPool` — owns the replica slots and their factories:
   graceful drain, restart (a fresh clone from the shared snapshot state),
   kill, and construction straight from an on-disk index snapshot.
 * :class:`Router` — the front door.  Exposes the familiar service API
   (``submit`` / ``link`` / ``close`` / ``warm_up`` / ``pending`` /
-  ``peak_pending`` / ``stats``) over the pool with:
+  ``stats``) over the pool with:
 
   - **world-affinity dispatch** — a mention's world hashes to a home
     replica, keeping per-world cache locality, falling back to balancing
@@ -27,10 +25,9 @@ service.  This module scales the front door out to N workers:
   - **least-pending balancing** — ties broken by a seeded permutation, so
     the same seed and replica count always produce the same assignment;
   - **per-class admission control** — when the aggregate pending depth
-    (the live value behind the ``peak_pending`` high-watermark) crosses the
-    class's watermark, the submit is *shed*: the returned future already
-    holds a :class:`RejectedError`.  Shedding is explicit and immediate,
-    never a timeout;
+    crosses the class's watermark, the submit is *shed*: the returned
+    future already holds a :class:`RejectedError`.  Shedding is explicit
+    and immediate, never a timeout;
   - **automatic requeue** — a dead replica's in-flight requests fail with
     :class:`ReplicaDiedError` and the router resubmits them to healthy
     replicas; callers only see an error when every retry is exhausted.
@@ -60,17 +57,7 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,75 +209,15 @@ class ReplicaHealth:
     frozen: bool
     delay: float
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "replica_id": self.replica_id,
-            "name": self.name,
-            "state": self.state,
-            "alive": self.alive,
-            "pending": self.pending,
-            "processed": self.processed,
-            "frozen": self.frozen,
-            "delay": self.delay,
-        }
 
-
-class Replica:
-    """Interface of one pool worker; see :class:`ThreadReplica` for the
-    canonical implementation and :class:`ProcessReplica` for the
-    process-backed one.
+class ThreadReplica:
+    """A replica backed by its own scheduler thread and pipeline clone.
 
     A replica accepts single-mention submits (returning futures), owns its
     own dynamic micro-batching, and supports two shutdown modes: ``drain``
     (graceful — queued work completes) and ``kill`` (crash-style — every
     outstanding future fails with :class:`ReplicaDiedError` so the router
     can requeue).
-    """
-
-    replica_id: int = 0
-    name: str = "replica"
-
-    @property
-    def state(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def pending(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def stats(self) -> PipelineStats:
-        raise NotImplementedError
-
-    def submit(
-        self, mention: Mention, deadline_at: Optional[float] = None
-    ) -> "Future[LinkingResult]":
-        raise NotImplementedError
-
-    def probe(self) -> ReplicaHealth:
-        raise NotImplementedError
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        raise NotImplementedError
-
-    def kill(self) -> int:
-        raise NotImplementedError
-
-    def set_delay(self, seconds: float) -> None:
-        raise NotImplementedError
-
-    def freeze(self) -> None:
-        raise NotImplementedError
-
-    def unfreeze(self) -> None:
-        raise NotImplementedError
-
-    def set_degraded(self, degraded: bool) -> None:
-        raise NotImplementedError
-
-
-class ThreadReplica(Replica):
-    """A replica backed by its own scheduler thread and pipeline clone.
 
     Parameters
     ----------
@@ -401,16 +328,6 @@ class ThreadReplica(Replica):
         self._service.close(timeout=5.0)
         return failed
 
-    # -- fault hooks ----------------------------------------------------
-    def set_delay(self, seconds: float) -> None:
-        self.faults.set_delay(seconds)
-
-    def freeze(self) -> None:
-        self.faults.freeze()
-
-    def unfreeze(self) -> None:
-        self.faults.unfreeze()
-
     # -- brownout -------------------------------------------------------
     def set_degraded(self, degraded: bool) -> None:
         """Flip this replica's pipeline into/out of brownout mode."""
@@ -499,10 +416,11 @@ class ProcessReplica(ThreadReplica):
 
     The parent keeps the dynamic batching, fault gate and lifecycle logic of
     :class:`ThreadReplica`; only ``pipeline.link`` crosses the process
-    boundary (one micro-batch per round trip).  The default ``fork`` start
-    method inherits the parent's pipeline memory copy-on-write — create the
-    pool (or restart a replica) while no traffic flows, as with index
-    warm-up.  ``spawn`` also works when every pipeline component pickles.
+    boundary (one micro-batch per round trip).  The worker is forked, so it
+    inherits the parent's pipeline memory copy-on-write — create the pool
+    (or restart a replica) while no traffic flows.  Every index shard is
+    built before the fork, so the worker never embeds one itself and a
+    restarted worker inherits them too.
 
     ``kill()`` additionally terminates the worker process, modelling a hard
     machine failure; ``drain()`` stops it gracefully after the queue
@@ -517,9 +435,9 @@ class ProcessReplica(ThreadReplica):
         max_batch_size: Optional[int] = None,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         start: bool = True,
-        mp_context: str = "fork",
     ) -> None:
-        context = multiprocessing.get_context(mp_context)
+        warm_up_index(pipeline.index)
+        context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
         proxy = _PipelineProxy(
             parent_conn, batch_size=pipeline.batch_size, index=pipeline.index
@@ -637,224 +555,87 @@ class FaultEvent:
 # ----------------------------------------------------------------------
 # Aggregated stats
 # ----------------------------------------------------------------------
-class ClusterStats:
-    """Aggregate view over the router and every replica's pipeline stats.
+#: Counters :meth:`ClusterStats.snapshot` reports under ``"router"``, beside
+#: the per-class ``shed`` counts and their ``shed_total``.
+ROUTER_COUNTERS = (
+    "submitted", "completed", "errors", "requeued", "deaths",
+    "affinity_misses", "expired", "breaker_rejects",
+)
 
-    Router-level counters (submits, sheds per class, requeues, deaths) and
-    the per-request latency window live here; per-replica throughput
-    counters stay in each replica's :class:`PipelineStats` and are merged on
-    demand from consistent :meth:`~PipelineStats.snapshot` copies.  Restarted
+
+class ClusterStats:
+    """Router counters plus a merged view of every replica's pipeline stats.
+
+    Read through :meth:`snapshot` only.  Router-level counters (one dict,
+    :data:`ROUTER_COUNTERS` plus ``brownout_engagements``; sheds per
+    request class) and the per-request latency window live here;
+    per-replica throughput counters stay in each replica's
+    :class:`PipelineStats` and are merged on demand from consistent
+    :meth:`~PipelineStats.snapshot` copies.  Restarted
     replicas start fresh stats — the aggregate reflects the *current* pool
     generation, which is what capacity dashboards want.
 
-    The recovery metric: :attr:`recovery_seconds` is the gap between the
-    first replica death and the completion of the last request that had to
-    be requeued because of a death — how long the cluster took to fully
-    absorb the failure.
+    The recovery metric: ``recovery_seconds`` is the gap between the first
+    replica death and the completion of the last request that had to be
+    requeued because of a death — how long the cluster took to fully absorb
+    the failure.
     """
 
     def __init__(self, pool: "ReplicaPool") -> None:
         self._pool = pool
         self._lock = threading.Lock()
         self._latency = LatencyWindow()
-        self._submitted = 0
-        self._completed = 0
-        self._errors = 0
+        self._counts = dict.fromkeys(ROUTER_COUNTERS + ("brownout_engagements",), 0)
         self._shed: Dict[str, int] = {}
-        self._requeues = 0
-        self._deaths = 0
-        self._affinity_misses = 0
         self._first_death_at: Optional[float] = None
         self._last_requeue_done_at: Optional[float] = None
-        # Resilience bookkeeping (supervisor restarts, breaker/brownout).
-        self._expired = 0
-        self._breaker_rejects = 0
-        self._restarts = 0
         self._mttr: List[float] = []
-        self._quarantined: set = set()
-        self._brownout_engagements = 0
-        self._degraded_active = False
         self._degraded_since: Optional[float] = None
         self._degraded_seconds = 0.0
 
-    # -- recording (router hot path) ------------------------------------
-    def record_submit(self) -> None:
+    def count(self, name: str, request_class: Optional[str] = None) -> None:
+        """Add one to counter ``name``: one of :data:`ROUTER_COUNTERS`, or
+        ``"shed"``, counted per ``request_class``.  The first death starts
+        the recovery clock."""
         with self._lock:
-            self._submitted += 1
+            if name == "shed":
+                self._shed[request_class] = self._shed.get(request_class, 0) + 1
+            else:
+                self._counts[name] += 1
+            if name == "deaths" and self._first_death_at is None:
+                self._first_death_at = time.perf_counter()
 
     def record_completed(self, latency_seconds: float, requeued: bool) -> None:
         now = time.perf_counter()
         self._latency.record(latency_seconds)
         with self._lock:
-            self._completed += 1
+            self._counts["completed"] += 1
             if requeued:
                 self._last_requeue_done_at = now
 
-    def record_error(self) -> None:
-        with self._lock:
-            self._errors += 1
-
-    def record_shed(self, request_class: str) -> None:
-        with self._lock:
-            self._shed[request_class] = self._shed.get(request_class, 0) + 1
-
-    def record_requeue(self) -> None:
-        with self._lock:
-            self._requeues += 1
-
-    def record_death(self) -> None:
-        now = time.perf_counter()
-        with self._lock:
-            self._deaths += 1
-            if self._first_death_at is None:
-                self._first_death_at = now
-
-    def record_affinity_miss(self) -> None:
-        with self._lock:
-            self._affinity_misses += 1
-
-    def record_expired(self) -> None:
-        with self._lock:
-            self._expired += 1
-
-    def record_breaker_reject(self) -> None:
-        with self._lock:
-            self._breaker_rejects += 1
-
-    # -- resilience recording (supervisor / brownout controller) ---------
-    def record_restart(self, slot: int, mttr_seconds: float) -> None:
+    def record_restart(self, mttr_seconds: float) -> None:
         """One supervisor-driven slot recovery; ``mttr_seconds`` is the gap
         between the death being detected and the fresh replica standing."""
         with self._lock:
-            self._restarts += 1
             self._mttr.append(max(mttr_seconds, 0.0))
-            self._quarantined.discard(slot)
-
-    def record_quarantine(self, slot: int) -> None:
-        """Mark a slot as crash-looping (idempotent — the supervisor
-        re-asserts quarantines each tick so a stats reset cannot hide one)."""
-        with self._lock:
-            self._quarantined.add(slot)
 
     def record_brownout(self, active: bool) -> None:
         """Track brownout transitions and cumulative degraded wall time."""
         now = time.perf_counter()
         with self._lock:
-            if active and not self._degraded_active:
-                self._brownout_engagements += 1
+            if active and self._degraded_since is None:
+                self._counts["brownout_engagements"] += 1
                 self._degraded_since = now
-            elif not active and self._degraded_active:
-                if self._degraded_since is not None:
-                    self._degraded_seconds += now - self._degraded_since
+            elif not active and self._degraded_since is not None:
+                self._degraded_seconds += now - self._degraded_since
                 self._degraded_since = None
-            self._degraded_active = active
-
-    # -- aggregate reads -------------------------------------------------
-    @property
-    def submitted(self) -> int:
-        with self._lock:
-            return self._submitted
-
-    @property
-    def completed(self) -> int:
-        with self._lock:
-            return self._completed
-
-    @property
-    def shed_total(self) -> int:
-        with self._lock:
-            return sum(self._shed.values())
-
-    def shed_by_class(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._shed)
-
-    @property
-    def requeued(self) -> int:
-        with self._lock:
-            return self._requeues
-
-    @property
-    def deaths(self) -> int:
-        with self._lock:
-            return self._deaths
-
-    @property
-    def recovery_seconds(self) -> Optional[float]:
-        with self._lock:
-            if self._first_death_at is None or self._last_requeue_done_at is None:
-                return None
-            return max(self._last_requeue_done_at - self._first_death_at, 0.0)
-
-    @property
-    def expired(self) -> int:
-        with self._lock:
-            return self._expired
-
-    @property
-    def restarts(self) -> int:
-        with self._lock:
-            return self._restarts
-
-    @property
-    def mttr_seconds(self) -> Tuple[float, ...]:
-        """Per-incident recovery times of supervisor-driven restarts."""
-        with self._lock:
-            return tuple(self._mttr)
-
-    @property
-    def quarantined(self) -> Tuple[int, ...]:
-        """Slots the supervisor has quarantined as crash-looping."""
-        with self._lock:
-            return tuple(sorted(self._quarantined))
-
-    @property
-    def brownout_engagements(self) -> int:
-        with self._lock:
-            return self._brownout_engagements
-
-    @property
-    def degraded_active(self) -> bool:
-        with self._lock:
-            return self._degraded_active
-
-    @property
-    def degraded_seconds(self) -> float:
-        """Cumulative wall time spent in brownout, including a live spell."""
-        now = time.perf_counter()
-        with self._lock:
-            total = self._degraded_seconds
-            if self._degraded_active and self._degraded_since is not None:
-                total += now - self._degraded_since
-            return total
-
-    @property
-    def mentions(self) -> int:
-        """Mentions processed across the current pool generation."""
-        return sum(r.stats.snapshot()["mentions"] for r in self._pool.replicas)
-
-    @property
-    def batches(self) -> int:
-        return sum(r.stats.snapshot()["batches"] for r in self._pool.replicas)
-
-    def latency_percentile(self, percentile: float) -> float:
-        """See :meth:`~repro.serving.pipeline.LatencyWindow.percentile`."""
-        return self._latency.percentile(percentile)
-
-    def latency_summary(self) -> Dict[str, float]:
-        """See :meth:`~repro.serving.pipeline.LatencyWindow.summary`."""
-        return self._latency.summary()
 
     def snapshot(self) -> Dict[str, object]:
         """One consistent report: router counters + merged replica stats."""
         per_replica = []
-        total_mentions = 0
-        total_batches = 0
         stage_seconds: Dict[str, float] = {}
         for replica in self._pool.replicas:
             shot = replica.stats.snapshot()
-            total_mentions += shot["mentions"]
-            total_batches += shot["batches"]
             for stage, seconds in shot["stage_seconds"].items():
                 stage_seconds[stage] = stage_seconds.get(stage, 0.0) + seconds
             per_replica.append({
@@ -864,39 +645,36 @@ class ClusterStats:
                 "mentions": shot["mentions"],
                 "batches": shot["batches"],
             })
+        now = time.perf_counter()
         with self._lock:
-            router = {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "errors": self._errors,
-                "shed": dict(self._shed),
-                "shed_total": sum(self._shed.values()),
-                "requeued": self._requeues,
-                "deaths": self._deaths,
-                "affinity_misses": self._affinity_misses,
-                "expired": self._expired,
-                "breaker_rejects": self._breaker_rejects,
+            router: Dict[str, object] = {
+                name: self._counts[name] for name in ROUTER_COUNTERS
             }
+            router["shed"] = dict(self._shed)
+            router["shed_total"] = sum(self._shed.values())
+            if self._first_death_at is not None and self._last_requeue_done_at is not None:
+                router["recovery_seconds"] = max(
+                    self._last_requeue_done_at - self._first_death_at, 0.0
+                )
+            degraded_seconds = self._degraded_seconds
+            if self._degraded_since is not None:
+                degraded_seconds += now - self._degraded_since
             resilience = {
-                "restarts": self._restarts,
+                "restarts": len(self._mttr),
                 "mttr_seconds": list(self._mttr),
-                "mttr_max_seconds": max(self._mttr) if self._mttr else 0.0,
-                "quarantined": sorted(self._quarantined),
-                "brownout_engagements": self._brownout_engagements,
-                "degraded_active": self._degraded_active,
+                "mttr_max_seconds": max(self._mttr, default=0.0),
+                "brownout_engagements": self._counts["brownout_engagements"],
+                "degraded_active": self._degraded_since is not None,
+                "degraded_seconds": degraded_seconds,
             }
-        resilience["degraded_seconds"] = self.degraded_seconds
-        recovery = self.recovery_seconds
-        if recovery is not None:
-            router["recovery_seconds"] = recovery
         return {
             "router": router,
             "aggregate": {
-                "mentions": total_mentions,
-                "batches": total_batches,
+                "mentions": sum(shot["mentions"] for shot in per_replica),
+                "batches": sum(shot["batches"] for shot in per_replica),
                 "stage_seconds": stage_seconds,
             },
-            "latency": self.latency_summary(),
+            "latency": self._latency.summary(),
             "per_replica": per_replica,
             "resilience": resilience,
         }
@@ -905,26 +683,16 @@ class ClusterStats:
         """Clear router counters and every live replica's pipeline stats."""
         self._latency.clear()
         with self._lock:
-            self._submitted = 0
-            self._completed = 0
-            self._errors = 0
-            self._shed.clear()
-            self._requeues = 0
-            self._deaths = 0
-            self._affinity_misses = 0
+            self._counts = dict.fromkeys(self._counts, 0)
+            self._shed = {}
             self._first_death_at = None
             self._last_requeue_done_at = None
-            self._expired = 0
-            self._breaker_rejects = 0
-            self._restarts = 0
-            self._mttr.clear()
-            self._quarantined.clear()
-            self._brownout_engagements = 0
+            self._mttr = []
             self._degraded_seconds = 0.0
             # A live brownout spell survives the reset: only the accumulated
             # time is cleared, so a measurement starting mid-brownout still
             # accounts the ongoing spell from its own start.
-            if self._degraded_active:
+            if self._degraded_since is not None:
                 self._degraded_since = time.perf_counter()
         for replica in self._pool.replicas:
             replica.stats.reset()
@@ -943,13 +711,13 @@ class ReplicaPool:
     lifetime (the router's affinity hash depends on it).
     """
 
-    def __init__(self, factories: Sequence[Callable[[], Replica]]) -> None:
+    def __init__(self, factories: Sequence[Callable[[], ThreadReplica]]) -> None:
         if not factories:
             raise ValueError("a pool needs at least one replica factory")
         self._factories = list(factories)
         self._lock = threading.Lock()
         self._generations = [0] * len(self._factories)
-        self._replicas: List[Replica] = [factory() for factory in self._factories]
+        self._replicas: List[ThreadReplica] = [factory() for factory in self._factories]
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -960,7 +728,6 @@ class ReplicaPool:
         max_batch_size: Optional[int] = None,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         process_replicas: int = 0,
-        mp_context: str = "fork",
     ) -> "ReplicaPool":
         """A pool of clones of ``pipeline``: thread replicas, then
         ``process_replicas`` process-backed ones in the last slots.
@@ -973,27 +740,19 @@ class ReplicaPool:
         if not 0 <= process_replicas <= replicas:
             raise ValueError("process_replicas must be within [0, replicas]")
 
-        def thread_factory(slot: int) -> Callable[[], Replica]:
-            def build() -> Replica:
-                return ThreadReplica(
-                    pipeline.clone(), replica_id=slot,
-                    max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-                )
-            return build
-
-        def process_factory(slot: int) -> Callable[[], Replica]:
-            def build() -> Replica:
-                return ProcessReplica(
-                    pipeline.clone(), replica_id=slot,
-                    max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-                    mp_context=mp_context,
-                )
-            return build
-
         threaded = replicas - process_replicas
-        factories = [thread_factory(slot) for slot in range(threaded)]
-        factories += [process_factory(slot) for slot in range(threaded, replicas)]
-        return cls(factories)
+
+        def factory(slot: int) -> Callable[[], ThreadReplica]:
+            kind = ThreadReplica if slot < threaded else ProcessReplica
+
+            def build() -> ThreadReplica:
+                return kind(
+                    pipeline.clone(), replica_id=slot,
+                    max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
+                )
+            return build
+
+        return cls([factory(slot) for slot in range(replicas)])
 
     @classmethod
     def from_snapshot(
@@ -1038,11 +797,11 @@ class ReplicaPool:
         return len(self._factories)
 
     @property
-    def replicas(self) -> Tuple[Replica, ...]:
+    def replicas(self) -> Tuple[ThreadReplica, ...]:
         with self._lock:
             return tuple(self._replicas)
 
-    def replica(self, slot: int) -> Replica:
+    def replica(self, slot: int) -> ThreadReplica:
         with self._lock:
             return self._replicas[slot]
 
@@ -1063,7 +822,7 @@ class ReplicaPool:
     def drain(self, slot: int, timeout: Optional[float] = None) -> None:
         self.replica(slot).drain(timeout=timeout)
 
-    def restart(self, slot: int, timeout: Optional[float] = None) -> Replica:
+    def restart(self, slot: int, timeout: Optional[float] = None) -> ThreadReplica:
         """Replace the slot's replica with a fresh generation.
 
         The old replica is drained first if it is still healthy (rolling
@@ -1133,6 +892,11 @@ class Router:
     Requests on a replica that dies fail with :class:`ReplicaDiedError` and
     are requeued automatically (bounded by ``max_attempts``); callers see an
     error only when the cluster is truly out of healthy capacity.
+
+    Every slot has a circuit breaker built from ``breaker_policy``: a
+    flapping replica is routed around before it fully dies.  The default
+    policy never opens on a healthy replica (it needs a windowed error-rate
+    majority).
     """
 
     def __init__(
@@ -1142,10 +906,10 @@ class Router:
         affinity: bool = True,
         seed: int = 0,
         max_attempts: Optional[int] = None,
-        record_dispatch: bool = False,
-        breakers: bool = True,
         breaker_policy: Optional["BreakerPolicy"] = None,
     ) -> None:
+        from .resilience import CircuitBreaker  # late: resilience imports us
+
         if max_attempts is not None and max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
         self.pool = pool
@@ -1155,30 +919,16 @@ class Router:
         self.max_attempts = max_attempts or (len(pool) + 1)
         self._lock = threading.Lock()
         self._pending = 0
-        self._peak_pending = 0
         self._closing = False
         self._degraded = False
+        # Names of the replicas whose death is already counted; a name is
+        # unique per slot and generation (``replica-0@g2``).
+        self._dead: set = set()
         # Seeded tie-break: rank[i] orders replicas with equal queue depth.
         permutation = np.random.default_rng(seed).permutation(len(pool))
         self._tiebreak_rank = {int(slot): rank for rank, slot in enumerate(permutation)}
         self.stats = ClusterStats(pool)
-        self.dispatch_log: Optional[List[Tuple[str, int]]] = (
-            [] if record_dispatch else None
-        )
-        # Per-slot circuit breakers: flapping replicas are routed around
-        # before they fully die.  The default policy never opens on a
-        # healthy replica (it needs a windowed error-rate majority), so
-        # breakers are on unless explicitly disabled.
-        self._breakers: Dict[int, "CircuitBreaker"] = {}
-        if breakers:
-            from .resilience import BreakerPolicy, CircuitBreaker  # late: cycle
-
-            policy = breaker_policy or BreakerPolicy()
-            self._breakers = {
-                slot: CircuitBreaker(policy) for slot in range(len(pool))
-            }
-        elif breaker_policy is not None:
-            raise ValueError("breaker_policy given but breakers=False")
+        self._breakers = [CircuitBreaker(breaker_policy) for _ in range(len(pool))]
 
     # ------------------------------------------------------------------
     # Dispatch policy
@@ -1199,9 +949,9 @@ class Router:
         healthy = self.pool.healthy_slots()
         if not healthy:
             return None
-        allowed = [slot for slot in healthy if self._breaker_allows(slot)]
+        allowed = [slot for slot in healthy if self._breakers[slot].allows()]
         if not allowed:
-            self.stats.record_breaker_reject()
+            self.stats.count("breaker_rejects")
             raise BreakerOpenError(
                 f"all {len(healthy)} healthy replica(s) have open circuit "
                 f"breakers; retry after the cooldown"
@@ -1213,13 +963,9 @@ class Router:
             # Unhealthy home slot *or* a healthy one with an open breaker:
             # either way the request spills to least-pending, and the miss
             # counter records that affinity was not honoured.
-            self.stats.record_affinity_miss()
+            self.stats.count("affinity_misses")
         depths = {slot: self.pool.replica(slot).pending for slot in allowed}
         return self._least_pending(allowed, depths)
-
-    def _breaker_allows(self, slot: int) -> bool:
-        breaker = self._breakers.get(slot)
-        return breaker is None or breaker.allows()
 
     def assignment_plan(self, mentions: Sequence[Mention]) -> List[int]:
         """The deterministic dispatch assignment for a mention sequence.
@@ -1281,16 +1027,14 @@ class Router:
             else:
                 shed = False
                 self._pending += 1
-                if self._pending > self._peak_pending:
-                    self._peak_pending = self._pending
         if shed:
-            self.stats.record_shed(request_class)
+            self.stats.count("shed", request_class)
             caller.set_exception(OverCapacityError(
                 f"request class {request_class!r} shed: aggregate pending "
                 f"{depth} >= watermark {limit}"
             ))
             return caller
-        self.stats.record_submit()
+        self.stats.count("submitted")
         request = _ClusterRequest(
             mention=mention, caller=caller, request_class=request_class,
             submitted_at=submitted_at, deadline_at=deadline_at,
@@ -1318,7 +1062,7 @@ class Router:
                 request.deadline_at is not None
                 and time.perf_counter() >= request.deadline_at
             ):
-                self.stats.record_expired()
+                self.stats.count("expired")
                 self._finalize(request, error=DeadlineExpiredError(
                     f"request {request.mention.mention_id} expired before "
                     f"dispatch"
@@ -1348,30 +1092,25 @@ class Router:
                 )
             except ReplicaDiedError:
                 continue  # lost a race with drain/kill — re-pick
-            breaker = self._breakers.get(slot)
-            if breaker is not None:
-                breaker.on_dispatch()
-            if self.dispatch_log is not None:
-                self.dispatch_log.append((request.mention.mention_id, slot))
+            self._breakers[slot].on_dispatch()
             inner.add_done_callback(
-                lambda done, request=request, slot=slot: (
-                    self._on_inner_done(request, slot, done)
+                lambda done, request=request, slot=slot, replica=replica: (
+                    self._on_inner_done(request, slot, replica, done)
                 )
             )
             return
 
     def _on_inner_done(
-        self, request: _ClusterRequest, slot: int,
+        self, request: _ClusterRequest, slot: int, replica: ThreadReplica,
         inner: "Future[LinkingResult]",
     ) -> None:
-        breaker = self._breakers.get(slot)
+        breaker = self._breakers[slot]
         if inner.cancelled():
             self._finalize(request, cancelled=True)
             return
         error = inner.exception()
         if error is None:
-            if breaker is not None:
-                breaker.record_success()
+            breaker.record_success()
             # Done-callback context: the future is settled, so this never
             # blocks (timeout=0 keeps that machine-checked).
             self._finalize(request, result=inner.result(timeout=0))
@@ -1381,18 +1120,27 @@ class Router:
             # itself is fine, so the breaker sees neither success nor
             # failure, and retrying a request that is already past its
             # deadline would be wasted work.
-            self.stats.record_expired()
+            self.stats.count("expired")
             self._finalize(request, error=error)
             return
-        if breaker is not None:
-            breaker.record_failure()
+        breaker.record_failure()
         retryable = isinstance(error, ReplicaDiedError)
+        if retryable:
+            self._record_death(replica)
         if retryable and request.attempts < self.max_attempts and not self._closing:
             request.requeued = True
-            self.stats.record_requeue()
+            self.stats.count("requeued")
             self._dispatch(request)
             return
         self._finalize(request, error=error)
+
+    def _record_death(self, replica: ThreadReplica) -> None:
+        """Count a replica's death the first time the router sees it."""
+        with self._lock:
+            if replica.name in self._dead:
+                return
+            self._dead.add(replica.name)
+        self.stats.count("deaths")
 
     def _finalize(
         self,
@@ -1404,7 +1152,7 @@ class Router:
         with self._lock:
             self._pending -= 1
         if error is not None:
-            self.stats.record_error()
+            self.stats.count("errors")
         elif not cancelled:
             self.stats.record_completed(
                 time.perf_counter() - request.submitted_at, request.requeued
@@ -1429,17 +1177,6 @@ class Router:
             return self._pending
 
     @property
-    def peak_pending(self) -> int:
-        """High-watermark of the aggregate pending count (exact)."""
-        with self._lock:
-            return self._peak_pending
-
-    def reset_peak_pending(self) -> int:
-        with self._lock:
-            self._peak_pending = self._pending
-            return self._peak_pending
-
-    @property
     def running(self) -> bool:
         """Whether at least one replica can take traffic."""
         with self._lock:
@@ -1453,21 +1190,21 @@ class Router:
         probes = []
         for replica in self.pool.replicas:
             health = replica.probe()
-            if health.state == DEAD and health.pending > 0:
-                replica.kill()  # idempotent; flushes outstanding into requeue
-                health = replica.probe()
+            if health.state == DEAD:
+                self._record_death(replica)
+                if health.pending > 0:
+                    replica.kill()  # idempotent; flushes outstanding into requeue
+                    health = replica.probe()
             probes.append(health)
         return probes
 
     def breaker_states(self) -> Dict[int, str]:
-        """Per-slot circuit-breaker state names (empty when disabled)."""
-        return {slot: breaker.state for slot, breaker in self._breakers.items()}
+        """Per-slot circuit-breaker state names."""
+        return {slot: breaker.state for slot, breaker in enumerate(self._breakers)}
 
     def reset_breaker(self, slot: int) -> None:
         """Force one slot's breaker back to closed (fresh replica)."""
-        breaker = self._breakers.get(slot)
-        if breaker is not None:
-            breaker.reset()
+        self._breakers[slot].reset()
 
     @property
     def degraded(self) -> bool:
@@ -1515,11 +1252,7 @@ class Router:
     def warm_up(self, worlds: Optional[Sequence[str]] = None) -> List[str]:
         """Materialise index shards before traffic (one shared snapshot —
         warming any replica warms them all)."""
-        for replica in self.pool.replicas:
-            index = getattr(replica, "pipeline", None)
-            if index is not None:
-                return warm_up_index(replica.pipeline.index, worlds)
-        return []
+        return warm_up_index(self.pool.replica(0).pipeline.index, worlds)
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: stop admitting, drain every replica."""
@@ -1540,15 +1273,16 @@ class Router:
             raise ValueError(
                 f"fault targets replica {slot}, pool has {len(self.pool)} slots"
             )
+        replica = self.pool.replica(slot)
         if event.action == "kill":
-            self.stats.record_death()
-            self.pool.kill(slot)
+            self._record_death(replica)
+            replica.kill()
         elif event.action == "slow":
-            self.pool.replica(slot).set_delay(event.value)
+            replica.faults.set_delay(event.value)
         elif event.action == "freeze":
-            self.pool.replica(slot).freeze()
+            replica.faults.freeze()
         elif event.action == "unfreeze":
-            self.pool.replica(slot).unfreeze()
+            replica.faults.unfreeze()
         elif event.action == "drain":
             # Draining blocks until the replica's queue flushes; run it off
             # the injecting thread so its later events stay on schedule.

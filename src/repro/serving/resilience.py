@@ -18,8 +18,8 @@ module closes the loop:
   full quality once pressure clears.
 - :class:`Supervisor` — the background thread tying it together: runs
   ``Router.health_check()`` on a timer, restarts dead slots under the
-  policy, records MTTR and quarantines into :class:`ClusterStats`, and
-  drives the brownout controller.
+  policy, records MTTR into :class:`ClusterStats`, owns the quarantine
+  set, and drives the brownout controller.
 
 Everything takes an injectable ``clock`` so the state machines are unit
 testable without sleeping.
@@ -202,7 +202,7 @@ class RestartPolicy:
     per rolling ``budget_window_seconds`` across the whole pool.  A slot
     whose replica dies within ``min_uptime_seconds`` of standing racks up
     a crash-loop strike; ``crash_loop_threshold`` strikes quarantine it —
-    no further restarts, surfaced via ``ClusterStats.quarantined``.
+    no further restarts, surfaced via ``Supervisor.quarantined``.
     """
 
     initial_backoff_seconds: float = 0.05
@@ -325,11 +325,10 @@ class Supervisor:
     silently-dead replicas so their requests requeue), then restarts any
     ``dead``/``stopped`` slot that is off backoff, inside the restart
     budget and not quarantined.  MTTR (death detected → fresh replica
-    standing) and quarantines land in ``router.stats``; quarantines are
-    re-asserted every tick so a mid-run ``stats.reset()`` cannot hide
-    one.  With a :class:`BrownoutController` attached it also samples
-    ``router.pending`` and flips ``router.set_degraded`` on the
-    controller's say-so.
+    standing) lands in ``router.stats``; quarantined slots are read from
+    :attr:`quarantined`, their one owner.  With a
+    :class:`BrownoutController` attached it also samples ``router.pending``
+    and flips ``router.set_degraded`` on the controller's say-so.
 
     Use as a context manager or call :meth:`close`; the loop waits on a
     stop event with the probe interval as timeout, so shutdown is prompt
@@ -415,10 +414,6 @@ class Supervisor:
         policy = self.policy
         with self._lock:
             if slot in self._quarantined:
-                # Re-assert every tick: ClusterStats.reset() clears the
-                # quarantine set, and a hidden quarantine would read as a
-                # healthy pool in the next stats snapshot.
-                self.router.stats.record_quarantine(slot)
                 return
             if slot not in self._down_since:
                 self._down_since[slot] = now
@@ -435,7 +430,6 @@ class Supervisor:
                     self._strikes[slot] = 0
                 if self._strikes[slot] >= policy.crash_loop_threshold:
                     self._quarantined.add(slot)
-                    self.router.stats.record_quarantine(slot)
                     return
                 self._next_attempt_at[slot] = now + policy.backoff_for(
                     self._strikes[slot], self._rng
@@ -458,7 +452,6 @@ class Supervisor:
                 self._strikes[slot] = self._strikes.get(slot, 0) + 1
                 if self._strikes[slot] >= policy.crash_loop_threshold:
                     self._quarantined.add(slot)
-                    self.router.stats.record_quarantine(slot)
                 else:
                     self._next_attempt_at[slot] = self._clock() + (
                         policy.backoff_for(self._strikes[slot], self._rng)
@@ -470,4 +463,4 @@ class Supervisor:
             self._restarted_at[slot] = done
             self._restart_times.append(done)
             self._next_attempt_at.pop(slot, None)
-        self.router.stats.record_restart(slot, done - down_at)
+        self.router.stats.record_restart(done - down_at)

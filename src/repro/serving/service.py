@@ -168,7 +168,6 @@ class LinkingService:
         self._queue: Deque[_PendingRequest] = deque()
         self._inflight: List[_PendingRequest] = []
         self._has_deadlines = False
-        self._peak_pending = 0
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._closing = False
@@ -280,8 +279,6 @@ class LinkingService:
             if deadline_at is not None:
                 self._has_deadlines = True
             self._queue.append(request)
-            if len(self._queue) > self._peak_pending:
-                self._peak_pending = len(self._queue)
             # Wake the scheduler only when its state can change: the first
             # request arms the max_wait deadline, a full batch flushes
             # immediately.  Intermediate submits would only make the worker
@@ -324,22 +321,6 @@ class LinkingService:
         """
         with self._lock:
             return len(self._queue) + len(self._inflight)
-
-    @property
-    def peak_pending(self) -> int:
-        """High-watermark of the queue depth since start (or the last reset).
-
-        Exact — updated on every submit — unlike sampling :attr:`pending`
-        from a monitoring ticker, which can miss short spikes between ticks.
-        """
-        with self._lock:
-            return self._peak_pending
-
-    def reset_peak_pending(self) -> int:
-        """Restart the queue-depth high-watermark from the current depth."""
-        with self._lock:
-            self._peak_pending = len(self._queue)
-            return self._peak_pending
 
     @property
     def stats(self):

@@ -67,7 +67,7 @@ class TestKillReplica:
         pipeline, mentions = fault_setup
         with make_router(pipeline, replicas=3, affinity=False) as router:
             victim = router.pool.replica(0)
-            victim.freeze()
+            victim.faults.freeze()
             futures = [router.submit(m) for m in mentions * 2]
             for _ in range(200):  # wait until the victim owns some requests
                 if victim.pending > 0:
@@ -81,7 +81,7 @@ class TestKillReplica:
         assert snapshot["errors"] == 0
         assert snapshot["deaths"] == 1
         assert snapshot["requeued"] > 0
-        assert router.stats.recovery_seconds is not None
+        assert snapshot.get("recovery_seconds") is not None
 
     def test_kill_process_replica_requeues(self, fault_setup):
         pipeline, mentions = fault_setup
@@ -134,10 +134,10 @@ class TestSlowReplica:
     def test_frozen_replica_backlog_drains_after_thaw(self, fault_setup):
         pipeline, mentions = fault_setup
         with make_router(pipeline, replicas=2, affinity=False) as router:
-            router.pool.replica(0).freeze()
+            router.pool.replica(0).faults.freeze()
             futures = [router.submit(m) for m in mentions]
             time.sleep(0.1)
-            router.pool.replica(0).unfreeze()
+            router.pool.replica(0).faults.unfreeze()
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
         assert len(results) == len(mentions)
 
@@ -151,16 +151,16 @@ class TestShedThenRecover:
         )
         try:
             for replica in router.pool.replicas:
-                replica.freeze()
+                replica.faults.freeze()
             admitted = [router.submit(m) for m in mentions[:4]]
             overflow = [router.submit(m) for m in mentions[4:10]]
             for future in overflow:
                 with pytest.raises(RejectedError):
                     future.result(timeout=0)
-            assert router.stats.shed_total == 6
+            assert router.stats.snapshot()["router"]["shed_total"] == 6
             # Thaw and let the admitted backlog drain completely.
             for replica in router.pool.replicas:
-                replica.unfreeze()
+                replica.faults.unfreeze()
             for future in admitted:
                 future.result(timeout=RESULT_TIMEOUT)
             assert router.pending == 0
@@ -169,7 +169,7 @@ class TestShedThenRecover:
             retry = [router.submit(m) for m in mentions[4:8]]
             for future in retry:
                 future.result(timeout=RESULT_TIMEOUT)
-            assert router.stats.shed_total == 6  # unchanged
+            assert router.stats.snapshot()["router"]["shed_total"] == 6  # unchanged
         finally:
             router.close()
 
@@ -203,7 +203,7 @@ class TestDrainDuringSubmit:
         pipeline, mentions = fault_setup
         with make_router(pipeline, replicas=2, affinity=False) as router:
             victim = router.pool.replica(0)
-            victim.freeze()
+            victim.faults.freeze()
             futures = [router.submit(m) for m in mentions]
             for _ in range(200):
                 if victim.pending > 0:
@@ -215,6 +215,6 @@ class TestDrainDuringSubmit:
             victim._state = "dead"
             probes = router.health_check()
             assert any(p.state == "dead" for p in probes)
-            victim.unfreeze()
+            victim.faults.unfreeze()
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
         assert len(results) == len(mentions)

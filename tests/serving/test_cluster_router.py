@@ -7,10 +7,15 @@ home replica is healthy, and admission control sheds with an *immediate*
 :class:`~repro.serving.cluster.RejectedError` — never a timeout.
 """
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.data import split_domain
 from repro.linking import BlinkPipeline
+from repro.linking.candidates import ShardedEntityIndex
 from repro.serving import (
     AdmissionPolicy,
     EntityLinkingPipeline,
@@ -51,6 +56,17 @@ def make_router(pipeline, replicas=3, **kwargs):
     return Router(pool, **kwargs)
 
 
+def log_dispatches(router):
+    """``{mention_id: slot}`` filled by a wrapper around each replica's submit."""
+    log = {}
+    for slot, replica in enumerate(router.pool.replicas):
+        def submit(mention, *args, _submit=replica.submit, _slot=slot, **kwargs):
+            log[mention.mention_id] = _slot
+            return _submit(mention, *args, **kwargs)
+        replica.submit = submit
+    return log
+
+
 class TestDispatchDeterminism:
     def test_same_seed_same_replica_count_identical_assignment(self, cluster_setup):
         pipeline, mentions = cluster_setup
@@ -78,23 +94,23 @@ class TestDispatchDeterminism:
 
     def test_live_dispatch_matches_plan(self, cluster_setup):
         pipeline, mentions = cluster_setup
-        with make_router(pipeline, replicas=3, seed=13, record_dispatch=True) as router:
+        with make_router(pipeline, replicas=3, seed=13) as router:
+            log = log_dispatches(router)
             plan = router.assignment_plan(mentions)
             futures = [router.submit(m) for m in mentions]
             for future in futures:
                 future.result(timeout=RESULT_TIMEOUT)
-            log = dict(router.dispatch_log)
         assert [log[m.mention_id] for m in mentions] == plan
 
 
 class TestWorldAffinity:
     def test_affinity_never_crosses_shards(self, cluster_setup):
         pipeline, mentions = cluster_setup
-        with make_router(pipeline, replicas=3, seed=13, record_dispatch=True) as router:
+        with make_router(pipeline, replicas=3, seed=13) as router:
+            dispatched = log_dispatches(router)
             futures = [router.submit(m) for m in mentions]
             for future in futures:
                 future.result(timeout=RESULT_TIMEOUT)
-            dispatched = dict(router.dispatch_log)
             homes = {m.mention_id: router.home_slot(m.domain) for m in mentions}
         assert dispatched == homes
         assert router.stats.snapshot()["router"]["affinity_misses"] == 0
@@ -123,15 +139,15 @@ class TestAdmissionControl:
         try:
             # Freeze both replicas so admitted requests cannot drain.
             for replica in router.pool.replicas:
-                replica.freeze()
+                replica.faults.freeze()
             admitted = [router.submit(m) for m in mentions[:2]]
             shed = router.submit(mentions[2])
             assert shed.done()  # rejected at submit time, no waiting
             with pytest.raises(RejectedError):
                 shed.result(timeout=0)
-            assert router.stats.shed_by_class() == {"default": 1}
+            assert router.stats.snapshot()["router"]["shed"] == {"default": 1}
             for replica in router.pool.replicas:
-                replica.unfreeze()
+                replica.faults.unfreeze()
             for future in admitted:
                 future.result(timeout=RESULT_TIMEOUT)
         finally:
@@ -143,7 +159,7 @@ class TestAdmissionControl:
         router = make_router(pipeline, replicas=2, admission=policy)
         try:
             for replica in router.pool.replicas:
-                replica.freeze()
+                replica.faults.freeze()
             keep = router.submit(mentions[0], request_class="batch")
             bulk = router.submit(mentions[1], request_class="batch")
             interactive = router.submit(mentions[2])
@@ -151,7 +167,7 @@ class TestAdmissionControl:
                 bulk.result(timeout=0)
             assert not interactive.done()  # admitted under the higher limit
             for replica in router.pool.replicas:
-                replica.unfreeze()
+                replica.faults.unfreeze()
             keep.result(timeout=RESULT_TIMEOUT)
             interactive.result(timeout=RESULT_TIMEOUT)
         finally:
@@ -205,16 +221,6 @@ class TestRouterServiceSurface:
         warmed = warm_up_index(pipeline.index)
         assert "lego" in warmed and "yugioh" in warmed
 
-    def test_peak_pending_and_reset(self, cluster_setup):
-        pipeline, mentions = cluster_setup
-        with make_router(pipeline, replicas=2) as router:
-            futures = [router.submit(m) for m in mentions[:6]]
-            for future in futures:
-                future.result(timeout=RESULT_TIMEOUT)
-            assert router.peak_pending >= 1
-            assert router.pending == 0
-            assert router.reset_peak_pending() == 0
-
     def test_closed_router_rejects_submit(self, cluster_setup):
         pipeline, mentions = cluster_setup
         router = make_router(pipeline, replicas=2)
@@ -222,3 +228,146 @@ class TestRouterServiceSurface:
         assert not router.running
         with pytest.raises(RuntimeError):
             router.submit(mentions[0])
+
+    def test_surface_read_by_the_benchmark(self, cluster_setup):
+        # The names perf/layers.py and perf/stack.py read off a live router;
+        # renaming one breaks the benchmark, so it fails here first.
+        pipeline, mentions = cluster_setup
+        with Router(ReplicaPool.from_pipeline(pipeline, replicas=2)) as router:
+            for future in [router.submit(m) for m in mentions[:6]]:
+                future.result(timeout=RESULT_TIMEOUT)
+            snapshot = router.stats.snapshot()
+            replicas = router.pool.replicas
+        assert {"submitted", "shed_total", "requeued", "affinity_misses"} <= set(
+            snapshot["router"]
+        )
+        assert len(snapshot["per_replica"]) == 2
+        assert all("mentions" in shot for shot in snapshot["per_replica"])
+        assert all(replica.pipeline.stages for replica in replicas)
+
+
+def kill_by_fault(router):
+    router.apply_fault(FaultEvent(at=0.0, action="kill", replica=0))
+
+
+def kill_through_pool(router):
+    router.pool.kill(0)
+
+
+def die_silently_then_probe(router):
+    router.pool.replica(0)._state = "dead"  # the scheduler never saw a kill()
+    router.health_check()
+
+
+class TestDeathAccounting:
+    @pytest.mark.parametrize(
+        "die", [kill_by_fault, kill_through_pool, die_silently_then_probe],
+        ids=["apply_fault", "pool_kill", "health_check"],
+    )
+    def test_each_death_counts_once(self, cluster_setup, die):
+        pipeline, mentions = cluster_setup
+        with make_router(pipeline, replicas=2, affinity=False) as router:
+            victim = router.pool.replica(0)
+            victim.faults.freeze()
+            futures = [router.submit(m) for m in mentions]
+            stranded = victim.pending
+            assert stranded > 0
+            die(router)
+            for future in futures:
+                future.result(timeout=RESULT_TIMEOUT)
+            router.health_check()  # a second look at the same dead generation
+            counters = router.stats.snapshot()["router"]
+        assert counters["deaths"] == 1
+        assert counters["requeued"] == stranded
+        assert counters.get("recovery_seconds") is not None
+
+    def test_concurrent_probes_count_one_death(self, cluster_setup):
+        pipeline, _ = cluster_setup
+        with make_router(pipeline, replicas=2) as router:
+            router.pool.kill(0)
+            probers = [threading.Thread(target=router.health_check) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for prober in probers:
+                    prober.start()
+                for prober in probers:
+                    prober.join(timeout=RESULT_TIMEOUT)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(prober.is_alive() for prober in probers)
+            assert router.stats.snapshot()["router"]["deaths"] == 1
+
+
+def top_k(results):
+    """Top-k ids per result, and every retrieval and rerank score in order."""
+    ids = [(r.mention_id, r.candidate_ids, r.predicted_entity_id) for r in results]
+    return ids, [s for r in results for s in r.retrieval_scores + r.rerank_scores]
+
+
+class TestSnapshotPool:
+    def test_from_snapshot_serves_what_the_pipeline_links(
+        self, cluster_setup, tmp_path, monkeypatch,
+    ):
+        pipeline, mentions = cluster_setup
+        pipeline.index.save(tmp_path / "kb")
+        expected_ids, expected_scores = top_k(pipeline.link(mentions))
+        pool = ReplicaPool.from_snapshot(
+            pipeline.biencoder, tmp_path / "kb", crossencoder=pipeline.crossencoder,
+            replicas=2, k=pipeline.k, batch_size=pipeline.batch_size,
+            route_by_domain=pipeline.route_by_domain, max_wait_ms=5.0,
+        )
+
+        def assert_serves_expected(router):
+            ids, scores = top_k([
+                router.submit(m).result(timeout=RESULT_TIMEOUT) for m in mentions
+            ])
+            assert ids == expected_ids
+            assert scores == pytest.approx(expected_scores, rel=0, abs=1e-12)
+
+        def reload(*args, **kwargs):
+            raise AssertionError("restart reloaded the snapshot")
+
+        with Router(pool, seed=13) as router:
+            index = pool.replica(0).pipeline.index
+            assert pool.replica(1).pipeline.index is index
+            assert_serves_expected(router)
+            monkeypatch.setattr(type(pipeline.biencoder), "load_sharded_index", reload)
+            router.restart_replica(0)
+            assert pool.replica(0).pipeline.index is index
+            assert_serves_expected(router)
+
+
+class TestProcessReplicaWarmUp:
+    def test_worker_builds_no_shard(self, cluster_setup, tiny_corpus, tmp_path, monkeypatch):
+        # Every shard build is logged with the building process's id; the
+        # forked worker must find each shard already built.
+        pipeline, mentions = cluster_setup
+        log = tmp_path / "builds.log"
+        build = ShardedEntityIndex.shard
+
+        def logged_build(index, world):
+            if not index.is_materialized(world):
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()} {world}\n")
+            return build(index, world)
+
+        monkeypatch.setattr(ShardedEntityIndex, "shard", logged_build)
+        worlds = ["lego", "yugioh", "star_trek"]
+        lazy = EntityLinkingPipeline(
+            pipeline.biencoder,
+            pipeline.biencoder.build_sharded_index(
+                [e for world in worlds for e in tiny_corpus.entities(world)]
+            ),
+            pipeline.crossencoder, k=4, batch_size=8,
+        )
+        pool = ReplicaPool.from_pipeline(
+            lazy, replicas=1, process_replicas=1, max_wait_ms=5.0
+        )
+        with Router(pool) as router:
+            router.warm_up()
+            for future in [router.submit(m) for m in mentions]:
+                future.result(timeout=RESULT_TIMEOUT)
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(world for _, world in builds) == sorted(worlds)
+        assert {int(pid) for pid, _ in builds} == {os.getpid()}

@@ -57,10 +57,10 @@ class TestClusterStatsThreading:
 
         def recorder():
             for i in range(rounds):
-                stats.record_submit()
+                stats.count("submitted")
                 stats.record_completed(i * 1e-6, requeued=(i % 7 == 0))
-                stats.record_shed("batch")
-                stats.record_requeue()
+                stats.count("shed", "batch")
+                stats.count("requeued")
 
         def replica_writer(replica):
             def run():
@@ -91,14 +91,14 @@ class TestClusterStatsThreading:
         ])
         # Still usable and exact after the storm settles.
         stats.reset()
-        stats.record_submit()
+        stats.count("submitted")
         stats.record_completed(0.5, requeued=False)
         pool.replicas[0].stats.record_batch(4)
         shot = stats.snapshot()
         assert shot["router"]["submitted"] == 1
         assert shot["router"]["completed"] == 1
         assert shot["aggregate"]["mentions"] == 4
-        assert stats.latency_summary()["count"] == 1
+        assert shot["latency"]["count"] == 1
 
     def test_death_and_recovery_tracking_race(self):
         pool = FakePool(2)
@@ -107,7 +107,7 @@ class TestClusterStatsThreading:
 
         def killer():
             for _ in range(rounds // 20):
-                stats.record_death()
+                stats.count("deaths")
 
         def completer():
             for i in range(rounds):
@@ -115,13 +115,13 @@ class TestClusterStatsThreading:
 
         def reader():
             for _ in range(rounds // 10):
-                recovery = stats.recovery_seconds
+                recovery = stats.snapshot()["router"].get("recovery_seconds")
                 assert recovery is None or recovery >= 0.0
 
         hammer([killer, completer, reader, reader])
-        assert stats.deaths == rounds // 20
-        assert stats.recovery_seconds is not None
-        assert stats.recovery_seconds >= 0.0
+        router = stats.snapshot()["router"]
+        assert router["deaths"] == rounds // 20
+        assert router["recovery_seconds"] >= 0.0
 
     def test_per_replica_breakdown_matches_totals(self):
         pool = FakePool(4)
@@ -133,4 +133,3 @@ class TestClusterStatsThreading:
         assert [r["batches"] for r in shot["per_replica"]] == [1, 2, 3, 4]
         assert shot["aggregate"]["batches"] == 10
         assert shot["aggregate"]["mentions"] == 30
-        assert stats.mentions == 30 and stats.batches == 10

@@ -322,9 +322,10 @@ class TestSupervisor:
             clock.advance(1.0)
             supervisor.tick()
         assert router.restarted == [1]
-        assert router.stats.restarts == 1
-        assert len(router.stats.mttr_seconds) == 1
-        assert router.stats.mttr_seconds[0] >= 0.0
+        resilience = router.stats.snapshot()["resilience"]
+        assert resilience["restarts"] == 1
+        assert len(resilience["mttr_seconds"]) == 1
+        assert resilience["mttr_seconds"][0] >= 0.0
         assert router.states[1] == HEALTHY
 
     def test_healthy_pool_is_left_alone(self):
@@ -334,7 +335,7 @@ class TestSupervisor:
                 clock.advance(1.0)
                 supervisor.tick()
         assert router.restarted == []
-        assert router.stats.restarts == 0
+        assert router.stats.snapshot()["resilience"]["restarts"] == 0
 
     def test_crash_loop_quarantines_after_threshold(self):
         router, clock = FakeRouter(), FakeClock()
@@ -350,7 +351,6 @@ class TestSupervisor:
                 clock.advance(0.1)
                 supervisor.tick()
             assert supervisor.quarantined == (0,)
-            assert router.stats.quarantined == (0,)
             # Quarantined: no further repair attempts.
             restarts_so_far = list(router.restarted)
             router.states[0] = DEAD
@@ -371,12 +371,13 @@ class TestSupervisor:
             router.states[2] = DEAD
             clock.advance(0.1)
             supervisor.tick()  # died within min_uptime: quarantined
-            assert router.stats.quarantined == (2,)
-            router.stats.reset()
-            assert router.stats.quarantined == ()
+            assert supervisor.quarantined == (2,)
+            router.stats.reset()  # the supervisor owns quarantines, not stats
+            assert supervisor.quarantined == (2,)
             clock.advance(0.1)
             supervisor.tick()
-            assert router.stats.quarantined == (2,)
+            assert supervisor.quarantined == (2,)
+            assert router.restarted == [2]
 
     def test_surviving_min_uptime_clears_strikes(self):
         router, clock = FakeRouter(), FakeClock()
@@ -502,12 +503,12 @@ class TestDeadlines:
         pipeline, mentions = resilience_setup
         with make_router(pipeline, replicas=2) as router:
             for slot in range(2):
-                router.pool.replica(slot).freeze()
+                router.pool.replica(slot).faults.freeze()
             doomed = [router.submit(m, deadline=0.05) for m in mentions[:4]]
             healthy = [router.submit(m) for m in mentions[4:8]]
             time.sleep(0.15)  # let every deadline lapse while frozen
             for slot in range(2):
-                router.pool.replica(slot).unfreeze()
+                router.pool.replica(slot).faults.unfreeze()
             for future in doomed:
                 with pytest.raises(DeadlineExpiredError):
                     future.result(timeout=RESULT_TIMEOUT)
@@ -526,13 +527,13 @@ class TestDeadlines:
             pipeline, replicas=2, admission=AdmissionPolicy(watermark=1),
         ) as router:
             for slot in range(2):
-                router.pool.replica(slot).freeze()
+                router.pool.replica(slot).faults.freeze()
             admitted = router.submit(mentions[0])
             shed = router.submit(mentions[1])
             with pytest.raises(OverCapacityError):
                 shed.result(timeout=0)
             for slot in range(2):
-                router.pool.replica(slot).unfreeze()
+                router.pool.replica(slot).faults.unfreeze()
             admitted.result(timeout=RESULT_TIMEOUT)
 
 
@@ -590,19 +591,6 @@ class TestBreakerIntegration:
             with pytest.raises(BreakerOpenError):
                 router.submit(mentions[0]).result(timeout=RESULT_TIMEOUT)
         assert router.stats.snapshot()["router"]["breaker_rejects"] >= 1
-
-    def test_breakers_disabled_runs_bare(self, resilience_setup):
-        pipeline, mentions = resilience_setup
-        with make_router(pipeline, replicas=2, breakers=False) as router:
-            assert router.breaker_states() == {}
-            router.submit(mentions[0]).result(timeout=RESULT_TIMEOUT)
-
-    def test_breaker_policy_without_breakers_rejected(self, resilience_setup):
-        pipeline, _ = resilience_setup
-        pool = ReplicaPool.from_pipeline(pipeline, replicas=2, max_wait_ms=5.0)
-        with pytest.raises(ValueError):
-            Router(pool, breakers=False, breaker_policy=BreakerPolicy())
-        pool.close()
 
     def test_restart_replica_resets_breaker(self, resilience_setup):
         pipeline, mentions = resilience_setup

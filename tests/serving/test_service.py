@@ -227,19 +227,6 @@ class TestLinkingService:
             assert "lego" in str(excinfo.value)
             assert not pipeline.index.is_materialized("lego")
 
-    def test_peak_pending_high_watermark(self, service_setup):
-        blink, entities, mentions = service_setup
-        pipeline = make_pipeline(blink, entities)
-        with LinkingService(pipeline, max_batch_size=64, max_wait_ms=60_000.0) as service:
-            assert service.peak_pending == 0
-            futures = [service.submit(mention) for mention in mentions[:6]]
-            assert service.peak_pending == 6
-            assert service.reset_peak_pending() == service.pending
-            service.close(timeout=RESULT_TIMEOUT)
-            for future in futures:
-                future.result(timeout=0)
-        assert service.pending == 0
-
     def test_warm_up_flat_index_is_noop(self, service_setup):
         blink, entities, _ = service_setup
         flat = blink.biencoder.build_index(entities)

@@ -120,35 +120,34 @@ class _EmptyPool:
 
 def _pipeline_owner():
     stats = PipelineStats()
-    return stats, stats.record_latency
+    return stats, stats.record_latency, stats.latency_summary
 
 
 def _cluster_owner():
     stats = ClusterStats(_EmptyPool())
-    return stats, lambda seconds: stats.record_completed(seconds, requeued=False)
+    return (
+        stats,
+        lambda seconds: stats.record_completed(seconds, requeued=False),
+        lambda: stats.snapshot()["latency"],
+    )
 
 
 @pytest.mark.parametrize("make_owner", [_pipeline_owner, _cluster_owner])
 def test_latency_window_contract_is_the_same_for_both_owners(make_owner):
     # PipelineStats and ClusterStats delegate to one LatencyWindow, so both
     # must read exactly numpy's percentiles of the samples they were fed.
-    stats, record = make_owner()
+    stats, record, summary = make_owner()
     empty = {"count": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-    assert stats.latency_summary() == empty
-    assert stats.latency_percentile(99.0) == 0.0
-    for outside in (-0.1, 100.1):
-        with pytest.raises(ValueError):
-            stats.latency_percentile(outside)
+    assert summary() == empty
 
     samples = np.random.default_rng(5).gamma(2.0, 0.01, size=257)
     for value in samples:
         record(float(value))
     p50, p90, p99 = np.percentile(samples, [50.0, 90.0, 99.0])
-    assert stats.latency_summary() == {
+    assert summary() == {
         "count": 257.0, "mean": float(samples.mean()),
         "p50": float(p50), "p90": float(p90), "p99": float(p99),
     }
-    assert stats.latency_percentile(100.0) == float(samples.max())
 
     def writer():
         for i in range(3000):
@@ -157,11 +156,23 @@ def test_latency_window_contract_is_the_same_for_both_owners(make_owner):
     def resetter():
         for _ in range(100):
             stats.reset()
-            stats.latency_summary()
+            summary()
 
     hammer([writer, resetter])
     stats.reset()
-    assert stats.latency_summary() == empty
+    assert summary() == empty
+
+
+def test_latency_percentile_bounds():
+    stats = PipelineStats()
+    assert stats.latency_percentile(99.0) == 0.0
+    for outside in (-0.1, 100.1):
+        with pytest.raises(ValueError):
+            stats.latency_percentile(outside)
+    samples = np.random.default_rng(5).gamma(2.0, 0.01, size=257)
+    for value in samples:
+        stats.record_latency(float(value))
+    assert stats.latency_percentile(100.0) == float(samples.max())
 
 
 def test_pipeline_stats_pickle_carries_the_window_and_a_fresh_lock():
