@@ -9,9 +9,10 @@ shows, as plain row dictionaries (ready for :func:`repro.eval.reporting.format_t
 so one cell reads one number in every table that shows it.
 
 The suite caches, in memory and for its own lifetime: the corpus, the
-tokenizer, the few-shot splits, the pairs of each training source, and the
-trained cells.  A cached cell is shared by every caller — read it (``predict``,
-``metrics``, probe its gradients), never train it further.
+tokenizer, the few-shot splits, the pairs of each training source, the
+trained cells and the serving pipeline over each.  A cached cell is shared by
+every caller — read it (``predict``, ``metrics``, probe its gradients), never
+train it further.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ class ExperimentSuite:
         self.config = config or small_experiment_config()
         self._pairs: Dict[Tuple[Optional[str], str], List[EntityMentionPair]] = {}
         self._cells: Dict[Tuple[str, Method, int], BlinkPipeline] = {}
+        # The serving pipeline over each cell, so its domain's KB is embedded once.
+        self._serving: Dict[Tuple[str, Method, int], EntityLinkingPipeline] = {}
 
     # ------------------------------------------------------------------
     # Cached artefacts
@@ -240,10 +243,13 @@ class ExperimentSuite:
         mentions: Optional[Sequence[Mention]] = None,
     ) -> Dict[str, float]:
         """Recall@k / N.Acc / U.Acc of a cell on ``mentions`` (default: the test split),
-        through the batched serving pipeline (one index build)."""
-        serving = EntityLinkingPipeline.from_blink(
-            self.cell(domain, method, seed), entities=self.corpus.entities(domain), k=self.config.recall_k
-        )
+        through the batched serving pipeline (one index build per cell, cached)."""
+        key = (domain, method, seed)
+        serving = self._serving.get(key)
+        if serving is None:
+            serving = self._serving[key] = EntityLinkingPipeline.from_blink(
+                self.cell(domain, method, seed), entities=self.corpus.entities(domain), k=self.config.recall_k
+            )
         mentions = self.splits[domain].test if mentions is None else mentions
         return evaluate_pipeline(serving, mentions).metrics.rounded().as_dict()
 

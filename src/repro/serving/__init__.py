@@ -7,8 +7,10 @@ cross-encoder reranking) into a production-shaped serving path:
   tokenize → embed → retrieve → rerank over micro-batches, returning
   structured :class:`~repro.serving.pipeline.LinkingResult` objects.
 * :class:`~repro.serving.service.LinkingService` — the asynchronous frontend:
-  per-mention submits, dynamic micro-batching (flush on ``max_batch_size`` or
-  ``max_wait_ms``), per-request futures and latency percentiles.
+  per-mention submits, dynamic micro-batching (an idle scheduler flushes at
+  once; a busy one lets a partial batch wait at most the last batch's run
+  time; a full ``max_batch_size`` batch always leaves), per-request futures
+  and latency percentiles.
 * :mod:`repro.serving.stages` — the vectorized stage implementations and the
   :class:`~repro.serving.stages.PipelineBatch` carrier they transform.
 * :mod:`repro.serving.cluster` — the multi-worker tier: a
@@ -37,7 +39,7 @@ Quickstart::
     for result in pipeline.link(mentions):
         print(result.surface, "->", result.predicted_entity_id)
 
-    with LinkingService(pipeline, max_wait_ms=5.0) as service:
+    with LinkingService(pipeline) as service:
         service.warm_up()
         future = service.submit(mentions[0])      # one request at a time
         print(future.result().predicted_entity_id)
@@ -77,7 +79,6 @@ from .resilience import (
     Supervisor,
 )
 from .service import (
-    DEFAULT_MAX_WAIT_MS,
     DeadlineExpiredError,
     LinkingService,
     OverCapacityError,
@@ -101,7 +102,6 @@ __all__ = [
     "CircuitBreaker",
     "ClusterStats",
     "DEFAULT_BATCH_SIZE",
-    "DEFAULT_MAX_WAIT_MS",
     "DeadlineExpiredError",
     "EntityLinkingPipeline",
     "FaultEvent",

@@ -7,11 +7,16 @@ service.  This module scales the front door out to N workers:
 * :class:`ThreadReplica` — one pool worker: its own scheduler thread and
   an :meth:`~repro.serving.pipeline.EntityLinkingPipeline.clone` of the
   pipeline; the heavyweight read-only state (encoder weights, the index
-  snapshot) is shared across the pool.  Its :class:`FaultInjector`
-  (``replica.faults``) is where the chaos tests slow or freeze it.
+  snapshot) is shared across the pool.  It batches by
+  :class:`~repro.serving.service.LinkingService`'s rule: an idle replica
+  flushes at once, a busy one lets a partial batch wait at most its last
+  batch's run time.  Its :class:`FaultInjector` (``replica.faults``) is
+  where the chaos tests slow or freeze it; an injected stall is not counted
+  as run time.
 * :class:`ProcessReplica` — a :class:`ThreadReplica` whose pipeline runs in
   a forked worker *process*; batches cross a pipe, faults and batching stay
-  on the parent side, so every lifecycle/fault path behaves identically.
+  on the parent side, so every lifecycle/fault path behaves identically (a
+  batch's run time includes the pipe round trip).
 * :class:`ReplicaPool` — owns the replica slots and their factories:
   graceful drain, restart (a fresh clone from the shared snapshot state),
   kill, and construction straight from an on-disk index snapshot.
@@ -72,7 +77,6 @@ from .pipeline import (
     PipelineStats,
 )
 from .service import (
-    DEFAULT_MAX_WAIT_MS,
     DeadlineExpiredError,
     LinkingService,
     OverCapacityError,
@@ -182,7 +186,11 @@ class FaultInjector:
 
 
 class _FaultableService(LinkingService):
-    """A :class:`LinkingService` whose flushes pass through a fault gate."""
+    """A :class:`LinkingService` whose flushes pass through a fault gate.
+
+    The gate runs before the base ``_flush`` times ``pipeline.link``, so a
+    freeze or delay never becomes the next batch's wait window.
+    """
 
     def __init__(self, pipeline, faults: FaultInjector, **kwargs) -> None:
         self._faults = faults
@@ -228,8 +236,9 @@ class ThreadReplica:
         read-only while stats and stage objects are private).
     replica_id / name:
         Slot index and display name within the pool.
-    max_batch_size / max_wait_ms:
-        Dynamic micro-batching knobs, as on :class:`LinkingService`.
+    max_batch_size:
+        Flush size of the replica's dynamic micro-batching, as on
+        :class:`LinkingService`.
     """
 
     def __init__(
@@ -238,7 +247,6 @@ class ThreadReplica:
         replica_id: int = 0,
         name: Optional[str] = None,
         max_batch_size: Optional[int] = None,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         start: bool = True,
     ) -> None:
         self.replica_id = replica_id
@@ -249,7 +257,7 @@ class ThreadReplica:
         self._state = HEALTHY
         self._service = _FaultableService(
             pipeline, self.faults,
-            max_batch_size=max_batch_size, max_wait_ms=max_wait_ms, start=start,
+            max_batch_size=max_batch_size, start=start,
         )
 
     # -- state ----------------------------------------------------------
@@ -433,7 +441,6 @@ class ProcessReplica(ThreadReplica):
         replica_id: int = 0,
         name: Optional[str] = None,
         max_batch_size: Optional[int] = None,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         start: bool = True,
     ) -> None:
         warm_up_index(pipeline.index)
@@ -456,7 +463,6 @@ class ProcessReplica(ThreadReplica):
             replica_id=replica_id,
             name=name or f"replica-{replica_id}",
             max_batch_size=max_batch_size or pipeline.batch_size,
-            max_wait_ms=max_wait_ms,
             start=start,
         )
 
@@ -726,7 +732,6 @@ class ReplicaPool:
         pipeline: EntityLinkingPipeline,
         replicas: int = 2,
         max_batch_size: Optional[int] = None,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         process_replicas: int = 0,
     ) -> "ReplicaPool":
         """A pool of clones of ``pipeline``: thread replicas, then
@@ -746,10 +751,7 @@ class ReplicaPool:
             kind = ThreadReplica if slot < threaded else ProcessReplica
 
             def build() -> ThreadReplica:
-                return kind(
-                    pipeline.clone(), replica_id=slot,
-                    max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-                )
+                return kind(pipeline.clone(), replica_id=slot, max_batch_size=max_batch_size)
             return build
 
         return cls([factory(slot) for slot in range(replicas)])
@@ -766,7 +768,6 @@ class ReplicaPool:
         batch_size: int = DEFAULT_BATCH_SIZE,
         route_by_domain: bool = True,
         max_batch_size: Optional[int] = None,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         process_replicas: int = 0,
         mmap: bool = True,
         backend=None,
@@ -789,7 +790,7 @@ class ReplicaPool:
         )
         return cls.from_pipeline(
             base, replicas=replicas, max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms, process_replicas=process_replicas,
+            process_replicas=process_replicas,
         )
 
     # -- access ----------------------------------------------------------

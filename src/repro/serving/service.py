@@ -4,11 +4,15 @@
 :class:`~repro.serving.pipeline.EntityLinkingPipeline` into something a server
 process can run: callers submit *individual* :class:`~repro.kb.entity.Mention`
 requests and receive futures, while a background scheduler thread accumulates
-the queue into dynamic micro-batches and flushes one into the pipeline when
-either
+the queue into dynamic micro-batches.  When to flush follows from what the
+scheduler was doing, not from a timer:
 
-* ``max_batch_size`` requests are waiting (throughput-bound flush), or
-* the oldest waiting request has aged ``max_wait_ms`` (latency-bound flush).
+* **idle** — it found the queue empty and slept for work: the first arrival
+  leaves at once, as a batch of one;
+* **busy** — requests queued up while the previous batch ran: a partial
+  batch waits for company at most as long as that previous
+  ``pipeline.link`` call took, counted from its oldest request;
+* **full** — a batch leaves as soon as ``max_batch_size`` requests wait.
 
 Per-request submit→completion latency is recorded into the pipeline's
 :class:`~repro.serving.pipeline.PipelineStats` rolling window, so the p50/p99
@@ -16,7 +20,7 @@ serving percentiles sit next to the per-stage throughput counters.
 
 Example::
 
-    service = LinkingService(pipeline, max_batch_size=64, max_wait_ms=5.0)
+    service = LinkingService(pipeline, max_batch_size=64)
     service.warm_up()                      # materialise shards before traffic
     future = service.submit(mention)       # non-blocking
     result = future.result(timeout=1.0)    # LinkingResult
@@ -39,10 +43,6 @@ from typing import Deque, List, Optional, Sequence
 from ..kb.entity import Mention
 from ..linking.candidates import ShardedEntityIndex
 from .pipeline import EntityLinkingPipeline, LinkingResult
-
-#: Default maximum age of the oldest queued request before a partial batch is
-#: flushed anyway (milliseconds).
-DEFAULT_MAX_WAIT_MS = 10.0
 
 #: Heartbeat of the scheduler's idle wait (seconds).  The scheduler never
 #: blocks longer than this without re-checking ``_closing`` and sweeping
@@ -140,9 +140,8 @@ class LinkingService:
     max_batch_size:
         Flush as soon as this many requests are queued.  Defaults to the
         pipeline's own micro-batch size so one flush is one pipeline chunk.
-    max_wait_ms:
-        Flush a partial batch once its oldest request has waited this long —
-        the latency bound under trickling traffic.
+        Below it, a batch leaves by the idle / busy rule of the module
+        docstring, which takes no setting.
     start:
         Start the scheduler thread immediately (pass False to start manually
         via :meth:`start`, e.g. after :meth:`warm_up`).
@@ -152,19 +151,19 @@ class LinkingService:
         self,
         pipeline: EntityLinkingPipeline,
         max_batch_size: Optional[int] = None,
-        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         start: bool = True,
     ) -> None:
         if max_batch_size is None:
             max_batch_size = pipeline.batch_size
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         self.pipeline = pipeline
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
 
+        # Run time of the last pipeline.link call: how long a partial batch
+        # queued behind it may wait for company.  Written and read only by
+        # the scheduler thread.
+        self._batch_seconds = 0.0
         self._queue: Deque[_PendingRequest] = deque()
         self._inflight: List[_PendingRequest] = []
         self._has_deadlines = False
@@ -280,7 +279,7 @@ class LinkingService:
                 self._has_deadlines = True
             self._queue.append(request)
             # Wake the scheduler only when its state can change: the first
-            # request arms the max_wait deadline, a full batch flushes
+            # request wakes an idle scheduler, a full batch flushes
             # immediately.  Intermediate submits would only make the worker
             # wake, re-count and sleep again — per-request wakeups are the
             # dominant dynamic-batching overhead at high submission rates.
@@ -351,9 +350,11 @@ class LinkingService:
     # Scheduler
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        max_wait = self.max_wait_ms / 1000.0
         while True:
             with self._lock:
+                # An empty queue here means the replica has nothing to do:
+                # whatever arrives first leaves at once.
+                idle = not self._queue
                 # Sleep until there is work or a shutdown request.  The wait
                 # is bounded by a heartbeat: a lost wakeup (or a notify that
                 # raced a fault-injected freeze) stalls the scheduler for at
@@ -367,12 +368,14 @@ class LinkingService:
                 if not self._queue:
                     self._fail_expired(expired)
                     continue
-                # Work exists: hold out for a full batch until the oldest
-                # request hits the latency bound (skip the wait on shutdown —
-                # drain as fast as possible).
-                deadline = self._queue[0].submitted_at + max_wait
+                # Work queued while the last batch ran: more is arriving than
+                # one batch finishes, so a partial batch waits for company —
+                # at most one batch run time from its oldest request, and
+                # not at all on shutdown (drain as fast as possible).
+                deadline = self._queue[0].submitted_at + self._batch_seconds
                 while (
-                    len(self._queue) < self.max_batch_size
+                    not idle
+                    and len(self._queue) < self.max_batch_size
                     and not self._closing
                 ):
                     remaining = deadline - time.perf_counter()
@@ -448,6 +451,7 @@ class LinkingService:
         batch = live
         if not batch:
             return
+        started = time.perf_counter()
         try:
             results = self.pipeline.link([request.mention for request in batch])
         except BaseException as error:  # propagate failures to every caller
@@ -455,6 +459,10 @@ class LinkingService:
                 self._settle(request.future, error=error)
             return
         completed_at = time.perf_counter()
+        # Timed here, inside whatever a subclass runs before this _flush (the
+        # cluster's fault gate), so a frozen replica does not stretch the
+        # next window; a failed call says nothing about batch run time.
+        self._batch_seconds = completed_at - started
         stats = self.pipeline.stats
         for request, result in zip(batch, results):
             stats.record_latency(completed_at - request.submitted_at)

@@ -8,7 +8,7 @@ import pytest
 from repro.eval import ExperimentSuite, compute_metrics, small_experiment_config
 from repro.eval.experiments import CELL_SEED, TABLE5_6_METHODS, TABLE9_METHODS, Method
 from repro.generation import MentionRewriter, build_bundle
-from repro.linking import BlinkPipeline, CrossEncoderTrainer, DL4ELTrainer
+from repro.linking import BiEncoder, BlinkPipeline, CrossEncoderTrainer, DL4ELTrainer
 from repro.meta import MetaBlinkTrainer
 
 
@@ -183,6 +183,15 @@ class TestCells:
                 reference.train(pairs, candidate_pool=pool, max_crossencoder_examples=60, seed=seed)
         cell = tiny_suite.cell(domain, TABLE5_6_METHODS[label], seed=seed)
         assert np.array_equal(_parameters(cell), _parameters(reference))
+
+    def test_metrics_embed_a_cells_kb_once(self, tiny_suite, monkeypatch):
+        method = Method(())  # untrained, so nothing to train; no other test evaluates it on lego
+        embeds = _count_calls(monkeypatch, BiEncoder, "embed_entities")
+        metrics = tiny_suite.metrics("lego", method)
+        embedded = len(embeds)
+        assert embedded > 0
+        assert tiny_suite.metrics("lego", method) == metrics
+        assert len(embeds) == embedded
 
     def test_figure4_leaves_the_cell_it_borrows_unchanged(self, tiny_suite):
         method = TABLE5_6_METHODS["blink_syn_seed"]

@@ -55,7 +55,7 @@ def fault_setup(tiny_corpus, tiny_tokenizer):
 
 
 def make_router(pipeline, replicas=3, **kwargs):
-    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas, max_wait_ms=5.0)
+    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas)
     return Router(pool, seed=13, **kwargs)
 
 
@@ -86,7 +86,7 @@ class TestKillReplica:
     def test_kill_process_replica_requeues(self, fault_setup):
         pipeline, mentions = fault_setup
         pool = ReplicaPool.from_pipeline(
-            pipeline, replicas=2, process_replicas=1, max_wait_ms=5.0
+            pipeline, replicas=2, process_replicas=1
         )
         with Router(pool, seed=13, affinity=False) as router:
             assert isinstance(pool.replica(1), ProcessReplica)

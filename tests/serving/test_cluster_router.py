@@ -52,7 +52,7 @@ def cluster_setup(tiny_corpus, tiny_tokenizer):
 
 
 def make_router(pipeline, replicas=3, **kwargs):
-    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas, max_wait_ms=5.0)
+    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas)
     return Router(pool, **kwargs)
 
 
@@ -315,7 +315,7 @@ class TestSnapshotPool:
         pool = ReplicaPool.from_snapshot(
             pipeline.biencoder, tmp_path / "kb", crossencoder=pipeline.crossencoder,
             replicas=2, k=pipeline.k, batch_size=pipeline.batch_size,
-            route_by_domain=pipeline.route_by_domain, max_wait_ms=5.0,
+            route_by_domain=pipeline.route_by_domain,
         )
 
         def assert_serves_expected(router):
@@ -362,7 +362,7 @@ class TestProcessReplicaWarmUp:
             pipeline.crossencoder, k=4, batch_size=8,
         )
         pool = ReplicaPool.from_pipeline(
-            lazy, replicas=1, process_replicas=1, max_wait_ms=5.0
+            lazy, replicas=1, process_replicas=1
         )
         with Router(pool) as router:
             router.warm_up()

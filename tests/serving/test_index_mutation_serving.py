@@ -114,7 +114,7 @@ class TestMutationUnderServing:
             except Exception as error:  # pragma: no cover - fails the test
                 mutation_errors.append(error)
 
-        with LinkingService(pipeline, max_batch_size=4, max_wait_ms=5.0) as service:
+        with LinkingService(pipeline, max_batch_size=4) as service:
             mutator = threading.Thread(target=churn)
             mutator.start()
             try:

@@ -478,7 +478,7 @@ def resilience_setup(tiny_corpus, tiny_tokenizer):
 
 
 def make_router(pipeline, replicas=2, **kwargs):
-    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas, max_wait_ms=5.0)
+    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas)
     return Router(pool, seed=13, **kwargs)
 
 

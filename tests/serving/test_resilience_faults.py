@@ -64,7 +64,7 @@ def fault_setup(tiny_corpus, tiny_tokenizer):
 
 
 def make_router(pipeline, replicas=3, **kwargs):
-    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas, max_wait_ms=5.0)
+    pool = ReplicaPool.from_pipeline(pipeline, replicas=replicas)
     return Router(pool, seed=13, **kwargs)
 
 

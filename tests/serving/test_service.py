@@ -9,7 +9,8 @@ import pytest
 
 from repro.data import split_domain
 from repro.linking import BlinkPipeline
-from repro.serving import EntityLinkingPipeline, LinkingResult, LinkingService
+from repro.serving import EntityLinkingPipeline, LinkingService, ThreadReplica
+from repro.serving.service import SCHEDULER_HEARTBEAT_SECONDS
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
@@ -19,6 +20,10 @@ CX_CFG = CrossEncoderConfig(encoder=ENC, epochs=1, batch_size=4, num_candidates=
 #: Generous wall-clock bound for waiting on futures; the tests only rely on
 #: *which* condition triggered the flush, never on tight timing.
 RESULT_TIMEOUT = 30.0
+#: How long a gated batch is held, or a replica frozen, so the window a
+#: wrong rule would wait is far above a tiny pipeline's run time.
+HOLD_SECONDS = 0.3
+FREEZE_SECONDS = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -36,35 +41,133 @@ def make_pipeline(blink, entities, **kwargs):
     )
 
 
-class TestLinkingService:
-    def test_max_batch_flush(self, service_setup):
-        # With an effectively infinite wait, completion proves the flush was
-        # triggered by the queue reaching max_batch_size.
+class GatedLink:
+    """Holds every ``pipeline.link`` call until :attr:`open` is set.
+
+    The test, not the clock, decides when a batch ends: :meth:`hold` returns
+    once a batch is in flight, so what is submitted next is queued behind it.
+    ``sizes`` records each batch's size in flush order.
+    """
+
+    def __init__(self, pipeline):
+        self._link = pipeline.link
+        self.open = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.sizes = []
+        pipeline.link = self
+
+    def __call__(self, mentions):
+        self.sizes.append(len(mentions))
+        self.entered.release()
+        assert self.open.wait(RESULT_TIMEOUT)
+        return self._link(mentions)
+
+    def hold(self, service, mention):
+        """Submit ``mention``; return its future once its batch waits at the gate."""
+        future = service.submit(mention)
+        assert self.entered.acquire(timeout=RESULT_TIMEOUT)
+        return future
+
+
+class TestBatchingRule:
+    def test_idle_service_flushes_a_lone_request(self, service_setup):
+        # Nothing else queued and nothing running: the request leaves at
+        # once as a batch of one instead of waiting for company.
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        with LinkingService(pipeline, max_batch_size=4, max_wait_ms=60_000.0) as service:
-            futures = [service.submit(mention) for mention in mentions[:4]]
-            results = [future.result(timeout=RESULT_TIMEOUT) for future in futures]
-        assert [r.mention_id for r in results] == [m.mention_id for m in mentions[:4]]
-        assert pipeline.stats.mentions == 4
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=64) as service:
+            started = time.perf_counter()
+            future = service.submit(mentions[0])
+            assert gate.entered.acquire(timeout=RESULT_TIMEOUT)
+            waited = time.perf_counter() - started
+            gate.open.set()
+            assert future.result(timeout=RESULT_TIMEOUT).mention_id == mentions[0].mention_id
+        assert waited < SCHEDULER_HEARTBEAT_SECONDS / 2
+        assert gate.sizes == [1]
         assert pipeline.stats.batches == 1
 
-    def test_max_wait_flush(self, service_setup):
-        # Fewer requests than max_batch_size: only the max_wait_ms timer can
-        # flush, so completion proves the latency bound works.
+    def test_requests_queued_behind_a_batch_leave_together(self, service_setup):
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        with LinkingService(pipeline, max_batch_size=64, max_wait_ms=20.0) as service:
-            futures = [service.submit(mention) for mention in mentions[:3]]
-            results = [future.result(timeout=RESULT_TIMEOUT) for future in futures]
-        assert all(isinstance(result, LinkingResult) for result in results)
-        assert pipeline.stats.mentions == 3
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=4) as service:
+            held = gate.hold(service, mentions[0])
+            queued = [service.submit(mention) for mention in mentions[1:4]]
+            gate.open.set()
+            results = [future.result(timeout=RESULT_TIMEOUT) for future in [held, *queued]]
+        assert [r.mention_id for r in results] == [m.mention_id for m in mentions[:4]]
+        assert gate.sizes == [1, 3]
+        assert pipeline.stats.batches == 2
+
+    def test_backlog_splits_into_full_batches(self, service_setup):
+        blink, entities, mentions = service_setup
+        pipeline = make_pipeline(blink, entities)
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=4) as service:
+            held = gate.hold(service, mentions[0])
+            backlog = [service.submit(mention) for mention in mentions[1:9]]
+            gate.open.set()
+            for future in [held, *backlog]:
+                future.result(timeout=RESULT_TIMEOUT)
+        assert gate.sizes == [1, 4, 4]
+        assert pipeline.stats.mentions == 9
+
+    def test_frozen_replica_does_not_stretch_the_window(self, service_setup):
+        # A freeze holds a batch at the fault gate, before the timed
+        # pipeline.link: the batch queued behind it must not then wait
+        # another freeze-length window for company.
+        blink, entities, mentions = service_setup
+        replica = ThreadReplica(make_pipeline(blink, entities), max_batch_size=8)
+        try:
+            replica.faults.freeze()
+            held = replica.submit(mentions[0])
+            for _ in range(200):  # until it is popped: frozen in flight
+                if replica._service.pending == 0:
+                    break
+                time.sleep(0.01)
+            assert replica._service.pending == 0
+            time.sleep(FREEZE_SECONDS)
+            queued = [replica.submit(mention) for mention in mentions[1:3]]
+            thawed = time.perf_counter()
+            replica.faults.unfreeze()
+            held.result(timeout=RESULT_TIMEOUT)
+            for future in queued:
+                future.result(timeout=RESULT_TIMEOUT)
+            waited = time.perf_counter() - thawed
+        finally:
+            replica.drain(timeout=RESULT_TIMEOUT)
+        assert replica.stats.batches == 2
+        assert waited < FREEZE_SECONDS / 2
+
+
+class TestLinkingService:
+    def test_max_batch_flush(self, service_setup):
+        # The held batch runs for HOLD_SECONDS, so the request queued behind
+        # it may wait that long for company; reaching max_batch_size ends
+        # the wait at once.
+        blink, entities, mentions = service_setup
+        pipeline = make_pipeline(blink, entities)
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=4) as service:
+            held = gate.hold(service, mentions[0])
+            time.sleep(HOLD_SECONDS)
+            waiting = service.submit(mentions[1])
+            gate.open.set()
+            held.result(timeout=RESULT_TIMEOUT)
+            started = time.perf_counter()
+            company = [service.submit(mention) for mention in mentions[2:5]]
+            results = [future.result(timeout=RESULT_TIMEOUT) for future in [waiting, *company]]
+            elapsed = time.perf_counter() - started
+        assert [r.mention_id for r in results] == [m.mention_id for m in mentions[1:5]]
+        assert gate.sizes == [1, 4]
+        assert elapsed < HOLD_SECONDS / 2
 
     def test_results_match_batch_pipeline(self, service_setup):
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
         expected = pipeline.link(mentions)
-        with LinkingService(pipeline, max_batch_size=5, max_wait_ms=10.0) as service:
+        with LinkingService(pipeline, max_batch_size=5) as service:
             futures = [service.submit(mention) for mention in mentions]
             results = [future.result(timeout=RESULT_TIMEOUT) for future in futures]
         for got, want in zip(results, expected):
@@ -90,7 +193,7 @@ class TestLinkingService:
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 
-        with LinkingService(pipeline, max_batch_size=4, max_wait_ms=5.0) as service:
+        with LinkingService(pipeline, max_batch_size=4) as service:
             threads = [
                 threading.Thread(target=submitter, args=(i, service, mentions[i::3]))
                 for i in range(3)
@@ -106,13 +209,19 @@ class TestLinkingService:
                 assert submitted_id == result_id
 
     def test_close_drains_pending_requests(self, service_setup):
-        # Requests queued behind an infinite wait are still completed by the
-        # graceful shutdown drain.
+        # Requests still queued behind a running batch when close() is
+        # called are completed by the graceful shutdown drain.
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        service = LinkingService(pipeline, max_batch_size=64, max_wait_ms=60_000.0)
+        gate = GatedLink(pipeline)
+        service = LinkingService(pipeline, max_batch_size=64)
+        held = gate.hold(service, mentions[5])
         futures = [service.submit(mention) for mention in mentions[:5]]
+        opener = threading.Timer(0.05, gate.open.set)  # fires once close() is waiting
+        opener.start()
         service.close(timeout=RESULT_TIMEOUT)
+        opener.join(timeout=RESULT_TIMEOUT)
+        assert held.result(timeout=0).mention_id == mentions[5].mention_id
         assert not service.running
         for mention, future in zip(mentions[:5], futures):
             assert future.result(timeout=0).mention_id == mention.mention_id
@@ -135,7 +244,7 @@ class TestLinkingService:
 
     def test_link_blocking_wrapper(self, service_setup):
         blink, entities, mentions = service_setup
-        with LinkingService(make_pipeline(blink, entities), max_wait_ms=2.0) as service:
+        with LinkingService(make_pipeline(blink, entities)) as service:
             result = service.link(mentions[0], timeout=RESULT_TIMEOUT)
         assert result.mention_id == mentions[0].mention_id
 
@@ -147,7 +256,7 @@ class TestLinkingService:
             raise RuntimeError("index unavailable")
 
         monkeypatch.setattr(pipeline, "link", boom)
-        with LinkingService(pipeline, max_batch_size=2, max_wait_ms=5.0) as service:
+        with LinkingService(pipeline, max_batch_size=2) as service:
             future = service.submit(mentions[0])
             with pytest.raises(RuntimeError, match="index unavailable"):
                 future.result(timeout=RESULT_TIMEOUT)
@@ -155,7 +264,7 @@ class TestLinkingService:
     def test_latency_percentiles_recorded(self, service_setup):
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        with LinkingService(pipeline, max_batch_size=4, max_wait_ms=5.0) as service:
+        with LinkingService(pipeline, max_batch_size=4) as service:
             futures = [service.submit(mention) for mention in mentions[:8]]
             for future in futures:
                 future.result(timeout=RESULT_TIMEOUT)
@@ -186,36 +295,44 @@ class TestLinkingService:
         # set_running_or_notify_cancel and only live requests are linked.
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        pipeline.stats.reset()
-        # max_wait far beyond the timeout: the request is guaranteed to
-        # still be queued (not RUNNING) when the timeout fires.
-        with LinkingService(pipeline, max_batch_size=64, max_wait_ms=60_000.0) as service:
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=64) as service:
+            # Behind a held batch the request is guaranteed to still be
+            # queued (not RUNNING) when the timeout fires.
+            held = gate.hold(service, mentions[4])
             with pytest.raises(FutureTimeoutError):
                 service.link(mentions[0], timeout=0.05)
             assert service.pending == 1  # cancelled but still queued
             live = [service.submit(mention) for mention in mentions[1:4]]
-            # close() drains the queue: the cancelled request is skipped,
-            # the live ones complete.
+            # The next flush skips the cancelled request; the live ones
+            # complete.
+            gate.open.set()
             service.close(timeout=RESULT_TIMEOUT)
+        assert held.result(timeout=0).mention_id == mentions[4].mention_id
         for mention, future in zip(mentions[1:4], live):
             assert future.result(timeout=0).mention_id == mention.mention_id
-        assert pipeline.stats.mentions == 3
+        assert gate.sizes == [1, 3]
+        assert pipeline.stats.mentions == 4
 
     def test_flush_skips_cancelled_queued_requests(self, service_setup):
         # Directly exercise the set_running_or_notify_cancel path: cancel a
-        # queued future before any flush can run, then let the drain flush.
+        # future queued behind a held batch, then let the next flush run.
         blink, entities, mentions = service_setup
         pipeline = make_pipeline(blink, entities)
-        pipeline.stats.reset()
-        with LinkingService(pipeline, max_batch_size=64, max_wait_ms=60_000.0) as service:
+        gate = GatedLink(pipeline)
+        with LinkingService(pipeline, max_batch_size=64) as service:
+            held = gate.hold(service, mentions[2])
             doomed = service.submit(mentions[0])
             survivor = service.submit(mentions[1])
             assert doomed.cancel()
+            gate.open.set()
             service.close(timeout=RESULT_TIMEOUT)
         assert doomed.cancelled()
+        assert held.result(timeout=0).mention_id == mentions[2].mention_id
         assert survivor.result(timeout=0).mention_id == mentions[1].mention_id
-        assert pipeline.stats.mentions == 1
-        assert pipeline.stats.latency_summary()["count"] == 1
+        assert gate.sizes == [1, 1]
+        assert pipeline.stats.mentions == 2
+        assert pipeline.stats.latency_summary()["count"] == 2
 
     def test_warm_up_unknown_world_raises_value_error(self, service_setup):
         blink, entities, _ = service_setup
@@ -239,8 +356,6 @@ class TestLinkingService:
         pipeline = make_pipeline(blink, entities)
         with pytest.raises(ValueError):
             LinkingService(pipeline, max_batch_size=0)
-        with pytest.raises(ValueError):
-            LinkingService(pipeline, max_wait_ms=-1.0)
 
     def test_default_batch_size_follows_pipeline(self, service_setup):
         blink, entities, _ = service_setup
@@ -251,7 +366,7 @@ class TestLinkingService:
 
     def test_start_is_idempotent(self, service_setup):
         blink, entities, mentions = service_setup
-        service = LinkingService(make_pipeline(blink, entities), max_wait_ms=2.0)
+        service = LinkingService(make_pipeline(blink, entities))
         service.start()  # no-op while running
         assert service.running
         assert service.link(mentions[0], timeout=RESULT_TIMEOUT) is not None
@@ -276,7 +391,7 @@ class TestServiceSnapshotIntegration:
         restored_pipeline = EntityLinkingPipeline(
             blink.biencoder, restored, blink.crossencoder, k=4, batch_size=8
         )
-        with LinkingService(restored_pipeline, max_batch_size=4, max_wait_ms=5.0) as service:
+        with LinkingService(restored_pipeline, max_batch_size=4) as service:
             results = [
                 service.submit(mention).result(timeout=RESULT_TIMEOUT)
                 for mention in mentions
