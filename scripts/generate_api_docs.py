@@ -35,7 +35,6 @@ MODULES = [
     ("repro.serving.stages", "repro.serving.stages — vectorized stages"),
     ("repro.index", "repro.index — the entity index"),
     ("repro.index.shard", "repro.index.shard — the index shard (exhaustive / celled search, mutation)"),
-    ("repro.index.codecs", "repro.index.codecs — vector storage codecs"),
     ("repro.index.snapshot", "repro.index.snapshot — snapshot format & generation store"),
     ("repro.linking.candidates", "repro.linking.candidates — per-world sharded index"),
     ("repro.linking.biencoder", "repro.linking.biencoder — bi-encoder"),

@@ -2,10 +2,10 @@
 
 An AST-based linter whose rules encode *this repo's* invariants —
 thread-local grad state, ``self._lock`` discipline, probe-mode restore,
-the ``compute_dtype`` switch, future settlement and bounded waits in
-``repro.serving``.  Every rule is distilled from a bug this codebase
-actually shipped, and each file is checked on its own: one parse, the
-rules whose ``paths`` match, nothing carried between files.
+future settlement and bounded waits in ``repro.serving``.  Every rule is
+distilled from a bug this codebase actually shipped, and each file is
+checked on its own: one parse, the rules whose ``paths`` match, nothing
+carried between files.
 
 Entry points:
 

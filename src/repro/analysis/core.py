@@ -7,7 +7,7 @@ counter updated outside its lock, probes running with dropout active.
 Generic tools cannot know those invariants; this framework encodes them as
 :class:`Rule` subclasses that walk each file's AST with full knowledge of
 the repo's conventions (``self._lock`` guards, ``threading.local`` state,
-the ``compute_dtype`` switch, future settlement in ``repro.serving``).
+future settlement in ``repro.serving``).
 
 Pieces:
 

@@ -6,14 +6,12 @@ import, so ``registered_rules()`` is always fully populated.
 """
 
 from .bounded_wait import BoundedWaitRule
-from .dtype import InferenceDtypeRule
 from .futures import FutureHygieneRule
 from .grad_mode import ProbeModeDisciplineRule
 from .threading_rules import LockDisciplineRule, ThreadLocalStateRule
 
 __all__ = [
     "BoundedWaitRule",
-    "InferenceDtypeRule",
     "FutureHygieneRule",
     "ProbeModeDisciplineRule",
     "LockDisciplineRule",

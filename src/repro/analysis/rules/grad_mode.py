@@ -195,7 +195,7 @@ class ProbeModeDisciplineRule(Rule):
                 if (
                     isinstance(target, ast.Attribute)
                     and isinstance(target.value, ast.Name)
-                    and target.value.id in {"_grad_state", "_compute_dtype_state"}
+                    and target.value.id == "_grad_state"
                 ):
                     yield Finding(
                         path=ctx.path, line=node.lineno, column=node.col_offset,
@@ -203,7 +203,7 @@ class ProbeModeDisciplineRule(Rule):
                         symbol=enclosing_symbol(ctx.tree, node),
                         message=(
                             f"direct write to {target.value.id}.{target.attr}; "
-                            f"thread-local grad/dtype state is owned by "
-                            f"repro.nn.tensor — use no_grad()/compute_dtype()"
+                            f"thread-local grad state is owned by "
+                            f"repro.nn.tensor — use no_grad()"
                         ),
                     )

@@ -22,10 +22,6 @@ class Document:
     title: str
     text: str
 
-    def sentences(self) -> List[str]:
-        """Split the body into rough sentences."""
-        return [part.strip() for part in self.text.split(".") if part.strip()]
-
     def to_dict(self) -> Dict[str, str]:
         return {
             "document_id": self.document_id,
@@ -53,16 +49,6 @@ class DocumentCollection:
     def domains(self) -> List[str]:
         return sorted(self._by_domain)
 
-    def for_domain(self, domain: str) -> List[Document]:
-        return list(self._by_domain.get(domain, []))
-
     def texts(self, domain: str) -> List[str]:
         """Raw body texts for one domain (denoising training corpus)."""
         return [document.text for document in self._by_domain.get(domain, [])]
-
-    def __len__(self) -> int:
-        return sum(len(docs) for docs in self._by_domain.values())
-
-    def __iter__(self):
-        for documents in self._by_domain.values():
-            yield from documents

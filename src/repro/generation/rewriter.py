@@ -165,10 +165,6 @@ class MentionRewriter:
         self._trained = True
         return RewriterTrainingSummary(summarization=summarization_history, denoising=denoising_history)
 
-    @property
-    def is_trained(self) -> bool:
-        return self._trained
-
     # ------------------------------------------------------------------
     # Rewriting
     # ------------------------------------------------------------------

@@ -77,10 +77,7 @@ class Seq2SeqModel(Module):
         batch, length, vocab = logits.shape
         flat_logits = logits.reshape(batch * length, vocab)
         flat_targets = decoder_target.reshape(-1)
-        # Training-path loss accumulation: float64 keeps the summed
-        # cross-entropy stable over long epochs and never runs on the serving
-        # hot path (greedy_decode follows the compute dtype).
-        keep = (flat_targets != self.pad_id).astype(np.float64)  # repro: disable=inference-dtype
+        keep = (flat_targets != self.pad_id).astype(np.float64)
         total_real = max(keep.sum(), 1.0)
         loss = F.cross_entropy(flat_logits, flat_targets, reduction="none", sample_weights=keep)
         return loss.sum() * (1.0 / total_real)
@@ -231,21 +228,13 @@ class Seq2SeqModel(Module):
         active = np.arange(batch)
         with no_grad():
             memory = self.encoder(source_ids)
-            # Follow the encoder's compute dtype instead of pinning float64:
-            # under compute_dtype("float32") a hard-coded cast would upcast
-            # the logit slice on every decode step of every request.
-            step_dtype = memory.data.dtype
-            additive = additive.astype(step_dtype, copy=False)
-            if repetition is not None:
-                repetition = repetition.astype(step_dtype, copy=False)
             state = self.decoder.init_state(
                 memory, source_ids == self.pad_id, max_length=max_length + 1
             )
             tokens = np.full((batch, 1), self.bos_id, dtype=np.int64)
             for step in range(max_length):
                 logits = self.decoder.forward_step(tokens, state)
-                step_logits = np.asarray(logits.data[:, -1, :], dtype=step_dtype)
-                step_logits = step_logits + additive[active]
+                step_logits = logits.data[:, -1, :] + additive[active]
                 if step < min_length:
                     step_logits[:, self.eos_id] = -1e9
                 if repetition is not None:

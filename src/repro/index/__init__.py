@@ -1,4 +1,4 @@
-"""The entity index: one shard implementation, its codecs and its snapshots.
+"""The entity index: one shard implementation and its snapshots.
 
 ``repro.index`` is the storage and retrieval foundation beneath
 :mod:`repro.linking.candidates` (which adds per-world routing and merging)
@@ -9,37 +9,22 @@ and imports nothing from it:
   blocked scan by default or :class:`IVFBackend` k-means cells with exact
   re-scoring, online mutation through an exact pending tail and tombstones,
   atomic-swap :meth:`~EntityShard.compact`.
-* :mod:`~repro.index.codecs` — int8 / float16 / float64 embedding storage
-  codecs; quantized matrices decode per block or per row, so they pair with
-  memory-mapped snapshots (only scanned or probed pages are ever read).
 * :mod:`~repro.index.snapshot` — the version-2 snapshot directory format
-  (crash-safe write, mmap-able read) and the generation store with its
+  (crash-safe write, mmap-able read: only scanned or probed pages of the
+  float64 embedding matrix are ever read) and the generation store with its
   atomic ``CURRENT`` pointer swap for online compaction under serving.
 
 Quickstart::
 
     from repro.index import IVFBackend, write_generation
 
-    index = biencoder.build_sharded_index(entities, backend=IVFBackend(
-        nprobe=8, codec="int8"))
+    index = biencoder.build_sharded_index(entities, backend=IVFBackend(nprobe=8))
     index.search(queries, k=64)                    # probe + exact re-score
     index.add_entities(new_entities)               # linkable immediately
-    write_generation(index, "snapshots/kb", codec="int8")
+    write_generation(index, "snapshots/kb")
     restored = biencoder.load_sharded_index("snapshots/kb", mmap=True)
 """
 
-from .codecs import (
-    CODECS,
-    Float16Storage,
-    Float64Storage,
-    Int8Storage,
-    UnknownCodecError,
-    VectorStorage,
-    as_storage,
-    encode_matrix,
-    storage_codec,
-    storage_from_arrays,
-)
 from .shard import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_KMEANS_ITERS,
@@ -65,33 +50,23 @@ from .snapshot import (
 )
 
 __all__ = [
-    "CODECS",
     "CURRENT_MARKER",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_KMEANS_ITERS",
     "DEFAULT_NPROBE",
     "EntityShard",
-    "Float16Storage",
-    "Float64Storage",
     "IVFBackend",
-    "Int8Storage",
     "RetrievalResult",
     "ShardState",
-    "UnknownCodecError",
-    "VectorStorage",
-    "as_storage",
     "blocked_topk",
     "build_results",
     "compact_to_generation",
     "current_generation",
     "default_num_cells",
-    "encode_matrix",
     "kmeans",
     "list_generations",
     "next_generation_number",
     "read_snapshot",
-    "storage_codec",
-    "storage_from_arrays",
     "write_generation",
     "write_snapshot",
 ]

@@ -7,11 +7,10 @@ implementation of that search, for a flat index and for every shard of a
 :class:`~repro.linking.candidates.ShardedEntityIndex` alike.
 
 **State.**  Everything a search reads lives in one frozen
-:class:`ShardState`: the main embedding storage (float64, quantized and/or
-memory-mapped, see :mod:`repro.index.codecs`), an exact float64 *pending
-tail* of rows added since the last compaction, the entity at every position,
-an alive mask (``False`` = tombstone), the id → position map and, for a
-celled shard, the coarse cells.  A search pins the state once and takes
+:class:`ShardState`: the main float64 embedding matrix (possibly
+memory-mapped), a *pending tail* of rows added since the last compaction,
+the entity at every position, an alive mask (``False`` = tombstone), the
+id → position map and, for a celled shard, the coarse cells.  A search pins the state once and takes
 scores, positions *and entities* from it; mutations build a new state
 (copy-on-write of the parts they touch) under the shard lock and publish it
 with one reference assignment, so a search never sees half a mutation and
@@ -20,8 +19,8 @@ never resolves a position against a different generation.
 **Coarse stage**, fixed at build time by the ``cells`` argument:
 
 * no cells (the default) — *exhaustive*: every live main row is scored block
-  by block through :func:`blocked_topk` (``storage`` decodes one block at a
-  time, so a quantized or memory-mapped matrix is never decoded whole);
+  by block through :func:`blocked_topk` (a memory-mapped matrix is paged in
+  one block at a time);
 * :class:`IVFBackend` cells — *celled*: rows are clustered into seeded
   k-means cells, a query probes its ``nprobe`` best cells and re-scores their
   members with exact inner products.  ``nprobe >= num_cells`` ranks
@@ -43,12 +42,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kb.entity import Entity
-from .codecs import VectorStorage, encode_matrix, storage_from_arrays
 
 #: Entities are scored ``block_size`` at a time so the score matrix for one
 #: block stays small even for very large entity collections.
@@ -231,10 +229,6 @@ def blocked_topk(
     order and a column at or below every cut cannot reach any top-k, so the
     result equals the top-k of the full score matrix.
 
-    ``entity_vectors`` is only measured and sliced, so a
-    :class:`~repro.index.codecs.VectorStorage` (which decodes one block per
-    slice) scans as well as a matrix.
-
     Returns ``(scores, positions)`` arrays of shape ``(num_queries, k)`` with
     each row sorted by decreasing score; ties are broken by ascending entity
     position, deterministically.
@@ -328,15 +322,12 @@ class IVFBackend:
 
     ``num_cells=None`` picks ``~sqrt(shard_size)`` per shard (re-applied at
     every compaction), so one instance serves shards of very different sizes.
-    ``nprobe`` is clamped to the cell count.  ``codec`` encodes a raw
-    embedding matrix at build time (``float64`` / ``float16`` / ``int8``); an
-    already encoded :class:`~repro.index.codecs.VectorStorage` keeps its own.
-    ``seed`` and ``kmeans_iters`` make the clustering deterministic.
+    ``nprobe`` is clamped to the cell count.  ``seed`` and ``kmeans_iters``
+    make the clustering deterministic.
     """
 
     num_cells: Optional[int] = None
     nprobe: int = DEFAULT_NPROBE
-    codec: str = "float64"
     seed: int = 0
     kmeans_iters: int = DEFAULT_KMEANS_ITERS
     name: str = "ivf"
@@ -353,8 +344,8 @@ class ShardState:
     positions.
     """
 
-    storage: VectorStorage         # main embeddings (possibly quantized/mmap)
-    pending_vectors: np.ndarray    # (num_pending, dim) float64, exact
+    storage: np.ndarray            # (num_main, dim) float64, possibly np.memmap
+    pending_vectors: np.ndarray    # (num_pending, dim) float64
     entities: np.ndarray           # (num_main + num_pending,) object: Entity
     alive: np.ndarray              # (num_main + num_pending,) bool
     id_to_position: Dict[str, int]
@@ -369,7 +360,7 @@ class ShardState:
 
     def vector_at(self, position: int) -> np.ndarray:
         if position < self.num_main:
-            return self.storage.take(np.asarray([position]))[0]
+            return np.array(self.storage[position])
         return self.pending_vectors[position - self.num_main]
 
 
@@ -416,8 +407,8 @@ class EntityShard:
     Parameters
     ----------
     entities, vectors:
-        The shard content.  ``vectors`` may be a raw float64 matrix (also
-        memory-mapped) or a pre-encoded :class:`VectorStorage`.
+        The shard content.  ``vectors`` is a float64 matrix, possibly
+        memory-mapped.
     block_size:
         Rows scored per block by the exhaustive scan.
     cells:
@@ -433,7 +424,7 @@ class EntityShard:
     def __init__(
         self,
         entities: Sequence[Entity],
-        vectors: Union[np.ndarray, VectorStorage],
+        vectors: np.ndarray,
         block_size: int = DEFAULT_BLOCK_SIZE,
         cells: Optional[IVFBackend] = None,
     ) -> None:
@@ -442,11 +433,7 @@ class EntityShard:
             raise ValueError("entities and vectors must align")
         if len(entities) == 0:
             raise ValueError("cannot build an index over zero entities")
-        if not isinstance(vectors, VectorStorage):
-            vectors = encode_matrix(
-                np.asarray(vectors, dtype=np.float64),
-                "float64" if cells is None else cells.codec,
-            )
+        vectors = np.asarray(vectors, dtype=np.float64)
         self._configure(block_size, cells)
         self._state = self._generation(_entity_array(entities), vectors, 0)
 
@@ -460,12 +447,12 @@ class EntityShard:
         self._lock = threading.Lock()
 
     def _generation(
-        self, entities: np.ndarray, storage: VectorStorage, generation: int
+        self, entities: np.ndarray, storage: np.ndarray, generation: int
     ) -> ShardState:
         """A fresh generation: every row main and alive, cells (if any) built."""
         return ShardState(
             storage=storage,
-            pending_vectors=np.zeros((0, storage.dim), dtype=np.float64),
+            pending_vectors=np.zeros((0, storage.shape[1]), dtype=np.float64),
             entities=entities,
             alive=np.ones(len(entities), dtype=bool),
             id_to_position={
@@ -475,24 +462,20 @@ class EntityShard:
             **self._cluster(storage),
         )
 
-    def _cluster(self, storage: VectorStorage) -> Dict[str, np.ndarray]:
-        """The coarse cells over ``storage`` ({} for an exhaustive shard).
-
-        Clusters the *decoded* embeddings so cell geometry matches what
-        re-scoring sees (quantization shifts points slightly).
-        """
+    def _cluster(self, storage: np.ndarray) -> Dict[str, np.ndarray]:
+        """The coarse cells over ``storage`` ({} for an exhaustive shard)."""
         cells = self._cells
         if cells is None:
             return {}
         if len(storage) == 0:
             assignments = np.zeros(0, dtype=np.int64)
-            centroids = np.zeros((0, storage.dim), dtype=np.float64)
+            centroids = np.zeros((0, storage.shape[1]), dtype=np.float64)
         else:
             wanted = cells.num_cells
             if wanted is None:
                 wanted = default_num_cells(len(storage))
             centroids, assignments = kmeans(
-                storage.to_dense(),
+                storage,
                 max(1, min(wanted, len(storage))),
                 seed=cells.seed,
                 iters=cells.kmeans_iters,
@@ -510,24 +493,14 @@ class EntityShard:
         return entity_id in self._state.id_to_position
 
     @property
-    def dimension(self) -> int:
-        return self._state.storage.dim
-
-    @property
-    def storage(self) -> VectorStorage:
-        """The main embedding storage of the current generation (do not mutate)."""
+    def storage(self) -> np.ndarray:
+        """The main embedding matrix of the current generation (do not mutate)."""
         return self._state.storage
 
     @property
     def generation(self) -> int:
         """Compaction generation (0 for a freshly built shard)."""
         return self._state.generation
-
-    @property
-    def num_cells(self) -> int:
-        """Coarse cells of the current generation (0 on an exhaustive shard)."""
-        centroids = self._state.centroids
-        return 0 if centroids is None else len(centroids)
 
     @property
     def num_pending(self) -> int:
@@ -549,7 +522,7 @@ class EntityShard:
         return state.entities[state.id_to_position[entity_id]]
 
     def vector(self, entity_id: str) -> np.ndarray:
-        """Current embedding of one entity (decoded from storage or tail)."""
+        """Current embedding of one entity (from the main matrix or the tail)."""
         state = self._state
         return state.vector_at(state.id_to_position[entity_id])
 
@@ -557,7 +530,6 @@ class EntityShard:
         state = self._state
         stats: Dict[str, object] = {
             "backend": "exact" if self._cells is None else "ivf",
-            "codec": state.storage.codec,
             "entities": int(state.alive.sum()),
             "pending": int(state.alive[state.num_main:].sum()),
             "tombstones": int((~state.alive).sum()),
@@ -656,12 +628,12 @@ class EntityShard:
                 np.full((num_queries, 0), -1, dtype=np.int64),
             )
 
-        # Exact re-scoring: decode only the candidate rows, score each
+        # Exact re-scoring: gather only the candidate rows, score each
         # against its own query in one fused product.
         main_mask = cand_positions < state.num_main
-        vectors = np.empty((len(cand_positions), state.storage.dim))
+        vectors = np.empty((len(cand_positions), state.storage.shape[1]))
         if main_mask.any():
-            vectors[main_mask] = state.storage.take(cand_positions[main_mask])
+            vectors[main_mask] = state.storage[cand_positions[main_mask]]
         if (~main_mask).any():
             vectors[~main_mask] = state.pending_vectors[
                 cand_positions[~main_mask] - state.num_main
@@ -794,11 +766,11 @@ class EntityShard:
     def compact(self) -> int:
         """Fold the pending tail + tombstones into a fresh generation.
 
-        The new storage (re-encoded under the shard's codec) and, on a
-        celled shard, the re-clustered cells are built off to the side and
-        published in one reference assignment — concurrent searches see the
-        old generation or the new one, never a mix.  A shard with nothing to
-        fold is left alone (its storage may be a shared memory map).
+        The new main matrix and, on a celled shard, the re-clustered cells
+        are built off to the side and published in one reference assignment
+        — concurrent searches see the old generation or the new one, never a
+        mix.  A shard with nothing to fold is left alone (its matrix may be a
+        shared memory map).
         Returns the generation now current.
         """
         with self._lock:
@@ -809,37 +781,32 @@ class EntityShard:
             from_main = keep < state.num_main
             dense = np.concatenate(
                 [
-                    state.storage.take(keep[from_main]),
+                    state.storage[keep[from_main]],
                     state.pending_vectors[keep[~from_main] - state.num_main],
                 ],
                 axis=0,
             )
             self._state = self._generation(
-                state.entities[keep],
-                encode_matrix(dense, state.storage.codec),
-                state.generation + 1,
+                state.entities[keep], dense, state.generation + 1
             )
             return self._state.generation
 
     # ------------------------------------------------------------------
     # Snapshot entry — see repro.index.snapshot for the directory layout
     # ------------------------------------------------------------------
-    def export(self, codec: str = "float64") -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    def export(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         """Manifest entry + arrays persisting the exact live state.
 
         Pending tail and tombstones round-trip as-is (no silent compaction),
-        so a restored shard ranks identically to the live one.  ``codec``
-        picks the on-disk encoding of an *exhaustive* shard's storage; a
-        celled shard's codec was fixed when its cells were built.
+        so a restored shard ranks identically to the live one.
         """
         state = self._state
-        storage = state.storage
-        if self._cells is None and storage.codec != codec:
-            storage = encode_matrix(storage.to_dense(), codec)
         num_main = state.num_main
         entry: Dict[str, object] = {
             "backend": "exact" if self._cells is None else "ivf",
-            "codec": storage.codec,
+            # Kept so the layout stays the one earlier builds wrote;
+            # read_snapshot refuses any other value.
+            "codec": "float64",
             "generation": state.generation,
             "entities": [e.to_dict() for e in state.entities[:num_main]],
             "pending_entities": [e.to_dict() for e in state.entities[num_main:]],
@@ -848,9 +815,8 @@ class EntityShard:
             "main_alive": state.alive[:num_main],
             "pending_alive": state.alive[num_main:],
             "pending_vectors": state.pending_vectors,
+            "storage": state.storage,
         }
-        for key, array in storage.arrays().items():
-            arrays[f"storage_{key}" if key else "storage"] = array
         if self._cells is not None:
             entry.update(
                 nprobe=self._cells.nprobe,
@@ -874,12 +840,13 @@ class EntityShard:
     ) -> "EntityShard":
         """Rebuild a shard from an :meth:`export` entry.
 
-        Arrays may be memory-mapped: the embedding storage stays lazy, the
-        small structures (masks, cells, tail) are materialised.  An ``ivf``
-        entry restores its own cells; ``cells`` asks for an ``exact`` entry
-        to be clustered now, over the storage as saved.  Entries without a
-        ``main_alive`` array were written before exhaustive shards carried
-        tombstones and a tail: their arrays are the storage components.
+        Arrays may be memory-mapped: the main matrix stays the lazy
+        ``np.memmap``, the small structures (masks, cells, tail) are
+        materialised.  An ``ivf`` entry restores its own cells; ``cells``
+        asks for an ``exact`` entry to be clustered now, over the matrix as
+        saved.  Entries without a ``main_alive`` array were written before
+        exhaustive shards carried tombstones and a tail: their one array,
+        under key ``""``, is the matrix.
         """
         backend = entry.get("backend", "exact")
         if backend == "ivf":
@@ -887,7 +854,6 @@ class EntityShard:
             cells = IVFBackend(
                 num_cells=None if config is None else int(config),
                 nprobe=int(entry["nprobe"]),
-                codec=str(entry["codec"]),
                 seed=int(entry.get("seed", 0)),
                 kmeans_iters=int(entry.get("kmeans_iters", DEFAULT_KMEANS_ITERS)),
             )
@@ -903,18 +869,13 @@ class EntityShard:
             ]
         )
         if "main_alive" in arrays:
-            storage_arrays = {
-                key[len("storage_"):]: array
-                for key, array in arrays.items()
-                if key.startswith("storage")
-            }
+            storage = arrays["storage"]
             alive = np.concatenate(
                 [arrays["main_alive"], arrays["pending_alive"]]
             ).astype(bool)
         else:
-            storage_arrays = arrays
+            storage = arrays[""]
             alive = np.ones(len(entities), dtype=bool)
-        storage = storage_from_arrays(storage_arrays, str(entry.get("codec", "float64")))
         shard = cls.__new__(cls)
         shard._configure(block_size, cells)
         if "centroids" in arrays:
@@ -928,7 +889,7 @@ class EntityShard:
         shard._state = ShardState(
             storage=storage,
             pending_vectors=np.array(
-                arrays.get("pending_vectors", np.zeros((0, storage.dim))),
+                arrays.get("pending_vectors", np.zeros((0, storage.shape[1]))),
                 dtype=np.float64,
             ),
             entities=entities,

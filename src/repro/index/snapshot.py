@@ -172,6 +172,12 @@ def read_snapshot(
     names = sorted(p.stem for p in arrays_dir.glob("*.npy"))
     shards: List[ShardRecord] = []
     for position, entry in enumerate(manifest["shards"]):
+        codec = entry.get("codec", "float64")
+        if codec != "float64":
+            raise ValueError(
+                f"snapshot at {path}: shard {position} is stored as {codec!r}; "
+                f"this build reads float64 embeddings only"
+            )
         # ``shard_N`` alone is the bare float64 matrix older builds wrote
         # for an exhaustive shard; it reads back under key "".
         stem = f"shard_{position}"
@@ -233,7 +239,7 @@ def next_generation_number(root: Union[str, Path]) -> int:
     return int(_GENERATION_PATTERN.match(generations[-1].name).group(1)) + 1
 
 
-def write_generation(index: Any, root: Union[str, Path], codec: str = "float64") -> Path:
+def write_generation(index: Any, root: Union[str, Path]) -> Path:
     """Persist ``index`` as the next generation and atomically publish it.
 
     ``index`` is a :class:`~repro.linking.candidates.ShardedEntityIndex`.
@@ -246,14 +252,14 @@ def write_generation(index: Any, root: Union[str, Path], codec: str = "float64")
     root.mkdir(parents=True, exist_ok=True)
     name = generation_name(next_generation_number(root))
     target = root / name
-    index.save(target, codec=codec)
+    index.save(target)
     marker_tmp = root / (CURRENT_MARKER + ".tmp")
     marker_tmp.write_text(name)
     marker_tmp.replace(root / CURRENT_MARKER)
     return target
 
 
-def compact_to_generation(index: Any, root: Union[str, Path], codec: str = "float64") -> Path:
+def compact_to_generation(index: Any, root: Union[str, Path]) -> Path:
     """Compact every materialised shard, then publish the next generation."""
     index.compact()
-    return write_generation(index, root, codec=codec)
+    return write_generation(index, root)

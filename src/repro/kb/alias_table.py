@@ -77,9 +77,6 @@ class AliasTable:
         """Resolve candidate ids through a knowledge base."""
         return [kb.get(entity_id) for entity_id, _ in self.candidates(surface, top_k=top_k) if entity_id in kb]
 
-    def __contains__(self, surface: str) -> bool:
-        return normalize_text(surface) in self._aliases
-
     def __len__(self) -> int:
         return len(self._aliases)
 

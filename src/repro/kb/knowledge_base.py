@@ -72,9 +72,6 @@ class KnowledgeBase:
             return list(self._entities.values())
         return [entity for entity in self._entities.values() if entity.domain == domain]
 
-    def entity_ids(self, domain: Optional[str] = None) -> List[str]:
-        return [entity.entity_id for entity in self.entities(domain)]
-
     def domains(self) -> List[str]:
         return sorted({entity.domain for entity in self._entities.values()})
 

@@ -118,9 +118,6 @@ class BlinkPipeline:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def build_index(self, entities: Sequence[Entity]) -> EntityShard:
-        return self.biencoder.build_index(entities)
-
     def predict(
         self,
         mentions: Sequence[Mention],

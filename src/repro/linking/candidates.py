@@ -52,10 +52,8 @@ from ..index import (
     EntityShard,
     IVFBackend,
     RetrievalResult,
-    VectorStorage,
     build_results,
     read_snapshot,
-    storage_codec,
     write_snapshot,
 )
 from ..index.shard import _sorted_topk
@@ -66,11 +64,9 @@ DEFAULT_CACHE_SIZE = 4096
 
 EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
 
-Vectors = Union[np.ndarray, VectorStorage]
-
 #: A world that is registered but not built: its entities and, once known,
 #: their vectors (``None`` until ``embed_fn`` has run).
-ColdShard = Tuple[List[Entity], Optional[Vectors]]
+ColdShard = Tuple[List[Entity], Optional[np.ndarray]]
 
 
 class LRUEmbeddingCache:
@@ -118,12 +114,6 @@ class LRUEmbeddingCache:
         """Drop cached embeddings for the given ids (after update/remove)."""
         for entity_id in entity_ids:
             self._store.pop(entity_id, None)
-
-    def clear(self) -> None:
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-
 
 
 class ShardedEntityIndex:
@@ -189,14 +179,13 @@ class ShardedEntityIndex:
         self,
         world: str,
         entities: Sequence[Entity],
-        vectors: Optional[Vectors] = None,
+        vectors: Optional[np.ndarray] = None,
     ) -> None:
         """Register a shard; ``vectors=None`` defers embedding to first use.
 
-        ``vectors`` may be a dense float64 matrix or a
-        :class:`~repro.index.codecs.VectorStorage` (e.g. quantized and
-        memory-mapped) — storages reach the shard as-is, so decoding stays
-        lazy.  The shard itself is built on first use.
+        ``vectors`` is a float64 matrix, possibly memory-mapped — it reaches
+        the shard as-is, so its pages stay lazy.  The shard itself is built
+        on first use.
         """
         if world in self._shards:
             raise ValueError(f"shard {world!r} already exists")
@@ -223,11 +212,6 @@ class ShardedEntityIndex:
     @property
     def num_shards(self) -> int:
         return len(self._shards)
-
-    @property
-    def backend(self) -> Optional[IVFBackend]:
-        """The coarse stage of shards built here (None means exhaustive)."""
-        return self._backend
 
     def is_materialized(self, world: str) -> bool:
         """Whether a shard's vectors have been built (lazy shards start cold)."""
@@ -386,21 +370,15 @@ class ShardedEntityIndex:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: Union[str, Path], codec: str = "float64") -> Path:
+    def save(self, path: Union[str, Path]) -> Path:
         """Snapshot the index to a directory; returns the directory path.
 
         One manifest entry per world, in shard order (layout and crash
         safety: :mod:`repro.index.snapshot`).  Saving never embeds or
         clusters anything: worlds without vectors are recorded cold and
-        stay cold after :meth:`load`.
-
-        ``codec`` quantizes *exhaustive* shards on disk (``float64`` /
-        ``float16`` / ``int8``); the default float64 round-trips
-        bit-identically.  Celled shards persist the codec they were built
-        with.  Either way the full live state (pending tail, tombstones,
-        cells) is saved as it is.
+        stay cold after :meth:`load`.  The full live state (pending tail,
+        tombstones, cells) is saved as it is and round-trips bit-identically.
         """
-        storage_codec(codec)  # an unknown codec fails even if no shard would use it
         records = []
         for world, record in self._shards.items():
             shard: Optional[EntityShard] = None
@@ -411,7 +389,7 @@ class ShardedEntityIndex:
                 # scan, without building the backend's cells.
                 shard = EntityShard(record[0], record[1], block_size=self._block_size)
             if shard is not None:
-                entry, arrays = shard.export(codec)
+                entry, arrays = shard.export()
             else:
                 arrays = {}
                 entry = {
@@ -448,10 +426,10 @@ class ShardedEntityIndex:
 
         ``mmap=True`` opens every array with ``mmap_mode="r"`` — embedding
         pages load on first touch and are shared between forked replica
-        processes; quantized storage is decoded block by block, never whole.
+        processes, and the scan reads them block by block, never whole.
         ``backend`` clusters *exhaustive-saved* shards into cells at load
-        (keeping the codec they were saved under) and builds cold ones with
-        it later; shards saved with cells restore them regardless.
+        and builds cold ones with it later; shards saved with cells restore
+        them regardless.
 
         If ``path`` is a generation store (contains a ``CURRENT`` marker,
         see :mod:`repro.index.snapshot`), the current generation is loaded.

@@ -9,7 +9,7 @@ samples in the evaluation set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..kb.entity import Entity, Mention
 from ..text.normalization import normalize_text, strip_disambiguation
@@ -30,9 +30,6 @@ class NameMatchingLinker:
     def predict(self, mention: Mention) -> Optional[Entity]:
         """Return the matched entity or None when no title matches."""
         return self._index.get(normalize_text(mention.surface))
-
-    def predict_batch(self, mentions: Sequence[Mention]) -> List[Optional[Entity]]:
-        return [self.predict(mention) for mention in mentions]
 
     def accuracy(self, mentions: Sequence[Mention]) -> float:
         """Unnormalised accuracy over mentions with gold labels."""

@@ -67,13 +67,6 @@ class ReweightResult:
     raw_gradients: np.ndarray
     seed_gradient_norm: float
 
-    @property
-    def selected_fraction(self) -> float:
-        """Fraction of synthetic examples with strictly positive weight."""
-        if self.weights.size == 0:
-            return 0.0
-        return float((self.weights > 0).mean())
-
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
     """Eq. 13–14: clip negatives to zero then normalise to sum to one."""

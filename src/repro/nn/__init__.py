@@ -9,7 +9,7 @@ stacks, optimisers and checkpointing.  Every model in ``repro.linking``,
 from . import functional
 from .attention import KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
-from .module import Module, ModuleList, Parameter, Sequential
+from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .serialization import (
     load_checkpoint,
@@ -19,16 +19,11 @@ from .serialization import (
 )
 from .tensor import (
     Tensor,
-    compute_dtype,
     concatenate,
-    get_compute_dtype,
     no_grad,
-    ones,
-    ones_like,
     stack_tensors,
     tensor,
     zeros,
-    zeros_like,
 )
 from .transformer import (
     DecoderState,
@@ -44,17 +39,11 @@ __all__ = [
     "Tensor",
     "tensor",
     "zeros",
-    "ones",
-    "zeros_like",
-    "ones_like",
     "concatenate",
     "stack_tensors",
     "no_grad",
-    "compute_dtype",
-    "get_compute_dtype",
     "Module",
     "ModuleList",
-    "Sequential",
     "Parameter",
     "Linear",
     "Embedding",

@@ -15,21 +15,18 @@ from .tensor import Tensor
 
 
 @lru_cache(maxsize=512)
-def _causal_bias(query_len: int, key_len: int, offset: int, dtype_name: str) -> np.ndarray:
+def _causal_bias(query_len: int, key_len: int, offset: int) -> np.ndarray:
     """Memoized additive causal bias: ``-1e9`` where key ``j > offset + i``.
 
     ``offset`` is the absolute position of the first query row, so the same
     helper serves full forwards (``offset=0``, square) and incremental chunks
     (queries at positions ``[offset, offset + query_len)`` over ``key_len``
     cached keys).  Every decoder layer re-requests the same shapes each
-    forward, so the table is built once per (shape, dtype) instead of per
+    forward, so the table is built once per shape instead of per
     layer per step.  The returned array is shared — marked read-only.
     """
-    dtype = np.dtype(dtype_name)
     bias = np.where(
-        np.triu(np.ones((query_len, key_len), dtype=bool), k=1 + offset),
-        dtype.type(-1e9),
-        dtype.type(0.0),
+        np.triu(np.ones((query_len, key_len), dtype=bool), k=1 + offset), -1e9, 0.0
     )[None, None, :, :]
     bias.flags.writeable = False
     return bias
@@ -43,15 +40,8 @@ class KVCache:
     key/value at ``length`` instead of re-projecting the whole prefix.
     """
 
-    def __init__(
-        self,
-        batch: int,
-        num_heads: int,
-        max_length: int,
-        head_dim: int,
-        dtype: np.dtype = np.float64,
-    ) -> None:
-        self.k = np.zeros((batch, num_heads, max_length, head_dim), dtype=dtype)
+    def __init__(self, batch: int, num_heads: int, max_length: int, head_dim: int) -> None:
+        self.k = np.zeros((batch, num_heads, max_length, head_dim))
         self.v = np.zeros_like(self.k)
         self.length = 0
 
@@ -163,16 +153,15 @@ class MultiHeadAttention(Module):
             key_len=key.shape[1],
             key_padding_mask=key_padding_mask,
             causal=causal,
-            dtype=q.data.dtype,
         )
         return self._attend(q, k.transpose(0, 1, 3, 2), v, bias)
 
     # ------------------------------------------------------------------
     # Incremental decoding
     # ------------------------------------------------------------------
-    def init_cache(self, batch: int, max_length: int, dtype: np.dtype = np.float64) -> KVCache:
+    def init_cache(self, batch: int, max_length: int) -> KVCache:
         """Allocate a :class:`KVCache` sized for this attention module."""
-        return KVCache(batch, self.num_heads, max_length, self.head_dim, dtype=dtype)
+        return KVCache(batch, self.num_heads, max_length, self.head_dim)
 
     def project_memory(self, memory: Tensor) -> Tuple[np.ndarray, np.ndarray]:
         """Split-head K/V of the encoder memory, projected **once** per decode.
@@ -203,9 +192,7 @@ class MultiHeadAttention(Module):
         v = cache.v[:, :, :cache.length]
         bias = None
         if new_tokens > 1:
-            bias = _causal_bias(
-                new_tokens, cache.length, cache.length - new_tokens, q.data.dtype.name
-            )
+            bias = _causal_bias(new_tokens, cache.length, cache.length - new_tokens)
         return self._attend(q, np.swapaxes(k, -1, -2), v, bias)
 
     def forward_cross(
@@ -227,13 +214,10 @@ class MultiHeadAttention(Module):
     # Masks
     # ------------------------------------------------------------------
     @staticmethod
-    def padding_bias(
-        key_padding_mask: np.ndarray, dtype: np.dtype = np.float64
-    ) -> np.ndarray:
+    def padding_bias(key_padding_mask: np.ndarray) -> np.ndarray:
         """Additive ``(batch, 1, 1, key_len)`` bias from a boolean pad mask."""
         padding = np.asarray(key_padding_mask, dtype=bool)
-        dtype = np.dtype(dtype)
-        return np.where(padding, dtype.type(-1e9), dtype.type(0.0))[:, None, None, :]
+        return np.where(padding, -1e9, 0.0)[:, None, None, :]
 
     def _build_bias(
         self,
@@ -242,7 +226,6 @@ class MultiHeadAttention(Module):
         key_len: int,
         key_padding_mask: Optional[np.ndarray],
         causal: bool,
-        dtype: np.dtype = np.float64,
     ) -> Optional[np.ndarray]:
         bias: Optional[np.ndarray] = None
         if key_padding_mask is not None:
@@ -251,8 +234,8 @@ class MultiHeadAttention(Module):
                 raise ValueError(
                     f"key_padding_mask shape {padding.shape} != {(batch, key_len)}"
                 )
-            bias = self.padding_bias(padding, dtype=dtype)
+            bias = self.padding_bias(padding)
         if causal:
-            causal_bias = _causal_bias(query_len, key_len, 0, np.dtype(dtype).name)
+            causal_bias = _causal_bias(query_len, key_len, 0)
             bias = causal_bias if bias is None else bias + causal_bias
         return bias

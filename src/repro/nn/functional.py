@@ -13,12 +13,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .tensor import Tensor, active_compute_dtype, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "relu",
     "gelu",
-    "tanh",
     "sigmoid",
     "softmax",
     "attention_weights",
@@ -39,11 +38,6 @@ __all__ = [
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
     return x.relu()
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    return x.tanh()
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -121,15 +115,9 @@ def cross_entropy(
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of ``weight`` according to integer ``indices``.
-
-    Under an active inference compute dtype the gather reads a cached cast
-    of the table, so the rows enter the forward already in that dtype.
-    """
+    """Gather rows of ``weight`` according to integer ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
-    dtype = active_compute_dtype()
-    table = weight.cast(dtype) if dtype is not None else weight.data
-    out_data = table[indices]
+    out_data = weight.data[indices]
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
@@ -148,16 +136,13 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     One graph node where the composition builds three (transpose, matmul,
     add): ``x`` is flattened to 2-D so the product, the input gradient and
     the weight gradient are one GEMM each, and the bias is added in place
-    into the product this node owns.  Under an active inference compute
-    dtype the cached casts of the parameters are used, as in
-    :func:`embedding`.
+    into the product this node owns.
     """
-    dtype = active_compute_dtype()
-    w = weight.cast(dtype) if dtype is not None else weight.data
+    w = weight.data
     flat_x = x.data.reshape(-1, x.shape[-1])
     flat_out = flat_x @ w.T
     if bias is not None:
-        flat_out += bias.cast(dtype) if dtype is not None else bias.data
+        flat_out += bias.data
     out_data = flat_out.reshape(x.shape[:-1] + (w.shape[0],))
 
     def backward(grad: np.ndarray) -> None:

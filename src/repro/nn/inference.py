@@ -2,7 +2,7 @@
 
 :meth:`TransformerEncoder.encode` routes here whenever gradients are disabled
 and the module is in eval mode.  It is the arithmetic of the
-:class:`~repro.nn.tensor.Tensor` path in the same dtype, written on raw numpy
+:class:`~repro.nn.tensor.Tensor` path, written on raw numpy
 arrays: rows are ordered by real length and processed in fixed-size chunks,
 each trimmed to its own longest row, so padding never reaches a matmul or the
 ``L x L`` attention scores, and every element-wise step updates a buffer in
@@ -27,7 +27,6 @@ import numpy as np
 
 from .attention import MultiHeadAttention
 from .layers import LayerNorm, Linear
-from .tensor import Tensor, active_compute_dtype
 
 if TYPE_CHECKING:
     from .transformer import TransformerEncoder, TransformerEncoderLayer
@@ -42,26 +41,19 @@ _CHUNK_ROWS = 16
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
-def _array(parameter: Tensor) -> np.ndarray:
-    """The parameter's payload in the dtype this forward runs in."""
-    dtype = active_compute_dtype()
-    return parameter.data if dtype is None else parameter.cast(dtype)
-
-
 class _Workspace:
     """One call's scratch memory: a flat array per name, handed out as a
     contiguous view of the requested shape.  Chunks run widest first, so each
     name is allocated once and later chunks reuse the front of it."""
 
-    def __init__(self, dtype: np.dtype) -> None:
-        self._dtype = dtype
+    def __init__(self) -> None:
         self._flat: Dict[str, np.ndarray] = {}
 
     def __call__(self, name: str, *shape: int) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size, dtype=self._dtype)
+            flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
 
 
@@ -75,15 +67,15 @@ def _layer_norm(x: np.ndarray, norm: LayerNorm, out: np.ndarray) -> np.ndarray:
     deviation += norm.eps
     np.sqrt(deviation, out=deviation)
     out /= deviation
-    out *= _array(norm.weight)
-    out += _array(norm.bias)
+    out *= norm.weight.data
+    out += norm.bias.data
     return out
 
 
 def _linear(x: np.ndarray, linear: Linear, out: np.ndarray) -> np.ndarray:
     # x stays 3-D: one small gemm per row, which OpenBLAS runs single-threaded.
-    np.matmul(x, _array(linear.weight).T, out=out)
-    out += _array(linear.bias)
+    np.matmul(x, linear.weight.data.T, out=out)
+    out += linear.bias.data
     return out
 
 
@@ -137,9 +129,9 @@ def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.nd
     encoder.token_embedding.check_indices(token_ids)
     num_rows, width = token_ids.shape
     positions = encoder.position_embedding.rows(width)
-    table = _array(encoder.token_embedding.weight)
-    dtype, dim = table.dtype, table.shape[1]
-    work = _Workspace(dtype)
+    table = encoder.token_embedding.weight.data
+    dim = table.shape[1]
+    work = _Workspace()
 
     # A row's extent ends at its last real token: trailing padding is cut,
     # interior padding stays and is masked as the Tensor path masks it.
@@ -148,13 +140,13 @@ def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.nd
     order = np.argsort(-extents, kind="stable")
     # All-padding rows pool to the zero vector and never enter a chunk.
     order = order[: np.count_nonzero(extents)]
-    pooled = np.zeros((num_rows, dim), dtype=dtype)
+    pooled = np.zeros((num_rows, dim))
 
     for start in range(0, len(order), _CHUNK_ROWS):
         chunk = order[start:start + _CHUNK_ROWS]
         length = int(extents[chunk[0]])
         keep = real[chunk, :length]
-        bias = MultiHeadAttention.padding_bias(~keep, dtype=dtype)
+        bias = MultiHeadAttention.padding_bias(~keep)
         hidden = work("hidden", len(chunk), length, dim)
         # Indices were range-checked above; "clip" only skips take's bounce buffer.
         np.take(table, token_ids[chunk, :length], axis=0, out=hidden, mode="clip")
@@ -162,7 +154,7 @@ def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.nd
         for layer in encoder.layers:
             _encoder_layer(hidden, bias, layer, work)
         normed = _layer_norm(hidden, encoder.final_norm, work("normed", *hidden.shape))
-        weights = keep.astype(dtype)
+        weights = keep.astype(np.float64)
         weights /= weights.sum(axis=1, keepdims=True)
         pooled[chunk] = np.matmul(weights[:, None, :], normed)[:, 0]
     return pooled

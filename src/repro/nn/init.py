@@ -15,20 +15,6 @@ def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He initialisation suited to ReLU networks."""
-    fan_in, _ = _fans(shape)
-    limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def normal(shape: Tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
     """Truncated-free normal initialisation (BERT-style std=0.02)."""
     return rng.normal(0.0, std, size=shape)

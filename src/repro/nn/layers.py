@@ -9,7 +9,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, active_compute_dtype
+from .tensor import Tensor
 
 
 class Linear(Module):
@@ -84,13 +84,7 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        dtype = active_compute_dtype()
-        if dtype is None:
-            return x.standardize(self.eps) * self.weight + self.bias
-        return (
-            x.standardize(self.eps) * Tensor(self.weight.cast(dtype))
-            + Tensor(self.bias.cast(dtype))
-        )
+        return x.standardize(self.eps) * self.weight + self.bias
 
     def __repr__(self) -> str:
         return f"LayerNorm(dim={self.normalized_shape})"

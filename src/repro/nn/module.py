@@ -48,11 +48,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def register_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module under ``name``."""
         self._modules[name] = module
@@ -168,29 +163,6 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Apply child modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: List[str] = []
-        for index, module in enumerate(modules):
-            name = f"layer{index}"
-            self.register_module(name, module)
-            self._order.append(name)
-
-    def forward(self, x):
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 class ModuleList(Module):

@@ -22,21 +22,13 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-#: Whether operations record gradient information.  Thread-local, like
-#: ``_compute_dtype_state`` below: serving replicas run ``no_grad`` forward
-#: passes on their own scheduler threads, and with a process-global flag two
-#: interleaved enter/exit pairs can restore each other's snapshots and leave
-#: gradients disabled for the whole process (breaking any training that runs
-#: afterwards).  Each thread starts with gradients enabled.
+#: Whether operations record gradient information.  Thread-local: serving
+#: replicas run ``no_grad`` forward passes on their own scheduler threads, and
+#: with a process-global flag two interleaved enter/exit pairs can restore each
+#: other's snapshots and leave gradients disabled for the whole process
+#: (breaking any training that runs afterwards).  Each thread starts with
+#: gradients enabled.
 _grad_state = threading.local()
-
-#: Requested inference compute dtype, or None for the native float64 path.
-#: Thread-local so a ``compute_dtype`` block on one thread (e.g. a caller of
-#: LinkingService) cannot flip the precision of a forward running
-#: concurrently on another thread mid-pass.  Only consulted when gradients
-#: are disabled, so training always runs in full precision regardless of any
-#: surrounding ``compute_dtype`` block.
-_compute_dtype_state = threading.local()
 
 
 class no_grad:
@@ -60,49 +52,6 @@ def is_grad_enabled() -> bool:
     return getattr(_grad_state, "enabled", True)
 
 
-class compute_dtype:
-    """Context manager selecting the inference compute dtype.
-
-    Inside ``with compute_dtype("float32")``, ``no_grad`` forward passes run
-    end-to-end in float32: layers feed cached float32 casts of their
-    parameters into the graph-free ops and every freshly-created tensor
-    (biases, scalars, masks) adopts the same dtype, halving memory bandwidth
-    on serving paths.  Gradient-tracked code is unaffected — training keeps
-    the float64 default — and blocks nest/restore like ``no_grad``.
-    """
-
-    def __init__(self, dtype: Optional[Union[str, np.dtype]]) -> None:
-        self._dtype = None if dtype is None else np.dtype(dtype)
-        if self._dtype is not None and self._dtype.kind != "f":
-            raise ValueError(f"compute dtype must be floating point, got {self._dtype}")
-
-    def __enter__(self) -> "compute_dtype":
-        self._previous = getattr(_compute_dtype_state, "value", None)
-        _compute_dtype_state.value = self._dtype
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        _compute_dtype_state.value = self._previous
-
-
-def get_compute_dtype() -> Optional[np.dtype]:
-    """Return this thread's requested compute dtype (None = float64 default)."""
-    return getattr(_compute_dtype_state, "value", None)
-
-
-def active_compute_dtype() -> Optional[np.dtype]:
-    """The cast dtype for the *current* op, or None when no cast applies.
-
-    Non-None only when a ``compute_dtype`` block is active on this thread
-    **and** gradients are disabled: the reduced-precision path is
-    inference-only.
-    """
-    dtype = getattr(_compute_dtype_state, "value", None)
-    if is_grad_enabled() or dtype is None or dtype == np.float64:
-        return None
-    return dtype
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -119,16 +68,11 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value: ArrayLike) -> np.ndarray:
-    dtype = active_compute_dtype()
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f":
-            if dtype is not None and value.dtype != dtype:
-                return value.astype(dtype)
+        if value.dtype.kind in "fc":
             return value
-        if value.dtype.kind == "c":
-            return value
-        return value.astype(dtype if dtype is not None else np.float64)
-    return np.asarray(value, dtype=dtype if dtype is not None else np.float64)
+        return value.astype(np.float64)
+    return np.asarray(value, dtype=np.float64)
 
 
 class Tensor:
@@ -143,7 +87,7 @@ class Tensor:
         Whether gradients should be accumulated for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_cast_cache")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(
         self,
@@ -159,7 +103,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad or _parents else ()
         self._backward = _backward
         self.name = name
-        self._cast_cache: Optional[Tuple[np.ndarray, np.dtype, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -187,10 +130,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def item(self) -> float:
         """Return the scalar value of a one-element tensor."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
@@ -198,28 +137,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but outside the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def cast(self, dtype: Union[str, np.dtype]) -> np.ndarray:
-        """Return ``data`` as ``dtype``, memoising one cast per payload.
-
-        The cache is keyed on the identity of ``data``: optimisers and
-        ``load_state_dict`` replace the payload array rather than mutating it
-        in place, so a stale cast is never served.  This is what lets layers
-        feed float32 copies of their float64 parameters into every inference
-        forward without re-casting per call.
-        """
-        dtype = np.dtype(dtype)
-        if self.data.dtype == dtype:
-            return self.data
-        cached = self._cast_cache
-        if cached is None or cached[0] is not self.data or cached[1] != dtype:
-            cached = (self.data, dtype, self.data.astype(dtype))
-            self._cast_cache = cached
-        return cached[2]
-
-    def copy(self) -> "Tensor":
-        """Return a tensor with a copied payload, outside the graph."""
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -369,9 +286,6 @@ class Tensor:
                 self._accumulate(grad / self.data)
 
         return self._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -586,11 +500,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-        return self.transpose(*axes)
-
     @property
     def T(self) -> "Tensor":  # noqa: N802 - numpy-compatible alias
         return self.transpose()
@@ -672,18 +581,6 @@ def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
 
 def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def zeros_like(other: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros_like(other.data), requires_grad=requires_grad)
-
-
-def ones_like(other: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones_like(other.data), requires_grad=requires_grad)
 
 
 def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

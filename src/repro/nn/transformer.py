@@ -18,7 +18,7 @@ from .attention import KVCache, MultiHeadAttention
 from .inference import pooled_encode
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
-from .tensor import Tensor, active_compute_dtype, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled
 
 
 class PositionalEmbedding(Module):
@@ -46,17 +46,15 @@ class PositionalEmbedding(Module):
         self._position_ids = np.arange(max_length, dtype=np.int64)
 
     def rows(self, length: int, offset: int = 0) -> np.ndarray:
-        """The table rows for ``[offset, offset + length)`` as a raw array in
-        the active inference dtype: a slice of the table, outside any graph."""
+        """The table rows for ``[offset, offset + length)`` as a raw array: a
+        slice of the table, outside any graph."""
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
         if offset + length > self.max_length:
             raise ValueError(
                 f"positions [{offset}, {offset + length}) exceed max_length {self.max_length}"
             )
-        dtype = active_compute_dtype()
-        table = self.weight.cast(dtype) if dtype is not None else self.weight.data
-        return table[offset:offset + length]
+        return self.weight.data[offset:offset + length]
 
     def forward(self, length: int, offset: int = 0) -> Tensor:
         rows = self.rows(length, offset)
@@ -193,10 +191,6 @@ class DecoderState:
     def batch(self) -> int:
         return self.layers[0].self_cache.batch
 
-    @property
-    def max_length(self) -> int:
-        return self.layers[0].self_cache.max_length
-
     def select_rows(self, indices: np.ndarray) -> None:
         """Keep only the given batch rows (boolean or integer index array)."""
         for layer in self.layers:
@@ -241,13 +235,11 @@ class TransformerDecoderLayer(Module):
         x = x + self.feed_forward(self.norm_feed_forward(x))
         return x
 
-    def init_state(
-        self, memory: Tensor, max_length: int, dtype: np.dtype
-    ) -> LayerDecoderState:
+    def init_state(self, memory: Tensor, max_length: int) -> LayerDecoderState:
         """Allocate this layer's K/V cache and project the memory K/V once."""
         cross_k, cross_v = self.cross_attention.project_memory(memory)
         return LayerDecoderState(
-            self_cache=self.self_attention.init_cache(memory.shape[0], max_length, dtype=dtype),
+            self_cache=self.self_attention.init_cache(memory.shape[0], max_length),
             cross_k=cross_k,
             cross_v=cross_v,
         )
@@ -335,12 +327,11 @@ class TransformerDecoder(Module):
         if max_length is None:
             max_length = self.position_embedding.max_length
         max_length = min(max_length, self.position_embedding.max_length)
-        dtype = memory.data.dtype
         memory_bias = None
         if memory_padding_mask is not None:
-            memory_bias = MultiHeadAttention.padding_bias(memory_padding_mask, dtype=dtype)
+            memory_bias = MultiHeadAttention.padding_bias(memory_padding_mask)
         return DecoderState(
-            layers=[layer.init_state(memory, max_length, dtype) for layer in self.layers],
+            layers=[layer.init_state(memory, max_length) for layer in self.layers],
             memory_bias=memory_bias,
         )
 

@@ -47,7 +47,7 @@ Quickstart::
     pool = ReplicaPool.from_pipeline(pipeline, replicas=4)
     with Router(pool, admission=AdmissionPolicy(watermark=512)) as router:
         router.warm_up()
-        print(router.link(mentions[0]).predicted_entity_id)
+        print(router.submit(mentions[0]).result().predicted_entity_id)
 """
 
 from .cluster import (

@@ -60,7 +60,6 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -471,6 +470,8 @@ class ProcessReplica(ThreadReplica):
         return self._process.is_alive()
 
     def probe(self) -> ReplicaHealth:
+        # A worker that died outside kill() (OOM kill, segfault) leaves the
+        # parent's scheduler running; only this check marks the slot DEAD.
         health = super().probe()
         if health.state == HEALTHY and not self._process.is_alive():
             self._set_state(DEAD)
@@ -806,10 +807,6 @@ class ReplicaPool:
         with self._lock:
             return self._replicas[slot]
 
-    def generation(self, slot: int) -> int:
-        with self._lock:
-            return self._generations[slot]
-
     def healthy_slots(self) -> List[int]:
         return [
             slot for slot, replica in enumerate(self.replicas)
@@ -843,9 +840,6 @@ class ReplicaPool:
         for replica in self.replicas:
             if replica.state in (HEALTHY, DRAINING):
                 replica.drain(timeout=timeout)
-
-    def probe(self) -> List[ReplicaHealth]:
-        return [replica.probe() for replica in self.replicas]
 
 
 # ----------------------------------------------------------------------
@@ -1042,20 +1036,6 @@ class Router:
         )
         self._dispatch(request)
         return caller
-
-    def link(
-        self,
-        mention: Mention,
-        timeout: Optional[float] = None,
-        request_class: str = "default",
-    ) -> LinkingResult:
-        """Blocking convenience wrapper; cancels the request on timeout."""
-        future = self.submit(mention, request_class=request_class)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
-            raise
 
     def _dispatch(self, request: _ClusterRequest) -> None:
         while True:

@@ -399,11 +399,6 @@ class EntityLinkingPipeline:
     # ------------------------------------------------------------------
     # Brownout (degraded) mode
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """Whether the pipeline is currently in brownout (degraded) mode."""
-        return self._degraded
-
     def set_degraded(self, degraded: bool) -> None:
         """Flip between the full and the degraded stage list.
 

@@ -321,11 +321,6 @@ class LinkingService:
         with self._lock:
             return len(self._queue) + len(self._inflight)
 
-    @property
-    def stats(self):
-        """The underlying pipeline's :class:`PipelineStats` (shared object)."""
-        return self.pipeline.stats
-
     # ------------------------------------------------------------------
     # Warm-up
     # ------------------------------------------------------------------

@@ -108,10 +108,6 @@ class Vocabulary:
         return self._token_to_id[EOS_TOKEN]
 
     @property
-    def sep_id(self) -> int:
-        return self._token_to_id[SEP_TOKEN]
-
-    @property
     def summarize_id(self) -> int:
         return self._token_to_id[SUMMARIZE_TOKEN]
 

@@ -20,7 +20,6 @@ EXPECTED_RULES = {
     "thread-local-state",
     "lock-discipline",
     "probe-mode-discipline",
-    "inference-dtype",
     "future-hygiene",
     "bounded-wait",
     "unused-suppression",
@@ -43,44 +42,37 @@ class TestRegistry:
 
 class TestSuppressions:
     def test_suppression_only_applies_to_named_rule(self):
-        source = (
-            "import numpy as np\n"
-            "x = np.float64(1.0)  # repro: disable=lock-discipline\n"
-        )
+        source = "done.wait()  # repro: disable=lock-discipline\n"
         findings = lint_source(
             source, "src/repro/serving/hot.py",
-            config=LintConfig(enabled=["inference-dtype"]),
+            config=LintConfig(enabled=["bounded-wait"]),
         )
         assert len(findings) == 1
 
     def test_disable_all(self):
-        source = "import numpy as np\nx = np.float64(1.0)  # repro: disable=all\n"
+        source = "done.wait()  # repro: disable=all\n"
         findings = lint_source(
             source, "src/repro/serving/hot.py",
-            config=LintConfig(enabled=["inference-dtype"]),
+            config=LintConfig(enabled=["bounded-wait"]),
         )
         assert findings == []
 
     def test_suppression_inside_string_literal_ignored(self):
         source = (
-            "import numpy as np\n"
-            'note = "repro: disable=inference-dtype"\n'
-            "x = np.float64(1.0)\n"
+            'note = "repro: disable=bounded-wait"\n'
+            "done.wait()\n"
         )
         findings = lint_source(
             source, "src/repro/serving/hot.py",
-            config=LintConfig(enabled=["inference-dtype"]),
+            config=LintConfig(enabled=["bounded-wait"]),
         )
         assert len(findings) == 1
 
     def test_multiple_rules_one_comment(self):
-        source = (
-            "import numpy as np\n"
-            "x = np.float64(1.0)  # repro: disable=inference-dtype, lock-discipline\n"
-        )
+        source = "done.wait()  # repro: disable=bounded-wait, lock-discipline\n"
         findings = lint_source(
             source, "src/repro/serving/hot.py",
-            config=LintConfig(enabled=["inference-dtype"]),
+            config=LintConfig(enabled=["bounded-wait"]),
         )
         assert findings == []
 
@@ -133,19 +125,18 @@ class TestUnusedSuppression:
         return target
 
     def test_dead_suppression_is_flagged(self, tmp_path):
-        self.write(tmp_path, "VALUE = 1  # repro: disable=inference-dtype\n")
+        self.write(tmp_path, "VALUE = 1  # repro: disable=bounded-wait\n")
         result = run_lint(
             [tmp_path / "src"], config=LintConfig(project_root=tmp_path),
         )
         assert [f.rule for f in result.findings] == ["unused-suppression"]
-        assert result.findings[0].symbol == "disable=inference-dtype"
+        assert result.findings[0].symbol == "disable=bounded-wait"
         assert result.findings[0].line == 1
 
     def test_used_suppression_is_not_flagged(self, tmp_path):
         self.write(
             tmp_path,
-            "import numpy as np\n"
-            "x = np.float64(1.0)  # repro: disable=inference-dtype\n",
+            "done.wait()  # repro: disable=bounded-wait\n",
         )
         result = run_lint(
             [tmp_path / "src"], config=LintConfig(project_root=tmp_path),
@@ -158,13 +149,12 @@ class TestUnusedSuppression:
         # neither suppresses nor counts as a dead suppression.
         self.write(
             tmp_path,
-            "import numpy as np\n"
-            "x = np.float64(1.0)  # see repro: disable=inference-dtype\n",
+            "done.wait()  # see repro: disable=bounded-wait\n",
         )
         result = run_lint(
             [tmp_path / "src"], config=LintConfig(project_root=tmp_path),
         )
-        assert [f.rule for f in result.findings] == ["inference-dtype"]
+        assert [f.rule for f in result.findings] == ["bounded-wait"]
 
 
 class TestReporters:

@@ -7,7 +7,6 @@ from repro.analysis import LintConfig, lint_source
 
 NN_PATH = "src/repro/nn/flags.py"
 SERVING_PATH = "src/repro/serving/widget.py"
-GENERATION_PATH = "src/repro/generation/decode.py"
 SRC_PATH = "src/repro/training/loop.py"
 
 
@@ -404,85 +403,6 @@ class TestProbeModeDiscipline:
                 model.eval()
             """,
             SRC_PATH, self.RULE,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# inference-dtype
-# ----------------------------------------------------------------------
-class TestInferenceDtype:
-    RULE = "inference-dtype"
-
-    def test_np_float64_attribute_flagged(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def decode_step(logits):
-                return np.asarray(logits, dtype=np.float64)
-            """,
-            GENERATION_PATH, self.RULE,
-        )
-        assert [f.symbol for f in findings] == ["decode_step"]
-
-    def test_string_literal_flagged(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def decode_step(logits):
-                return logits.astype("float64")
-            """,
-            SERVING_PATH, self.RULE,
-        )
-        assert len(findings) == 1
-
-    def test_docstring_mention_not_flagged(self):
-        findings = lint(
-            '''
-            def decode_step(logits):
-                """Latencies are aggregated in float64 elsewhere."""
-                return logits
-            ''',
-            GENERATION_PATH, self.RULE,
-        )
-        assert findings == []
-
-    def test_training_path_out_of_scope(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def batch_loss(values):
-                return np.asarray(values, dtype=np.float64).sum()
-            """,
-            SRC_PATH, self.RULE,  # training/, not serving/ or generation/
-        )
-        assert findings == []
-
-    def test_dtype_inherit_compliant(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def decode_step(logits, memory):
-                return np.asarray(logits, dtype=memory.dtype)
-            """,
-            GENERATION_PATH, self.RULE,
-        )
-        assert findings == []
-
-    def test_suppression(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def percentiles(samples):
-                data = np.asarray(samples, dtype=np.float64)  # repro: disable=inference-dtype
-                return np.percentile(data, [50, 99])
-            """,
-            SERVING_PATH, self.RULE,
         )
         assert findings == []
 

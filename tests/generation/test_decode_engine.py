@@ -1,16 +1,15 @@
-"""Decode-engine regression suite: KV-cache parity, dtype policy, bucketing.
+"""Decode-engine regression suite: KV-cache parity and bucketing.
 
 The KV-cached :meth:`Seq2SeqModel.greedy_decode` must be token-for-token
 identical to the naive full-re-forward reference across every constraint
-path; the float32 inference switch must stay numerically close to float64;
-and length-bucketed ``rewrite_entities`` must return outputs in input order.
+path, and length-bucketed ``rewrite_entities`` must return outputs in input
+order.
 """
 
 import numpy as np
 import pytest
 
 from repro.generation import MentionRewriter, Seq2SeqModel, source_domain_pairs
-from repro.nn import compute_dtype
 from repro.utils.config import RewriterConfig
 
 
@@ -97,36 +96,6 @@ class TestDecodeParity:
         model, sources = decode_model
         with pytest.raises(ValueError):
             model.greedy_decode(sources, allowed_token_ids=[[5, 9], [9, 30]])
-
-
-class TestDecodeDtype:
-    def test_float32_decode_produces_valid_tokens(self, decode_model):
-        model, sources = decode_model
-        with compute_dtype("float32"):
-            decoded = model.greedy_decode(sources, allowed_token_ids=[5, 9, 30, 42], boost=3.0)
-        assert len(decoded) == len(sources)
-        assert all(token in (5, 9, 30, 42) for row in decoded for token in row)
-
-    def test_float32_pooled_encoding_close_to_float64(self, decode_model):
-        model, sources = decode_model
-        from repro.nn import no_grad
-
-        with no_grad():
-            pooled64 = model.encoder.encode(sources).data
-            with compute_dtype("float32"):
-                pooled32 = model.encoder.encode(sources).data
-        assert pooled32.dtype == np.float32
-        np.testing.assert_allclose(pooled32, pooled64, atol=1e-4, rtol=1e-3)
-
-    def test_training_unaffected_by_surrounding_compute_dtype(self, decode_model):
-        model, sources = decode_model
-        targets = np.zeros((len(sources), 4), dtype=np.int64)
-        targets[:, 0] = model.bos_id
-        targets[:, 1] = 5
-        targets[:, 2] = model.eos_id
-        with compute_dtype("float32"):
-            loss = model.batch_loss(sources, targets)
-        assert loss.data.dtype == np.float64
 
 
 class TestBucketedRewriting:

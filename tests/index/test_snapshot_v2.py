@@ -1,4 +1,4 @@
-"""Version-2 snapshots: quantized codecs, mmap, live shard state, generations."""
+"""Version-2 snapshots: entries, mmap, live shard state, generations."""
 
 import json
 import shutil
@@ -8,10 +8,8 @@ import pytest
 
 from repro.index import (
     IVFBackend,
-    UnknownCodecError,
     compact_to_generation,
     current_generation,
-    encode_matrix,
     list_generations,
     write_generation,
 )
@@ -53,34 +51,28 @@ def queries():
     return np.random.default_rng(2).normal(size=(6, 12))
 
 
-class TestQuantizedSnapshots:
-    @pytest.mark.parametrize("codec", ["float64", "float16", "int8"])
-    def test_exact_index_round_trips_under_codec(self, tmp_path, queries, codec):
+class TestSnapshotEntries:
+    def test_exact_index_round_trips_bit_identically(self, tmp_path, queries):
         index = build_index()
-        index.save(tmp_path / "snap", codec=codec)
+        index.save(tmp_path / "snap")
         restored = ShardedEntityIndex.load(tmp_path / "snap")
-        before = index.search(queries, k=8)
-        after = restored.search(queries, k=8)
-        agreement = np.mean(
-            [
-                len(set(a.entity_ids) & set(b.entity_ids)) / 8
-                for a, b in zip(before, after)
-            ]
-        )
-        if codec == "float64":
-            assert agreement == 1.0  # lossless: identical rankings
-        else:
-            assert agreement >= 0.85  # quantization may swap close neighbours
+        for world in index.worlds():
+            assert np.array_equal(index.shard(world).storage, restored.shard(world).storage)
+        for a, b in zip(index.search(queries, k=8), restored.search(queries, k=8)):
+            assert a.entity_ids == b.entity_ids
+            assert a.scores == b.scores
 
-    def test_unknown_codec_fails_with_clear_error(self, tmp_path):
+    def test_non_float64_codec_fails_with_clear_error(self, tmp_path):
+        """Embeddings are float64 only; an entry naming another codec (as
+        earlier builds could write) is refused, naming the codec and path."""
         index = build_index()
-        path = index.save(tmp_path / "snap", codec="int8")
+        path = index.save(tmp_path / "snap")
         manifest = json.loads((path / SNAPSHOT_MANIFEST).read_text())
-        for shard in manifest["shards"]:
-            shard["codec"] = "pq4"
+        manifest["shards"][1]["codec"] = "int8"
         (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(UnknownCodecError, match="pq4"):
-            ShardedEntityIndex.load(path)
+        with pytest.raises(ValueError, match="int8") as error:
+            ShardedEntityIndex.load(path, mmap=True)
+        assert str(path) in str(error.value)
 
     def test_unknown_backend_fails_with_clear_error(self, tmp_path):
         index = build_index()
@@ -90,11 +82,6 @@ class TestQuantizedSnapshots:
         (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="hnsw"):
             ShardedEntityIndex.load(path)
-
-    def test_save_under_unknown_codec_rejected(self, tmp_path):
-        index = build_index()
-        with pytest.raises(UnknownCodecError):
-            index.save(tmp_path / "snap", codec="pq4")
 
 
 class TestMmapLoading:
@@ -111,25 +98,23 @@ class TestMmapLoading:
         index = build_index()
         index.save(tmp_path / "snap")
         mapped = ShardedEntityIndex.load(tmp_path / "snap", mmap=True)
-        vectors = mapped.shard("alpha").storage.arrays()[""]
-        assert isinstance(vectors.base, np.memmap) or isinstance(vectors, np.memmap)
+        vectors = mapped.shard("alpha").storage
+        assert isinstance(vectors, np.memmap)
         assert not vectors.flags.writeable
 
-    def test_quantized_mmap_exhaustive_shard_stays_lazy(self, tmp_path, queries):
-        """An int8 snapshot loaded without a backend is scanned block by
-        block: searching never decodes the matrix into a float64 copy."""
+    def test_mmap_exhaustive_shard_stays_lazy(self, tmp_path, queries):
+        """A snapshot loaded without a backend is scanned block by block:
+        searching keeps the memory map and never copies the matrix."""
         index = build_index()
-        index.save(tmp_path / "snap", codec="int8")
+        index.save(tmp_path / "snap")
         mapped = ShardedEntityIndex.load(tmp_path / "snap", mmap=True)
         shard = mapped.shard("alpha")
-        before = shard.stats()
-        assert before["backend"] == "exact" and before["codec"] == "int8"
+        storage = shard.storage
+        assert isinstance(storage, np.memmap)
         results = mapped.search(queries, k=8, worlds=["alpha"])
-        assert shard.stats() == before  # still int8, same bytes
-        codes = shard.storage.arrays()["codes"]
-        assert isinstance(codes, np.memmap) or isinstance(codes.base, np.memmap)
-        # Ranks equal a brute-force ranking of the whole decoded matrix.
-        scores = queries @ shard.storage.to_dense().T
+        assert shard.storage is storage
+        # Ranks equal a brute-force ranking of the whole matrix.
+        scores = queries @ np.asarray(storage).T
         members = shard.entities()
         for result, row in zip(results, scores):
             order = np.lexsort((np.arange(len(row)), -row))[:8]
@@ -174,12 +159,11 @@ class TestLiveStateSnapshots:
             assert a.scores == b.scores
 
     def test_ivf_snapshot_restores_as_ivf_without_backend_arg(self, tmp_path):
-        index = build_index(backend=IVFBackend(nprobe=2, codec="int8"))
+        index = build_index(backend=IVFBackend(nprobe=2))
         index.save(tmp_path / "snap")
         restored = ShardedEntityIndex.load(tmp_path / "snap")
         stats = restored.shard("alpha").stats()
         assert stats["backend"] == "ivf"
-        assert stats["codec"] == "int8"
         assert stats["nprobe"] == 2
 
     def test_exact_snapshot_rebuilds_under_ivf_backend(self, tmp_path, queries):
@@ -297,21 +281,16 @@ class TestEarlierLayouts:
 
     def write_parent_layout(self, path, dim=12):
         rng = np.random.default_rng(5)
-        worlds = {name: make_entities(name, 20) for name in ("f64", "i8", "ivf", "cold")}
-        vectors = {name: rng.normal(size=(20, dim)) for name in ("f64", "i8", "ivf")}
+        worlds = {name: make_entities(name, 20) for name in ("f64", "ivf", "cold")}
+        vectors = {name: rng.normal(size=(20, dim)) for name in ("f64", "ivf")}
         arrays_dir = path / SNAPSHOT_ARRAYS
         arrays_dir.mkdir(parents=True)
         exact = {"backend": "exact", "materialized": True}
         shards = [
             {"world": "f64", "codec": "float64", **exact,
              "entities": [e.to_dict() for e in worlds["f64"]]},
-            {"world": "i8", "codec": "int8", **exact,
-             "entities": [e.to_dict() for e in worlds["i8"]]},
         ]
         np.save(arrays_dir / "shard_0.npy", vectors["f64"])
-        quantized = encode_matrix(vectors["i8"], "int8")
-        for key, array in quantized.arrays().items():
-            np.save(arrays_dir / f"shard_1__{key}.npy", array)
 
         # Three hand-made cells over 20 main rows, row 4 tombstoned, and a
         # two-row pending tail whose first row is tombstoned.
@@ -331,7 +310,7 @@ class TestEarlierLayouts:
             "storage": vectors["ivf"],
         }
         for key, array in ivf_arrays.items():
-            np.save(arrays_dir / f"shard_2__{key}.npy", array)
+            np.save(arrays_dir / f"shard_1__{key}.npy", array)
         shards.append({
             "backend": "ivf", "codec": "float64", "nprobe": 3, "num_cells": 3,
             "num_cells_config": 3, "seed": 0, "kmeans_iters": 8, "generation": 2,
@@ -348,7 +327,6 @@ class TestEarlierLayouts:
         (path / SNAPSHOT_MANIFEST).write_text(json.dumps(manifest))
         live = {
             "f64": (worlds["f64"], vectors["f64"]),
-            "i8": (worlds["i8"], quantized.to_dense()),
             "ivf": (
                 [e for i, e in enumerate(worlds["ivf"]) if i != 4] + tail[1:],
                 np.concatenate([np.delete(vectors["ivf"], 4, axis=0), tail_vectors[1:]]),
@@ -360,9 +338,8 @@ class TestEarlierLayouts:
     def test_parent_written_layout_loads_and_ranks_identically(self, tmp_path, mmap):
         live = self.write_parent_layout(tmp_path / "snap")
         restored = ShardedEntityIndex.load(tmp_path / "snap", mmap=mmap)
-        assert restored.worlds() == ["f64", "i8", "ivf", "cold"]
-        assert not restored.is_materialized("cold") and len(restored) == 20 * 4
-        assert restored.shard("i8").stats()["codec"] == "int8"
+        assert restored.worlds() == ["f64", "ivf", "cold"]
+        assert not restored.is_materialized("cold") and len(restored) == 20 * 3
         ivf = restored.shard("ivf")
         assert (ivf.generation, ivf.num_pending, ivf.num_tombstones) == (2, 1, 2)
         assert ivf.stats()["backend"] == "ivf" and ivf.stats()["nprobe"] == 3

@@ -10,7 +10,7 @@ draw, so outputs and every input gradient must agree to rounding.
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Linear, Tensor, compute_dtype, no_grad
+from repro.nn import Dropout, Linear, Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, _causal_bias
 from repro.nn.module import Parameter
@@ -109,21 +109,6 @@ class TestLinear:
         assert not out.requires_grad and out._parents == ()
         assert np.abs(out.data - (x.data @ layer.weight.data.T + layer.bias.data)).max() <= TOLERANCE
 
-    def test_compute_dtype_uses_the_cached_casts(self):
-        layer = Linear(5, 4, rng=np.random.default_rng(2))
-        x32 = np.random.default_rng(3).normal(size=(2, 3, 5)).astype(np.float32)
-        with compute_dtype("float32"), no_grad():
-            out = layer(Tensor(x32))
-            weight_cast, bias_cast = layer.weight.cast("float32"), layer.bias.cast("float32")
-            again = layer(Tensor(x32))
-            assert layer.weight.cast("float32") is weight_cast
-            assert layer.bias.cast("float32") is bias_cast
-        assert out.dtype == np.float32 and again.dtype == np.float32
-        assert np.array_equal(out.data, x32 @ weight_cast.T + bias_cast)
-        # Gradient-tracked code ignores the block: training stays float64.
-        with compute_dtype("float32"):
-            assert layer(Tensor(x32.astype(np.float64))).dtype == np.float64
-
 
 # ----------------------------------------------------------------------
 # F.attention_weights
@@ -132,7 +117,7 @@ def _biases(batch, query_len, key_len):
     padding = np.zeros((batch, key_len), dtype=bool)
     padding[0, -2:] = True
     padding_bias = MultiHeadAttention.padding_bias(padding)
-    causal_bias = _causal_bias(query_len, key_len, 0, "float64")
+    causal_bias = _causal_bias(query_len, key_len, 0)
     return {"none": None, "padding": padding_bias, "causal": causal_bias,
             "both": padding_bias + causal_bias}
 
@@ -202,14 +187,6 @@ class TestAttentionWeights:
         forward(scores).backward()
         numeric = finite_difference(lambda v: forward(Tensor(v)).item(), scores_val.copy())
         assert relative_error(scores.grad, numeric) <= 1e-6
-
-    def test_float32_inference_stays_float32(self):
-        scores = np.random.default_rng(1).normal(size=(2, 2, 3, 3)).astype(np.float32)
-        bias = _causal_bias(3, 3, 0, "float32")
-        with compute_dtype("float32"), no_grad():
-            weights = F.attention_weights(Tensor(scores), 0.5, bias, None)
-        assert weights.dtype == np.float32
-        assert not weights.requires_grad
 
 
 class TestDropout:

@@ -1,4 +1,4 @@
-"""Tests for the incremental decoding primitives and the float32 compute path."""
+"""Tests for the incremental decoding primitives."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,8 @@ from repro.nn import (
     Tensor,
     TransformerDecoder,
     TransformerEncoder,
-    compute_dtype,
-    get_compute_dtype,
     no_grad,
 )
-from repro.nn import functional as F
 from repro.nn.attention import _causal_bias
 
 
@@ -94,13 +91,13 @@ class TestKVCachedDecoder:
 
 class TestCausalBiasCache:
     def test_memoized_by_shape(self):
-        first = _causal_bias(4, 4, 0, "float64")
-        second = _causal_bias(4, 4, 0, "float64")
+        first = _causal_bias(4, 4, 0)
+        second = _causal_bias(4, 4, 0)
         assert first is second
         assert not first.flags.writeable
 
     def test_offset_masks_future_keys_only(self):
-        bias = _causal_bias(2, 6, 4, "float64")[0, 0]
+        bias = _causal_bias(2, 6, 4)[0, 0]
         # Query row 0 sits at absolute position 4: keys 0..4 visible.
         assert (bias[0, :5] == 0).all() and bias[0, 5] == -1e9
         assert (bias[1] == 0).all()
@@ -137,74 +134,3 @@ class TestPositionalEmbeddingOffset:
         assert embedding.weight.grad is not None
         assert np.abs(embedding.weight.grad[1:5]).sum() > 0
         assert np.abs(embedding.weight.grad[0]).sum() == 0
-
-
-class TestComputeDtype:
-    def test_context_manager_nests_and_restores(self):
-        assert get_compute_dtype() is None
-        with compute_dtype("float32"):
-            assert get_compute_dtype() == np.float32
-            with compute_dtype(None):
-                assert get_compute_dtype() is None
-            assert get_compute_dtype() == np.float32
-        assert get_compute_dtype() is None
-
-    def test_rejects_non_float_dtypes(self):
-        with pytest.raises(ValueError):
-            compute_dtype("int32")
-
-    def test_thread_local_does_not_leak_across_threads(self):
-        import threading
-
-        observed = {}
-
-        def worker():
-            observed["dtype"] = get_compute_dtype()
-
-        with compute_dtype("float32"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert observed["dtype"] is None
-
-    def test_inference_only_training_keeps_float64(self):
-        weight = Tensor(np.ones((3, 3)), requires_grad=True)
-        with compute_dtype("float32"):
-            tracked = F.embedding(weight, np.array([0, 1]))
-            assert tracked.data.dtype == np.float64
-            with no_grad():
-                cast = F.embedding(weight, np.array([0, 1]))
-                assert cast.data.dtype == np.float32
-
-    def test_cast_cache_reuses_and_invalidates(self):
-        tensor = Tensor(np.ones((4,)))
-        first = tensor.cast(np.float32)
-        assert tensor.cast(np.float32) is first
-        tensor.data = np.zeros((4,))
-        second = tensor.cast(np.float32)
-        assert second is not first
-        np.testing.assert_array_equal(second, np.zeros((4,), dtype=np.float32))
-
-    def test_encoder_forward_runs_float32_end_to_end(self, decoder_setup):
-        encoder, _, source, _ = decoder_setup
-        with no_grad():
-            pooled64 = encoder.encode(source).data
-            with compute_dtype("float32"):
-                hidden32 = encoder(source).data
-                pooled32 = encoder.encode(source).data
-        assert hidden32.dtype == np.float32
-        assert pooled32.dtype == np.float32
-        np.testing.assert_allclose(pooled32, pooled64, atol=1e-4, rtol=1e-3)
-
-    def test_decoder_logits_float32_close_to_float64(self, decoder_setup):
-        encoder, decoder, source, target = decoder_setup
-        with no_grad():
-            memory = encoder(source)
-            mask = source == 0
-            logits64 = decoder(target, memory, memory_padding_mask=mask).data
-            with compute_dtype("float32"):
-                memory32 = encoder(source)
-                state = decoder.init_state(memory32, mask)
-                logits32 = decoder.forward_step(target, state).data
-        assert logits32.dtype == np.float32
-        np.testing.assert_allclose(logits32, logits64, atol=1e-2, rtol=1e-2)

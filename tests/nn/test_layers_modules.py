@@ -13,7 +13,6 @@ from repro.nn import (
     ModuleList,
     MultiHeadAttention,
     Parameter,
-    Sequential,
     TransformerDecoder,
     TransformerEncoder,
     Tensor,
@@ -80,7 +79,7 @@ class TestModuleProtocol:
         assert np.allclose(vec, 0.0)
 
     def test_train_eval_propagates(self):
-        model = Sequential(Dropout(0.5), Linear(2, 2))
+        model = ModuleList([Dropout(0.5), Linear(2, 2)])
         model.eval()
         assert all(not child.training for child in model)
 

@@ -8,6 +8,7 @@ home replica is healthy, and admission control sheds with an *immediate*
 """
 
 import os
+import signal
 import sys
 import threading
 
@@ -22,7 +23,9 @@ from repro.serving import (
     FaultEvent,
     RejectedError,
     ReplicaPool,
+    RestartPolicy,
     Router,
+    Supervisor,
 )
 from repro.serving.service import warm_up_index
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
@@ -336,6 +339,31 @@ class TestSnapshotPool:
             router.restart_replica(0)
             assert pool.replica(0).pipeline.index is index
             assert_serves_expected(router)
+
+
+class TestProcessWorkerDeath:
+    def test_supervisor_restarts_a_worker_killed_outside_kill(self, cluster_setup):
+        # An OOM kill or segfault takes the worker down while the parent's
+        # scheduler thread runs on: the probe must still read the slot DEAD
+        # so one supervisor tick restarts it.
+        pipeline, mentions = cluster_setup
+        pool = ReplicaPool.from_pipeline(pipeline, replicas=2, process_replicas=1)
+        with Router(pool, seed=13, affinity=False) as router:
+            worker = pool.replica(1)._process
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=RESULT_TIMEOUT)
+            assert pool.replica(1).probe().state == "dead"
+            policy = RestartPolicy(
+                initial_backoff_seconds=0.0, jitter=0.0, min_uptime_seconds=0.0
+            )
+            with Supervisor(router, policy=policy, interval=3600.0) as supervisor:
+                supervisor.tick()
+            fresh = pool.replica(1)
+            assert fresh.state == "healthy" and "@g1" in fresh.name
+            assert fresh.process_alive
+            for future in [router.submit(m) for m in mentions]:
+                future.result(timeout=RESULT_TIMEOUT)
+        assert router.stats.snapshot()["router"]["deaths"] == 1
 
 
 class TestProcessReplicaWarmUp:
