@@ -32,13 +32,6 @@ NUM_LEXICAL_FEATURES = 3
 # head from ignoring them early in training.
 LEXICAL_FEATURE_SCALE = 5.0
 
-# The gradient-tracked forward pushes (mention, candidate) rows through the
-# encoder in chunks of this many rows: large enough to amortise per-call
-# overhead, small enough that the attention temporaries stay cache-resident.
-# (Inference needs no outer chunking: ``TransformerEncoder.encode`` buckets
-# rows by length itself under ``no_grad``.)
-MAX_FORWARD_ROWS = 128
-
 # Capacity of the per-entity token/feature caches; beyond this the oldest
 # entries are evicted (FIFO) so a long-running serving process reranking
 # traffic over a huge KB cannot grow without bound.
@@ -387,21 +380,6 @@ class CrossEncoder(Module):
         scores = self.scores_from_ids(ids, features).reshape(1, len(example.candidates))
         return F.cross_entropy(scores, [example.gold_index], reduction="sum")
 
-    def _graph_scores_flat(self, ids: np.ndarray, features: np.ndarray) -> Tensor:
-        """Scores for all rows with autodiff, chunked at MAX_FORWARD_ROWS."""
-        if len(ids) <= MAX_FORWARD_ROWS:
-            return self.scores_from_ids(ids, features)
-        return concatenate(
-            [
-                self.scores_from_ids(
-                    ids[start:start + MAX_FORWARD_ROWS],
-                    features[start:start + MAX_FORWARD_ROWS],
-                )
-                for start in range(0, len(ids), MAX_FORWARD_ROWS)
-            ],
-            axis=0,
-        )
-
     def prepare_examples_loss(self, examples: Sequence[RankingExample]):
         """Tokenize ranking examples once; return a loss-evaluating closure.
 
@@ -446,7 +424,7 @@ class CrossEncoder(Module):
         inverse_order = np.argsort(np.array(grouped_order))
 
         def run(reduction: str = "mean", sample_weights: Optional[np.ndarray] = None):
-            flat_scores = self._graph_scores_flat(ids, features)
+            flat_scores = self.scores_from_ids(ids, features)
             chunks = [
                 F.cross_entropy(
                     flat_scores[rows].reshape(size, count), golds, reduction="none"

@@ -1,9 +1,9 @@
 """Functional neural-network operations built on :class:`repro.nn.tensor.Tensor`.
 
 These free functions mirror the subset of ``torch.nn.functional`` the paper's
-models rely on: activations, softmax / log-softmax, cross entropy, embedding
-lookups, masking and dropout, plus the two fused nodes every layer is built
-from — :func:`linear` and :func:`attention_weights`.
+models rely on: GELU, softmax / log-softmax, cross entropy, embedding
+lookups, normalisation and dropout, plus the two fused nodes every layer is
+built from — :func:`linear` and :func:`attention_weights`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import numpy as np
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
-    "relu",
     "gelu",
-    "sigmoid",
     "softmax",
     "attention_weights",
     "log_softmax",
@@ -28,21 +26,9 @@ __all__ = [
     "linear",
     "dropout",
     "keep_scale",
-    "masked_fill",
-    "cosine_similarity",
     "normalize",
     "one_hot",
 ]
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return x.sigmoid()
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -172,11 +158,22 @@ def keep_scale(shape, rate: float, rng: Optional[np.random.Generator]) -> np.nda
     return keep
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; a no-op when ``training`` is False or ``rate`` is 0."""
+def dropout(
+    x: Tensor,
+    rate: float,
+    training: bool,
+    rng: Optional[np.random.Generator] = None,
+    keep: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Inverted dropout; a no-op when ``training`` is False or ``rate`` is 0.
+
+    ``keep`` is a multiplier of ``x``'s shape drawn beforehand by
+    :func:`keep_scale`; without one the draw happens here.
+    """
     if not training or rate <= 0.0:
         return x
-    keep = keep_scale(x.shape, rate, rng)
+    if keep is None:
+        keep = keep_scale(x.shape, rate, rng)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * keep)
@@ -219,20 +216,7 @@ def attention_weights(
     return scores._make(out_data, (scores,), backward)
 
 
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace positions where ``mask`` is True with ``value`` (e.g. -1e9)."""
-    mask = np.asarray(mask, dtype=bool)
-    keep = (~mask).astype(np.float64)
-    fill = mask.astype(np.float64) * value
-    return x * Tensor(keep) + Tensor(fill)
-
-
 def normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """L2-normalise ``x`` along ``axis``."""
     norm = ((x * x).sum(axis=axis, keepdims=True) + eps) ** 0.5
     return x / norm
-
-
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Cosine similarity between ``a`` and ``b`` along ``axis``."""
-    return (normalize(a, axis=axis) * normalize(b, axis=axis)).sum(axis=axis)

@@ -1,16 +1,17 @@
 """The graph-free encoder forward that inference takes.
 
 :meth:`TransformerEncoder.encode` routes here whenever gradients are disabled
-and the module is in eval mode.  It is the arithmetic of the
-:class:`~repro.nn.tensor.Tensor` path, written on raw numpy
-arrays: rows are ordered by real length and processed in fixed-size chunks,
-each trimmed to its own longest row, so padding never reaches a matmul or the
-``L x L`` attention scores, and every element-wise step updates a buffer in
-place instead of allocating an array and a ``Tensor`` node per op.  Training
-keeps the ``Tensor`` path because it needs the graph;
-``tests/nn/test_inference_forward.py`` holds the two together (they agree to
-rounding: sums run in another order, the ``1/sqrt(head_dim)`` scale is applied
-to the queries and the softmax denominator to the weighted sum).
+and the module is in eval mode.  Both bodies of ``encode`` run the chunk plan
+of :func:`plan_chunks`: rows are ordered by real length and processed in
+fixed-size chunks, each trimmed to its own longest row, so padding never
+reaches a matmul or the ``L x L`` attention scores.  The graph body (training,
+or dropout active) runs each chunk through the :class:`~repro.nn.tensor.Tensor`
+modules; this one is their arithmetic written on raw numpy arrays, where every
+element-wise step updates a buffer in place instead of allocating an array
+and a ``Tensor`` node per op.  ``tests/nn/test_inference_forward.py`` holds
+the two together (they agree to rounding: sums run in another order, the
+``1/sqrt(head_dim)`` scale is applied to the queries and the softmax
+denominator to the weighted sum).
 
 Every buffer lives in a :class:`_Workspace` local to one call.  Thread
 replicas share one encoder (``EntityLinkingPipeline.clone()``), so two threads
@@ -21,7 +22,7 @@ module or at module level.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
@@ -31,11 +32,11 @@ from .layers import LayerNorm, Linear
 if TYPE_CHECKING:
     from .transformer import TransformerEncoder, TransformerEncoderLayer
 
-#: Rows per chunk, chosen by measurement on the serving cross-encoder (128 rows
-#: of <= 72 tokens, 2 heads, float64): at 8-16 rows a chunk's score buffer
-#: (16 x 2 x 72 x 72 doubles, 1.3 MB) stays cache-resident and the ~0.25 ms of
-#: numpy call overhead a chunk costs is amortised; 32 rows measure 15 % slower
-#: or worse, 128 rows 1.8x.
+#: Rows per chunk of both ``encode`` bodies, chosen by measurement on the
+#: serving cross-encoder (128 rows of <= 72 tokens, 2 heads, float64): at 8-16
+#: rows a chunk's score buffer (16 x 2 x 72 x 72 doubles, 1.3 MB) stays
+#: cache-resident and the ~0.25 ms of numpy call overhead a chunk costs is
+#: amortised; 32 rows measure 15 % slower or worse, 128 rows 1.8x.
 _CHUNK_ROWS = 16
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
@@ -123,6 +124,24 @@ def _encoder_layer(
     hidden += _linear(wide, feed_forward.project, work("update", *hidden.shape))
 
 
+def plan_chunks(real: np.ndarray) -> List[Tuple[np.ndarray, int]]:
+    """The chunks both bodies of ``encode`` run, as ``(rows, length)`` pairs.
+
+    ``real`` is the ``(rows, width)`` mask of non-padding tokens.  A row's
+    extent ends at its last real token: trailing padding is cut, interior
+    padding stays and is masked.  Rows are ordered by decreasing extent,
+    stably, and cut into chunks of at most ``_CHUNK_ROWS``; ``length`` is the
+    extent of a chunk's first (longest) row.  All-padding rows are in no
+    chunk: they pool to the zero vector.
+    """
+    extents = (real * np.arange(1, real.shape[1] + 1)).max(axis=1, initial=0)
+    order = np.argsort(-extents, kind="stable")[: np.count_nonzero(extents)]
+    return [
+        (order[start:start + _CHUNK_ROWS], int(extents[order[start]]))
+        for start in range(0, len(order), _CHUNK_ROWS)
+    ]
+
+
 def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.ndarray:
     """Mean over real tokens of the final hidden states, one row per row of
     ``token_ids`` (2-D int64), in input order; builds no graph."""
@@ -132,19 +151,10 @@ def pooled_encode(encoder: "TransformerEncoder", token_ids: np.ndarray) -> np.nd
     table = encoder.token_embedding.weight.data
     dim = table.shape[1]
     work = _Workspace()
-
-    # A row's extent ends at its last real token: trailing padding is cut,
-    # interior padding stays and is masked as the Tensor path masks it.
     real = token_ids != encoder.padding_idx
-    extents = (real * np.arange(1, width + 1)).max(axis=1, initial=0)
-    order = np.argsort(-extents, kind="stable")
-    # All-padding rows pool to the zero vector and never enter a chunk.
-    order = order[: np.count_nonzero(extents)]
     pooled = np.zeros((num_rows, dim))
 
-    for start in range(0, len(order), _CHUNK_ROWS):
-        chunk = order[start:start + _CHUNK_ROWS]
-        length = int(extents[chunk[0]])
+    for chunk, length in plan_chunks(real):
         keep = real[chunk, :length]
         bias = MultiHeadAttention.padding_bias(~keep)
         hidden = work("hidden", len(chunk), length, dim)

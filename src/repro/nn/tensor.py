@@ -296,15 +296,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def gelu(self) -> "Tensor":
         """Fused GELU (tanh approximation, as in BERT).
 
@@ -384,49 +375,6 @@ class Tensor:
                 self._accumulate(work)
 
         return self._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return self._make(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return self._make(out_data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * sign)
-
-        return self._make(out_data, (self,), backward)
-
-    def maximum(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        other = self._ensure(other)
-        out_data = np.maximum(self.data, other.data)
-        mask_self = self.data >= other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * mask_self, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * (~mask_self), other.shape))
-
-        return self._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Reductions

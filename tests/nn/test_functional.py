@@ -8,10 +8,6 @@ from repro.nn import functional as F
 
 
 class TestActivations:
-    def test_relu_clamps_negative(self):
-        out = F.relu(Tensor([-1.0, 2.0]))
-        assert np.allclose(out.data, [0.0, 2.0])
-
     def test_gelu_midpoint(self):
         out = F.gelu(Tensor([0.0]))
         assert out.data[0] == pytest.approx(0.0, abs=1e-8)
@@ -19,10 +15,6 @@ class TestActivations:
     def test_gelu_close_to_identity_for_large_values(self):
         out = F.gelu(Tensor([10.0]))
         assert out.data[0] == pytest.approx(10.0, abs=1e-3)
-
-    def test_sigmoid_range(self):
-        out = F.sigmoid(Tensor(np.linspace(-5, 5, 11)))
-        assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
 class TestSoftmaxAndLosses:
@@ -90,11 +82,6 @@ class TestEmbeddingAndMasking:
         assert np.allclose(weight.grad[2], [1.0, 1.0])
         assert np.allclose(weight.grad[1], [0.0, 0.0])
 
-    def test_masked_fill_replaces_values(self):
-        x = Tensor(np.ones((2, 2)))
-        out = F.masked_fill(x, np.array([[True, False], [False, True]]), -9.0)
-        assert np.allclose(out.data, [[-9.0, 1.0], [1.0, -9.0]])
-
     def test_one_hot_shape_and_values(self):
         out = F.one_hot(np.array([0, 2]), 3)
         assert np.allclose(out, [[1, 0, 0], [0, 0, 1]])
@@ -122,13 +109,3 @@ class TestDropoutAndNormalize:
         x = Tensor(np.random.default_rng(4).normal(size=(3, 8)))
         out = F.normalize(x)
         assert np.allclose(np.linalg.norm(out.data, axis=-1), 1.0)
-
-    def test_cosine_similarity_bounds(self):
-        a = Tensor(np.random.default_rng(5).normal(size=(6, 4)))
-        b = Tensor(np.random.default_rng(6).normal(size=(6, 4)))
-        sims = F.cosine_similarity(a, b).data
-        assert np.all(sims <= 1.0 + 1e-9) and np.all(sims >= -1.0 - 1e-9)
-
-    def test_cosine_similarity_self_is_one(self):
-        a = Tensor(np.random.default_rng(7).normal(size=(3, 4)))
-        assert np.allclose(F.cosine_similarity(a, a).data, 1.0)

@@ -1,7 +1,8 @@
 """The graph-free inference forward against the autograd forward it mirrors.
 
 ``TransformerEncoder.encode`` runs :mod:`repro.nn.inference` under ``no_grad``
-in eval mode and the ``Tensor`` forward otherwise.  They are two
+in eval mode and the same chunk plan through the ``Tensor`` modules otherwise
+(``test_chunked_graph_encode.py`` holds that body to the padded forward).  They are two
 implementations of one function; these tests are what keeps them from
 drifting.  The reference is always ``encode`` called with gradients enabled
 on the same module.  The last test counts ``Tensor`` nodes and attention

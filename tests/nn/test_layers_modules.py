@@ -27,7 +27,7 @@ class TinyModel(Module):
         self.second = Linear(8, 2, rng=np.random.default_rng(1))
 
     def forward(self, x):
-        return self.second(F.relu(self.first(x)))
+        return self.second(F.gelu(self.first(x)))
 
 
 class TestModuleProtocol:

@@ -146,8 +146,6 @@ class TestElementwiseGradients:
             ("exp", np.exp),
             ("log", np.log),
             ("tanh", np.tanh),
-            ("sigmoid", lambda v: 1 / (1 + np.exp(-v))),
-            ("relu", lambda v: np.maximum(v, 0)),
         ],
     )
     def test_unary_matches_numeric(self, method, reference):
@@ -157,23 +155,6 @@ class TestElementwiseGradients:
         getattr(t, method)().sum().backward()
         numeric = numeric_gradient(lambda v: float(reference(v).sum()), value.copy())
         assert np.allclose(t.grad, numeric, atol=1e-4)
-
-    def test_clip_gradient_zero_outside_range(self):
-        t = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        t.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(t.grad, [0.0, 1.0, 0.0])
-
-    def test_abs_gradient_is_sign(self):
-        t = Tensor([-2.0, 3.0], requires_grad=True)
-        t.abs().sum().backward()
-        assert np.allclose(t.grad, [-1.0, 1.0])
-
-    def test_maximum_routes_gradient(self):
-        a = Tensor([1.0, 5.0], requires_grad=True)
-        b = Tensor([3.0, 2.0], requires_grad=True)
-        a.maximum(b).sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 0.0])
 
 
 class TestReductionsAndShapes:
