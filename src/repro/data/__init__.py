@@ -11,7 +11,6 @@ from .few_shot import (
     split_domain,
     table4_rows,
 )
-from .loaders import corpus_summary, load_corpus, save_corpus
 from .worlds import (
     DEV_DOMAINS,
     DISPLAY_NAMES,
@@ -38,9 +37,6 @@ __all__ = [
     "remaining_test_mentions",
     "pairs_from_mentions",
     "table4_rows",
-    "save_corpus",
-    "load_corpus",
-    "corpus_summary",
     "WorldSpec",
     "WORLDS",
     "TRAIN_DOMAINS",

@@ -1,12 +1,11 @@
 """Synthetic Zeshel-substitute corpus generator.
 
-The original benchmark is scraped from fandom.com wikis and cannot be
-downloaded in this offline environment, so this module procedurally generates
-a corpus with the same *structure* (see DESIGN.md):
+The original benchmark is scraped from fandom.com wikis; so that the
+reproduction needs no download, this module procedurally generates a corpus
+with the same *structure*:
 
 * 16 domains named and split exactly as in Table III (8 train / 4 dev / 4 test);
-* each domain has its own entity dictionary with titles, descriptions and a
-  relation graph;
+* each domain has its own entity dictionary with titles and descriptions;
 * labelled mentions whose surface forms follow the paper's four overlap
   categories, with Low Overlap as the majority class;
 * unlabelled domain documents for the rewriter's denoising task;
@@ -22,13 +21,12 @@ mentions use aliases that do not share tokens with the title).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kb.entity import Entity, EntityMentionPair, Mention
-from ..kb.knowledge_base import KnowledgeBase
 from ..utils.config import CorpusConfig
 from ..utils.rng import derive_seed
 from .categories import OverlapCategory
@@ -74,7 +72,6 @@ class DomainData:
     entities: List[Entity]
     mentions: List[Mention]
     documents: List[Document]
-    aliases: Dict[str, str] = field(default_factory=dict)
 
     @property
     def entity_index(self) -> Dict[str, Entity]:
@@ -85,7 +82,6 @@ class DomainData:
 class Corpus:
     """The full 16-domain synthetic benchmark."""
 
-    kb: KnowledgeBase
     domains: Dict[str, DomainData]
     documents: DocumentCollection
     config: CorpusConfig
@@ -155,17 +151,14 @@ class ZeshelGenerator:
     def generate(self, domains: Optional[Sequence[str]] = None) -> Corpus:
         """Generate the corpus for ``domains`` (default: all 16 worlds)."""
         names = list(domains) if domains is not None else sorted(WORLDS)
-        kb = KnowledgeBase(name="zeshel-synthetic")
         domain_data: Dict[str, DomainData] = {}
         collection = DocumentCollection()
         for name in names:
             data = self.generate_domain(name)
             domain_data[name] = data
-            kb.add_entities(data.entities)
             for document in data.documents:
                 collection.add(document)
-            self._add_relations(kb, data)
-        return Corpus(kb=kb, domains=domain_data, documents=collection, config=self.config)
+        return Corpus(domains=domain_data, documents=collection, config=self.config)
 
     def generate_domain(self, name: str) -> DomainData:
         """Generate entities, mentions and documents for one domain."""
@@ -186,7 +179,6 @@ class ZeshelGenerator:
             entities=entities,
             mentions=mentions,
             documents=documents,
-            aliases=aliases,
         )
 
     # ------------------------------------------------------------------
@@ -377,7 +369,7 @@ class ZeshelGenerator:
         return left, right
 
     # ------------------------------------------------------------------
-    # Documents & relations
+    # Documents
     # ------------------------------------------------------------------
     def _generate_documents(
         self,
@@ -405,19 +397,6 @@ class ZeshelGenerator:
                 )
             )
         return documents
-
-    def _add_relations(self, kb: KnowledgeBase, data: DomainData) -> None:
-        rng = np.random.default_rng(derive_seed(self.config.seed, "relations", data.name))
-        relations = ("related_to", "appears_in", "part_of", "allied_with")
-        ids = [entity.entity_id for entity in data.entities]
-        if len(ids) < 2:
-            return
-        for entity_id in ids:
-            for _ in range(2):
-                other = ids[int(rng.integers(0, len(ids)))]
-                if other == entity_id:
-                    continue
-                kb.add_triple(entity_id, str(rng.choice(relations)), other)
 
 
 def generate_corpus(

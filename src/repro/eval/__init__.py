@@ -13,7 +13,7 @@ from .protocol import (
     evaluate_name_matching,
     evaluate_pipeline,
 )
-from .reporting import format_metric_rows, format_table, markdown_table
+from .reporting import format_table, markdown_table
 
 __all__ = [
     "LinkingMetrics",
@@ -27,6 +27,5 @@ __all__ = [
     "ExperimentSuite",
     "small_experiment_config",
     "format_table",
-    "format_metric_rows",
     "markdown_table",
 ]

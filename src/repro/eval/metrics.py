@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..linking.blink import LinkingPrediction
+from ..serving.pipeline import LinkingResult
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class LinkingMetrics:
         )
 
 
-def compute_metrics(predictions: Sequence[LinkingPrediction]) -> LinkingMetrics:
-    """Compute Recall@k / N.Acc / U.Acc over two-stage predictions."""
+def compute_metrics(predictions: Sequence[LinkingResult]) -> LinkingMetrics:
+    """Compute Recall@k / N.Acc / U.Acc over two-stage linking results."""
     labelled = [p for p in predictions if p.gold_entity_id is not None]
     if not labelled:
         return LinkingMetrics(0.0, 0.0, 0.0, 0)

@@ -1,72 +1,41 @@
 """Two-stage evaluation protocol helpers.
 
-``evaluate_pipeline`` runs a BLINK-style pipeline over a mention list and
-returns :class:`~repro.eval.metrics.LinkingMetrics`; ``evaluate_name_matching``
-does the same for the heuristic baseline (which has no candidate-generation
-stage, so only U.Acc is meaningful, as in the paper's tables).
+``evaluate_pipeline`` links a mention list through a serving pipeline and
+returns :class:`~repro.eval.metrics.LinkingMetrics` with the raw results;
+``evaluate_name_matching`` does the same for the heuristic baseline (which has
+no candidate-generation stage, so only U.Acc is meaningful, as in the paper's
+tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from ..kb.entity import Entity, Mention
-from ..linking.blink import BlinkPipeline, LinkingPrediction
 from ..linking.name_matching import NameMatchingLinker
-from ..serving.pipeline import EntityLinkingPipeline
+from ..serving.pipeline import EntityLinkingPipeline, LinkingResult
 from .metrics import LinkingMetrics, compute_metrics
 
 
 @dataclass
 class EvaluationResult:
-    """Metrics plus the raw predictions (useful for error analysis)."""
+    """Metrics plus the raw linking results (useful for error analysis)."""
 
     metrics: LinkingMetrics
-    predictions: List[LinkingPrediction]
+    predictions: List[LinkingResult]
 
 
 def evaluate_pipeline(
-    pipeline: Union[BlinkPipeline, EntityLinkingPipeline],
-    mentions: Sequence[Mention],
-    entities: Optional[Sequence[Entity]] = None,
-    k: Optional[int] = None,
-    rerank: Optional[bool] = None,
+    pipeline: EntityLinkingPipeline, mentions: Sequence[Mention]
 ) -> EvaluationResult:
-    """Evaluate a trained BLINK / MetaBLINK / serving pipeline on mentions.
+    """Link ``mentions`` through ``pipeline`` and score them.
 
-    Accepts either a research :class:`~repro.linking.blink.BlinkPipeline`
-    (``entities`` then supplies the candidate pool, searched with Recall@``k``,
-    default 16) or a prebuilt :class:`~repro.serving.EntityLinkingPipeline`,
-    which already carries its index, ``k`` and rerank setting — passing
-    ``entities``/``k``/``rerank`` alongside a serving pipeline raises rather
-    than being silently ignored.
+    The pipeline carries its index, ``k`` and rerank setting; build it with
+    :meth:`~repro.serving.EntityLinkingPipeline.from_blink` to evaluate a
+    trained BLINK / MetaBLINK model.
     """
-    if isinstance(pipeline, EntityLinkingPipeline):
-        if entities is not None or k is not None or rerank is not None:
-            raise ValueError(
-                "an EntityLinkingPipeline already carries its index, k and "
-                "rerank setting; configure the pipeline instead of passing "
-                "entities/k/rerank here"
-            )
-        predictions = [
-            LinkingPrediction(
-                mention_id=result.mention_id,
-                gold_entity_id=result.gold_entity_id,
-                candidate_ids=list(result.candidate_ids),
-                predicted_entity_id=result.predicted_entity_id,
-            )
-            for result in pipeline.link(mentions)
-        ]
-    else:
-        if entities is None:
-            raise ValueError("entities are required when evaluating a BlinkPipeline")
-        predictions = pipeline.predict(
-            mentions,
-            entities,
-            k=16 if k is None else k,
-            rerank=True if rerank is None else rerank,
-        )
+    predictions = pipeline.link(mentions)
     return EvaluationResult(metrics=compute_metrics(predictions), predictions=predictions)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def format_table(
@@ -36,21 +36,6 @@ def format_table(
         parts.append(title)
     parts.extend([header, separator, body])
     return "\n".join(parts)
-
-
-def format_metric_rows(
-    results: Mapping[str, Mapping[str, float]],
-    metric_names: Sequence[str] = ("recall", "normalized_accuracy", "unnormalized_accuracy"),
-    title: Optional[str] = None,
-) -> str:
-    """Render a {row_label: {metric: value}} mapping as a table."""
-    rows: List[Dict[str, object]] = []
-    for label, metrics in results.items():
-        row: Dict[str, object] = {"method": label}
-        for metric in metric_names:
-            row[metric] = metrics.get(metric, float("nan"))
-        rows.append(row)
-    return format_table(rows, columns=["method", *metric_names], title=title)
 
 
 def markdown_table(

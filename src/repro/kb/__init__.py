@@ -1,14 +1,9 @@
-"""Knowledge-base substrate: entities, mentions, graphs and alias tables."""
+"""Knowledge-base substrate: entities, mentions and (mention, entity) pairs."""
 
-from .alias_table import AliasTable
 from .entity import Entity, EntityMentionPair, Mention
-from .knowledge_base import KnowledgeBase, Triple
 
 __all__ = [
     "Entity",
     "Mention",
     "EntityMentionPair",
-    "KnowledgeBase",
-    "Triple",
-    "AliasTable",
 ]

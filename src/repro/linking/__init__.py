@@ -2,8 +2,8 @@
 
 from ..index import EntityShard, RetrievalResult, blocked_topk
 from .biencoder import BiEncoder, BiEncoderTrainer
-from .blink import BlinkPipeline, LinkingPrediction, TrainingReport
-from .candidates import LRUEmbeddingCache, ShardedEntityIndex, recall_at_k
+from .blink import BlinkPipeline, TrainingReport
+from .candidates import ShardedEntityIndex
 from .crossencoder import (
     CrossEncoder,
     CrossEncoderTrainer,
@@ -29,14 +29,11 @@ __all__ = [
     "RankingExample",
     "build_ranking_examples",
     "BlinkPipeline",
-    "LinkingPrediction",
     "TrainingReport",
     "EntityShard",
     "ShardedEntityIndex",
-    "LRUEmbeddingCache",
     "RetrievalResult",
     "blocked_topk",
-    "recall_at_k",
     "DL4ELTrainer",
     "NameMatchingLinker",
     "PairBatch",

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..index import EntityShard
 from ..kb.entity import Entity, EntityMentionPair, Mention
 from ..nn import Module, Tensor, TransformerEncoder, no_grad
 from ..nn import functional as F
@@ -95,8 +94,8 @@ class BiEncoder(Module):
         """Batched inference-time entity embeddings (no autodiff graph).
 
         The entity-side twin of :meth:`embed_mentions`; used by
-        :meth:`build_index` / :meth:`build_sharded_index` to embed whole
-        entity collections in fixed-size chunks.
+        :meth:`build_sharded_index` to embed whole entity collections in
+        fixed-size chunks.
         """
         return self._embed_batched(
             entities,
@@ -128,17 +127,11 @@ class BiEncoder(Module):
                 chunks.append(forward_fn(ids).data.copy())
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
-    def build_index(self, entities: Sequence[Entity], batch_size: int = 64) -> EntityShard:
-        """Embed all entities into one flat, exhaustive :class:`EntityShard`."""
-        entities = list(entities)
-        return EntityShard(entities, self.embed_entities(entities, batch_size=batch_size))
-
     def build_sharded_index(
         self,
         entities: Sequence[Entity],
         batch_size: int = 64,
         lazy: bool = True,
-        cache_size: int = 4096,
         backend=None,
     ) -> ShardedEntityIndex:
         """Build a per-world :class:`ShardedEntityIndex` over ``entities``.
@@ -159,7 +152,6 @@ class BiEncoder(Module):
         index = ShardedEntityIndex.from_entities(
             entities,
             embed_fn=lambda chunk: self.embed_entities(chunk, batch_size=batch_size),
-            cache_size=cache_size,
             backend=backend,
         )
         if not lazy:
@@ -171,7 +163,6 @@ class BiEncoder(Module):
         self,
         path,
         batch_size: int = 64,
-        cache_size: Optional[int] = None,
         mmap: bool = False,
         backend=None,
     ) -> ShardedEntityIndex:
@@ -194,7 +185,6 @@ class BiEncoder(Module):
         return ShardedEntityIndex.load(
             path,
             embed_fn=lambda chunk: self.embed_entities(chunk, batch_size=batch_size),
-            cache_size=cache_size,
             mmap=mmap,
             backend=backend,
         )

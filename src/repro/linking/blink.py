@@ -12,9 +12,8 @@ cross-encoder (candidate ranking).  The evaluation protocol follows the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..index import EntityShard
 from ..kb.entity import Entity, EntityMentionPair, Mention
 from ..text.tokenizer import Tokenizer
 from ..utils.config import BiEncoderConfig, CrossEncoderConfig
@@ -23,29 +22,10 @@ from .biencoder import BiEncoder, BiEncoderTrainer
 from .crossencoder import CrossEncoder, CrossEncoderTrainer, RankingExample, build_ranking_examples
 from .encoders import unique_entities
 
+if TYPE_CHECKING:  # pragma: no cover - serving builds on linking, typing only
+    from ..serving.pipeline import LinkingResult
+
 _LOGGER = get_logger("blink")
-
-
-@dataclass
-class LinkingPrediction:
-    """Two-stage outcome for one mention."""
-
-    mention_id: str
-    gold_entity_id: Optional[str]
-    candidate_ids: List[str]
-    predicted_entity_id: Optional[str]
-
-    @property
-    def gold_in_candidates(self) -> bool:
-        return self.gold_entity_id is not None and self.gold_entity_id in self.candidate_ids
-
-    @property
-    def correct(self) -> bool:
-        return (
-            self.predicted_entity_id is not None
-            and self.gold_entity_id is not None
-            and self.predicted_entity_id == self.gold_entity_id
-        )
 
 
 @dataclass
@@ -123,40 +103,22 @@ class BlinkPipeline:
         mentions: Sequence[Mention],
         entities: Sequence[Entity],
         k: int = 16,
-        index: Optional[EntityShard] = None,
         rerank: bool = True,
         batch_size: int = 64,
-    ) -> List[LinkingPrediction]:
-        """Run the two-stage pipeline over mentions against an entity set.
+    ) -> List["LinkingResult"]:
+        """Link mentions against an entity set: the serving pipeline's results.
 
-        Delegates to the batched :class:`~repro.serving.EntityLinkingPipeline`
-        so every stage (embedding, MIPS retrieval, reranking) runs vectorized
-        over ``batch_size`` micro-batches instead of once per mention.
+        Builds an :class:`~repro.serving.EntityLinkingPipeline` over
+        ``entities`` and returns its :meth:`~repro.serving.EntityLinkingPipeline.link`
+        output unchanged, so the research path and the serving path are one
+        code path.  Candidates come from the *whole* entity pool (fan-out
+        over every shard); routing each mention to its own world's shard is
+        the serving layer's explicit opt-in.
         """
-        if not mentions:
-            return []
         # Imported lazily: serving builds on linking, not the other way round.
         from ..serving.pipeline import EntityLinkingPipeline
 
         serving = EntityLinkingPipeline.from_blink(
-            self,
-            entities=entities if index is None else None,
-            index=index,
-            k=k,
-            rerank=rerank,
-            batch_size=batch_size,
-            # Preserve this method's historical contract: candidates come
-            # from the *whole* entity pool, so fan out over every shard
-            # rather than routing each mention to its own domain's shard.
-            # Domain routing is the serving layer's explicit opt-in.
-            route_by_domain=False,
+            self, entities, k=k, rerank=rerank, batch_size=batch_size, route_by_domain=False
         )
-        return [
-            LinkingPrediction(
-                mention_id=result.mention_id,
-                gold_entity_id=result.gold_entity_id,
-                candidate_ids=list(result.candidate_ids),
-                predicted_entity_id=result.predicted_entity_id,
-            )
-            for result in serving.link(mentions)
-        ]
+        return serving.link(mentions)

@@ -9,9 +9,8 @@ cells, the pending tail, mutation, snapshots of one shard — is
 :class:`ShardedEntityIndex`
     One shard per world (domain), the unit of scale in the Zeshel setting.
     It owns *routing and merging only*: which world a query or an entity goes
-    to, the fan-out merge across worlds, a small LRU cache keyed by entity id
-    for repeated single-entity embedding lookups, and the worlds that are
-    still *cold* — registered, but not yet embedded (``embed_fn`` runs on
+    to, the fan-out merge across worlds, and the worlds that are still
+    *cold* — registered, but not yet embedded (``embed_fn`` runs on
     first use) or not yet built.  A materialised world is one
     :class:`~repro.index.EntityShard` and nothing else; the index keeps no
     copy of its entities or vectors.
@@ -59,9 +58,6 @@ from ..index import (
 from ..index.shard import _sorted_topk
 from ..kb.entity import Entity
 
-#: Default capacity of the per-index embedding LRU cache (entity-id keyed).
-DEFAULT_CACHE_SIZE = 4096
-
 EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
 
 #: A world that is registered but not built: its entities and, once known,
@@ -69,55 +65,8 @@ EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
 ColdShard = Tuple[List[Entity], Optional[np.ndarray]]
 
 
-class LRUEmbeddingCache:
-    """Least-recently-used cache for entity embeddings, keyed by entity id.
-
-    A plain ``OrderedDict`` LRU: hits refresh recency, inserts beyond
-    ``capacity`` evict the stalest entry.  Hit/miss counters are exposed for
-    observability (`hits`, `misses`) so serving dashboards can track cache
-    effectiveness.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CACHE_SIZE) -> None:
-        if capacity < 0:
-            raise ValueError("cache capacity must be non-negative")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._store: "OrderedDict[str, np.ndarray]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._store
-
-    def get(self, entity_id: str) -> Optional[np.ndarray]:
-        vector = self._store.get(entity_id)
-        if vector is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(entity_id)
-        self.hits += 1
-        return vector
-
-    def put(self, entity_id: str, vector: np.ndarray) -> None:
-        if self.capacity == 0:
-            return
-        if entity_id in self._store:
-            self._store.move_to_end(entity_id)
-        self._store[entity_id] = vector
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-
-    def invalidate(self, entity_ids: Iterable[str]) -> None:
-        """Drop cached embeddings for the given ids (after update/remove)."""
-        for entity_id in entity_ids:
-            self._store.pop(entity_id, None)
-
-
 class ShardedEntityIndex:
-    """Per-world sharded MIPS index with lazy shard builds and an LRU cache.
+    """Per-world sharded MIPS index with lazy shard builds.
 
     Each world (domain) owns one shard.  Shard vectors are either supplied
     up-front or embedded lazily via ``embed_fn`` the first time the shard is
@@ -132,14 +81,13 @@ class ShardedEntityIndex:
         index = ShardedEntityIndex.from_entities(entities, embed_fn=model.embed_entities)
         index.search(queries, k=64)                      # fan out + merge
         index.search(queries, k=64, worlds=["lego"])     # routed to one world
-        index.vector("lego:7")                           # LRU-cached lookup
+        index.vector("lego:7")                           # one entity's embedding
     """
 
     def __init__(
         self,
         embed_fn: Optional[EmbedFn] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional[IVFBackend] = None,
     ) -> None:
         self._embed_fn = embed_fn
@@ -147,7 +95,6 @@ class ShardedEntityIndex:
         self._backend = backend
         self._shards: "OrderedDict[str, Union[EntityShard, ColdShard]]" = OrderedDict()
         self._entity_world: Dict[str, str] = {}
-        self.embedding_cache = LRUEmbeddingCache(cache_size)
 
     # ------------------------------------------------------------------
     # Construction
@@ -158,16 +105,10 @@ class ShardedEntityIndex:
         entities: Iterable[Entity],
         embed_fn: Optional[EmbedFn] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         backend: Optional[IVFBackend] = None,
     ) -> "ShardedEntityIndex":
         """Group ``entities`` by their ``domain`` attribute, one shard each."""
-        index = cls(
-            embed_fn=embed_fn,
-            block_size=block_size,
-            cache_size=cache_size,
-            backend=backend,
-        )
+        index = cls(embed_fn=embed_fn, block_size=block_size, backend=backend)
         grouped: "OrderedDict[str, List[Entity]]" = OrderedDict()
         for entity in entities:
             grouped.setdefault(entity.domain, []).append(entity)
@@ -257,16 +198,10 @@ class ShardedEntityIndex:
         return entity_id in self._entity_world
 
     def vector(self, entity_id: str) -> np.ndarray:
-        """Embedding of one entity, served through the LRU cache."""
-        cached = self.embedding_cache.get(entity_id)
-        if cached is not None:
-            return cached
-        world = self._entity_world[entity_id]
-        shard = self.shard(world)
-        assert shard is not None
-        vector = shard.vector(entity_id)
-        self.embedding_cache.put(entity_id, vector)
-        return vector
+        """Embedding of one entity."""
+        shard = self.shard(self._entity_world[entity_id])
+        assert shard is not None  # entity_id implies a non-empty shard
+        return shard.vector(entity_id)
 
     # ------------------------------------------------------------------
     # Online mutation
@@ -333,7 +268,6 @@ class ShardedEntityIndex:
             shard.remove(members)
         for entity_id in ids:
             del self._entity_world[entity_id]
-        self.embedding_cache.invalidate(ids)
 
     def update_entities(
         self,
@@ -355,7 +289,6 @@ class ShardedEntityIndex:
             shard = self.shard(world)
             assert shard is not None
             shard.update([entities[i] for i in rows], vectors[rows])
-        self.embedding_cache.invalidate(e.entity_id for e in entities)
 
     def compact(self) -> Dict[str, int]:
         """Compact every built shard: fold pending tails and tombstones into
@@ -399,11 +332,7 @@ class ShardedEntityIndex:
                 }
             entry.update(world=world, materialized=shard is not None)
             records.append((entry, arrays))
-        settings = {
-            "block_size": self._block_size,
-            "cache_size": self.embedding_cache.capacity,
-        }
-        return write_snapshot(path, settings, records)
+        return write_snapshot(path, {"block_size": self._block_size}, records)
 
     @classmethod
     def load(
@@ -411,7 +340,6 @@ class ShardedEntityIndex:
         path: Union[str, Path],
         embed_fn: Optional[EmbedFn] = None,
         block_size: Optional[int] = None,
-        cache_size: Optional[int] = None,
         mmap: bool = False,
         backend: Optional[IVFBackend] = None,
     ) -> "ShardedEntityIndex":
@@ -421,8 +349,8 @@ class ShardedEntityIndex:
         round-trip exactly, so ``load(path).search(q, k)`` ranks identically
         to the pre-save index.  ``embed_fn`` re-attaches the embedding
         function (snapshots cannot serialise callables); it is only required
-        once a still-cold shard is first searched.  ``block_size`` /
-        ``cache_size`` override the persisted values when given.
+        once a still-cold shard is first searched.  ``block_size`` overrides
+        the persisted value when given.
 
         ``mmap=True`` opens every array with ``mmap_mode="r"`` — embedding
         pages load on first touch and are shared between forked replica
@@ -438,7 +366,6 @@ class ShardedEntityIndex:
         index = cls(
             embed_fn=embed_fn,
             block_size=manifest["block_size"] if block_size is None else block_size,
-            cache_size=manifest["cache_size"] if cache_size is None else cache_size,
             backend=backend,
         )
         for entry, arrays in records:
@@ -538,12 +465,3 @@ class ShardedEntityIndex:
             raise KeyError(f"unknown worlds: {unknown}")
         return list(worlds)
 
-
-def recall_at_k(results: Sequence[RetrievalResult], gold_ids: Sequence[str]) -> float:
-    """Fraction of queries whose gold entity appears among the candidates."""
-    if len(results) != len(gold_ids):
-        raise ValueError("results and gold ids must align")
-    if not results:
-        return 0.0
-    hits = sum(1 for result, gold in zip(results, gold_ids) if result.contains(gold))
-    return hits / len(results)

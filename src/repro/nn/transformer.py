@@ -2,7 +2,7 @@
 
 The encoders stand in for BERT in the BLINK-style bi-encoder and
 cross-encoder, and the encoder-decoder pair stands in for T5 in the mention
-rewriter (see DESIGN.md, substitutions table).
+rewriter.
 
 :meth:`TransformerEncoder.encode` never runs a row past its last real token:
 with or without a graph it follows the chunk plan of

@@ -31,9 +31,9 @@ import numpy as np
 
 from ..kb.entity import Entity, Mention
 from ..linking.biencoder import BiEncoder
+from ..linking.candidates import ShardedEntityIndex
 from ..linking.crossencoder import CrossEncoder
 from .stages import (
-    AnyIndex,
     EmbedStage,
     PipelineBatch,
     RerankStage,
@@ -266,9 +266,8 @@ class EntityLinkingPipeline:
         Trained (or fresh) :class:`~repro.linking.biencoder.BiEncoder` used by
         the embed stage.
     index:
-        A flat :class:`~repro.index.EntityShard` or a
-        :class:`~repro.linking.candidates.ShardedEntityIndex`.  Sharded
-        indexes enable per-mention world routing.
+        The :class:`~repro.linking.candidates.ShardedEntityIndex` to search,
+        one shard per world.
     crossencoder:
         Optional :class:`~repro.linking.crossencoder.CrossEncoder`; when
         absent (or ``rerank=False``) the top retrieval candidate is predicted.
@@ -278,8 +277,8 @@ class EntityLinkingPipeline:
         Micro-batch size; incoming mention lists are chunked to this size so
         memory stays bounded under arbitrarily large requests.
     route_by_domain:
-        With a sharded index, route each mention to its own world's shard
-        (the zero-shot serving setup) instead of fanning out to all shards.
+        Route each mention to its own world's shard (the zero-shot serving
+        setup) instead of fanning out to all shards.
     degraded_k:
         Retrieval budget of the brownout (degraded) stage list; defaults to
         ``max(1, k // 4)``.  See :meth:`set_degraded`.
@@ -288,7 +287,7 @@ class EntityLinkingPipeline:
     def __init__(
         self,
         biencoder: BiEncoder,
-        index: AnyIndex,
+        index: ShardedEntityIndex,
         crossencoder: Optional[CrossEncoder] = None,
         k: int = 16,
         rerank: bool = True,
@@ -317,7 +316,7 @@ class EntityLinkingPipeline:
 
         self.stages = [
             TokenizeStage(biencoder.tokenizer),
-            EmbedStage(biencoder, batch_size=None),  # micro-batching happens in link()
+            EmbedStage(biencoder),
             RetrieveStage(index, k=k, route_by_domain=route_by_domain),
             RerankStage(crossencoder) if self.rerank else TopCandidateStage(),
         ]
@@ -339,34 +338,23 @@ class EntityLinkingPipeline:
     def from_blink(
         cls,
         blink: "BlinkPipeline",
-        entities: Optional[Sequence[Entity]] = None,
-        index: Optional[AnyIndex] = None,
+        entities: Sequence[Entity],
         k: int = 16,
         rerank: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        sharded: bool = True,
         route_by_domain: bool = True,
     ) -> "EntityLinkingPipeline":
-        """Wrap a trained :class:`~repro.linking.blink.BlinkPipeline` for serving.
-
-        Either pass a prebuilt ``index`` or an ``entities`` collection to
-        index (sharded per world by default).
+        """Wrap a trained :class:`~repro.linking.blink.BlinkPipeline` for serving,
+        over a per-world sharded index of ``entities`` (embedded lazily).
 
         Example::
 
             serving = EntityLinkingPipeline.from_blink(blink, entities, k=64)
             predictions = serving.link(mentions)
         """
-        if index is None:
-            if entities is None:
-                raise ValueError("either entities or index must be provided")
-            if sharded:
-                index = blink.biencoder.build_sharded_index(entities)
-            else:
-                index = blink.biencoder.build_index(entities)
         return cls(
             biencoder=blink.biencoder,
-            index=index,
+            index=blink.biencoder.build_sharded_index(entities),
             crossencoder=blink.crossencoder,
             k=k,
             rerank=rerank,
@@ -382,8 +370,8 @@ class EntityLinkingPipeline:
         own micro-batch loop) while the heavyweight read-only state — encoder
         weights and the index snapshot — is shared.  The shared components
         only mutate deterministic-value caches (tokenisation, entity
-        features, embedding LRU), so concurrent replicas can at worst repeat
-        a computation, never corrupt a result.
+        features), so concurrent replicas can at worst repeat a computation,
+        never corrupt a result.
         """
         return EntityLinkingPipeline(
             biencoder=self.biencoder,

@@ -86,17 +86,16 @@ class DeadlineExpiredError(RejectedError):
     """
 
 
-def warm_up_index(index, worlds: Optional[Sequence[str]] = None) -> List[str]:
+def warm_up_index(
+    index: ShardedEntityIndex, worlds: Optional[Sequence[str]] = None
+) -> List[str]:
     """Materialise shards of a sharded index ahead of traffic.
 
     Shared by :meth:`LinkingService.warm_up` and the cluster router (whose
     replicas all serve from one read-only index snapshot, so one warm-up
-    covers the whole pool).  A flat index has nothing to warm and returns an
-    empty list; unknown world names raise ``ValueError`` before any shard is
-    built.
+    covers the whole pool).  Unknown world names raise ``ValueError`` before
+    any shard is built.
     """
-    if not isinstance(index, ShardedEntityIndex):
-        return []
     if worlds is not None:
         known = index.worlds()
         unknown = sorted(set(worlds) - set(known))
@@ -327,10 +326,9 @@ class LinkingService:
     def warm_up(self, worlds: Optional[Sequence[str]] = None) -> List[str]:
         """Materialise index shards ahead of traffic; returns warmed worlds.
 
-        With a :class:`~repro.linking.candidates.ShardedEntityIndex` this
-        builds (embeds) the selected shards — all of them by default — so the
-        first request to each world does not pay the lazy embedding cost.
-        A flat index has nothing to warm and returns an empty list.
+        Builds (embeds) the selected shards of the pipeline's index — all of
+        them by default — so the first request to each world does not pay the
+        lazy embedding cost.
 
         Call this *before* traffic flows (e.g. construct with ``start=False``,
         warm up, then :meth:`start`): the index does not lock its lazy shard

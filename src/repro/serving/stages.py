@@ -26,19 +26,17 @@ the rerank side.  No stage loops a model call per example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
-from ..index import EntityShard, RetrievalResult
+from ..index import RetrievalResult
 from ..kb.entity import Entity, Mention
 from ..linking.biencoder import BiEncoder
 from ..linking.candidates import ShardedEntityIndex
 from ..linking.crossencoder import CrossEncoder
 from ..text.normalization import normalize_text
 from ..text.tokenizer import Tokenizer
-
-AnyIndex = Union[EntityShard, ShardedEntityIndex]
 
 
 @dataclass
@@ -116,31 +114,24 @@ class TokenizeStage:
 class EmbedStage:
     """Embed the mention micro-batch with one bi-encoder forward.
 
-    Contract: reads ``batch.mention_tokens`` (falling back to raw
-    ``batch.mentions`` when no TokenizeStage ran), fills
-    ``batch.query_vectors`` with a ``(len(batch), model_dim)`` unit-norm
-    float64 matrix.
+    Contract: reads ``batch.mention_tokens``, fills ``batch.query_vectors``
+    with a ``(len(batch), model_dim)`` unit-norm float64 matrix.
     """
 
     name = "embed"
 
-    def __init__(self, biencoder: BiEncoder, batch_size: Optional[int] = None) -> None:
+    def __init__(self, biencoder: BiEncoder) -> None:
         self.biencoder = biencoder
-        self.batch_size = batch_size
 
     def __call__(self, batch: PipelineBatch) -> PipelineBatch:
-        if batch.mention_tokens is not None:
-            max_length = self.biencoder.config.encoder.max_length
-            pad_id = self.biencoder.tokenizer.pad_id
-            ids = np.full((len(batch), max_length), pad_id, dtype=np.int64)
-            for row, tokens in enumerate(batch.mention_tokens):
-                prefix = tokens.prefix_ids[:max_length]
-                ids[row, : len(prefix)] = prefix
-            batch.query_vectors = self.biencoder.embed_mention_id_matrix(ids)
-        else:
-            batch.query_vectors = self.biencoder.embed_mentions(
-                batch.mentions, batch_size=self.batch_size
-            )
+        assert batch.mention_tokens is not None, "TokenizeStage must run before EmbedStage"
+        max_length = self.biencoder.config.encoder.max_length
+        pad_id = self.biencoder.tokenizer.pad_id
+        ids = np.full((len(batch), max_length), pad_id, dtype=np.int64)
+        for row, tokens in enumerate(batch.mention_tokens):
+            prefix = tokens.prefix_ids[:max_length]
+            ids[row, : len(prefix)] = prefix
+        batch.query_vectors = self.biencoder.embed_mention_id_matrix(ids)
         return batch
 
 
@@ -148,7 +139,7 @@ class RetrieveStage:
     """Sharded MIPS retrieval with per-mention world routing.
 
     Contract: reads ``batch.query_vectors`` (and each mention's ``domain``
-    when the index is sharded), fills ``batch.retrievals`` (one
+    when routing by domain), fills ``batch.retrievals`` (one
     :class:`RetrievalResult` per mention) and ``batch.candidates`` (the
     Entity lists the search itself resolved, ranking order preserved — never
     a second id lookup, which a concurrent removal could fail).
@@ -156,7 +147,7 @@ class RetrieveStage:
 
     name = "retrieve"
 
-    def __init__(self, index: AnyIndex, k: int, route_by_domain: bool = True) -> None:
+    def __init__(self, index: ShardedEntityIndex, k: int, route_by_domain: bool = True) -> None:
         if k <= 0:
             raise ValueError("k must be positive")
         self.index = index
@@ -165,15 +156,11 @@ class RetrieveStage:
 
     def __call__(self, batch: PipelineBatch) -> PipelineBatch:
         assert batch.query_vectors is not None, "EmbedStage must run before RetrieveStage"
-        if isinstance(self.index, ShardedEntityIndex):
-            routes: Sequence[Optional[str]]
-            if self.route_by_domain:
-                routes = [mention.domain for mention in batch.mentions]
-            else:
-                routes = [None] * len(batch)
-            batch.retrievals = self.index.search_routed(batch.query_vectors, self.k, routes)
+        if self.route_by_domain:
+            routes = [mention.domain for mention in batch.mentions]
         else:
-            batch.retrievals = self.index.search(batch.query_vectors, self.k)
+            routes = [None] * len(batch)
+        batch.retrievals = self.index.search_routed(batch.query_vectors, self.k, routes)
         batch.candidates = [retrieval.entities for retrieval in batch.retrievals]
         return batch
 

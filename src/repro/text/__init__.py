@@ -14,8 +14,6 @@ from .rouge import (
     best_match_rouge_1_f1,
     corpus_rouge_1_f1,
     rouge_1,
-    rouge_2,
-    rouge_l,
     rouge_n,
 )
 from .tokenizer import EncodedPair, Tokenizer
@@ -44,8 +42,6 @@ __all__ = [
     "RougeScore",
     "rouge_n",
     "rouge_1",
-    "rouge_2",
-    "rouge_l",
     "corpus_rouge_1_f1",
     "best_match_rouge_1_f1",
     "Tokenizer",

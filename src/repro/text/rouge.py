@@ -1,9 +1,9 @@
-"""ROUGE metrics (ROUGE-1, ROUGE-2, ROUGE-L).
+"""ROUGE-N, and the ROUGE-1 F1 of Table XI.
 
 Table XI of the paper reports ROUGE-1 F1 between golden mentions and mentions
 produced by Exact Match / Syn / Syn*.  This is a dependency-free
 reimplementation of the standard recall/precision/F1 formulation over
-n-gram multisets (and LCS for ROUGE-L).
+n-gram multisets.
 """
 
 from __future__ import annotations
@@ -47,37 +47,9 @@ def rouge_n(candidate: str, reference: str, order: int = 1) -> RougeScore:
     return _prf(overlap, sum(candidate_ngrams.values()), sum(reference_ngrams.values()))
 
 
-def _lcs_length(left: Sequence[str], right: Sequence[str]) -> int:
-    if not left or not right:
-        return 0
-    previous = [0] * (len(right) + 1)
-    for left_token in left:
-        current = [0] * (len(right) + 1)
-        for j, right_token in enumerate(right, start=1):
-            if left_token == right_token:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous = current
-    return previous[-1]
-
-
-def rouge_l(candidate: str, reference: str) -> RougeScore:
-    """ROUGE-L (longest common subsequence) between candidate and reference."""
-    candidate_tokens = simple_tokenize(candidate)
-    reference_tokens = simple_tokenize(reference)
-    lcs = _lcs_length(candidate_tokens, reference_tokens)
-    return _prf(lcs, len(candidate_tokens), len(reference_tokens))
-
-
 def rouge_1(candidate: str, reference: str) -> RougeScore:
     """ROUGE-1, the primary metric of Table XI."""
     return rouge_n(candidate, reference, order=1)
-
-
-def rouge_2(candidate: str, reference: str) -> RougeScore:
-    """ROUGE-2 bigram overlap."""
-    return rouge_n(candidate, reference, order=2)
 
 
 def corpus_rouge_1_f1(candidates: Sequence[str], references: Sequence[str]) -> float:

@@ -13,14 +13,11 @@ from repro.data import (
     ZeshelGenerator,
     category_distribution,
     categorize,
-    corpus_summary,
     domains_for_split,
     generate_corpus,
     get_world,
-    load_corpus,
     pairs_from_mentions,
     sample_training_subset,
-    save_corpus,
     split_all_test_domains,
     split_domain,
     table4_rows,
@@ -87,7 +84,7 @@ class TestGeneratedCorpus:
                 assert mention.gold_entity_id in index
 
     def test_entity_ids_unique_across_corpus(self, small_corpus):
-        ids = [entity.entity_id for entity in small_corpus.kb]
+        ids = [entity.entity_id for data in small_corpus.domains.values() for entity in data.entities]
         assert len(ids) == len(set(ids))
 
     def test_deterministic_given_seed(self):
@@ -131,12 +128,6 @@ class TestGeneratedCorpus:
         assert set(small_corpus.documents.domains()) == set(WORLDS)
         assert len(small_corpus.documents.texts("lego")) > 0
 
-    def test_kb_triples_within_domain(self, small_corpus):
-        for triple in small_corpus.kb.triples()[:200]:
-            head_domain = small_corpus.kb.get(triple.head).domain
-            tail_domain = small_corpus.kb.get(triple.tail).domain
-            assert head_domain == tail_domain
-
     def test_all_texts_nonempty(self, small_corpus):
         texts = small_corpus.all_texts()
         assert len(texts) > 1000
@@ -145,11 +136,6 @@ class TestGeneratedCorpus:
     def test_unknown_domain_raises(self, small_corpus):
         with pytest.raises(KeyError):
             small_corpus.domain("narnia")
-
-    def test_corpus_summary_rows(self, small_corpus):
-        rows = corpus_summary(small_corpus)
-        assert len(rows) == 16
-        assert {"domain", "split", "entities", "mentions", "documents"} <= set(rows[0])
 
 
 class TestFewShotSplits:
@@ -204,20 +190,3 @@ class TestFewShotSplits:
         assert len(pairs) == 50
         assert all(pair.source == "seed" for pair in pairs)
 
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, small_corpus, tmp_path):
-        path = save_corpus(small_corpus, tmp_path / "corpus.json")
-        restored = load_corpus(path)
-        assert set(restored.domains) == set(small_corpus.domains)
-        assert len(restored.kb) == len(small_corpus.kb)
-        assert [m.surface for m in restored.mentions("lego")] == [
-            m.surface for m in small_corpus.mentions("lego")
-        ]
-
-    def test_load_rejects_unknown_version(self, small_corpus, tmp_path):
-        path = save_corpus(small_corpus, tmp_path / "corpus.json")
-        text = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_corpus(path)

@@ -7,19 +7,20 @@ from repro.eval import (
     accuracy_from_predictions,
     compute_metrics,
     evaluate_name_matching,
-    format_metric_rows,
     format_table,
     macro_average,
     markdown_table,
 )
-from repro.linking.blink import LinkingPrediction
+from repro.serving import LinkingResult
 
 
 def prediction(gold, candidates, predicted):
-    return LinkingPrediction(
+    return LinkingResult(
         mention_id="m",
+        surface="",
         gold_entity_id=gold,
         candidate_ids=candidates,
+        retrieval_scores=[0.0] * len(candidates),
         predicted_entity_id=predicted,
     )
 
@@ -100,11 +101,6 @@ class TestReporting:
 
     def test_format_table_empty(self):
         assert "(empty)" in format_table([], title="Nothing")
-
-    def test_format_metric_rows(self):
-        text = format_metric_rows({"blink": {"recall": 50.0, "normalized_accuracy": 25.0,
-                                             "unnormalized_accuracy": 12.5}})
-        assert "blink" in text and "50.00" in text
 
     def test_markdown_table(self):
         rows = [{"a": 1, "b": 2.5}]

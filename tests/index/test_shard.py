@@ -401,11 +401,11 @@ class TestShardedMutation:
 
     def test_remove_and_cache_invalidation(self, cells):
         index = self.build(cells)
-        index.vector("a:3")  # populate the LRU cache
-        assert "a:3" in index.embedding_cache
+        index.vector("a:3")
         index.remove_entities(["a:3"])
         assert "a:3" not in index
-        assert "a:3" not in index.embedding_cache
+        with pytest.raises(KeyError):
+            index.vector("a:3")
         assert len(index) == 69
 
     def test_update_refreshes_vector(self, cells):

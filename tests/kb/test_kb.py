@@ -1,8 +1,6 @@
 """Unit tests for the knowledge-base substrate."""
 
-import pytest
-
-from repro.kb import AliasTable, Entity, EntityMentionPair, KnowledgeBase, Mention
+from repro.kb import Entity, EntityMentionPair, Mention
 
 
 def make_entity(idx, domain="lego", title=None):
@@ -56,115 +54,3 @@ class TestEntityAndMention:
         assert noisy.entity.entity_id == "lego:2"
         assert noisy.source == "noise"
 
-
-class TestKnowledgeBase:
-    def test_add_and_get(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1))
-        assert kb.get("lego:1").title == "Brick Set 1"
-        assert "lego:1" in kb and len(kb) == 1
-
-    def test_duplicate_id_rejected(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1))
-        with pytest.raises(KeyError):
-            kb.add_entity(make_entity(1))
-
-    def test_get_unknown_raises(self):
-        with pytest.raises(KeyError):
-            KnowledgeBase().get("missing")
-
-    def test_domain_filtering(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1, domain="lego"))
-        kb.add_entity(make_entity(1, domain="yugioh"))
-        assert len(kb.entities("lego")) == 1
-        assert kb.domains() == ["lego", "yugioh"]
-
-    def test_find_by_title_case_insensitive(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1, title="Golden Master"))
-        assert kb.find_by_title("golden master")[0].entity_id == "lego:1"
-
-    def test_triples_require_known_entities(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1))
-        with pytest.raises(KeyError):
-            kb.add_triple("lego:1", "related_to", "lego:999")
-
-    def test_neighbors_and_degree(self):
-        kb = KnowledgeBase()
-        kb.add_entities([make_entity(1), make_entity(2), make_entity(3)])
-        kb.add_triple("lego:1", "related_to", "lego:2")
-        kb.add_triple("lego:3", "part_of", "lego:1")
-        neighbor_ids = [e.entity_id for e in kb.neighbors("lego:1")]
-        assert neighbor_ids == ["lego:2", "lego:3"]
-        assert kb.degree("lego:1") == 2
-
-    def test_statistics(self):
-        kb = KnowledgeBase()
-        kb.add_entities([make_entity(1), make_entity(2)])
-        kb.add_triple("lego:1", "related_to", "lego:2")
-        stats = kb.statistics()
-        assert stats["entities"] == 2 and stats["triples"] == 1
-
-    def test_subgraph_keeps_domain_only(self):
-        kb = KnowledgeBase()
-        kb.add_entities([make_entity(1, domain="lego"), make_entity(1, domain="yugioh")])
-        sub = kb.subgraph("lego")
-        assert len(sub) == 1 and sub.domains() == ["lego"]
-
-    def test_from_records_roundtrip(self):
-        kb = KnowledgeBase()
-        kb.add_entities([make_entity(1), make_entity(2)])
-        kb.add_triple("lego:1", "related_to", "lego:2")
-        clone = KnowledgeBase.from_records(kb.to_records(), [("lego:1", "related_to", "lego:2")])
-        assert len(clone) == 2 and len(clone.triples()) == 1
-
-
-class TestAliasTable:
-    def test_candidates_sorted_by_frequency(self):
-        table = AliasTable()
-        table.add_alias("master", "lego:1", count=3)
-        table.add_alias("master", "lego:2", count=1)
-        ranked = table.candidates("master")
-        assert ranked[0][0] == "lego:1"
-        assert ranked[0][1] == pytest.approx(0.75)
-
-    def test_best_returns_none_for_unknown(self):
-        assert AliasTable().best("nothing") is None
-
-    def test_from_knowledge_base_strips_disambiguation(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1, title="SORA (satellite)"))
-        table = AliasTable.from_knowledge_base(kb)
-        assert table.best("SORA") == "lego:1"
-        assert table.best("SORA (satellite)") == "lego:1"
-
-    def test_normalisation_in_lookup(self):
-        table = AliasTable.from_pairs([("Golden Master", "lego:1")])
-        assert table.best("golden master!") == "lego:1"
-
-    def test_empty_surface_ignored(self):
-        table = AliasTable()
-        table.add_alias("  ", "lego:1")
-        assert len(table) == 0
-
-    def test_ambiguity_statistic(self):
-        table = AliasTable()
-        table.add_alias("master", "lego:1")
-        table.add_alias("master", "lego:2")
-        table.add_alias("unique", "lego:3")
-        assert table.ambiguity() == pytest.approx(1.5)
-
-    def test_lookup_entities_resolves_through_kb(self):
-        kb = KnowledgeBase()
-        kb.add_entity(make_entity(1))
-        table = AliasTable.from_pairs([("brick set 1", "lego:1")])
-        assert table.lookup_entities("Brick Set 1", kb)[0].title == "Brick Set 1"
-
-    def test_top_k_limits_results(self):
-        table = AliasTable()
-        for i in range(5):
-            table.add_alias("shared", f"lego:{i}")
-        assert len(table.candidates("shared", top_k=2)) == 2

@@ -16,7 +16,6 @@ from repro.linking import (
     NameMatchingLinker,
     build_ranking_examples,
     encode_pair_batch,
-    recall_at_k,
     unique_entities,
 )
 from repro.linking.crossencoder import lexical_features
@@ -69,14 +68,6 @@ class TestEncodersAndIndex:
         with pytest.raises(ValueError):
             EntityShard([], np.zeros((0, 4)))
 
-    def test_recall_at_k(self, domain_data):
-        _, _, entities = domain_data
-        index = EntityShard(entities, np.eye(len(entities)))
-        results = index.search(np.eye(len(entities))[:4], k=1)
-        gold = [entities[i].entity_id for i in range(4)]
-        assert recall_at_k(results, gold) == 1.0
-        assert recall_at_k(results, ["missing"] * 4) == 0.0
-
     def test_search_k_validation(self, domain_data):
         _, _, entities = domain_data
         index = EntityShard(entities, np.eye(len(entities)))
@@ -102,15 +93,15 @@ class TestBiEncoder:
     def test_training_improves_recall(self, domain_data, tiny_tokenizer):
         split, pairs, entities = domain_data
         model = BiEncoder(BI_CFG, tiny_tokenizer)
-        index = model.build_index(entities)
-        queries = model.embed_mentions(split.test)
         gold = [m.gold_entity_id for m in split.test]
-        before = recall_at_k(index.search(queries, k=5), gold)
+
+        def hits():
+            results = model.build_sharded_index(entities).search(model.embed_mentions(split.test), k=5)
+            return sum(result.contains(g) for result, g in zip(results, gold))
+
+        before = hits()
         BiEncoderTrainer(model, BI_CFG).fit(pairs, epochs=2, seed=0)
-        index = model.build_index(entities)
-        queries = model.embed_mentions(split.test)
-        after = recall_at_k(index.search(queries, k=5), gold)
-        assert after >= before
+        assert hits() >= before
 
     def test_fit_rejects_empty(self, tiny_tokenizer):
         model = BiEncoder(BI_CFG, tiny_tokenizer)

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded entity index, blocked top-k and the LRU cache."""
+"""Unit tests for the sharded entity index and blocked top-k."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.kb import Entity
 from repro.linking import (
     EntityShard,
-    LRUEmbeddingCache,
     RetrievalResult,
     ShardedEntityIndex,
     blocked_topk,
@@ -104,38 +103,9 @@ class TestEntityShardBlocked:
         assert "other:1" not in index
 
 
-class TestLRUEmbeddingCache:
-    def test_eviction_drops_least_recently_used(self):
-        cache = LRUEmbeddingCache(capacity=2)
-        cache.put("a", np.zeros(2))
-        cache.put("b", np.ones(2))
-        assert cache.get("a") is not None  # refresh "a"; "b" is now stalest
-        cache.put("c", np.full(2, 2.0))
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert len(cache) == 2
-
-    def test_hit_and_miss_counters(self):
-        cache = LRUEmbeddingCache(capacity=4)
-        cache.put("a", np.zeros(2))
-        cache.get("a")
-        cache.get("missing")
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_zero_capacity_never_stores(self):
-        cache = LRUEmbeddingCache(capacity=0)
-        cache.put("a", np.zeros(2))
-        assert len(cache) == 0
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUEmbeddingCache(capacity=-1)
-
-
 class TestShardedEntityIndex:
-    def build(self, cache_size=4096):
-        index = ShardedEntityIndex(cache_size=cache_size)
+    def build(self):
+        index = ShardedEntityIndex()
         index.add_shard("lego", make_entities("lego", 5), np.eye(5))
         index.add_shard("yugioh", make_entities("yugioh", 3), np.eye(3, 5) * 0.5)
         return index
@@ -247,17 +217,9 @@ class TestShardedEntityIndex:
             index.shard("lego")
 
     def test_vector_lookup_uses_lru_cache(self):
-        index = self.build(cache_size=2)
-        first = index.vector("lego:0")
-        assert np.allclose(first, np.eye(5)[0])
-        assert index.embedding_cache.misses == 1
-        index.vector("lego:0")
-        assert index.embedding_cache.hits == 1
-        # Fill beyond capacity: lego:0 becomes stalest after two more inserts.
-        index.vector("lego:1")
-        index.vector("lego:2")
-        assert "lego:0" not in index.embedding_cache
-        assert len(index.embedding_cache) == 2
+        index = self.build()
+        assert np.allclose(index.vector("lego:0"), np.eye(5)[0])
+        assert np.allclose(index.vector("yugioh:2"), np.eye(3, 5)[2] * 0.5)
 
     def test_entity_and_contains(self):
         index = self.build()

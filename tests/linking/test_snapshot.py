@@ -40,7 +40,7 @@ class CountingEmbedder:
 
 
 def build_index(embedder):
-    index = ShardedEntityIndex(embed_fn=embedder, block_size=4, cache_size=16)
+    index = ShardedEntityIndex(embed_fn=embedder, block_size=4)
     index.add_shard("lego", make_entities("lego", 5))
     index.add_shard("yugioh", make_entities("yugioh", 3))
     index.add_shard("starwars", make_entities("starwars", 4))
@@ -124,13 +124,12 @@ class TestSnapshotRoundTrip:
 
     def test_block_size_and_cache_size_persist_and_override(self, tmp_path):
         index = build_index(CountingEmbedder())
-        index.save(tmp_path / "snap")
+        path = index.save(tmp_path / "snap")
+        assert "cache_size" not in json.loads((path / SNAPSHOT_MANIFEST).read_text())
         restored = ShardedEntityIndex.load(tmp_path / "snap")
         assert restored._block_size == 4
-        assert restored.embedding_cache.capacity == 16
-        overridden = ShardedEntityIndex.load(tmp_path / "snap", block_size=2, cache_size=3)
+        overridden = ShardedEntityIndex.load(tmp_path / "snap", block_size=2)
         assert overridden._block_size == 2
-        assert overridden.embedding_cache.capacity == 3
 
     def test_unsupported_format_version_rejected(self, tmp_path):
         index = build_index(CountingEmbedder())

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.data import OverlapCategory, categorize
 from repro.eval.metrics import compute_metrics
-from repro.linking.blink import LinkingPrediction
 from repro.meta import normalize_weights
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.serving import LinkingResult
 from repro.text import Vocabulary, normalize_text, rouge_1, simple_tokenize
 
 words = st.text(alphabet="abcdefghij ", min_size=0, max_size=30)
@@ -105,10 +105,12 @@ class TestMetricProperties:
             candidates = ["gold"] if retrieved else ["other"]
             predicted = "gold" if (correct and retrieved) else "wrong"
             predictions.append(
-                LinkingPrediction(
+                LinkingResult(
                     mention_id="m",
+                    surface="",
                     gold_entity_id="gold",
                     candidate_ids=candidates,
+                    retrieval_scores=[0.0],
                     predicted_entity_id=predicted,
                 )
             )

@@ -344,13 +344,6 @@ class TestLinkingService:
             assert "lego" in str(excinfo.value)
             assert not pipeline.index.is_materialized("lego")
 
-    def test_warm_up_flat_index_is_noop(self, service_setup):
-        blink, entities, _ = service_setup
-        flat = blink.biencoder.build_index(entities)
-        pipeline = EntityLinkingPipeline(blink.biencoder, flat, blink.crossencoder, k=4)
-        with LinkingService(pipeline) as service:
-            assert service.warm_up() == []
-
     def test_invalid_parameters_rejected(self, service_setup):
         blink, entities, _ = service_setup
         pipeline = make_pipeline(blink, entities)
