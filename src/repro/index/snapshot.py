@@ -18,8 +18,9 @@ the right pairing if a crash lands between the renames.
 :func:`write_generation` call persists the index into a *fresh*
 ``gen-NNNNNNNN`` directory under the store root and then atomically repoints
 the ``CURRENT`` marker file (write-temp + rename, the POSIX atomic publish).
-Readers — :func:`read_snapshot`, and through it :meth:`ReplicaPool.from_snapshot
-<repro.serving.cluster.ReplicaPool.from_snapshot>` — resolve ``CURRENT``
+Readers — :func:`read_snapshot`, and through it
+:meth:`BiEncoder.load_sharded_index
+<repro.linking.biencoder.BiEncoder.load_sharded_index>` — resolve ``CURRENT``
 first, so a reader either sees the complete old generation or the complete
 new one, never a half-written directory.  :func:`compact_to_generation` is
 the online-mutation endgame: compact every shard and publish the result,

@@ -10,13 +10,16 @@ cross-encoder reranking) into a production-shaped serving path:
   per-mention submits, dynamic micro-batching (an idle scheduler flushes at
   once; a busy one lets a partial batch wait at most the last batch's run
   time; a full ``max_batch_size`` batch always leaves), per-request futures
-  and latency percentiles.
+  and latency percentiles.  The same object is one replica of a pool: its
+  lifecycle state is read off its scheduler, and its
+  :class:`~repro.serving.service.FaultInjector` slows or freezes it.
 * :mod:`repro.serving.stages` — the vectorized stage implementations and the
   :class:`~repro.serving.stages.PipelineBatch` carrier they transform.
 * :mod:`repro.serving.cluster` — the multi-worker tier: a
-  :class:`~repro.serving.cluster.ReplicaPool` of
-  :class:`~repro.serving.cluster.ThreadReplica` (or forked
-  :class:`~repro.serving.cluster.ProcessReplica`) pipeline clones behind a
+  :class:`~repro.serving.cluster.ReplicaPool` of ``LinkingService``
+  replicas over pipeline clones (the last slots optionally
+  :class:`~repro.serving.cluster.ProcessReplica`, the subclass whose
+  pipeline runs in a forked worker) behind a
   :class:`~repro.serving.cluster.Router` with world-affinity dispatch,
   least-pending balancing, admission control (explicit
   :class:`~repro.serving.cluster.RejectedError` sheds) and automatic requeue
@@ -55,14 +58,9 @@ from .cluster import (
     BreakerOpenError,
     ClusterStats,
     FaultEvent,
-    FaultInjector,
     ProcessReplica,
-    RejectedError,
-    ReplicaDiedError,
-    ReplicaHealth,
     ReplicaPool,
     Router,
-    ThreadReplica,
 )
 from .pipeline import (
     DEFAULT_BATCH_SIZE,
@@ -80,8 +78,11 @@ from .resilience import (
 )
 from .service import (
     DeadlineExpiredError,
+    FaultInjector,
     LinkingService,
     OverCapacityError,
+    RejectedError,
+    ReplicaDiedError,
 )
 from .stages import (
     EmbedStage,
@@ -113,12 +114,10 @@ __all__ = [
     "ProcessReplica",
     "RejectedError",
     "ReplicaDiedError",
-    "ReplicaHealth",
     "ReplicaPool",
     "RestartPolicy",
     "Router",
     "Supervisor",
-    "ThreadReplica",
     "PipelineBatch",
     "MentionTokens",
     "TokenizeStage",

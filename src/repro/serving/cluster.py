@@ -2,27 +2,25 @@
 
 The single :class:`~repro.serving.service.LinkingService` caps throughput at
 one scheduler thread feeding one pipeline, and any stall freezes the whole
-service.  This module scales the front door out to N workers:
+service.  This module scales serving out to N of them:
 
-* :class:`ThreadReplica` — one pool worker: its own scheduler thread and
-  an :meth:`~repro.serving.pipeline.EntityLinkingPipeline.clone` of the
+* a replica is a :class:`~repro.serving.service.LinkingService` over an
+  :meth:`~repro.serving.pipeline.EntityLinkingPipeline.clone` of the
   pipeline; the heavyweight read-only state (encoder weights, the index
-  snapshot) is shared across the pool.  It batches by
-  :class:`~repro.serving.service.LinkingService`'s rule: an idle replica
-  flushes at once, a busy one lets a partial batch wait at most its last
-  batch's run time.  Its :class:`FaultInjector` (``replica.faults``) is
-  where the chaos tests slow or freeze it; an injected stall is not counted
-  as run time.
-* :class:`ProcessReplica` — a :class:`ThreadReplica` whose pipeline runs in
-  a forked worker *process*; batches cross a pipe, faults and batching stay
+  snapshot) is shared across the pool.  Its lifecycle state, its
+  :class:`~repro.serving.service.FaultInjector` (``replica.faults``, where
+  the chaos tests slow or freeze it) and its ``drain`` / ``kill`` live on
+  the service itself.
+* :class:`ProcessReplica` — a ``LinkingService`` whose pipeline runs in a
+  forked worker *process*; batches cross a pipe, faults and batching stay
   on the parent side, so every lifecycle/fault path behaves identically (a
   batch's run time includes the pipe round trip).
-* :class:`ReplicaPool` — owns the replica slots and their factories:
-  graceful drain, restart (a fresh clone from the shared snapshot state),
-  kill, and construction straight from an on-disk index snapshot.
-* :class:`Router` — the front door.  Exposes the familiar service API
-  (``submit`` / ``link`` / ``close`` / ``warm_up`` / ``pending`` /
-  ``stats``) over the pool with:
+* :class:`ReplicaPool` — owns the replica slots and their factories, names
+  each replica, and drains, restarts (a fresh clone from the shared
+  snapshot state) or kills them.
+* :class:`Router` — the front door over the pool.  Its own surface
+  (``submit(mention, request_class, deadline)`` / ``warm_up`` / ``close`` /
+  ``pending`` / ``stats``, a :class:`ClusterStats`) adds:
 
   - **world-affinity dispatch** — a mention's world hashes to a home
     replica, keeping per-world cache locality, falling back to balancing
@@ -66,34 +64,26 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 import numpy as np
 
 from ..kb.entity import Mention
-from ..linking.biencoder import BiEncoder
-from ..linking.crossencoder import CrossEncoder
-from .pipeline import (
-    DEFAULT_BATCH_SIZE,
-    EntityLinkingPipeline,
-    LatencyWindow,
-    LinkingResult,
-    PipelineStats,
-)
-from .service import (
+from .pipeline import EntityLinkingPipeline, LatencyWindow, LinkingResult, PipelineStats
+# The lifecycle constants, FaultInjector and ReplicaDiedError live with the
+# service and stay importable from here.
+from .service import (  # noqa: F401
+    DEAD,
+    DRAINING,
+    FAULT_POLL_SECONDS,
+    HEALTHY,
+    STOPPED,
     DeadlineExpiredError,
+    FaultInjector,
     LinkingService,
     OverCapacityError,
     RejectedError,
+    ReplicaDiedError,
     warm_up_index,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .resilience import BreakerPolicy
-
-#: Replica lifecycle states.
-HEALTHY = "healthy"
-DRAINING = "draining"
-STOPPED = "stopped"
-DEAD = "dead"
-
-#: Poll period of loops that must stay responsive to kill/unfreeze (seconds).
-FAULT_POLL_SECONDS = 0.02
 
 #: Recognised :class:`FaultEvent` actions.
 FAULT_ACTIONS = ("kill", "slow", "freeze", "unfreeze", "drain", "restart")
@@ -106,239 +96,6 @@ class BreakerOpenError(RejectedError):
     failing, so bouncing the request between them only adds load.  Callers
     should back off and retry after the breaker cooldown.
     """
-
-
-class ReplicaDiedError(RuntimeError):
-    """A replica died (kill/crash) with this request outstanding.
-
-    The router treats this error as retryable and requeues the request on a
-    healthy replica; callers only observe it when no healthy replica remains
-    or the retry budget is exhausted.  Contrast the non-retryable
-    :class:`~repro.serving.service.RejectedError` taxonomy: "over capacity"
-    (:class:`~repro.serving.service.OverCapacityError`), "too late"
-    (:class:`~repro.serving.service.DeadlineExpiredError`) and "replica
-    unhealthy" (:class:`BreakerOpenError`).
-    """
-
-
-# ----------------------------------------------------------------------
-# Fault injection
-# ----------------------------------------------------------------------
-class FaultInjector:
-    """Per-replica fault switchboard: slow-down, freeze and thaw.
-
-    The replica's scheduler passes through :meth:`pause_point` before every
-    batch.  ``freeze`` holds it there (queue depth grows, nothing completes)
-    until :meth:`unfreeze` — or until the replica is aborted, so a kill
-    always releases a frozen worker.  ``set_delay`` adds a per-batch sleep,
-    modelling a degraded-but-alive replica the router should route around.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._resume = threading.Condition(self._lock)
-        self._delay = 0.0
-        self._frozen = False
-
-    @property
-    def delay(self) -> float:
-        with self._lock:
-            return self._delay
-
-    @property
-    def frozen(self) -> bool:
-        with self._lock:
-            return self._frozen
-
-    def set_delay(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("delay must be non-negative")
-        with self._lock:
-            self._delay = seconds
-
-    def freeze(self) -> None:
-        with self._lock:
-            self._frozen = True
-
-    def unfreeze(self) -> None:
-        with self._lock:
-            self._frozen = False
-            self._resume.notify_all()
-
-    def pause_point(self, aborted: Callable[[], bool]) -> None:
-        """Block while frozen, then serve the injected delay.
-
-        ``aborted`` is polled so a killed replica escapes both the freeze
-        and the delay within :data:`FAULT_POLL_SECONDS`.
-        """
-        with self._resume:
-            while self._frozen and not aborted():
-                self._resume.wait(timeout=FAULT_POLL_SECONDS)
-            delay = self._delay
-        if delay > 0:
-            deadline = time.perf_counter() + delay
-            while not aborted():
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                time.sleep(min(FAULT_POLL_SECONDS, remaining))
-
-
-class _FaultableService(LinkingService):
-    """A :class:`LinkingService` whose flushes pass through a fault gate.
-
-    The gate runs before the base ``_flush`` times ``pipeline.link``, so a
-    freeze or delay never becomes the next batch's wait window.
-    """
-
-    def __init__(self, pipeline, faults: FaultInjector, **kwargs) -> None:
-        self._faults = faults
-        super().__init__(pipeline, **kwargs)
-
-    def _flush(self, batch) -> None:
-        self._faults.pause_point(lambda: self.aborted)
-        super()._flush(batch)
-
-
-# ----------------------------------------------------------------------
-# Replicas
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReplicaHealth:
-    """One health probe: lifecycle state plus live queue/progress counters."""
-
-    replica_id: int
-    name: str
-    state: str
-    alive: bool
-    pending: int
-    processed: int
-    frozen: bool
-    delay: float
-
-
-class ThreadReplica:
-    """A replica backed by its own scheduler thread and pipeline clone.
-
-    A replica accepts single-mention submits (returning futures), owns its
-    own dynamic micro-batching, and supports two shutdown modes: ``drain``
-    (graceful — queued work completes) and ``kill`` (crash-style — every
-    outstanding future fails with :class:`ReplicaDiedError` so the router
-    can requeue).
-
-    Parameters
-    ----------
-    pipeline:
-        This replica's own pipeline (typically
-        :meth:`~repro.serving.pipeline.EntityLinkingPipeline.clone` of a
-        shared base, so the index snapshot and encoder weights are shared
-        read-only while stats and stage objects are private).
-    replica_id / name:
-        Slot index and display name within the pool.
-    max_batch_size:
-        Flush size of the replica's dynamic micro-batching, as on
-        :class:`LinkingService`.
-    """
-
-    def __init__(
-        self,
-        pipeline: EntityLinkingPipeline,
-        replica_id: int = 0,
-        name: Optional[str] = None,
-        max_batch_size: Optional[int] = None,
-        start: bool = True,
-    ) -> None:
-        self.replica_id = replica_id
-        self.name = name or f"replica-{replica_id}"
-        self.pipeline = pipeline
-        self.faults = FaultInjector()
-        self._state_lock = threading.Lock()
-        self._state = HEALTHY
-        self._service = _FaultableService(
-            pipeline, self.faults,
-            max_batch_size=max_batch_size, start=start,
-        )
-
-    # -- state ----------------------------------------------------------
-    @property
-    def state(self) -> str:
-        with self._state_lock:
-            state = self._state
-        if state == HEALTHY and not self._service.running:
-            # The scheduler thread died without going through drain/kill —
-            # report it dead so the router stops routing here.
-            with self._state_lock:
-                if self._state == HEALTHY:
-                    self._state = DEAD
-                state = self._state
-        return state
-
-    def _set_state(self, state: str) -> None:
-        with self._state_lock:
-            self._state = state
-
-    @property
-    def pending(self) -> int:
-        # Outstanding (queued + in-flight), so least-pending balancing sees
-        # a replica that is mid-batch as busy, not idle.
-        return self._service.outstanding
-
-    @property
-    def stats(self) -> PipelineStats:
-        return self.pipeline.stats
-
-    # -- request path ---------------------------------------------------
-    def submit(
-        self, mention: Mention, deadline_at: Optional[float] = None
-    ) -> "Future[LinkingResult]":
-        if self.state != HEALTHY:
-            raise ReplicaDiedError(f"{self.name} is {self.state}")
-        try:
-            return self._service.submit(mention, deadline_at=deadline_at)
-        except RejectedError:
-            raise  # non-retryable by design — do not disguise as a death
-        except RuntimeError as error:
-            # Lost the race against a concurrent drain/kill: surface it as
-            # a retryable replica error so the router re-picks.
-            raise ReplicaDiedError(f"{self.name} rejected submit: {error}") from error
-
-    # -- lifecycle ------------------------------------------------------
-    def probe(self) -> ReplicaHealth:
-        return ReplicaHealth(
-            replica_id=self.replica_id,
-            name=self.name,
-            state=self.state,
-            alive=self._service.running,
-            pending=self.pending,
-            processed=self.pipeline.stats.mentions,
-            frozen=self.faults.frozen,
-            delay=self.faults.delay,
-        )
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Graceful stop: no new submits, queued requests complete."""
-        self._set_state(DRAINING)
-        self.faults.unfreeze()  # a frozen replica must still drain
-        self._service.close(timeout=timeout)
-        self._set_state(STOPPED)
-
-    def kill(self) -> int:
-        """Crash-style stop: fail all outstanding work with
-        :class:`ReplicaDiedError`; returns how many requests were failed.
-
-        The outstanding futures are failed (and requeued by the router)
-        immediately; the scheduler thread is then reaped so no stray
-        inference keeps running after the replica is declared dead.
-        """
-        self._set_state(DEAD)
-        failed = self._service.abort(ReplicaDiedError(f"{self.name} was killed"))
-        self._service.close(timeout=5.0)
-        return failed
-
-    # -- brownout -------------------------------------------------------
-    def set_degraded(self, degraded: bool) -> None:
-        """Flip this replica's pipeline into/out of brownout mode."""
-        self.pipeline.set_degraded(degraded)
 
 
 # ----------------------------------------------------------------------
@@ -374,20 +131,21 @@ class _PipelineProxy:
     """Parent-side stand-in for a pipeline living in a worker process.
 
     Implements exactly the surface :class:`LinkingService` uses — ``link``,
-    ``stats``, ``batch_size``, ``index`` — so the proxy slots into the same
-    scheduler/fault machinery as an in-process pipeline.  One batch is in
-    flight per worker at a time; the reply wait polls the child's liveness
-    so a terminated worker turns into :class:`ReplicaDiedError` (which the
-    router treats as retryable) instead of a hang.
+    ``stats``, ``batch_size``, ``index``, ``set_degraded`` — so the proxy
+    slots into the same scheduler/fault machinery as an in-process
+    pipeline.  One batch is in flight per worker at a time; the reply wait
+    polls the child's liveness so a terminated worker turns into
+    :class:`ReplicaDiedError` (which the router treats as retryable)
+    instead of a hang.
     """
 
-    def __init__(self, conn, batch_size: int, index) -> None:
+    def __init__(self, conn, process, batch_size: int, index) -> None:
         self._conn = conn
         self._io_lock = threading.Lock()
+        self.process = process
         self.batch_size = batch_size
         self.index = index
         self.stats = PipelineStats()
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
 
     def link(self, mentions: Sequence[Mention]) -> List[LinkingResult]:
         started = time.perf_counter()
@@ -395,7 +153,7 @@ class _PipelineProxy:
             try:
                 self._conn.send(("batch", list(mentions)))
                 while not self._conn.poll(FAULT_POLL_SECONDS):
-                    if self.process is not None and not self.process.is_alive():
+                    if not self.process.is_alive():
                         raise ReplicaDiedError("worker process died mid-batch")
                 kind, payload = self._conn.recv()
             except (EOFError, OSError, BrokenPipeError) as error:
@@ -418,65 +176,53 @@ class _PipelineProxy:
                 pass
 
 
-class ProcessReplica(ThreadReplica):
-    """A replica whose pipeline runs in a separate worker process.
+class ProcessReplica(LinkingService):
+    """A :class:`LinkingService` whose pipeline runs in a worker process.
 
-    The parent keeps the dynamic batching, fault gate and lifecycle logic of
-    :class:`ThreadReplica`; only ``pipeline.link`` crosses the process
-    boundary (one micro-batch per round trip).  The worker is forked, so it
-    inherits the parent's pipeline memory copy-on-write — create the pool
-    (or restart a replica) while no traffic flows.  Every index shard is
-    built before the fork, so the worker never embeds one itself and a
+    The parent keeps the dynamic batching, fault gate and lifecycle logic;
+    only ``pipeline.link`` crosses the process boundary (one micro-batch per
+    round trip, through a :class:`_PipelineProxy`).  The worker is forked,
+    so it inherits the parent's pipeline memory copy-on-write — create the
+    pool (or restart a replica) while no traffic flows.  Every index shard
+    is built before the fork, so the worker never embeds one itself and a
     restarted worker inherits them too.
 
-    ``kill()`` additionally terminates the worker process, modelling a hard
-    machine failure; ``drain()`` stops it gracefully after the queue
-    flushes.
+    :attr:`state` also reads :data:`DEAD` once the worker exited outside
+    ``kill()`` (OOM kill, segfault), which leaves the parent's scheduler
+    running.  ``kill()`` additionally terminates the worker process,
+    modelling a hard machine failure; ``drain()`` stops it gracefully after
+    the queue flushes.
     """
 
     def __init__(
         self,
         pipeline: EntityLinkingPipeline,
-        replica_id: int = 0,
-        name: Optional[str] = None,
         max_batch_size: Optional[int] = None,
         start: bool = True,
     ) -> None:
         warm_up_index(pipeline.index)
         context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
-        proxy = _PipelineProxy(
-            parent_conn, batch_size=pipeline.batch_size, index=pipeline.index
-        )
         self._process = context.Process(
-            target=_process_worker_main,
-            args=(child_conn, pipeline),
-            name=name or f"replica-{replica_id}-worker",
-            daemon=True,
+            target=_process_worker_main, args=(child_conn, pipeline), daemon=True,
         )
         self._process.start()
         child_conn.close()
-        proxy.process = self._process
         super().__init__(
-            proxy,  # type: ignore[arg-type] - duck-typed pipeline surface
-            replica_id=replica_id,
-            name=name or f"replica-{replica_id}",
-            max_batch_size=max_batch_size or pipeline.batch_size,
+            _PipelineProxy(  # type: ignore[arg-type] - duck-typed pipeline surface
+                parent_conn, self._process,
+                batch_size=pipeline.batch_size, index=pipeline.index,
+            ),
+            max_batch_size=max_batch_size,
             start=start,
         )
 
     @property
-    def process_alive(self) -> bool:
-        return self._process.is_alive()
-
-    def probe(self) -> ReplicaHealth:
-        # A worker that died outside kill() (OOM kill, segfault) leaves the
-        # parent's scheduler running; only this check marks the slot DEAD.
-        health = super().probe()
-        if health.state == HEALTHY and not self._process.is_alive():
-            self._set_state(DEAD)
-            health = super().probe()
-        return health
+    def state(self) -> str:
+        state = super().state
+        if state == HEALTHY and not self._process.is_alive():
+            return DEAD
+        return state
 
     def drain(self, timeout: Optional[float] = None) -> None:
         super().drain(timeout=timeout)
@@ -490,12 +236,11 @@ class ProcessReplica(ThreadReplica):
         # Terminate the worker BEFORE reaping the scheduler thread: the
         # scheduler may be blocked in the proxy waiting for a reply, and it
         # only bails out once it observes the process is gone.
-        self._set_state(DEAD)
-        failed = self._service.abort(ReplicaDiedError(f"{self.name} was killed"))
+        failed = self.abort(ReplicaDiedError(f"{self.name} was killed"))
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=5.0)
-        self._service.close(timeout=5.0)
+        self.close(timeout=5.0)
         return failed
 
 
@@ -648,7 +393,7 @@ class ClusterStats:
             per_replica.append({
                 "name": replica.name,
                 "state": replica.state,
-                "pending": replica.pending,
+                "pending": replica.outstanding,
                 "mentions": shot["mentions"],
                 "batches": shot["batches"],
             })
@@ -714,17 +459,21 @@ class ReplicaPool:
     Every slot keeps a zero-argument factory so :meth:`restart` can stand up
     a fresh generation of the same replica — for thread replicas a new
     pipeline clone over the shared read-only index snapshot, for process
-    replicas a fresh worker process.  Slot count is fixed for the pool's
-    lifetime (the router's affinity hash depends on it).
+    replicas a fresh worker process.  The pool names each replica
+    ``replica-<slot>``, suffixed ``@g<n>`` after the slot's n-th restart.
+    Slot count is fixed for the pool's lifetime (the router's affinity hash
+    depends on it).
     """
 
-    def __init__(self, factories: Sequence[Callable[[], ThreadReplica]]) -> None:
+    def __init__(self, factories: Sequence[Callable[[], LinkingService]]) -> None:
         if not factories:
             raise ValueError("a pool needs at least one replica factory")
         self._factories = list(factories)
         self._lock = threading.Lock()
         self._generations = [0] * len(self._factories)
-        self._replicas: List[ThreadReplica] = [factory() for factory in self._factories]
+        self._replicas: List[LinkingService] = [factory() for factory in self._factories]
+        for slot, replica in enumerate(self._replicas):
+            replica.name = f"replica-{slot}"
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -738,8 +487,13 @@ class ReplicaPool:
         """A pool of clones of ``pipeline``: thread replicas, then
         ``process_replicas`` process-backed ones in the last slots.
 
-        All clones share the pipeline's read-only index snapshot and encoder
-        weights; each replica owns its stats and scheduler.
+        All clones share the pipeline's read-only index and encoder weights;
+        each replica owns its stats and scheduler.  To serve a persisted
+        snapshot, build ``pipeline`` over
+        ``biencoder.load_sharded_index(path, mmap=True)``: the snapshot is
+        loaded once, a restart costs a pipeline clone rather than a reload,
+        and forked process replicas share the mapped pages instead of each
+        copying the matrices.
         """
         if replicas <= 0:
             raise ValueError("replicas must be positive")
@@ -748,62 +502,22 @@ class ReplicaPool:
 
         threaded = replicas - process_replicas
 
-        def factory(slot: int) -> Callable[[], ThreadReplica]:
-            kind = ThreadReplica if slot < threaded else ProcessReplica
-
-            def build() -> ThreadReplica:
-                return kind(pipeline.clone(), replica_id=slot, max_batch_size=max_batch_size)
-            return build
+        def factory(slot: int) -> Callable[[], LinkingService]:
+            kind = LinkingService if slot < threaded else ProcessReplica
+            return lambda: kind(pipeline.clone(), max_batch_size=max_batch_size)
 
         return cls([factory(slot) for slot in range(replicas)])
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        biencoder: BiEncoder,
-        path,
-        crossencoder: Optional[CrossEncoder] = None,
-        replicas: int = 2,
-        k: int = 16,
-        rerank: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        route_by_domain: bool = True,
-        max_batch_size: Optional[int] = None,
-        process_replicas: int = 0,
-        mmap: bool = True,
-        backend=None,
-    ) -> "ReplicaPool":
-        """A pool serving a persisted index snapshot (PR 2 format).
-
-        The snapshot is loaded *once* and shared read-only by every replica
-        — the restart path therefore costs a pipeline clone, not an index
-        reload, exactly like a warm rolling restart in production.  With the
-        default ``mmap=True`` the snapshot arrays are memory-mapped, so
-        forked process replicas share the snapshot's pages instead of each
-        copying the matrices.  ``backend`` (a
-        :class:`repro.index.IVFBackend`) clusters exhaustive-saved shards
-        into cells at load.
-        """
-        index = biencoder.load_sharded_index(path, mmap=mmap, backend=backend)
-        base = EntityLinkingPipeline(
-            biencoder, index, crossencoder, k=k, rerank=rerank,
-            batch_size=batch_size, route_by_domain=route_by_domain,
-        )
-        return cls.from_pipeline(
-            base, replicas=replicas, max_batch_size=max_batch_size,
-            process_replicas=process_replicas,
-        )
 
     # -- access ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self._factories)
 
     @property
-    def replicas(self) -> Tuple[ThreadReplica, ...]:
+    def replicas(self) -> Tuple[LinkingService, ...]:
         with self._lock:
             return tuple(self._replicas)
 
-    def replica(self, slot: int) -> ThreadReplica:
+    def replica(self, slot: int) -> LinkingService:
         with self._lock:
             return self._replicas[slot]
 
@@ -820,7 +534,7 @@ class ReplicaPool:
     def drain(self, slot: int, timeout: Optional[float] = None) -> None:
         self.replica(slot).drain(timeout=timeout)
 
-    def restart(self, slot: int, timeout: Optional[float] = None) -> ThreadReplica:
+    def restart(self, slot: int, timeout: Optional[float] = None) -> LinkingService:
         """Replace the slot's replica with a fresh generation.
 
         The old replica is drained first if it is still healthy (rolling
@@ -832,7 +546,7 @@ class ReplicaPool:
         fresh = self._factories[slot]()
         with self._lock:
             self._generations[slot] += 1
-            fresh.name = f"{fresh.name}@g{self._generations[slot]}"
+            fresh.name = f"replica-{slot}@g{self._generations[slot]}"
             self._replicas[slot] = fresh
         return fresh
 
@@ -866,8 +580,7 @@ def _affinity_hash(world: str) -> int:
 
 
 class Router:
-    """Front door over a :class:`ReplicaPool`, API-compatible with
-    :class:`~repro.serving.service.LinkingService`.
+    """Front door over a :class:`ReplicaPool`.
 
     Dispatch policy, in order:
 
@@ -959,7 +672,7 @@ class Router:
             # either way the request spills to least-pending, and the miss
             # counter records that affinity was not honoured.
             self.stats.count("affinity_misses")
-        depths = {slot: self.pool.replica(slot).pending for slot in allowed}
+        depths = {slot: self.pool.replica(slot).outstanding for slot in allowed}
         return self._least_pending(allowed, depths)
 
     def assignment_plan(self, mentions: Sequence[Mention]) -> List[int]:
@@ -1082,7 +795,7 @@ class Router:
             return
 
     def _on_inner_done(
-        self, request: _ClusterRequest, slot: int, replica: ThreadReplica,
+        self, request: _ClusterRequest, slot: int, replica: LinkingService,
         inner: "Future[LinkingResult]",
     ) -> None:
         breaker = self._breakers[slot]
@@ -1115,7 +828,7 @@ class Router:
             return
         self._finalize(request, error=error)
 
-    def _record_death(self, replica: ThreadReplica) -> None:
+    def _record_death(self, replica: LinkingService) -> None:
         """Count a replica's death the first time the router sees it."""
         with self._lock:
             if replica.name in self._dead:
@@ -1165,19 +878,18 @@ class Router:
                 return False
         return bool(self.pool.healthy_slots())
 
-    def health_check(self) -> List[ReplicaHealth]:
-        """Probe every replica; silently-dead ones are killed so their
-        outstanding requests requeue instead of hanging."""
-        probes = []
+    def health_check(self) -> List[str]:
+        """Every slot's lifecycle state; silently-dead replicas are killed
+        so their outstanding requests requeue instead of hanging."""
+        states = []
         for replica in self.pool.replicas:
-            health = replica.probe()
-            if health.state == DEAD:
+            state = replica.state
+            if state == DEAD:
                 self._record_death(replica)
-                if health.pending > 0:
+                if replica.outstanding > 0:
                     replica.kill()  # idempotent; flushes outstanding into requeue
-                    health = replica.probe()
-            probes.append(health)
-        return probes
+            states.append(state)
+        return states
 
     def breaker_states(self) -> Dict[int, str]:
         """Per-slot circuit-breaker state names."""

@@ -321,10 +321,10 @@ class BrownoutController:
 class Supervisor:
     """Background repair loop: probe, restart, quarantine, brownout.
 
-    Each tick it runs ``Router.health_check()`` (which also flushes
-    silently-dead replicas so their requests requeue), then restarts any
-    ``dead``/``stopped`` slot that is off backoff, inside the restart
-    budget and not quarantined.  MTTR (death detected → fresh replica
+    Each tick it reads every slot's state from ``Router.health_check()``
+    (which also flushes silently-dead replicas so their requests requeue),
+    then restarts any ``dead``/``stopped`` slot that is off backoff, inside
+    the restart budget and not quarantined.  MTTR (death detected → fresh replica
     standing) lands in ``router.stats``; quarantined slots are read from
     :attr:`quarantined`, their one owner.  With a
     :class:`BrownoutController` attached it also samples ``router.pending``
@@ -400,11 +400,9 @@ class Supervisor:
     def tick(self) -> None:
         """One probe-and-repair cycle (public so tests can step it)."""
         now = self._clock()
-        probes = self.router.health_check()
-        for slot, probe in enumerate(probes):
-            if probe.state not in (DEAD, STOPPED):
-                continue
-            self._repair(slot, now)
+        for slot, state in enumerate(self.router.health_check()):
+            if state in (DEAD, STOPPED):
+                self._repair(slot, now)
         if self.brownout is not None:
             decision = self.brownout.observe(self.router.pending, self._clock())
             if decision is not None:

@@ -15,19 +15,26 @@ scheduler was doing, not from a timer:
 * **full** — a batch leaves as soon as ``max_batch_size`` requests wait.
 
 Per-request submit→completion latency is recorded into the pipeline's
-:class:`~repro.serving.pipeline.PipelineStats` rolling window, so the p50/p99
-serving percentiles sit next to the per-stage throughput counters.
+:class:`~repro.serving.pipeline.PipelineStats` rolling window (``stats``), so
+the p50/p99 serving percentiles sit next to the per-stage throughput counters.
+
+The same object is a replica of :class:`~repro.serving.cluster.ReplicaPool`:
+its lifecycle state (:data:`HEALTHY` / :data:`DRAINING` / :data:`STOPPED` /
+:data:`DEAD`) is read off the scheduler's own flags, its
+:class:`FaultInjector` (``faults``) is the gate every batch passes before
+``pipeline.link``, and ``drain`` / ``kill`` are the pool's two shutdowns.
 
 Example::
 
-    service = LinkingService(pipeline, max_batch_size=64)
+    service = LinkingService(pipeline, max_batch_size=64, start=False)
     service.warm_up()                      # materialise shards before traffic
-    future = service.submit(mention)       # non-blocking
-    result = future.result(timeout=1.0)    # LinkingResult
-    service.close()                        # drains the queue, then stops
+    with service:                          # starts the scheduler
+        future = service.submit(mention)   # non-blocking
+        result = future.result(timeout=1.0)
+    service.stats.latency_summary()        # p50/p90/p99 request latency
 
-The service is also a context manager (``with LinkingService(...) as s:``);
-leaving the block drains outstanding requests and joins the worker thread.
+Leaving the ``with`` block (or calling :meth:`LinkingService.close`) drains
+outstanding requests and joins the scheduler thread.
 """
 
 from __future__ import annotations
@@ -38,17 +45,26 @@ from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from ..kb.entity import Mention
 from ..linking.candidates import ShardedEntityIndex
-from .pipeline import EntityLinkingPipeline, LinkingResult
+from .pipeline import EntityLinkingPipeline, LinkingResult, PipelineStats
 
 #: Heartbeat of the scheduler's idle wait (seconds).  The scheduler never
 #: blocks longer than this without re-checking ``_closing`` and sweeping
 #: expired deadlines, so a missed wakeup (e.g. a notify lost to a frozen
 #: fault-injected replica) can strand it for at most one heartbeat.
 SCHEDULER_HEARTBEAT_SECONDS = 0.1
+
+#: Lifecycle states, derived by :attr:`LinkingService.state`.
+HEALTHY = "healthy"
+DRAINING = "draining"
+STOPPED = "stopped"
+DEAD = "dead"
+
+#: Poll period of loops that must stay responsive to kill/unfreeze (seconds).
+FAULT_POLL_SECONDS = 0.02
 
 
 class RejectedError(RuntimeError):
@@ -84,6 +100,70 @@ class DeadlineExpiredError(RejectedError):
     router treats this as non-retryable: requeueing a request that is
     already too late only wastes another replica's time.
     """
+
+
+class ReplicaDiedError(RuntimeError):
+    """A replica is closed or died (kill/crash) with this request outstanding.
+
+    :meth:`LinkingService.submit` raises it once the service is closing or
+    dead, and :meth:`LinkingService.kill` fails every outstanding future with
+    it.  The router treats this error as retryable and requeues the request
+    on a healthy replica; callers only observe it when no healthy replica
+    remains or the retry budget is exhausted.  Contrast the non-retryable
+    :class:`RejectedError` taxonomy: "over capacity"
+    (:class:`OverCapacityError`), "too late" (:class:`DeadlineExpiredError`)
+    and "replica unhealthy" (:class:`~repro.serving.cluster.BreakerOpenError`).
+    """
+
+
+class FaultInjector:
+    """Per-replica fault switchboard: slow-down, freeze and thaw.
+
+    The scheduler passes through :meth:`pause_point` before every batch.
+    ``freeze`` holds it there (queue depth grows, nothing completes) until
+    :meth:`unfreeze` — or until the service is aborted, so a kill always
+    releases a frozen worker.  ``set_delay`` adds a per-batch sleep,
+    modelling a degraded-but-alive replica the router should route around.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._resume = threading.Condition(self._lock)
+        self._delay = 0.0
+        self._frozen = False
+
+    def set_delay(self, seconds: float) -> None:
+        if seconds < 0:
+            raise ValueError("delay must be non-negative")
+        with self._lock:
+            self._delay = seconds
+
+    def freeze(self) -> None:
+        with self._lock:
+            self._frozen = True
+
+    def unfreeze(self) -> None:
+        with self._lock:
+            self._frozen = False
+            self._resume.notify_all()
+
+    def pause_point(self, aborted: Callable[[], bool]) -> None:
+        """Block while frozen, then serve the injected delay.
+
+        ``aborted`` is polled so a killed replica escapes both the freeze
+        and the delay within :data:`FAULT_POLL_SECONDS`.
+        """
+        with self._resume:
+            while self._frozen and not aborted():
+                self._resume.wait(timeout=FAULT_POLL_SECONDS)
+            delay = self._delay
+        if delay > 0:
+            deadline = time.perf_counter() + delay
+            while not aborted():
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    break
+                time.sleep(min(FAULT_POLL_SECONDS, remaining))
 
 
 def warm_up_index(
@@ -132,6 +212,12 @@ class _PendingRequest:
 class LinkingService:
     """Dynamic-batching frontend over an :class:`EntityLinkingPipeline`.
 
+    One service is also one :class:`~repro.serving.cluster.ReplicaPool`
+    replica: the pool sets :attr:`name` (``replica-<slot>``, ``@g<n>`` per
+    restart), slows or freezes it through :attr:`faults`, reads
+    :attr:`state` and :attr:`outstanding`, and stops it with :meth:`drain`
+    (graceful) or :meth:`kill` (crash-style).
+
     Parameters
     ----------
     pipeline:
@@ -158,6 +244,8 @@ class LinkingService:
             raise ValueError("max_batch_size must be positive")
         self.pipeline = pipeline
         self.max_batch_size = max_batch_size
+        self.name = "linking-service"
+        self.faults = FaultInjector()
 
         # Run time of the last pipeline.link call: how long a partial batch
         # queued behind it may wait for company.  Written and read only by
@@ -194,6 +282,32 @@ class LinkingService:
         """Whether the scheduler thread is alive."""
         return self._worker is not None and self._worker.is_alive()
 
+    @property
+    def state(self) -> str:
+        """Lifecycle state, read off the scheduler rather than stored.
+
+        :data:`DEAD` after :meth:`abort` / :meth:`kill`, or when the
+        scheduler thread is gone although :meth:`close` was never called (a
+        silent death); :data:`DRAINING` while closing with the scheduler
+        still flushing; :data:`STOPPED` once a closing scheduler has exited;
+        :data:`HEALTHY` otherwise.
+        """
+        with self._lock:
+            aborted, closing, worker = self._aborted, self._closing, self._worker
+        if aborted:
+            return DEAD
+        alive = worker is not None and worker.is_alive()
+        if closing:
+            return DRAINING if alive else STOPPED
+        if worker is not None and not alive:
+            return DEAD
+        return HEALTHY
+
+    @property
+    def stats(self) -> PipelineStats:
+        """The pipeline's counters and request-latency window."""
+        return self.pipeline.stats
+
     def close(self, timeout: Optional[float] = None) -> None:
         """Graceful shutdown: reject new submits, drain the queue, join.
 
@@ -213,7 +327,7 @@ class LinkingService:
         Unlike :meth:`close`, nothing is drained — queued *and* in-flight
         requests get ``error`` (default ``RuntimeError``) set on their
         futures right away and the scheduler thread exits at the next batch
-        boundary.  The cluster layer uses this to model a replica dying
+        boundary.  :meth:`kill` uses this to model a replica dying
         mid-stream: the router sees the per-request exceptions and requeues
         the work on healthy replicas.  Returns the number of requests that
         were failed.  Idempotent; :meth:`submit` raises afterwards.
@@ -241,6 +355,27 @@ class LinkingService:
         with self._lock:
             return self._aborted
 
+    def drain(self, timeout: Optional[float] = None) -> None:
+        """Graceful stop: thaw a frozen scheduler, then :meth:`close`."""
+        self.faults.unfreeze()  # a frozen replica must still drain
+        self.close(timeout=timeout)
+
+    def kill(self) -> int:
+        """Crash-style stop: fail all outstanding work with
+        :class:`ReplicaDiedError`; returns how many requests were failed.
+
+        The outstanding futures are failed (and requeued by the router)
+        immediately; the scheduler thread is then reaped so no stray
+        inference keeps running after the replica is declared dead.
+        """
+        failed = self.abort(ReplicaDiedError(f"{self.name} was killed"))
+        self.close(timeout=5.0)
+        return failed
+
+    def set_degraded(self, degraded: bool) -> None:
+        """Flip the pipeline into/out of brownout mode."""
+        self.pipeline.set_degraded(degraded)
+
     def __enter__(self) -> "LinkingService":
         self.start()
         return self
@@ -258,7 +393,9 @@ class LinkingService:
 
         Non-blocking: the scheduler thread batches queued mentions and the
         future completes when its micro-batch has been linked.  Raises
-        ``RuntimeError`` after :meth:`close`.
+        :class:`ReplicaDiedError` (a ``RuntimeError``) once the service is
+        closed or its scheduler has died, and ``RuntimeError`` before
+        :meth:`start`.
 
         ``deadline_at`` (absolute ``time.perf_counter()`` seconds) bounds how
         long the request may wait: if it is still queued past the deadline,
@@ -271,9 +408,11 @@ class LinkingService:
         )
         with self._lock:
             if self._closing:
-                raise RuntimeError("LinkingService is closed")
+                raise ReplicaDiedError(f"{self.name} is closed")
             if self._worker is None:
-                raise RuntimeError("LinkingService is not started")
+                raise RuntimeError(f"{self.name} is not started")
+            if not self._worker.is_alive():
+                raise ReplicaDiedError(f"{self.name}'s scheduler died")
             if deadline_at is not None:
                 self._has_deadlines = True
             self._queue.append(request)
@@ -314,8 +453,8 @@ class LinkingService:
     def outstanding(self) -> int:
         """Queued plus in-flight requests (the batch being flushed).
 
-        The cluster router balances on this rather than :attr:`pending` —
-        a replica mid-batch is busy even when its queue reads empty.
+        The router balances on this rather than :attr:`pending` — a
+        replica mid-batch is busy even when its queue reads empty.
         """
         with self._lock:
             return len(self._queue) + len(self._inflight)
@@ -413,6 +552,9 @@ class LinkingService:
             ))
 
     def _flush(self, batch: List[_PendingRequest]) -> None:
+        # The fault gate runs before pipeline.link is timed, so a freeze or
+        # an injected delay never becomes the next batch's wait window.
+        self.faults.pause_point(lambda: self.aborted)
         # Transition each future to RUNNING; a False return means the caller
         # cancelled while queued, and after a True return cancellation is no
         # longer possible, so the set_result/set_exception below cannot race.
@@ -452,9 +594,8 @@ class LinkingService:
                 self._settle(request.future, error=error)
             return
         completed_at = time.perf_counter()
-        # Timed here, inside whatever a subclass runs before this _flush (the
-        # cluster's fault gate), so a frozen replica does not stretch the
-        # next window; a failed call says nothing about batch run time.
+        # Timed after the fault gate, so a frozen replica does not stretch
+        # the next window; a failed call says nothing about batch run time.
         self._batch_seconds = completed_at - started
         stats = self.pipeline.stats
         for request, result in zip(batch, results):

@@ -70,10 +70,10 @@ class TestKillReplica:
             victim.faults.freeze()
             futures = [router.submit(m) for m in mentions * 2]
             for _ in range(200):  # wait until the victim owns some requests
-                if victim.pending > 0:
+                if victim.outstanding > 0:
                     break
                 time.sleep(0.01)
-            assert victim.pending > 0
+            assert victim.outstanding > 0
             router.apply_fault(FaultEvent(at=0.0, action="kill", replica=0))
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
         assert len(results) == len(mentions) * 2
@@ -94,7 +94,7 @@ class TestKillReplica:
             pool.kill(1)
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
             assert len(results) == len(mentions) * 2
-            assert not pool.replica(1).process_alive
+            assert not pool.replica(1).pipeline.process.is_alive()
 
     def test_restart_brings_fresh_generation_back(self, fault_setup):
         pipeline, mentions = fault_setup
@@ -206,15 +206,17 @@ class TestDrainDuringSubmit:
             victim.faults.freeze()
             futures = [router.submit(m) for m in mentions]
             for _ in range(200):
-                if victim.pending > 0:
+                if victim.outstanding > 0:
                     break
                 time.sleep(0.01)
-            # Simulate a silent crash: flip the lifecycle state without
-            # going through the public kill() path, leaving the queued
-            # requests stranded on a replica the router believes is dead.
-            victim._state = "dead"
-            probes = router.health_check()
-            assert any(p.state == "dead" for p in probes)
+            # Simulate a silent crash: the scheduler thread is gone without
+            # close() or abort(), leaving the queued requests stranded on a
+            # replica that reads dead.
+            ghost = threading.Thread(target=lambda: None)
+            ghost.start()
+            ghost.join()
+            victim._worker = ghost
+            assert "dead" in router.health_check()
             victim.faults.unfreeze()
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
         assert len(results) == len(mentions)

@@ -234,19 +234,37 @@ class TestRouterServiceSurface:
 
     def test_surface_read_by_the_benchmark(self, cluster_setup):
         # The names perf/layers.py and perf/stack.py read off a live router;
-        # renaming one breaks the benchmark, so it fails here first.
+        # renaming one breaks the benchmark, so it fails here first.  perf/
+        # also wraps each replica's submit and pipeline.link on the instance
+        # (perf/trace.py); a dispatch that went around either would leave
+        # its queue-wait and batch-size metrics silently empty.
         pipeline, mentions = cluster_setup
+        submitted, linked = [], []
+
+        def wrap(owner, attr, log, ids):
+            original = getattr(owner, attr)
+
+            def traced(*args, **kwargs):
+                log.extend(ids(*args))
+                return original(*args, **kwargs)
+            setattr(owner, attr, traced)
+
         with Router(ReplicaPool.from_pipeline(pipeline, replicas=2)) as router:
-            for future in [router.submit(m) for m in mentions[:6]]:
+            replicas = router.pool.replicas
+            for replica in replicas:
+                wrap(replica, "submit", submitted, lambda mention: [mention.mention_id])
+                wrap(replica.pipeline, "link", linked, lambda batch: [m.mention_id for m in batch])
+            for future in [router.submit(m) for m in mentions]:
                 future.result(timeout=RESULT_TIMEOUT)
             snapshot = router.stats.snapshot()
-            replicas = router.pool.replicas
         assert {"submitted", "shed_total", "requeued", "affinity_misses"} <= set(
             snapshot["router"]
         )
         assert len(snapshot["per_replica"]) == 2
         assert all("mentions" in shot for shot in snapshot["per_replica"])
         assert all(replica.pipeline.stages for replica in replicas)
+        assert len(submitted) == len(mentions)
+        assert sorted(linked) == sorted(m.mention_id for m in mentions)
 
 
 def kill_by_fault(router):
@@ -257,8 +275,16 @@ def kill_through_pool(router):
     router.pool.kill(0)
 
 
+def die_silently(replica):
+    """The scheduler thread is gone, yet neither close() nor abort() ran."""
+    ghost = threading.Thread(target=lambda: None)
+    ghost.start()
+    ghost.join()
+    replica._worker = ghost
+
+
 def die_silently_then_probe(router):
-    router.pool.replica(0)._state = "dead"  # the scheduler never saw a kill()
+    die_silently(router.pool.replica(0))
     router.health_check()
 
 
@@ -273,7 +299,7 @@ class TestDeathAccounting:
             victim = router.pool.replica(0)
             victim.faults.freeze()
             futures = [router.submit(m) for m in mentions]
-            stranded = victim.pending
+            stranded = victim.outstanding
             assert stranded > 0
             die(router)
             for future in futures:
@@ -309,17 +335,19 @@ def top_k(results):
 
 
 class TestSnapshotPool:
-    def test_from_snapshot_serves_what_the_pipeline_links(
+    def test_snapshot_pool_serves_the_pipeline_links(
         self, cluster_setup, tmp_path, monkeypatch,
     ):
         pipeline, mentions = cluster_setup
         pipeline.index.save(tmp_path / "kb")
         expected_ids, expected_scores = top_k(pipeline.link(mentions))
-        pool = ReplicaPool.from_snapshot(
-            pipeline.biencoder, tmp_path / "kb", crossencoder=pipeline.crossencoder,
-            replicas=2, k=pipeline.k, batch_size=pipeline.batch_size,
+        served = EntityLinkingPipeline(
+            pipeline.biencoder,
+            pipeline.biencoder.load_sharded_index(tmp_path / "kb", mmap=True),
+            pipeline.crossencoder, k=pipeline.k, batch_size=pipeline.batch_size,
             route_by_domain=pipeline.route_by_domain,
         )
+        pool = ReplicaPool.from_pipeline(served, replicas=2)
 
         def assert_serves_expected(router):
             ids, scores = top_k([
@@ -344,23 +372,23 @@ class TestSnapshotPool:
 class TestProcessWorkerDeath:
     def test_supervisor_restarts_a_worker_killed_outside_kill(self, cluster_setup):
         # An OOM kill or segfault takes the worker down while the parent's
-        # scheduler thread runs on: the probe must still read the slot DEAD
-        # so one supervisor tick restarts it.
+        # scheduler thread runs on: the replica must still read DEAD so one
+        # supervisor tick restarts it.
         pipeline, mentions = cluster_setup
         pool = ReplicaPool.from_pipeline(pipeline, replicas=2, process_replicas=1)
         with Router(pool, seed=13, affinity=False) as router:
             worker = pool.replica(1)._process
             os.kill(worker.pid, signal.SIGKILL)
             worker.join(timeout=RESULT_TIMEOUT)
-            assert pool.replica(1).probe().state == "dead"
+            assert pool.replica(1).state == "dead"
             policy = RestartPolicy(
                 initial_backoff_seconds=0.0, jitter=0.0, min_uptime_seconds=0.0
             )
             with Supervisor(router, policy=policy, interval=3600.0) as supervisor:
                 supervisor.tick()
             fresh = pool.replica(1)
+            # A process replica reads healthy only while its worker lives.
             assert fresh.state == "healthy" and "@g1" in fresh.name
-            assert fresh.process_alive
             for future in [router.submit(m) for m in mentions]:
                 future.result(timeout=RESULT_TIMEOUT)
         assert router.stats.snapshot()["router"]["deaths"] == 1

@@ -21,7 +21,7 @@ class FakeReplica:
     def __init__(self, name):
         self.name = name
         self.state = "healthy"
-        self.pending = 0
+        self.outstanding = 0
         self.stats = PipelineStats()
 
 

@@ -32,7 +32,7 @@ from repro.serving import (
     Router,
     Supervisor,
 )
-from repro.serving.cluster import DEAD, HEALTHY, ClusterStats, ReplicaHealth
+from repro.serving.cluster import DEAD, HEALTHY, ClusterStats
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)
@@ -286,14 +286,7 @@ class FakeRouter:
         self.fail_restarts = False
 
     def health_check(self):
-        return [
-            ReplicaHealth(
-                replica_id=slot, name=f"fake-{slot}", state=state,
-                alive=state == HEALTHY, pending=0, processed=0,
-                frozen=False, delay=0.0,
-            )
-            for slot, state in enumerate(self.states)
-        ]
+        return list(self.states)
 
     def restart_replica(self, slot, timeout=None):
         if self.fail_restarts:

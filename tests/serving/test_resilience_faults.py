@@ -193,7 +193,7 @@ class TestShutdownRaces:
         victim = router.pool.replica(0)
         victim.faults.freeze()
         futures = [router.submit(m) for m in mentions * 2]
-        assert wait_until(lambda: victim.pending > 0, timeout=5.0)
+        assert wait_until(lambda: victim.outstanding > 0, timeout=5.0)
 
         killer = threading.Thread(target=lambda: router.pool.kill(0), daemon=True)
         closer = threading.Thread(target=router.close, daemon=True)

@@ -9,7 +9,14 @@ import pytest
 
 from repro.data import split_domain
 from repro.linking import BlinkPipeline
-from repro.serving import EntityLinkingPipeline, LinkingService, ThreadReplica
+from repro.serving import (
+    EntityLinkingPipeline,
+    LinkingService,
+    ReplicaPool,
+    RestartPolicy,
+    Router,
+    Supervisor,
+)
 from repro.serving.service import SCHEDULER_HEARTBEAT_SECONDS
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
@@ -118,27 +125,62 @@ class TestBatchingRule:
         # pipeline.link: the batch queued behind it must not then wait
         # another freeze-length window for company.
         blink, entities, mentions = service_setup
-        replica = ThreadReplica(make_pipeline(blink, entities), max_batch_size=8)
+        service = LinkingService(make_pipeline(blink, entities), max_batch_size=8)
         try:
-            replica.faults.freeze()
-            held = replica.submit(mentions[0])
+            service.faults.freeze()
+            held = service.submit(mentions[0])
             for _ in range(200):  # until it is popped: frozen in flight
-                if replica._service.pending == 0:
+                if service.pending == 0:
                     break
                 time.sleep(0.01)
-            assert replica._service.pending == 0
+            assert service.pending == 0
             time.sleep(FREEZE_SECONDS)
-            queued = [replica.submit(mention) for mention in mentions[1:3]]
+            queued = [service.submit(mention) for mention in mentions[1:3]]
             thawed = time.perf_counter()
-            replica.faults.unfreeze()
+            service.faults.unfreeze()
             held.result(timeout=RESULT_TIMEOUT)
             for future in queued:
                 future.result(timeout=RESULT_TIMEOUT)
             waited = time.perf_counter() - thawed
         finally:
-            replica.drain(timeout=RESULT_TIMEOUT)
-        assert replica.stats.batches == 2
+            service.drain(timeout=RESULT_TIMEOUT)
+        assert service.stats.batches == 2
         assert waited < FREEZE_SECONDS / 2
+
+
+class TestReplicaLifecycle:
+    def test_timed_out_drain_reads_draining_until_the_scheduler_exits(self, service_setup):
+        # A drain whose timeout lapses mid-batch returns with the scheduler
+        # still flushing.  The slot must read draining, which the supervisor
+        # leaves alone, and stopped only once the scheduler has exited.
+        blink, entities, mentions = service_setup
+        pool = ReplicaPool.from_pipeline(make_pipeline(blink, entities), replicas=1)
+        replica = pool.replica(0)
+        gate = GatedLink(replica.pipeline)
+        policy = RestartPolicy(initial_backoff_seconds=0.0, jitter=0.0)
+        with Router(pool) as router:
+            held = gate.hold(replica, mentions[0])
+            queued = [replica.submit(mention) for mention in mentions[1:3]]
+            replica.drain(timeout=0.05)
+            assert replica.state == "draining"
+            with Supervisor(router, policy=policy, interval=3600.0) as supervisor:
+                supervisor.tick()
+            assert pool.replica(0).name == "replica-0"  # not restarted: no @g1
+            gate.open.set()
+            for future in [held, *queued]:
+                future.result(timeout=RESULT_TIMEOUT)
+            replica.close(timeout=RESULT_TIMEOUT)  # join the exiting scheduler
+            assert replica.state == "stopped"
+
+    def test_readme_serving_example(self, service_setup):
+        # README § "Serving": the snippet's calls, in its order.
+        blink, entities, mentions = service_setup
+        service = LinkingService(make_pipeline(blink, entities), max_batch_size=64, start=False)
+        service.warm_up()
+        with service:
+            future = service.submit(mentions[0])
+            assert future.result(timeout=RESULT_TIMEOUT).mention_id == mentions[0].mention_id
+            assert service.stats.latency_summary()["count"] == 1
 
 
 class TestLinkingService:
@@ -368,7 +410,7 @@ class TestLinkingService:
 
 
 class TestServiceSnapshotIntegration:
-    def test_snapshot_round_trip_through_service(self, service_setup, tmp_path):
+    def test_snapshot_round_trip_links_the_same(self, service_setup, tmp_path):
         # Save the live index, reload it through the bi-encoder (which rebinds
         # embed_fn), and serve from the restored index: predictions must be
         # identical to the pre-save service.
