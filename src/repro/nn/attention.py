@@ -108,19 +108,12 @@ class MultiHeadAttention(Module):
         batch, heads, length, head_dim = x.shape
         return x.transpose(0, 2, 1, 3).reshape(batch, length, heads * head_dim)
 
-    def _attend(
-        self, q: Tensor, k, v, bias: Optional[np.ndarray], keep: Optional[np.ndarray] = None
-    ) -> Tensor:
-        """Score / softmax / weight-sum / merge / output-project.
-
-        ``keep`` is the map's dropout multiplier when drawn beforehand;
-        without one, :attr:`dropout` draws it here.
-        """
+    def _attend(self, q: Tensor, k, v, bias: Optional[np.ndarray]) -> Tensor:
+        """Score / softmax / weight-sum / merge / output-project."""
         # The additive -1e9 bias broadcasts over the head/query axes, so no
         # (batch, heads, query, key) mask is ever materialised.
         scores = q.matmul(k)
-        if keep is None:
-            keep = self.dropout.keep_scale(scores.shape)
+        keep = self.dropout.keep_scale(scores.shape)
         weights = F.attention_weights(scores, 1.0 / math.sqrt(self.head_dim), bias, keep)
         attended = weights.matmul(v)
         return self.out_proj(self._merge_heads(attended))
@@ -132,7 +125,6 @@ class MultiHeadAttention(Module):
         value: Optional[Tensor] = None,
         key_padding_mask: Optional[np.ndarray] = None,
         causal: bool = False,
-        keep: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Compute attention.
 
@@ -146,10 +138,6 @@ class MultiHeadAttention(Module):
             positions that must not be attended to.
         causal:
             If True, position *i* may only attend to positions ``<= i``.
-        keep:
-            The attention map's dropout multiplier ``(batch, heads, query,
-            key)``, drawn beforehand by ``self.dropout.keep_scale``; drawn
-            here when omitted.
         """
         key = query if key is None else key
         value = key if value is None else value
@@ -165,7 +153,7 @@ class MultiHeadAttention(Module):
             key_padding_mask=key_padding_mask,
             causal=causal,
         )
-        return self._attend(q, k.transpose(0, 1, 3, 2), v, bias, keep)
+        return self._attend(q, k.transpose(0, 1, 3, 2), v, bias)
 
     # ------------------------------------------------------------------
     # Incremental decoding

@@ -163,17 +163,11 @@ def dropout(
     rate: float,
     training: bool,
     rng: Optional[np.random.Generator] = None,
-    keep: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Inverted dropout; a no-op when ``training`` is False or ``rate`` is 0.
-
-    ``keep`` is a multiplier of ``x``'s shape drawn beforehand by
-    :func:`keep_scale`; without one the draw happens here.
-    """
+    """Inverted dropout; a no-op when ``training`` is False or ``rate`` is 0."""
     if not training or rate <= 0.0:
         return x
-    if keep is None:
-        keep = keep_scale(x.shape, rate, rng)
+    keep = keep_scale(x.shape, rate, rng)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * keep)

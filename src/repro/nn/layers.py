@@ -100,9 +100,8 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor, keep: Optional[np.ndarray] = None) -> Tensor:
-        """``keep``, when given, is the multiplier :meth:`keep_scale` drew for ``x``."""
-        return F.dropout(x, self.rate, training=self.training, rng=self._rng, keep=keep)
+    def forward(self, x: Tensor) -> Tensor:
+        return F.dropout(x, self.rate, training=self.training, rng=self._rng)
 
     def keep_scale(self, shape) -> Optional[np.ndarray]:
         """The multiplier :meth:`forward` would draw for a ``shape`` array; ``None`` when inert."""
@@ -130,5 +129,5 @@ class FeedForward(Module):
         self.project = Linear(hidden_dim, model_dim, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor, keep: Optional[np.ndarray] = None) -> Tensor:
-        return self.dropout(self.project(F.gelu(self.expand(x))), keep=keep)
+    def forward(self, x: Tensor) -> Tensor:
+        return self.dropout(self.project(F.gelu(self.expand(x))))

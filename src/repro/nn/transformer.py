@@ -4,11 +4,15 @@ The encoders stand in for BERT in the BLINK-style bi-encoder and
 cross-encoder, and the encoder-decoder pair stands in for T5 in the mention
 rewriter.
 
-:meth:`TransformerEncoder.encode` never runs a row past its last real token:
-with or without a graph it follows the chunk plan of
-:func:`repro.nn.inference.plan_chunks`.  In train mode its dropout masks are
-drawn at the padded shape in :meth:`TransformerEncoder.forward`'s order, so the
-padded forward and the chunked one train along the same trajectory.
+:meth:`TransformerEncoder.encode` is the arithmetic of
+:mod:`repro.nn.inference`, with or without a graph: it never runs a row past
+its last real token, and with gradients enabled it is one graph node whose
+backward is written out.  In train mode its dropout masks are drawn at the
+padded shape in :meth:`TransformerEncoder.forward`'s order, so the padded
+forward and the chunked one train along the same trajectory.  ``forward``,
+the decoder and the layers below stay ``Tensor`` modules: the seq2seq
+rewriter trains through them, and they are the oracle ``encode`` is tested
+against.
 """
 
 from __future__ import annotations
@@ -21,23 +25,13 @@ import numpy as np
 from . import functional as F
 from . import init
 from .attention import KVCache, MultiHeadAttention
-from .inference import plan_chunks, pooled_encode
+from .inference import Tape, encode_backward, pooled_encode
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
-from .tensor import Tensor, concatenate, is_grad_enabled
+from .tensor import Tensor, is_grad_enabled
 
 #: An encoder layer's dropout multipliers: attention map, residual, feed-forward.
 Keeps = Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
-
-
-def _chunk_keep(keep: Optional[np.ndarray], rows: np.ndarray, length: int) -> Optional[np.ndarray]:
-    """A multiplier drawn at the padded shape, cut to one chunk: its rows,
-    every position axis trimmed to ``length``."""
-    if keep is None:
-        return None
-    if keep.ndim == 4:  # an attention map: (rows, heads, queries, keys)
-        return keep[rows, :, :length, :length]
-    return keep[rows, :length]
 
 
 class PositionalEmbedding(Module):
@@ -112,16 +106,10 @@ class TransformerEncoderLayer(Module):
             self.feed_forward.dropout.keep_scale((rows, width, dim)),
         )
 
-    def forward(
-        self, x: Tensor, padding_mask: Optional[np.ndarray] = None, keeps: Keeps = (None, None, None)
-    ) -> Tensor:
-        """``keeps``, when given, are :meth:`keep_scales` for ``x``'s shape."""
-        attention_keep, residual_keep, feed_forward_keep = keeps
-        attended = self.self_attention(
-            self.norm_attention(x), key_padding_mask=padding_mask, keep=attention_keep
-        )
-        x = x + self.dropout(attended, keep=residual_keep)
-        x = x + self.feed_forward(self.norm_feed_forward(x), keep=feed_forward_keep)
+    def forward(self, x: Tensor, padding_mask: Optional[np.ndarray] = None) -> Tensor:
+        attended = self.self_attention(self.norm_attention(x), key_padding_mask=padding_mask)
+        x = x + self.dropout(attended)
+        x = x + self.feed_forward(self.norm_feed_forward(x))
         return x
 
 
@@ -177,43 +165,42 @@ class TransformerEncoder(Module):
     def encode(self, token_ids: np.ndarray) -> Tensor:
         """Return a pooled (mean over real tokens) representation per sequence.
 
-        Both bodies run the chunk plan of :func:`repro.nn.inference.plan_chunks`.
-        With gradients disabled and the module in eval mode that is the
-        graph-free :func:`~repro.nn.inference.pooled_encode`; otherwise
-        (training, or dropout active) each chunk runs through the ``Tensor``
-        modules below, trimmed to its longest row, and equals :meth:`forward`
-        followed by a masked mean up to rounding.  A row with no real token
-        is in no chunk and pools to a constant zero vector.
+        Runs :func:`repro.nn.inference.pooled_encode`, the chunked forward that
+        equals :meth:`forward` followed by a masked mean up to rounding; a row
+        with no real token pools to a constant zero vector.  With gradients
+        enabled the result is **one** graph node whose parents are this
+        encoder's parameters: the forward records its activations and the
+        node's backward is :func:`~repro.nn.inference.encode_backward`.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
-        if not (is_grad_enabled() or self.training):
-            return Tensor(pooled_encode(self, token_ids))
-        rows, width = token_ids.shape
-        self.position_embedding.rows(width)  # the padded width must fit, as in forward()
-        # Every dropout site draws once at the padded shape, in forward()'s
-        # order, before any chunk runs, so a seeded generator follows the
-        # trajectory forward() would; each chunk multiplies by its own slice.
-        embedding_keep = self.dropout.keep_scale((rows, width, self.model_dim))
-        layer_keeps = [layer.keep_scales(rows, width) for layer in self.layers]
-        real = token_ids != self.padding_idx
-        plan = plan_chunks(real)
-        pooled = []
-        for chunk, length in plan:
-            tokens = real[chunk, :length]
-            hidden = self.token_embedding(token_ids[chunk, :length]) + self.position_embedding(length)
-            hidden = self.dropout(hidden, keep=_chunk_keep(embedding_keep, chunk, length))
-            for layer, keeps in zip(self.layers, layer_keeps):
-                chunk_keeps = tuple(_chunk_keep(k, chunk, length) for k in keeps)
-                hidden = layer(hidden, padding_mask=~tokens, keeps=chunk_keeps)
-            weights = tokens / tokens.sum(axis=1, keepdims=True)
-            pooled.append((self.final_norm(hidden) * Tensor(weights[:, :, None])).sum(axis=1))
-        # All-padding rows are in no chunk: they pool to the zero vector.
-        empty = np.flatnonzero(~real.any(axis=1))
-        pooled.append(Tensor(np.zeros((len(empty), self.model_dim))))
-        order = np.concatenate([chunk for chunk, _ in plan] + [empty])
-        return concatenate(pooled)[np.argsort(order)]
+        keeps = None
+        if self.training:
+            rows, width = token_ids.shape
+            self.position_embedding.rows(width)  # the padded width must fit, as in forward()
+            # Every dropout site draws once at the padded shape, in forward()'s
+            # order, before any chunk runs, so a seeded generator follows the
+            # trajectory forward() would; each chunk multiplies by its own slice.
+            keeps = (
+                self.dropout.keep_scale((rows, width, self.model_dim)),
+                [layer.keep_scales(rows, width) for layer in self.layers],
+            )
+        parameters = ()
+        if is_grad_enabled():
+            parameters = tuple(p for p in self.parameters() if p.requires_grad)
+        if not parameters:
+            return Tensor(pooled_encode(self, token_ids, keeps))
+        tape: Tape = []
+        pooled = pooled_encode(self, token_ids, keeps, tape)
+
+        def backward(grad: np.ndarray) -> None:
+            gradients = encode_backward(self, tape, grad)
+            for parameter in parameters:
+                if id(parameter) in gradients:
+                    parameter._accumulate(gradients[id(parameter)])
+
+        return Tensor(pooled, requires_grad=True, _parents=parameters, _backward=backward)
 
 
 @dataclass

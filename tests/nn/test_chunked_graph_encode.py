@@ -1,14 +1,15 @@
 """The graph ``encode`` (training, or dropout active) against the padded forward.
 
-With gradients enabled, ``TransformerEncoder.encode`` runs the chunk plan of
-the graph-free kernel through the ``Tensor`` modules: rows ordered by extent,
-chunks of ``_CHUNK_ROWS`` trimmed to their longest row.  The oracle here is
-what ``encode`` was before it did: ``forward()`` at the padded width followed
-by a masked mean, written out.  Trailing padding is masked out of every
-attention map, so the two are one function up to the order of sums.  In
-train mode every dropout mask is drawn at the padded shape in ``forward()``'s
-order, so a seeded generator ends in the same state and a seeded training run
-follows the same trajectory.
+With gradients enabled, ``TransformerEncoder.encode`` is one graph node: the
+graph-free kernel's chunked forward (rows ordered by extent, chunks of
+``_CHUNK_ROWS`` trimmed to their longest row) recording its activations, and
+a written-out backward.  The oracle here is what ``encode`` was before it
+chunked: ``forward()`` through the ``Tensor`` modules at the padded width,
+followed by a masked mean, written out.  Trailing padding is masked out of
+every attention map, so the two are one function up to the order of sums.
+In train mode every dropout mask is drawn at the padded shape in
+``forward()``'s order, so a seeded generator ends in the same state and a
+seeded training run follows the same trajectory.
 """
 
 from dataclasses import replace
@@ -27,7 +28,6 @@ from repro.linking import (
     build_ranking_examples,
 )
 from repro.nn import Tensor, TransformerEncoder, inference
-from repro.nn import functional as F
 from repro.nn.tensor import is_grad_enabled
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
@@ -119,14 +119,17 @@ def test_no_attention_map_is_wider_than_its_chunks_longest_row(monkeypatch):
         ids[row, :length] = rng.integers(1, VOCAB, size=length)
     encoder = make_encoder(layers=2, seed=0, max_length=24).train()
 
+    # The node records each chunk's attention map for its backward: observe
+    # the buffers it files under "scores".
     maps = []
-    attention_weights = F.attention_weights
+    kept = inference._Workspace.kept
 
-    def observing(scores, *args):
-        maps.append(scores.shape)
-        return attention_weights(scores, *args)
+    def observing(self, record, name, *shape, **scratch):
+        if name == "scores" and record is not None:
+            maps.append(shape)
+        return kept(self, record, name, *shape, **scratch)
 
-    monkeypatch.setattr(F, "attention_weights", observing)
+    monkeypatch.setattr(inference._Workspace, "kept", observing)
     encoder.encode(ids).sum().backward()
     monkeypatch.undo()
 

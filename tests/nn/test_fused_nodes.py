@@ -5,12 +5,17 @@
 ``MultiHeadAttention._attend``; the compositions are written out here as the
 references.  With dropout generators seeded alike the masks are the same
 draw, so outputs and every input gradient must agree to rounding.
+
+``TransformerEncoder.encode`` with gradients enabled is one node whose
+backward is written out (``repro.nn.inference.encode_backward``); it is held
+to central differences of its own graph-free forward, independently of the
+padded oracle of ``test_chunked_graph_encode.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Linear, Tensor, no_grad
+from repro.nn import Dropout, Linear, Tensor, TransformerEncoder, inference, no_grad
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, _causal_bias
 from repro.nn.module import Parameter
@@ -203,3 +208,53 @@ class TestDropout:
         weight = Parameter(np.ones((2, 3)))
         F.dropout(weight, 0.5, training=True, rng=np.random.default_rng(0)).sum().backward()
         assert set(np.unique(weight.grad)) <= {0.0, 2.0}
+
+
+# ----------------------------------------------------------------------
+# TransformerEncoder.encode: one node, its backward written out
+# ----------------------------------------------------------------------
+def _encoder_inputs():
+    """Rows either side of a chunk boundary (equal lengths split across two
+    chunks), interior padding, and a row with no real token."""
+    chunk = inference._CHUNK_ROWS
+    lengths = [6] * (chunk - 1) + [5, 5, 3, 1, 0]
+    rng = np.random.default_rng(3)
+    rng.shuffle(lengths)
+    ids = np.zeros((len(lengths), 6), dtype=np.int64)
+    for row, length in enumerate(lengths):
+        ids[row, :length] = rng.integers(1, 11, size=length)
+    ids[::3, 2] = 0  # interior padding: masked, inside the row's extent
+    return ids
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_encoder_node_matches_central_differences(training):
+    encoder = TransformerEncoder(
+        vocab_size=11, model_dim=4, num_layers=2, num_heads=2, hidden_dim=6, max_length=7,
+        dropout=0.3, seed=3,
+    ).train(training)
+    rng = np.random.default_rng(4)
+    for parameter in encoder.parameters():
+        parameter.data = parameter.data + 0.3 * rng.standard_normal(parameter.shape)
+    ids = _encoder_inputs()
+    upstream = rng.standard_normal((len(ids), 4))
+    # Every dropout site draws from the one generator: restoring its state
+    # before each evaluation fixes the masks.
+    generator = encoder.dropout._rng
+    state = generator.bit_generator.state
+
+    def loss():
+        generator.bit_generator.state = state
+        with no_grad():
+            return float((encoder.encode(ids).data * upstream).sum())
+
+    generator.bit_generator.state = state
+    pooled = encoder.encode(ids)
+    assert pooled._parents == tuple(encoder.parameters())
+    pooled.backward(upstream)
+    numeric = [finite_difference(lambda _: loss(), p.data) for p in encoder.parameters()]
+    # Against the largest gradient of all: the key bias's is zero by symmetry
+    # (it shifts a whole softmax row), so differences there are pure noise.
+    scale = max(np.abs(gradient).max() for gradient in numeric)
+    for parameter, gradient in zip(encoder.parameters(), numeric):
+        assert np.abs(parameter.grad - gradient).max() <= 1e-6 * scale

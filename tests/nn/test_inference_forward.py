@@ -1,13 +1,12 @@
 """The graph-free inference forward against the autograd forward it mirrors.
 
-``TransformerEncoder.encode`` runs :mod:`repro.nn.inference` under ``no_grad``
-in eval mode and the same chunk plan through the ``Tensor`` modules otherwise
-(``test_chunked_graph_encode.py`` holds that body to the padded forward).  They are two
-implementations of one function; these tests are what keeps them from
-drifting.  The reference is always ``encode`` called with gradients enabled
-on the same module.  The last test counts ``Tensor`` nodes and attention
-widths instead of timing, so a return to the padded node-per-op route fails
-on any machine.
+``TransformerEncoder.encode`` runs :mod:`repro.nn.inference` with or without
+gradients (``test_chunked_graph_encode.py`` holds the recording call and its
+backward to the padded forward).  The reference here is the padded
+``Tensor``-module forward on the same module followed by a masked mean: two
+implementations of one function, and these tests are what keeps them from
+drifting.  The last test counts ``Tensor`` nodes and attention widths instead
+of timing, so a return to the padded node-per-op route fails on any machine.
 """
 
 import sys
@@ -53,7 +52,10 @@ def fused(encoder, ids):
 
 
 def reference(encoder, ids):
-    return encoder.encode(ids).data
+    """``forward()`` at the padded width, then the mean over real tokens."""
+    hidden = encoder.forward(ids).data
+    real = (ids != encoder.padding_idx).astype(np.float64)
+    return np.einsum("rl,rld->rd", real / np.maximum(real.sum(axis=1, keepdims=True), 1.0), hidden)
 
 
 # ----------------------------------------------------------------------
