@@ -8,13 +8,16 @@ implementation of that search, for a flat index and for every shard of a
 
 **State.**  Everything a search reads lives in one frozen
 :class:`ShardState`: the main float64 embedding matrix (possibly
-memory-mapped), a *pending tail* of rows added since the last compaction,
-the entity at every position, an alive mask (``False`` = tombstone), the
-id → position map and, for a celled shard, the coarse cells.  A search pins the state once and takes
-scores, positions *and entities* from it; mutations build a new state
-(copy-on-write of the parts they touch) under the shard lock and publish it
-with one reference assignment, so a search never sees half a mutation and
-never resolves a position against a different generation.
+memory-mapped) with its entities and id → position map, a *pending tail* of
+rows added since the last compaction with its entities, an alive mask
+(``False`` = tombstone), the ids moved since the last compaction and, for a
+celled shard, the coarse cells.  A search pins the state once and takes
+scores, positions *and entities* from it; mutations build a new state under
+the shard lock and publish it with one reference assignment, so a search
+never sees half a mutation and never resolves a position against a
+different generation.  A mutation copies only what writes grow — the tail,
+the alive mask and the small map of moved ids — and shares the main matrix,
+entities and id map with every other state of its generation.
 
 **Coarse stage**, fixed at build time by the ``cells`` argument:
 
@@ -41,6 +44,7 @@ searches of an unchanged shard are identical.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -333,6 +337,10 @@ class IVFBackend:
     name: str = "ivf"
 
 
+#: ``ShardState.moved``'s value for an id removed since the generation began.
+_REMOVED = -1
+
+
 @dataclass(frozen=True)
 class ShardState:
     """One immutable publication of a shard; a search reads exactly one.
@@ -342,13 +350,25 @@ class ShardState:
     lifetime of a generation: removals only clear ``alive``, additions only
     append.  :meth:`EntityShard.compact` starts a new generation with fresh
     positions.
+
+    A generation fixes ``storage``, ``entities``, ``id_to_position`` (the id
+    of every main row → its row) and the cells; every state of that
+    generation shares these objects and none of them is ever mutated.
+    Writes grow the rest: the pending tail (``pending_vectors`` and
+    ``pending_entities``), the alive mask, and ``moved``, the ids whose
+    position changed since the generation began (their new position, or
+    ``_REMOVED``).  A write copies only those, so it costs O(tail + moved
+    ids), not O(shard).  :meth:`position_of` is the one
+    id lookup: ``moved`` first, then ``id_to_position``.
     """
 
-    storage: np.ndarray            # (num_main, dim) float64, possibly np.memmap
-    pending_vectors: np.ndarray    # (num_pending, dim) float64
-    entities: np.ndarray           # (num_main + num_pending,) object: Entity
-    alive: np.ndarray              # (num_main + num_pending,) bool
-    id_to_position: Dict[str, int]
+    storage: np.ndarray             # (num_main, dim) float64, possibly np.memmap
+    entities: np.ndarray            # (num_main,) object: Entity
+    id_to_position: Dict[str, int]  # main rows' ids -> row
+    pending_vectors: np.ndarray     # (num_pending, dim) float64
+    pending_entities: np.ndarray    # (num_pending,) object: Entity
+    alive: np.ndarray               # (num_main + num_pending,) bool
+    moved: Dict[str, int]           # id -> position, or _REMOVED, since the generation
     generation: int = 0
     centroids: Optional[np.ndarray] = None   # (num_cells, dim); None = exhaustive
     members: Optional[np.ndarray] = None     # (num_main,) concatenated cell lists
@@ -357,6 +377,28 @@ class ShardState:
     @property
     def num_main(self) -> int:
         return len(self.storage)
+
+    def position_of(self, entity_id: str) -> Optional[int]:
+        """Position of a live entity in this state; None if it is not live."""
+        position = self.moved.get(entity_id)
+        if position is None:
+            return self.id_to_position.get(entity_id)
+        return None if position == _REMOVED else position
+
+    def entity_at(self, position: int) -> Entity:
+        if position < self.num_main:
+            return self.entities[position]
+        return self.pending_entities[position - self.num_main]
+
+    def entities_at(self, positions: np.ndarray) -> np.ndarray:
+        """Object array of the entities at ``positions``; ``None`` at ``-1``."""
+        num_main = self.num_main
+        entities = np.empty(positions.shape, dtype=object)
+        main = (positions >= 0) & (positions < num_main)
+        tail = positions >= num_main
+        entities[main] = self.entities[positions[main]]
+        entities[tail] = self.pending_entities[positions[tail] - num_main]
+        return entities
 
     def vector_at(self, position: int) -> np.ndarray:
         if position < self.num_main:
@@ -377,27 +419,36 @@ def _aligned_rows(entities: List[Entity], vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def reject_repeated_ids(entity_ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming every id that occurs more than once."""
+    repeated = sorted(i for i, count in Counter(entity_ids).items() if count > 1)
+    if repeated:
+        raise ValueError(f"entity ids named more than once: {repeated}")
+
+
 def _with_tail(
     state: ShardState,
     entities: List[Entity],
     vectors: np.ndarray,
     alive: np.ndarray,
-    id_to_position: Dict[str, int],
 ) -> ShardState:
     """``state`` with ``entities`` appended to the pending tail.
 
-    ``alive`` and ``id_to_position`` replace the state's: the caller's
-    private copy of the map, and its mask already carrying any tombstones.
+    ``alive`` replaces the state's mask: the caller's, already carrying any
+    tombstones.
     """
-    base = len(state.entities)
+    base = len(alive)
+    moved = dict(state.moved)
     for offset, entity in enumerate(entities):
-        id_to_position[entity.entity_id] = base + offset
+        moved[entity.entity_id] = base + offset
     return replace(
         state,
         pending_vectors=np.concatenate([state.pending_vectors, vectors], axis=0),
-        entities=np.concatenate([state.entities, _entity_array(entities)]),
+        pending_entities=np.concatenate(
+            [state.pending_entities, _entity_array(entities)]
+        ),
         alive=np.concatenate([alive, np.ones(len(entities), dtype=bool)]),
-        id_to_position=id_to_position,
+        moved=moved,
     )
 
 
@@ -433,6 +484,7 @@ class EntityShard:
             raise ValueError("entities and vectors must align")
         if len(entities) == 0:
             raise ValueError("cannot build an index over zero entities")
+        reject_repeated_ids([entity.entity_id for entity in entities])
         vectors = np.asarray(vectors, dtype=np.float64)
         self._configure(block_size, cells)
         self._state = self._generation(_entity_array(entities), vectors, 0)
@@ -452,12 +504,14 @@ class EntityShard:
         """A fresh generation: every row main and alive, cells (if any) built."""
         return ShardState(
             storage=storage,
-            pending_vectors=np.zeros((0, storage.shape[1]), dtype=np.float64),
             entities=entities,
-            alive=np.ones(len(entities), dtype=bool),
             id_to_position={
                 entity.entity_id: position for position, entity in enumerate(entities)
             },
+            pending_vectors=np.zeros((0, storage.shape[1]), dtype=np.float64),
+            pending_entities=_entity_array([]),
+            alive=np.ones(len(entities), dtype=bool),
+            moved={},
             generation=generation,
             **self._cluster(storage),
         )
@@ -490,7 +544,7 @@ class EntityShard:
         return int(self._state.alive.sum())
 
     def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._state.id_to_position
+        return self._state.position_of(entity_id) is not None
 
     @property
     def storage(self) -> np.ndarray:
@@ -515,16 +569,23 @@ class EntityShard:
     def entities(self) -> List[Entity]:
         """Alive entities in position order: main rows, then the pending tail."""
         state = self._state
-        return state.entities[state.alive].tolist()
+        everything = np.concatenate([state.entities, state.pending_entities])
+        return everything[state.alive].tolist()
 
     def entity(self, entity_id: str) -> Entity:
         state = self._state
-        return state.entities[state.id_to_position[entity_id]]
+        position = state.position_of(entity_id)
+        if position is None:
+            raise KeyError(entity_id)
+        return state.entity_at(position)
 
     def vector(self, entity_id: str) -> np.ndarray:
         """Current embedding of one entity (from the main matrix or the tail)."""
         state = self._state
-        return state.vector_at(state.id_to_position[entity_id])
+        position = state.position_of(entity_id)
+        if position is None:
+            raise KeyError(entity_id)
+        return state.vector_at(position)
 
     def stats(self) -> Dict[str, object]:
         state = self._state
@@ -564,9 +625,7 @@ class EntityShard:
         state = self._state
         queries = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
         scores, positions = self._topk(state, queries, k)
-        entities = state.entities[positions]
-        entities[positions < 0] = None
-        return scores, positions, entities
+        return scores, positions, state.entities_at(positions)
 
     def search(self, query_vectors: np.ndarray, k: int) -> List[RetrievalResult]:
         """Top-k inner-product search, one :class:`RetrievalResult` per query.
@@ -700,42 +759,44 @@ class EntityShard:
     def add(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
         """Append entities to the exact pending tail (searchable immediately).
 
-        Duplicates are an error (use :meth:`update`).
+        An id already indexed is an error (use :meth:`update`), and so is an
+        id named twice.
         """
         entities = list(entities)
         vectors = _aligned_rows(entities, vectors)
         if not entities:
             return
+        reject_repeated_ids([entity.entity_id for entity in entities])
         with self._lock:
             state = self._state
             for entity in entities:
-                if entity.entity_id in state.id_to_position:
+                if state.position_of(entity.entity_id) is not None:
                     raise ValueError(
                         f"entity {entity.entity_id!r} already indexed; use update()"
                     )
-            self._state = _with_tail(
-                state, entities, vectors, state.alive, dict(state.id_to_position)
-            )
+            self._state = _with_tail(state, entities, vectors, state.alive)
 
     def remove(self, entity_ids: Sequence[str]) -> None:
         """Tombstone entities; their positions are never returned again.
 
         Removing every entity leaves a legal empty shard (searches return
-        empty results).
+        empty results).  An id named twice is an error.
         """
-        ids = set(entity_ids)
+        ids = list(entity_ids)
         if not ids:
             return
+        reject_repeated_ids(ids)
         with self._lock:
             state = self._state
-            unknown = [i for i in ids if i not in state.id_to_position]
+            positions = [state.position_of(entity_id) for entity_id in ids]
+            unknown = [i for i, position in zip(ids, positions) if position is None]
             if unknown:
                 raise KeyError(f"unknown entities: {sorted(unknown)}")
             alive = state.alive.copy()
-            id_to_position = dict(state.id_to_position)
-            for entity_id in ids:
-                alive[id_to_position.pop(entity_id)] = False
-            self._state = replace(state, alive=alive, id_to_position=id_to_position)
+            alive[positions] = False
+            moved = dict(state.moved)
+            moved.update(dict.fromkeys(ids, _REMOVED))
+            self._state = replace(state, alive=alive, moved=moved)
 
     def update(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
         """Replace entities (same id, new metadata/embedding).
@@ -743,25 +804,24 @@ class EntityShard:
         The old row is tombstoned and the fresh one appended to the exact
         pending tail in *one* state publication, so a concurrent search sees
         either the old row or the new one — never the entity transiently
-        absent.
+        absent.  An id named twice is an error.
         """
         entities = list(entities)
         vectors = _aligned_rows(entities, vectors)
         if not entities:
             return
+        reject_repeated_ids([entity.entity_id for entity in entities])
         with self._lock:
             state = self._state
+            positions = [state.position_of(entity.entity_id) for entity in entities]
             missing = [
-                e.entity_id for e in entities if e.entity_id not in state.id_to_position
+                e.entity_id for e, position in zip(entities, positions) if position is None
             ]
             if missing:
                 raise KeyError(f"unknown entities: {missing}")
             alive = state.alive.copy()
-            for entity in entities:
-                alive[state.id_to_position[entity.entity_id]] = False
-            self._state = _with_tail(
-                state, entities, vectors, alive, dict(state.id_to_position)
-            )
+            alive[positions] = False
+            self._state = _with_tail(state, entities, vectors, alive)
 
     def compact(self) -> int:
         """Fold the pending tail + tombstones into a fresh generation.
@@ -779,16 +839,14 @@ class EntityShard:
                 return state.generation
             keep = np.flatnonzero(state.alive)
             from_main = keep < state.num_main
+            main, tail = keep[from_main], keep[~from_main] - state.num_main
             dense = np.concatenate(
-                [
-                    state.storage[keep[from_main]],
-                    state.pending_vectors[keep[~from_main] - state.num_main],
-                ],
-                axis=0,
+                [state.storage[main], state.pending_vectors[tail]], axis=0
             )
-            self._state = self._generation(
-                state.entities[keep], dense, state.generation + 1
+            entities = np.concatenate(
+                [state.entities[main], state.pending_entities[tail]]
             )
+            self._state = self._generation(entities, dense, state.generation + 1)
             return self._state.generation
 
     # ------------------------------------------------------------------
@@ -808,8 +866,8 @@ class EntityShard:
             # read_snapshot refuses any other value.
             "codec": "float64",
             "generation": state.generation,
-            "entities": [e.to_dict() for e in state.entities[:num_main]],
-            "pending_entities": [e.to_dict() for e in state.entities[num_main:]],
+            "entities": [e.to_dict() for e in state.entities],
+            "pending_entities": [e.to_dict() for e in state.pending_entities],
         }
         arrays: Dict[str, np.ndarray] = {
             "main_alive": state.alive[:num_main],
@@ -862,12 +920,10 @@ class EntityShard:
                 f"unknown shard backend {backend!r} in snapshot "
                 f"(a newer build may have written it)"
             )
-        entities = _entity_array(
-            [
-                Entity.from_dict(payload)
-                for payload in entry["entities"] + entry.get("pending_entities", [])
-            ]
-        )
+        main = [Entity.from_dict(payload) for payload in entry["entities"]]
+        pending = [
+            Entity.from_dict(payload) for payload in entry.get("pending_entities", [])
+        ]
         if "main_alive" in arrays:
             storage = arrays["storage"]
             alive = np.concatenate(
@@ -875,7 +931,7 @@ class EntityShard:
             ).astype(bool)
         else:
             storage = arrays[""]
-            alive = np.ones(len(entities), dtype=bool)
+            alive = np.ones(len(main) + len(pending), dtype=bool)
         shard = cls.__new__(cls)
         shard._configure(block_size, cells)
         if "centroids" in arrays:
@@ -886,19 +942,29 @@ class EntityShard:
             }
         else:
             coarse = shard._cluster(storage)
+        # The saved generation's map covers its main rows; ``moved`` carries
+        # the tombstones and the tail, as the writes since then left them.
+        moved = {
+            entity.entity_id: _REMOVED
+            for entity, live in zip(main + pending, alive)
+            if not live
+        }
+        for offset, entity in enumerate(pending, start=len(main)):
+            if alive[offset]:
+                moved[entity.entity_id] = offset
         shard._state = ShardState(
             storage=storage,
+            entities=_entity_array(main),
+            id_to_position={
+                entity.entity_id: position for position, entity in enumerate(main)
+            },
             pending_vectors=np.array(
                 arrays.get("pending_vectors", np.zeros((0, storage.shape[1]))),
                 dtype=np.float64,
             ),
-            entities=entities,
+            pending_entities=_entity_array(pending),
             alive=alive,
-            id_to_position={
-                entity.entity_id: position
-                for position, entity in enumerate(entities)
-                if alive[position]
-            },
+            moved=moved,
             generation=int(entry.get("generation", 0)),
             **coarse,
         )

@@ -55,7 +55,7 @@ from ..index import (
     read_snapshot,
     write_snapshot,
 )
-from ..index.shard import _sorted_topk
+from ..index.shard import _sorted_topk, reject_repeated_ids
 from ..kb.entity import Entity
 
 EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
@@ -126,13 +126,14 @@ class ShardedEntityIndex:
 
         ``vectors`` is a float64 matrix, possibly memory-mapped — it reaches
         the shard as-is, so its pages stay lazy.  The shard itself is built
-        on first use.
+        on first use.  An entity id named twice is an error.
         """
         if world in self._shards:
             raise ValueError(f"shard {world!r} already exists")
         if vectors is not None and len(vectors) != len(entities):
             raise ValueError("entities and vectors must align")
         members = list(entities)
+        reject_repeated_ids([entity.entity_id for entity in members])
         self._shards[world] = (members, vectors)
         for entity in members:
             self._entity_world[entity.entity_id] = world
@@ -228,11 +229,13 @@ class ShardedEntityIndex:
         Entities route to their ``domain`` shard; unknown domains create a
         new shard.  ``vectors=None`` embeds through the index's ``embed_fn``.
         The rows land in the shard's exact pending tail (linkable
-        immediately, folded into main storage by :meth:`compact`).
+        immediately, folded into main storage by :meth:`compact`).  An id
+        already indexed, or named twice, is an error.
         """
         entities = list(entities)
         if not entities:
             return
+        reject_repeated_ids([entity.entity_id for entity in entities])
         duplicates = [e.entity_id for e in entities if e.entity_id in self._entity_world]
         if duplicates:
             raise ValueError(
@@ -256,6 +259,7 @@ class ShardedEntityIndex:
     def remove_entities(self, entity_ids: Sequence[str]) -> None:
         """Remove entities online (tombstoned until the next :meth:`compact`)."""
         ids = list(entity_ids)
+        reject_repeated_ids(ids)
         unknown = [i for i in ids if i not in self._entity_world]
         if unknown:
             raise KeyError(f"unknown entities: {sorted(unknown)}")
@@ -274,10 +278,14 @@ class ShardedEntityIndex:
         entities: Sequence[Entity],
         vectors: Optional[np.ndarray] = None,
     ) -> None:
-        """Refresh metadata/embeddings of already-indexed entities online."""
+        """Refresh metadata/embeddings of already-indexed entities online.
+
+        An id named twice is an error.
+        """
         entities = list(entities)
         if not entities:
             return
+        reject_repeated_ids([entity.entity_id for entity in entities])
         missing = [e.entity_id for e in entities if e.entity_id not in self._entity_world]
         if missing:
             raise KeyError(f"unknown entities: {missing}")

@@ -4,6 +4,7 @@ Tests that take ``cells`` run on both coarse stages: ``None`` is the
 exhaustive scan, an :class:`IVFBackend` the celled probe.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -16,6 +17,8 @@ from repro.index import (
     IVFBackend,
     default_num_cells,
     kmeans,
+    read_snapshot,
+    write_snapshot,
 )
 from repro.kb import Entity
 from repro.linking import ShardedEntityIndex
@@ -322,10 +325,11 @@ class TestMutation:
         def hammer():
             while not stop.is_set():
                 state = shard._state
-                if target.entity_id not in state.id_to_position or not (
-                    len(state.entities)
-                    == len(state.alive)
-                    == len(state.storage) + len(state.pending_vectors)
+                if (
+                    state.position_of(target.entity_id) is None
+                    or len(state.entities) != len(state.storage)
+                    or len(state.pending_entities) != len(state.pending_vectors)
+                    or len(state.alive) != len(state.storage) + len(state.pending_vectors)
                 ):
                     broken.append(True)
                     return
@@ -422,3 +426,217 @@ class TestShardedMutation:
         )
         generations = index.compact()
         assert generations == {"a": 1}  # "b" was never searched, so never built
+
+
+class TestRepeatedIds:
+    """A call naming one entity id twice is refused before anything is
+    published (it used to leave two live rows for one id, or remove an id
+    and then raise on its second mention)."""
+
+    def test_shard_constructor(self, kb):
+        entities, vectors = kb
+        with pytest.raises(ValueError, match="w:3"):
+            EntityShard(entities[:5] + [entities[3]], vectors[:6])
+
+    @BOTH_STAGES
+    def test_add_update_remove(self, kb, cells):
+        entities, vectors = kb
+        shard = EntityShard(entities[:100], vectors[:100], cells=cells)
+        before = shard._state
+        fresh = entities[100]
+        with pytest.raises(ValueError, match="w:100"):
+            shard.add([fresh, fresh], vectors[100:102])
+        with pytest.raises(ValueError, match="w:7"):
+            shard.update([entities[7], entities[8], entities[7]], vectors[:3])
+        with pytest.raises(ValueError, match="w:9"):
+            shard.remove(["w:9", "w:9"])
+        assert shard._state is before
+        assert fresh.entity_id not in shard and "w:9" in shard
+        assert len(shard) == 100
+
+    def test_sharded_index(self):
+        rng = np.random.default_rng(2)
+        entities = make_entities("a", 10)
+        index = ShardedEntityIndex()
+        with pytest.raises(ValueError, match="a:1"):
+            index.add_shard("a", entities + [entities[1]], rng.normal(size=(11, 4)))
+        assert index.num_shards == 0 and "a:1" not in index
+
+        index.add_shard("a", entities, rng.normal(size=(10, 4)))
+        new = Entity(entity_id="b:0", title="n", description="d", domain="b")
+        with pytest.raises(ValueError, match="b:0"):
+            index.add_entities([new, new], rng.normal(size=(2, 4)))
+        with pytest.raises(ValueError, match="a:2"):
+            index.update_entities([entities[2], entities[2]], rng.normal(size=(2, 4)))
+        with pytest.raises(ValueError, match="a:4"):
+            index.remove_entities(["a:4", "a:5", "a:4"])
+        assert "b:0" not in index and "b" not in index.worlds()
+        assert "a:4" in index and "a:5" in index and len(index) == 10
+        found = index.search(index.vector("a:4"), k=10)[0].entity_ids
+        assert sorted(found) == sorted(e.entity_id for e in entities)
+
+
+@BOTH_STAGES
+class TestWriteCopiesOnlyWhatItChanges:
+    """Every state of a generation shares its id map, main entity array and
+    main matrix; a write's own map holds only the ids it moved.  A write that
+    copies whole-shard structures again fails here, with no timing."""
+
+    def test_states_share_the_generation(self, cells):
+        rng = np.random.default_rng(5)
+        entities = make_entities("w", 10_000)
+        shard = EntityShard(entities, rng.normal(size=(10_000, 8)), cells=cells)
+        base = shard._state
+        added = Entity(entity_id="w:new", title="n", description="d", domain="w")
+        touched = set()
+        writes = [
+            (lambda: shard.add([added], rng.normal(size=(1, 8))), added.entity_id),
+            (lambda: shard.update([entities[17]], rng.normal(size=(1, 8))), "w:17"),
+            (lambda: shard.remove(["w:4242"]), "w:4242"),
+            (lambda: shard.remove([added.entity_id]), added.entity_id),
+        ]
+        for write, entity_id in writes:
+            previous = shard._state
+            write()
+            state = shard._state
+            touched.add(entity_id)
+            assert state is not previous
+            assert state.id_to_position is base.id_to_position
+            assert state.entities is base.entities
+            assert state.storage is base.storage
+            assert set(state.moved) == touched
+        assert len(shard) == 9_999 and "w:4242" not in shard
+        assert shard.entity("w:17") is entities[17]
+
+        shard.compact()
+        state = shard._state
+        assert state.moved == {}
+        assert state.id_to_position is not base.id_to_position
+        assert len(state.id_to_position) == len(state.entities) == 9_999
+        assert state.position_of("w:17") == 9_998  # the updated row, now last
+
+    def test_a_restored_shard_keeps_the_layout(self, cells, tmp_path):
+        """Save → load gives the base map of the main rows and the same
+        ``moved`` the writes left; a write after the load shares the loaded
+        base as any other write does."""
+        rng = np.random.default_rng(7)
+        entities = make_entities("w", 500)
+        shard = EntityShard(entities, rng.normal(size=(500, 8)), cells=cells)
+        base = shard._state
+        added = Entity(entity_id="w:new", title="n", description="d", domain="w")
+        shard.add([added], rng.normal(size=(1, 8)))
+        shard.update([entities[17]], rng.normal(size=(1, 8)))
+        shard.remove(["w:42", added.entity_id])
+        saved = shard._state
+        write_snapshot(tmp_path, {}, [shard.export()])
+        _, [record] = read_snapshot(tmp_path, mmap=True)
+        loaded = EntityShard.restore(*record, cells=cells)
+        state = loaded._state
+        assert state.id_to_position == base.id_to_position
+        assert state.moved == saved.moved == {
+            "w:new": -1, "w:42": -1, "w:17": 500 + 1,
+        }
+        assert loaded.entities() == shard.entities()
+
+        loaded.update([entities[3]], rng.normal(size=(1, 8)))
+        after = loaded._state
+        assert after.id_to_position is state.id_to_position
+        assert after.entities is state.entities
+        assert set(after.moved) == set(saved.moved) | {"w:3"}
+        assert loaded.entity("w:17") is not None and "w:42" not in loaded
+
+    def test_search_resolves_main_and_tail_positions(self, kb, queries, cells):
+        entities, vectors = kb
+        shard = EntityShard(entities, vectors, cells=cells)
+        fresh = make_entities("x", 3)
+        shard.add(fresh, np.random.default_rng(6).normal(size=(3, 16)))
+        shard.update([entities[5]], vectors[5:6] * 2.0)
+        shard.remove([entities[6].entity_id, fresh[1].entity_id])
+        state = shard._state
+        _, positions, found = shard.search_arrays(queries, k=500)
+        for position, entity in zip(positions.ravel(), found.ravel()):
+            if position < 0:
+                assert entity is None
+            else:
+                assert entity is state.entity_at(int(position))
+                assert state.position_of(entity.entity_id) == position
+        if cells is None:  # the exhaustive stage returns every live entity
+            alive = {e.entity_id for e in shard.entities()}
+            assert all({e.entity_id for e in row} == alive for row in found)
+            assert len(alive) == len(entities) + 3 - 2
+
+
+class TestConcurrentLookups:
+    @BOTH_STAGES
+    def test_lookups_beside_writes_and_compaction(self, cells):
+        """``entity()`` / ``vector()`` / ``in`` each read one state: an id
+        the writer never removes always resolves, to itself, and an id it
+        churns raises nothing but ``KeyError``.  A pinned state stays
+        consistent while later writes publish: its live ids are exactly its
+        alive rows, each at a distinct position holding that entity."""
+        rng = np.random.default_rng(8)
+        dim = 8
+        stable = make_entities("s", 120)
+        shard = EntityShard(stable, rng.normal(size=(120, dim)), cells=cells)
+        churned = []
+        problems = []
+        checks = [0]
+        stop = threading.Event()
+
+        def lookups():
+            while not stop.is_set():
+                for entity in stable[checks[0] % 7::7]:
+                    if entity.entity_id not in shard:
+                        problems.append(f"{entity.entity_id} missing")
+                    if shard.entity(entity.entity_id) is not entity:
+                        problems.append(f"{entity.entity_id} resolved elsewhere")
+                    if shard.vector(entity.entity_id).shape != (dim,):
+                        problems.append(f"{entity.entity_id} vector shape")
+                for entity in churned[-20:]:
+                    try:
+                        entity.entity_id in shard
+                        shard.entity(entity.entity_id)
+                        shard.vector(entity.entity_id)
+                    except KeyError:
+                        pass
+                state = shard._state
+                live = {}
+                for entity_id in [*state.id_to_position, *state.moved]:
+                    position = state.position_of(entity_id)
+                    if position is not None:
+                        live[position] = entity_id
+                        if state.entity_at(position).entity_id != entity_id:
+                            problems.append(f"{entity_id} stale at {position}")
+                if sorted(live) != np.flatnonzero(state.alive).tolist():
+                    problems.append("live ids disagree with the alive rows")
+                checks[0] += 1
+
+        def read():
+            try:
+                lookups()
+            except Exception as error:  # a dead reader must fail the test
+                problems.append(f"reader died: {error!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over often: more interleavings
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            round_ = 0
+            while (checks[0] < 300 or round_ < 100) and round_ < 5000 and reader.is_alive():
+                batch = make_entities(f"c{round_}", 2)
+                churned.extend(batch)
+                shard.add(batch, rng.normal(size=(2, dim)))
+                shard.update(stable[round_ % 40::40], rng.normal(size=(3, dim)))
+                shard.remove([batch[0].entity_id])
+                if round_ % 5 == 4:
+                    shard.compact()
+                round_ += 1
+        finally:
+            stop.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not problems, problems[:5]
+        assert checks[0] >= 300
+        assert len(shard) == 120 + round_
