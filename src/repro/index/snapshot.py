@@ -3,8 +3,9 @@
 **One snapshot** is a directory: a JSON manifest (``format_version`` 2, the
 index settings, one entry per shard in shard order) plus one raw ``.npy``
 per array under ``arrays/``, named ``shard_<position>__<key>`` — raw files
-can be opened with ``mmap_mode="r"``, so forked serving replicas share a
-snapshot's pages instead of each copying the matrices.  A shard entry and
+can be opened with ``mmap_mode="r"``, so a serving pool loads a snapshot
+once and reads its pages on first touch instead of copying the matrices
+up front.  A shard entry and
 its arrays are whatever :meth:`EntityShard.export
 <repro.index.shard.EntityShard.export>` produced (a cold shard has an entry
 and no arrays); this module only moves them to and from disk.
@@ -128,8 +129,8 @@ def read_snapshot(
 
     If ``path`` is a generation store (contains a ``CURRENT`` marker) the
     current generation is read.  ``mmap=True`` opens every array with
-    ``mmap_mode="r"`` — pages load on first touch and are shared between
-    forked processes.
+    ``mmap_mode="r"`` — pages load on first touch, and the arrays are
+    read-only views of the files.
     """
     path = Path(path)
     if not (path / SNAPSHOT_MANIFEST).exists() and (path / CURRENT_MARKER).exists():

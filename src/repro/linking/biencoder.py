@@ -172,9 +172,11 @@ class BiEncoder(Module):
         callable; this rebinds ``embed_fn`` to this bi-encoder so still-cold
         shards can materialise lazily after a process restart.
 
-        ``mmap=True`` opens the snapshot arrays with ``mmap_mode="r"`` so
-        forked replica processes share the embedding pages; ``backend``
-        clusters exhaustive-saved shards into cells at load.
+        ``mmap=True`` opens the snapshot arrays with ``mmap_mode="r"``: the
+        embedding pages are read on first touch, and a replica pool built
+        over the index loads it once and restarts a replica without a
+        reload; ``backend`` clusters exhaustive-saved shards into cells at
+        load.
 
         Example::
 

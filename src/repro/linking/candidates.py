@@ -361,8 +361,8 @@ class ShardedEntityIndex:
         the persisted value when given.
 
         ``mmap=True`` opens every array with ``mmap_mode="r"`` — embedding
-        pages load on first touch and are shared between forked replica
-        processes, and the scan reads them block by block, never whole.
+        pages load on first touch, and the scan reads them block by block,
+        never whole.
         ``backend`` clusters *exhaustive-saved* shards into cells at load
         and builds cold ones with it later; shards saved with cells restore
         them regardless.

@@ -17,12 +17,10 @@ cross-encoder reranking) into a production-shaped serving path:
   :class:`~repro.serving.stages.PipelineBatch` carrier they transform.
 * :mod:`repro.serving.cluster` — the multi-worker tier: a
   :class:`~repro.serving.cluster.ReplicaPool` of ``LinkingService``
-  replicas over pipeline clones (the last slots optionally
-  :class:`~repro.serving.cluster.ProcessReplica`, the subclass whose
-  pipeline runs in a forked worker) behind a
+  replicas, each over a clone of one pipeline, behind a
   :class:`~repro.serving.cluster.Router` with world-affinity dispatch,
   least-pending balancing, admission control (explicit
-  :class:`~repro.serving.cluster.RejectedError` sheds) and automatic requeue
+  :class:`~repro.serving.service.RejectedError` sheds) and automatic requeue
   from dead replicas, plus :class:`~repro.serving.cluster.FaultEvent`
   injuries for chaos testing.  Its counters are read through
   ``router.stats.snapshot()``.
@@ -58,7 +56,6 @@ from .cluster import (
     BreakerOpenError,
     ClusterStats,
     FaultEvent,
-    ProcessReplica,
     ReplicaPool,
     Router,
 )
@@ -111,7 +108,6 @@ __all__ = [
     "LinkingService",
     "OverCapacityError",
     "PipelineStats",
-    "ProcessReplica",
     "RejectedError",
     "ReplicaDiedError",
     "ReplicaPool",

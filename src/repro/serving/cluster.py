@@ -11,13 +11,9 @@ service.  This module scales serving out to N of them:
   :class:`~repro.serving.service.FaultInjector` (``replica.faults``, where
   the chaos tests slow or freeze it) and its ``drain`` / ``kill`` live on
   the service itself.
-* :class:`ProcessReplica` — a ``LinkingService`` whose pipeline runs in a
-  forked worker *process*; batches cross a pipe, faults and batching stay
-  on the parent side, so every lifecycle/fault path behaves identically (a
-  batch's run time includes the pipe round trip).
-* :class:`ReplicaPool` — owns the replica slots and their factories, names
-  each replica, and drains, restarts (a fresh clone from the shared
-  snapshot state) or kills them.
+* :class:`ReplicaPool` — owns the replica slots and the pipeline they
+  clone, names each replica, and drains, restarts (a fresh clone over the
+  shared snapshot state) or kills them.
 * :class:`Router` — the front door over the pool.  Its own surface
   (``submit(mention, request_class, deadline)`` / ``warm_up`` / ``close`` /
   ``pending`` / ``stats``, a :class:`ClusterStats`) adds:
@@ -54,27 +50,21 @@ Example::
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..kb.entity import Mention
-from .pipeline import EntityLinkingPipeline, LatencyWindow, LinkingResult, PipelineStats
-# The lifecycle constants, FaultInjector and ReplicaDiedError live with the
-# service and stay importable from here.
-from .service import (  # noqa: F401
+from .pipeline import EntityLinkingPipeline, LatencyWindow, LinkingResult
+from .service import (
     DEAD,
     DRAINING,
-    FAULT_POLL_SECONDS,
     HEALTHY,
-    STOPPED,
     DeadlineExpiredError,
-    FaultInjector,
     LinkingService,
     OverCapacityError,
     RejectedError,
@@ -96,152 +86,6 @@ class BreakerOpenError(RejectedError):
     failing, so bouncing the request between them only adds load.  Callers
     should back off and retry after the breaker cooldown.
     """
-
-
-# ----------------------------------------------------------------------
-# Process-backed replica
-# ----------------------------------------------------------------------
-def _process_worker_main(conn, pipeline: EntityLinkingPipeline) -> None:
-    """Loop of the worker process: receive a batch, link it, send results."""
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "stop":
-                break
-            if kind == "degrade":
-                # Fire-and-forget control message: messages are handled in
-                # order, so the next batch already runs in the new mode.
-                pipeline.set_degraded(message[1])
-            elif kind == "batch":
-                try:
-                    conn.send(("results", pipeline.link(message[1])))
-                except Exception as error:  # surface, do not kill the worker
-                    conn.send(("error", f"{type(error).__name__}: {error}"))
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass  # parent went away or terminated us — nothing left to serve
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-class _PipelineProxy:
-    """Parent-side stand-in for a pipeline living in a worker process.
-
-    Implements exactly the surface :class:`LinkingService` uses — ``link``,
-    ``stats``, ``batch_size``, ``index``, ``set_degraded`` — so the proxy
-    slots into the same scheduler/fault machinery as an in-process
-    pipeline.  One batch is in flight per worker at a time; the reply wait
-    polls the child's liveness so a terminated worker turns into
-    :class:`ReplicaDiedError` (which the router treats as retryable)
-    instead of a hang.
-    """
-
-    def __init__(self, conn, process, batch_size: int, index) -> None:
-        self._conn = conn
-        self._io_lock = threading.Lock()
-        self.process = process
-        self.batch_size = batch_size
-        self.index = index
-        self.stats = PipelineStats()
-
-    def link(self, mentions: Sequence[Mention]) -> List[LinkingResult]:
-        started = time.perf_counter()
-        with self._io_lock:
-            try:
-                self._conn.send(("batch", list(mentions)))
-                while not self._conn.poll(FAULT_POLL_SECONDS):
-                    if not self.process.is_alive():
-                        raise ReplicaDiedError("worker process died mid-batch")
-                kind, payload = self._conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as error:
-                raise ReplicaDiedError(f"worker pipe closed: {error}") from error
-        if kind == "error":
-            raise RuntimeError(payload)
-        self.stats.record("remote", time.perf_counter() - started)
-        self.stats.record_batch(len(mentions))
-        return payload
-
-    def set_degraded(self, degraded: bool) -> None:
-        # Mirrors EntityLinkingPipeline.set_degraded across the pipe.  No
-        # reply: the worker loop handles messages in order, so the flip is
-        # visible to the next batch; a dead worker is caught by the next
-        # link() anyway, so send failures are ignored here.
-        with self._io_lock:
-            try:
-                self._conn.send(("degrade", bool(degraded)))
-            except (OSError, BrokenPipeError):
-                pass
-
-
-class ProcessReplica(LinkingService):
-    """A :class:`LinkingService` whose pipeline runs in a worker process.
-
-    The parent keeps the dynamic batching, fault gate and lifecycle logic;
-    only ``pipeline.link`` crosses the process boundary (one micro-batch per
-    round trip, through a :class:`_PipelineProxy`).  The worker is forked,
-    so it inherits the parent's pipeline memory copy-on-write — create the
-    pool (or restart a replica) while no traffic flows.  Every index shard
-    is built before the fork, so the worker never embeds one itself and a
-    restarted worker inherits them too.
-
-    :attr:`state` also reads :data:`DEAD` once the worker exited outside
-    ``kill()`` (OOM kill, segfault), which leaves the parent's scheduler
-    running.  ``kill()`` additionally terminates the worker process,
-    modelling a hard machine failure; ``drain()`` stops it gracefully after
-    the queue flushes.
-    """
-
-    def __init__(
-        self,
-        pipeline: EntityLinkingPipeline,
-        max_batch_size: Optional[int] = None,
-        start: bool = True,
-    ) -> None:
-        warm_up_index(pipeline.index)
-        context = multiprocessing.get_context("fork")
-        parent_conn, child_conn = context.Pipe()
-        self._process = context.Process(
-            target=_process_worker_main, args=(child_conn, pipeline), daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        super().__init__(
-            _PipelineProxy(  # type: ignore[arg-type] - duck-typed pipeline surface
-                parent_conn, self._process,
-                batch_size=pipeline.batch_size, index=pipeline.index,
-            ),
-            max_batch_size=max_batch_size,
-            start=start,
-        )
-
-    @property
-    def state(self) -> str:
-        state = super().state
-        if state == HEALTHY and not self._process.is_alive():
-            return DEAD
-        return state
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        super().drain(timeout=timeout)
-        try:
-            self.pipeline._conn.send(("stop",))
-        except (OSError, BrokenPipeError):
-            pass
-        self._process.join(timeout=timeout or 5.0)
-
-    def kill(self) -> int:
-        # Terminate the worker BEFORE reaping the scheduler thread: the
-        # scheduler may be blocked in the proxy waiting for a reply, and it
-        # only bails out once it observes the process is gone.
-        failed = self.abort(ReplicaDiedError(f"{self.name} was killed"))
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-        self.close(timeout=5.0)
-        return failed
 
 
 # ----------------------------------------------------------------------
@@ -322,10 +166,10 @@ class ClusterStats:
     :data:`ROUTER_COUNTERS` plus ``brownout_engagements``; sheds per
     request class) and the per-request latency window live here;
     per-replica throughput counters stay in each replica's
-    :class:`PipelineStats` and are merged on demand from consistent
-    :meth:`~PipelineStats.snapshot` copies.  Restarted
-    replicas start fresh stats — the aggregate reflects the *current* pool
-    generation, which is what capacity dashboards want.
+    :class:`~repro.serving.pipeline.PipelineStats` and are merged on demand
+    from consistent :meth:`~repro.serving.pipeline.PipelineStats.snapshot`
+    copies.  Restarted replicas start fresh stats — the aggregate reflects
+    the *current* pool generation, which is what capacity dashboards want.
 
     The recovery metric: ``recovery_seconds`` is the gap between the first
     replica death and the completion of the last request that had to be
@@ -454,63 +298,47 @@ class ClusterStats:
 # Replica pool
 # ----------------------------------------------------------------------
 class ReplicaPool:
-    """Fixed slots of replicas plus the factories that (re)build them.
+    """Fixed slots of :class:`LinkingService` replicas over one pipeline.
 
-    Every slot keeps a zero-argument factory so :meth:`restart` can stand up
-    a fresh generation of the same replica — for thread replicas a new
-    pipeline clone over the shared read-only index snapshot, for process
-    replicas a fresh worker process.  The pool names each replica
+    Every slot serves a :meth:`~EntityLinkingPipeline.clone` of the pipeline
+    the pool was built from, so :meth:`restart` stands up a fresh generation
+    of a slot the same way: a new clone over the shared read-only index
+    snapshot and encoder weights.  The pool names each replica
     ``replica-<slot>``, suffixed ``@g<n>`` after the slot's n-th restart.
     Slot count is fixed for the pool's lifetime (the router's affinity hash
     depends on it).
     """
 
-    def __init__(self, factories: Sequence[Callable[[], LinkingService]]) -> None:
-        if not factories:
-            raise ValueError("a pool needs at least one replica factory")
-        self._factories = list(factories)
+    def __init__(self, pipeline: EntityLinkingPipeline, replicas: int = 2) -> None:
+        if replicas <= 0:
+            raise ValueError("replicas must be positive")
+        self._pipeline = pipeline
         self._lock = threading.Lock()
-        self._generations = [0] * len(self._factories)
-        self._replicas: List[LinkingService] = [factory() for factory in self._factories]
+        self._generations = [0] * replicas
+        self._replicas: List[LinkingService] = [
+            LinkingService(pipeline.clone()) for _ in range(replicas)
+        ]
         for slot, replica in enumerate(self._replicas):
             replica.name = f"replica-{slot}"
 
-    # -- construction helpers -------------------------------------------
     @classmethod
     def from_pipeline(
-        cls,
-        pipeline: EntityLinkingPipeline,
-        replicas: int = 2,
-        max_batch_size: Optional[int] = None,
-        process_replicas: int = 0,
+        cls, pipeline: EntityLinkingPipeline, replicas: int = 2
     ) -> "ReplicaPool":
-        """A pool of clones of ``pipeline``: thread replicas, then
-        ``process_replicas`` process-backed ones in the last slots.
+        """A pool of ``replicas`` clones of ``pipeline``.
 
         All clones share the pipeline's read-only index and encoder weights;
         each replica owns its stats and scheduler.  To serve a persisted
         snapshot, build ``pipeline`` over
-        ``biencoder.load_sharded_index(path, mmap=True)``: the snapshot is
-        loaded once, a restart costs a pipeline clone rather than a reload,
-        and forked process replicas share the mapped pages instead of each
-        copying the matrices.
+        ``biencoder.load_sharded_index(path, mmap=True)``: the pool loads the
+        snapshot once, its pages are read on first touch, and a restart
+        clones the pipeline rather than reloading the snapshot.
         """
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        if not 0 <= process_replicas <= replicas:
-            raise ValueError("process_replicas must be within [0, replicas]")
-
-        threaded = replicas - process_replicas
-
-        def factory(slot: int) -> Callable[[], LinkingService]:
-            kind = LinkingService if slot < threaded else ProcessReplica
-            return lambda: kind(pipeline.clone(), max_batch_size=max_batch_size)
-
-        return cls([factory(slot) for slot in range(replicas)])
+        return cls(pipeline, replicas=replicas)
 
     # -- access ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._factories)
+        return len(self._generations)
 
     @property
     def replicas(self) -> Tuple[LinkingService, ...]:
@@ -543,7 +371,7 @@ class ReplicaPool:
         old = self.replica(slot)
         if old.state in (HEALTHY, DRAINING):
             old.drain(timeout=timeout)
-        fresh = self._factories[slot]()
+        fresh = LinkingService(self._pipeline.clone())
         with self._lock:
             self._generations[slot] += 1
             fresh.name = f"replica-{slot}@g{self._generations[slot]}"
@@ -910,8 +738,8 @@ class Router:
 
         Idempotent; the flag is remembered so replicas restarted later (by
         the supervisor or :meth:`restart_replica`) inherit the current mode.
-        Dead replicas are skipped best-effort — they pick the mode up on
-        restart.
+        The flip is one attribute write per replica pipeline, so it reaches
+        dead replicas too and cannot fail.
         """
         degraded = bool(degraded)
         with self._lock:
@@ -920,10 +748,7 @@ class Router:
             self._degraded = degraded
         self.stats.record_brownout(degraded)
         for replica in self.pool.replicas:
-            try:
-                replica.set_degraded(degraded)
-            except (ReplicaDiedError, RuntimeError, OSError):
-                continue  # dead/closing replica inherits the mode on restart
+            replica.set_degraded(degraded)
 
     def restart_replica(self, slot: int, timeout: Optional[float] = None) -> None:
         """Replace one slot with a fresh replica, resetting its breaker and
@@ -934,10 +759,7 @@ class Router:
         with self._lock:
             degraded = self._degraded
         if degraded:
-            try:
-                self.pool.replica(slot).set_degraded(True)
-            except (ReplicaDiedError, RuntimeError, OSError):
-                pass  # died immediately after restart — next cycle handles it
+            self.pool.replica(slot).set_degraded(True)
 
     # ------------------------------------------------------------------
     # Lifecycle & faults

@@ -146,16 +146,6 @@ class LatencyWindow:
             "p99": float(p99),
         }
 
-    # Pickle support for process-backed replicas: a lock cannot cross a
-    # process boundary, so only the samples travel and the receiving side
-    # gets a fresh, unheld lock.
-    def __getstate__(self) -> Dict[str, List[float]]:
-        return {"samples": self._copy()}
-
-    def __setstate__(self, state: Dict[str, List[float]]) -> None:
-        self._samples = deque(state["samples"], maxlen=LATENCY_WINDOW)
-        self._lock = threading.Lock()
-
 
 @dataclass
 class PipelineStats:
@@ -243,18 +233,6 @@ class PipelineStats:
             self.batches = 0
             self.stage_seconds.clear()
         self._latency.clear()
-
-    # Pickle support for process-backed replicas: a lock cannot cross a
-    # process boundary, so it is dropped on the way out and recreated on the
-    # way in (the child gets a fresh, unheld lock).
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 class EntityLinkingPipeline:

@@ -34,7 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from .cluster import DEAD, STOPPED, Router
+from .cluster import Router
+from .service import DEAD, STOPPED
 
 __all__ = [
     "BreakerPolicy",

@@ -20,7 +20,6 @@ from repro.serving import (
     AdmissionPolicy,
     EntityLinkingPipeline,
     FaultEvent,
-    ProcessReplica,
     RejectedError,
     ReplicaPool,
     Router,
@@ -82,19 +81,6 @@ class TestKillReplica:
         assert snapshot["deaths"] == 1
         assert snapshot["requeued"] > 0
         assert snapshot.get("recovery_seconds") is not None
-
-    def test_kill_process_replica_requeues(self, fault_setup):
-        pipeline, mentions = fault_setup
-        pool = ReplicaPool.from_pipeline(
-            pipeline, replicas=2, process_replicas=1
-        )
-        with Router(pool, seed=13, affinity=False) as router:
-            assert isinstance(pool.replica(1), ProcessReplica)
-            futures = [router.submit(m) for m in mentions * 2]
-            pool.kill(1)
-            results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
-            assert len(results) == len(mentions) * 2
-            assert not pool.replica(1).pipeline.process.is_alive()
 
     def test_restart_brings_fresh_generation_back(self, fault_setup):
         pipeline, mentions = fault_setup

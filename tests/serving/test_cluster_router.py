@@ -7,8 +7,6 @@ home replica is healthy, and admission control sheds with an *immediate*
 :class:`~repro.serving.cluster.RejectedError` — never a timeout.
 """
 
-import os
-import signal
 import sys
 import threading
 
@@ -16,7 +14,6 @@ import pytest
 
 from repro.data import split_domain
 from repro.linking import BlinkPipeline
-from repro.linking.candidates import ShardedEntityIndex
 from repro.serving import (
     AdmissionPolicy,
     EntityLinkingPipeline,
@@ -369,61 +366,24 @@ class TestSnapshotPool:
             assert_serves_expected(router)
 
 
-class TestProcessWorkerDeath:
+class TestSilentWorkerDeath:
     def test_supervisor_restarts_a_worker_killed_outside_kill(self, cluster_setup):
-        # An OOM kill or segfault takes the worker down while the parent's
-        # scheduler thread runs on: the replica must still read DEAD so one
-        # supervisor tick restarts it.
+        # A crash takes the scheduler thread down without kill() or close():
+        # the replica must still read DEAD so one supervisor tick restarts it.
         pipeline, mentions = cluster_setup
-        pool = ReplicaPool.from_pipeline(pipeline, replicas=2, process_replicas=1)
+        pool = ReplicaPool.from_pipeline(pipeline, replicas=2)
         with Router(pool, seed=13, affinity=False) as router:
-            worker = pool.replica(1)._process
-            os.kill(worker.pid, signal.SIGKILL)
-            worker.join(timeout=RESULT_TIMEOUT)
-            assert pool.replica(1).state == "dead"
+            victim = pool.replica(1)
+            die_silently(victim)
+            assert victim.state == "dead"
             policy = RestartPolicy(
                 initial_backoff_seconds=0.0, jitter=0.0, min_uptime_seconds=0.0
             )
             with Supervisor(router, policy=policy, interval=3600.0) as supervisor:
                 supervisor.tick()
             fresh = pool.replica(1)
-            # A process replica reads healthy only while its worker lives.
             assert fresh.state == "healthy" and "@g1" in fresh.name
             for future in [router.submit(m) for m in mentions]:
                 future.result(timeout=RESULT_TIMEOUT)
+        victim.close()  # stop the orphaned scheduler the swap left running
         assert router.stats.snapshot()["router"]["deaths"] == 1
-
-
-class TestProcessReplicaWarmUp:
-    def test_worker_builds_no_shard(self, cluster_setup, tiny_corpus, tmp_path, monkeypatch):
-        # Every shard build is logged with the building process's id; the
-        # forked worker must find each shard already built.
-        pipeline, mentions = cluster_setup
-        log = tmp_path / "builds.log"
-        build = ShardedEntityIndex.shard
-
-        def logged_build(index, world):
-            if not index.is_materialized(world):
-                with open(log, "a") as out:
-                    out.write(f"{os.getpid()} {world}\n")
-            return build(index, world)
-
-        monkeypatch.setattr(ShardedEntityIndex, "shard", logged_build)
-        worlds = ["lego", "yugioh", "star_trek"]
-        lazy = EntityLinkingPipeline(
-            pipeline.biencoder,
-            pipeline.biencoder.build_sharded_index(
-                [e for world in worlds for e in tiny_corpus.entities(world)]
-            ),
-            pipeline.crossencoder, k=4, batch_size=8,
-        )
-        pool = ReplicaPool.from_pipeline(
-            lazy, replicas=1, process_replicas=1
-        )
-        with Router(pool) as router:
-            router.warm_up()
-            for future in [router.submit(m) for m in mentions]:
-                future.result(timeout=RESULT_TIMEOUT)
-        builds = [line.split() for line in log.read_text().splitlines()]
-        assert sorted(world for _, world in builds) == sorted(worlds)
-        assert {int(pid) for pid, _ in builds} == {os.getpid()}

@@ -32,7 +32,8 @@ from repro.serving import (
     Router,
     Supervisor,
 )
-from repro.serving.cluster import DEAD, HEALTHY, ClusterStats
+from repro.serving.cluster import ClusterStats
+from repro.serving.service import DEAD, HEALTHY
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig
 
 ENC = EncoderConfig(model_dim=16, num_layers=1, num_heads=2, hidden_dim=32, max_length=32)

@@ -8,7 +8,6 @@ mutated during iteration" in the percentile reads or lose stage-seconds
 updates.
 """
 
-import pickle
 import threading
 
 import numpy as np
@@ -173,19 +172,3 @@ def test_latency_percentile_bounds():
     for value in samples:
         stats.record_latency(float(value))
     assert stats.latency_percentile(100.0) == float(samples.max())
-
-
-def test_pipeline_stats_pickle_carries_the_window_and_a_fresh_lock():
-    # Spawned process replicas receive the pipeline, stats included, by pickle.
-    stats = PipelineStats()
-    empty = pickle.loads(pickle.dumps(stats))  # a fresh pipeline's stats
-    empty.record_latency(0.5)
-    assert empty.latency_summary()["count"] == 1.0
-    stats.record_latency(0.25)
-    stats.record_batch(3)
-    clone = pickle.loads(pickle.dumps(stats))
-    assert clone.snapshot() == stats.snapshot()
-    assert clone.latency_summary() == stats.latency_summary()
-    clone.record_latency(0.75)
-    assert clone.latency_summary()["count"] == 2.0
-    assert stats.latency_summary()["count"] == 1.0
