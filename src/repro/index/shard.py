@@ -26,11 +26,12 @@ entities and id map with every other state of its generation.
   one block at a time);
 * :class:`IVFBackend` cells — *celled*: rows are clustered into seeded
   k-means cells, a query probes its ``nprobe`` best cells and re-scores their
-  members with exact inner products.  ``nprobe >= num_cells`` ranks
-  bit-identically to the exhaustive stage.
+  members with exact inner products.  ``nprobe >= num_cells`` returns the
+  exhaustive stage's candidates with scores equal to rounding (~1e-14: the
+  scan's BLAS product and the probe's einsum sum in different orders).
 
-Both stages scan the pending tail exactly, so added entities are linkable as
-soon as :meth:`EntityShard.add` returns.
+Both stages score the pending tail exactly, once per batch, so added
+entities are linkable as soon as :meth:`EntityShard.add` returns.
 
 **Lifecycle.**  :meth:`~EntityShard.add` appends to the tail,
 :meth:`~EntityShard.remove` tombstones, :meth:`~EntityShard.update` does both
@@ -46,6 +47,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,22 +71,22 @@ class RetrievalResult:
 
     ``entities`` holds the candidates as resolved by the search itself, from
     the same pinned state that scored them (empty on a hand-built result).
-    ``contains`` and ``rank_of`` are O(1): a rank dictionary is built once at
-    construction time (the Recall@64 evaluation loops call them per mention).
-    Treat ``entity_ids`` as immutable after construction — the rank map is not
-    rebuilt on mutation.
+    ``contains`` and ``rank_of`` are O(1) after the first call, which builds
+    a rank dictionary (first occurrence wins); a result that is only read
+    for its lists never builds one.  Treat ``entity_ids`` as immutable — the
+    rank map is not rebuilt on mutation.
     """
 
     entity_ids: List[str]
     scores: List[float]
     entities: List[Entity] = field(default_factory=list, repr=False, compare=False)
-    _rank_by_id: Dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _rank_by_id(self) -> Dict[str, int]:
         ranks: Dict[str, int] = {}
         for rank, entity_id in enumerate(self.entity_ids):
             ranks.setdefault(entity_id, rank)
-        self._rank_by_id = ranks
+        return ranks
 
     def __len__(self) -> int:
         return len(self.entity_ids)
@@ -421,6 +423,8 @@ def _aligned_rows(entities: List[Entity], vectors: np.ndarray) -> np.ndarray:
 
 def reject_repeated_ids(entity_ids: Sequence[str]) -> None:
     """Raise ``ValueError`` naming every id that occurs more than once."""
+    if len(set(entity_ids)) == len(entity_ids):
+        return
     repeated = sorted(i for i, count in Counter(entity_ids).items() if count > 1)
     if repeated:
         raise ValueError(f"entity ids named more than once: {repeated}")
@@ -676,49 +680,50 @@ class EntityShard:
     def _probe(
         self, state: ShardState, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Celled stage, vectorized over the batch: centroid scoring, ragged
-        gather of every probed cell, one fused re-score, one top-k selection
-        over the candidates laid out as a padded rectangle."""
-        num_queries = len(queries)
-        cand_rows, cand_positions = self._gather_candidates(state, queries)
-        if cand_positions.size == 0:
-            return (
-                np.full((num_queries, 0), -np.inf),
-                np.full((num_queries, 0), -1, dtype=np.int64),
+        """Celled stage: one top-k selection over a padded rectangle, one row
+        per query.  The alive pending tail is scored once for the whole batch
+        into the first columns; each query then scores the live members of
+        its own probed cells in place after them.  Unfilled slots stay
+        (-inf, -1), which sorts after every real candidate.
+
+        Both products are einsums, so every (query, row) pair is summed in
+        the same order wherever the row lives; column order does not matter
+        to the (score desc, position asc) selection.
+        """
+        # einsum's summation order follows the operands' strides.
+        queries = np.ascontiguousarray(queries)
+        num_main = state.num_main
+        tail = num_main + np.flatnonzero(state.alive[num_main:])
+        positions, bounds = self._gather_candidates(state, queries)
+        shape = (len(queries), tail.size + int(np.diff(bounds).max(initial=0)))
+        scores = np.full(shape, -np.inf)
+        padded = np.full(shape, -1, dtype=np.int64)
+        scores[:, :tail.size] = np.einsum(
+            "qd,td->qt", queries, state.pending_vectors[tail - num_main]
+        )
+        padded[:, :tail.size] = tail
+        for row, query in enumerate(queries):
+            mine = positions[bounds[row]:bounds[row + 1]]
+            end = tail.size + mine.size
+            np.einsum(
+                "td,d->t",
+                np.take(state.storage, mine, axis=0),
+                query,
+                out=scores[row, tail.size:end],
             )
-
-        # Exact re-scoring: gather only the candidate rows, score each
-        # against its own query in one fused product.
-        main_mask = cand_positions < state.num_main
-        vectors = np.empty((len(cand_positions), state.storage.shape[1]))
-        if main_mask.any():
-            vectors[main_mask] = state.storage[cand_positions[main_mask]]
-        if (~main_mask).any():
-            vectors[~main_mask] = state.pending_vectors[
-                cand_positions[~main_mask] - state.num_main
-            ]
-        scores = np.einsum("td,td->t", vectors, queries[cand_rows])
-
-        # The pairs arrive grouped by query, so a candidate's column is its
-        # offset within its group; shorter groups stay padded (-inf, -1),
-        # which sorts after every real candidate.
-        counts = np.bincount(cand_rows, minlength=num_queries)
-        columns = np.arange(len(cand_rows)) - (np.cumsum(counts) - counts)[cand_rows]
-        shape = (num_queries, int(counts.max()))
-        padded_scores = np.full(shape, -np.inf)
-        padded_positions = np.full(shape, -1, dtype=np.int64)
-        padded_scores[cand_rows, columns] = scores
-        padded_positions[cand_rows, columns] = cand_positions
-        return _sorted_topk(padded_scores, padded_positions, k)
+            padded[row, tail.size:end] = mine
+        return _sorted_topk(scores, padded, k)
 
     def _gather_candidates(
         self, state: ShardState, queries: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat ``(query_row, candidate_position)`` pairs, grouped by query.
+        """The live main rows of each query's probed cells, grouped by query.
 
-        Probes the top ``nprobe`` centroids per query and expands, with one
-        vectorized ragged gather, their inverted lists followed by the alive
-        pending tail (every query scans it); tombstones are filtered out.
+        Probes the top ``nprobe`` centroids per query and expands their
+        inverted lists with one vectorized ragged gather; tombstones are
+        filtered out.  Returns ``(positions, bounds)``: query ``i``'s
+        candidates are ``positions[bounds[i]:bounds[i + 1]]``.  The pending
+        tail is not here — :meth:`_probe` scores it once per batch.
         """
         num_queries = len(queries)
         num_cells = len(state.centroids)
@@ -730,28 +735,22 @@ class EntityShard:
         else:
             cell_scores = queries @ state.centroids.T
             probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
-        tail = state.num_main + np.flatnonzero(state.alive[state.num_main:])
 
-        # Ragged ranges source[starts[i] : starts[i]+lengths[i]] without a
-        # Python loop: per query its probed cells, then the tail.
-        source = np.concatenate([state.members, tail])
-        last = np.ones((num_queries, 1), dtype=np.int64)
-        starts = np.concatenate(
-            [state.offsets[probe], len(state.members) * last], axis=1
-        )
-        lengths = np.concatenate(
-            [state.offsets[probe + 1] - state.offsets[probe], tail.size * last], axis=1
-        )
-        per_query = lengths.sum(axis=1)
+        # Ragged ranges members[starts[i] : starts[i]+lengths[i]] without a
+        # Python loop.
+        starts = state.offsets[probe]
+        lengths = state.offsets[probe + 1] - starts
+        query_ends = np.cumsum(lengths.sum(axis=1))
         starts, lengths = starts.ravel(), lengths.ravel()
         ends = np.cumsum(lengths)
         flat = np.arange(lengths.sum(), dtype=np.int64) + np.repeat(
             starts - (ends - lengths), lengths
         )
-        positions = source[flat]
-        rows = np.repeat(np.arange(num_queries, dtype=np.int64), per_query)
+        positions = state.members[flat]
         alive = state.alive[positions]
-        return rows[alive], positions[alive]
+        kept = np.zeros(len(alive) + 1, dtype=np.int64)
+        np.cumsum(alive, out=kept[1:])
+        return positions[alive], kept[np.concatenate([[0], query_ends])]
 
     # ------------------------------------------------------------------
     # Online mutation (pending tail + tombstones, one publication each)

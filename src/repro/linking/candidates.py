@@ -19,7 +19,7 @@ Usage::
 
     index = ShardedEntityIndex.from_entities(entities, embed_fn=model.embed_entities)
     results = index.search(query_vectors, k=64, worlds=["lego"])
-    results[0].rank_of(gold_id)   # O(1) rank lookup
+    results[0].rank_of(gold_id)   # rank map built on first call, O(1) after
     results[0].entities           # the candidates, resolved by the search
 
 Tie-breaking is deterministic everywhere: candidates with equal scores are

@@ -15,6 +15,7 @@ from repro.eval import recall_at_k
 from repro.index import (
     EntityShard,
     IVFBackend,
+    RetrievalResult,
     default_num_cells,
     kmeans,
     read_snapshot,
@@ -474,6 +475,35 @@ class TestRepeatedIds:
         assert "a:4" in index and "a:5" in index and len(index) == 10
         found = index.search(index.vector("a:4"), k=10)[0].entity_ids
         assert sorted(found) == sorted(e.entity_id for e in entities)
+
+
+class TestRankMapOnFirstUse:
+    """A result's rank map is built by its first ``contains`` / ``rank_of``,
+    not by the search that returned it."""
+
+    @BOTH_STAGES
+    def test_search_and_search_routed_results(self, kb, queries, cells):
+        entities, vectors = kb
+        index = ShardedEntityIndex(backend=cells)
+        index.add_shard("w", entities[:60], vectors[:60])
+        index.add_shard("v", make_entities("v", 40), vectors[60:100])
+        routes = ["w", "v", None] * 3 + ["w"]
+        results = index.search(queries, k=8) + index.search_routed(queries, 8, routes)
+        assert all("_rank_by_id" not in result.__dict__ for result in results)
+
+        for number, result in enumerate(results):
+            ids = result.entity_ids
+            if number % 2:
+                assert result.contains(ids[-1]) and not result.contains("w:absent")
+            else:
+                assert result.rank_of(ids[3]) == 3 and result.rank_of("w:absent") is None
+            assert result.__dict__["_rank_by_id"] == {i: rank for rank, i in enumerate(ids)}
+
+    def test_first_occurrence_wins(self):
+        result = RetrievalResult(entity_ids=["a", "b", "a", "c", "b"], scores=[1.0] * 5)
+        assert "_rank_by_id" not in result.__dict__
+        assert [result.rank_of(i) for i in "abc"] == [0, 1, 3]
+        assert result.__dict__["_rank_by_id"] == {"a": 0, "b": 1, "c": 3}
 
 
 @BOTH_STAGES

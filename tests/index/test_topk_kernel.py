@@ -170,6 +170,87 @@ def test_search_is_bit_identical_to_sorting_everything(cells, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# The celled probe against the probe written out one query at a time
+# ----------------------------------------------------------------------
+def reference_probe(shard, queries, k):
+    """Per query: its top-``nprobe`` cells by ``queries @ centroids.T``, their
+    live members plus the live tail, every pair scored with one
+    ``einsum("td,td->t")`` and the lot ordered by ``np.lexsort`` under
+    (score desc, position asc); rows padded with (-inf, -1, None) to the
+    widest one."""
+    state = shard._state
+    num_main = state.num_main
+    nprobe = min(shard._cells.nprobe, len(state.centroids))
+    vectors = np.concatenate([np.asarray(state.storage), state.pending_vectors])
+    entities = np.concatenate([state.entities, state.pending_entities])
+    tail = num_main + np.flatnonzero(state.alive[num_main:])
+    cell_scores = queries @ state.centroids.T
+    rows = []
+    for query, row_scores in zip(queries, cell_scores):
+        cells = np.argsort(-row_scores, kind="stable")[:nprobe]
+        members = np.concatenate(
+            [state.members[state.offsets[c]:state.offsets[c + 1]] for c in cells]
+            + [np.zeros(0, dtype=np.int64)]
+        )
+        positions = np.concatenate([members[state.alive[members]], tail])
+        scores = np.einsum(
+            "td,td->t", vectors[positions], np.repeat(query[None], len(positions), axis=0)
+        )
+        order = np.lexsort((positions, -scores))[:k]
+        rows.append((scores[order], positions[order]))
+    width = max(len(positions) for _, positions in rows)
+    scores = np.full((len(queries), width), -np.inf)
+    positions = np.full((len(queries), width), -1, dtype=np.int64)
+    found = np.full((len(queries), width), None, dtype=object)
+    for row, (row_scores, row_positions) in enumerate(rows):
+        scores[row, :len(row_scores)] = row_scores
+        positions[row, :len(row_positions)] = row_positions
+        found[row, :len(row_positions)] = entities[row_positions]
+    return scores, positions, found
+
+
+def mutated_celled_shard(nprobe):
+    """200 main rows in 8 cells, half of them duplicates of the other half;
+    a tail of 60 rows copied from main rows (longer than any cell), and
+    tombstones among both."""
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(200, 8))
+    vectors[100:] = vectors[:100]
+    entities = make_entities(270)
+    shard = EntityShard(
+        entities[:200], vectors, cells=IVFBackend(num_cells=8, nprobe=nprobe)
+    )
+    shard.add(entities[200:260], vectors[rng.integers(200, size=60)])
+    shard.update(entities[3:30:3], vectors[rng.integers(200, size=9)])
+    shard.remove([entity.entity_id for entity in entities[40:200:9] + entities[200:260:7]])
+    assert max(np.diff(shard._state.offsets)) < shard.num_pending
+    return shard, rng.normal(size=(12, 8))
+
+
+@pytest.mark.parametrize("k", [K, 64, 500], ids=["k=5", "k=64", "k>candidates"])
+@pytest.mark.parametrize("nprobe", [1, 3, 8, 20])
+def test_celled_probe_equals_the_probe_written_out(nprobe, k):
+    shard, queries = mutated_celled_shard(nprobe)
+    expected = reference_probe(shard, queries, k)
+    actual = shard.search_arrays(queries, k)
+    if k > 64 and nprobe < 8:   # rows probed different cells: short ones pad
+        assert (actual[1] == -1).any()
+    assert_same(actual[:2], expected[:2])
+    assert np.array_equal(actual[2], expected[2])
+    # A strided query batch sums in the same order as a contiguous one.
+    assert_same(shard.search_arrays(np.asfortranarray(queries), k)[:2], expected[:2])
+
+
+def test_celled_probe_of_a_shard_with_every_row_removed():
+    shard, queries = mutated_celled_shard(3)
+    shard.remove([entity.entity_id for entity in shard.entities()])
+    expected = reference_probe(shard, queries, 64)
+    actual = shard.search_arrays(queries, 64)
+    assert actual[0].shape == (len(queries), 0)
+    assert_same(actual[:2], expected[:2])
+
+
+# ----------------------------------------------------------------------
 # The fan-out merge calls the same kernel
 # ----------------------------------------------------------------------
 def reference_merge(blocks, k):
