@@ -26,9 +26,9 @@ entities and id map with every other state of its generation.
   one block at a time);
 * :class:`IVFBackend` cells — *celled*: rows are clustered into seeded
   k-means cells, a query probes its ``nprobe`` best cells and re-scores their
-  members with exact inner products.  ``nprobe >= num_cells`` returns the
-  exhaustive stage's candidates with scores equal to rounding (~1e-14: the
-  scan's BLAS product and the probe's einsum sum in different orders).
+  members with exact inner products.  ``nprobe >= num_cells`` *is* the
+  exhaustive stage: such a search runs the scan, so its results equal the
+  exhaustive shard's bit for bit.
 
 Both stages score the pending tail exactly, once per batch, so added
 entities are linkable as soon as :meth:`EntityShard.add` returns.
@@ -643,8 +643,11 @@ class EntityShard:
     def _topk(
         self, state: ShardState, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Search one pinned ``state``; every read below goes through it."""
-        if state.centroids is None:
+        """Search one pinned ``state``; every read below goes through it.
+
+        A probe of every cell is the scan.
+        """
+        if state.centroids is None or self._cells.nprobe >= len(state.centroids):
             return self._scan(state, queries, k)
         return self._probe(state, queries, k)
 
@@ -719,22 +722,15 @@ class EntityShard:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The live main rows of each query's probed cells, grouped by query.
 
-        Probes the top ``nprobe`` centroids per query and expands their
-        inverted lists with one vectorized ragged gather; tombstones are
-        filtered out.  Returns ``(positions, bounds)``: query ``i``'s
+        Probes the top ``nprobe`` centroids per query (fewer than all: a
+        full probe is the scan) and expands their inverted lists with one
+        vectorized ragged gather; tombstones are filtered out.  Returns ``(positions, bounds)``: query ``i``'s
         candidates are ``positions[bounds[i]:bounds[i + 1]]``.  The pending
         tail is not here — :meth:`_probe` scores it once per batch.
         """
-        num_queries = len(queries)
-        num_cells = len(state.centroids)
-        nprobe = min(self._cells.nprobe, num_cells)
-        if nprobe >= num_cells:
-            probe = np.broadcast_to(
-                np.arange(num_cells, dtype=np.int64), (num_queries, num_cells)
-            )
-        else:
-            cell_scores = queries @ state.centroids.T
-            probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
+        nprobe = self._cells.nprobe
+        cell_scores = queries @ state.centroids.T
+        probe = np.argpartition(-cell_scores, nprobe - 1, axis=1)[:, :nprobe]
 
         # Ragged ranges members[starts[i] : starts[i]+lengths[i]] without a
         # Python loop.

@@ -22,6 +22,11 @@ Usage::
     results[0].rank_of(gold_id)   # rank map built on first call, O(1) after
     results[0].entities           # the candidates, resolved by the search
 
+A fan-out over two or more shards that each span more than one scan block
+runs their scans on the caller and on helper threads together (see
+:meth:`ShardedEntityIndex.search`); the merge, and so every result, is the
+same as scanning them one after another.
+
 Tie-breaking is deterministic everywhere: candidates with equal scores are
 ordered by their position in the shard (and, across shards, by shard
 insertion order first), so repeated searches always return identical
@@ -31,7 +36,10 @@ rankings.  Snapshots are the version-2 directory format of
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import os
+import threading
+from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import (
     Callable,
@@ -64,6 +72,95 @@ EmbedFn = Callable[[Sequence[Entity]], np.ndarray]
 #: their vectors (``None`` until ``embed_fn`` has run).
 ColdShard = Tuple[List[Entity], Optional[np.ndarray]]
 
+#: One shard's ``search_arrays`` result: ``(scores, positions, entities)``.
+Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _spare_cpus() -> int:
+    """CPUs this process may run on, besides the one calling."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return max(0, usable - 1)
+
+
+class _ScanHelpers:
+    """The process's fan-out helper threads, shared by every index.
+
+    ``size`` threads at most (one per spare CPU), started on the first
+    parallel fan-out; a process that never fans out over large shards never
+    starts one.  One pool per process, not per index: helpers exist to use
+    idle CPUs, and replicas each holding an index must not multiply them.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._lock = threading.Lock()
+        self._executor: Optional[ThreadPoolExecutor] = None
+
+    def lend(self, task: Callable[[], None], count: int) -> None:
+        """Queue ``task`` for ``count`` helpers; returns without waiting."""
+        with self._lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    self.size, thread_name_prefix="repro-fanout"
+                )
+            executor = self._executor
+        for _ in range(count):
+            # Nobody reads these futures: a fan-out's scan never raises (a
+            # scan's error reaches its caller through _FanOut.blocks).
+            executor.submit(task)
+
+
+_HELPERS = _ScanHelpers(_spare_cpus())
+
+
+class _FanOut:
+    """One fan-out's shard scans, claimed largest shard first from one list
+    by the caller and by helpers alike.
+
+    Whoever claims a shard scans it, so every shard is scanned exactly once;
+    a helper that arrives after the last claim finds nothing to do.
+    """
+
+    def __init__(
+        self, shards: Sequence[EntityShard], sizes: Sequence[int],
+        queries: np.ndarray, k: int,
+    ) -> None:
+        self._shards = shards
+        self._queries = queries
+        self._k = k
+        # deque.popleft is atomic: two threads never claim one shard.
+        self._unclaimed = deque(sorted(range(len(shards)), key=lambda i: -sizes[i]))
+        self._blocks: List[Union[Block, BaseException, None]] = [None] * len(shards)
+        self._scanned = [threading.Event() for _ in shards]
+
+    def scan(self) -> None:
+        """Claim and scan shards until none is left unclaimed."""
+        while True:
+            try:
+                position = self._unclaimed.popleft()
+            except IndexError:
+                return
+            try:
+                self._blocks[position] = self._shards[position].search_arrays(
+                    self._queries, self._k
+                )
+            except BaseException as error:  # re-raised by the caller, in blocks()
+                self._blocks[position] = error
+            self._scanned[position].set()
+
+    def blocks(self) -> List[Block]:
+        """The caller's part: scan what is unclaimed, then wait for the shards
+        helpers claimed (each already running) and return every block in
+        shard order.  The first shard in that order that raised re-raises."""
+        self.scan()
+        for scanned in self._scanned:
+            scanned.wait()
+        for block in self._blocks:
+            if isinstance(block, BaseException):
+                raise block
+        return self._blocks  # type: ignore[return-value]
+
 
 class ShardedEntityIndex:
     """Per-world sharded MIPS index with lazy shard builds.
@@ -95,6 +192,8 @@ class ShardedEntityIndex:
         self._backend = backend
         self._shards: "OrderedDict[str, Union[EntityShard, ColdShard]]" = OrderedDict()
         self._entity_world: Dict[str, str] = {}
+        # Guards every write to _shards: a cold world is built once.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
@@ -128,13 +227,14 @@ class ShardedEntityIndex:
         the shard as-is, so its pages stay lazy.  The shard itself is built
         on first use.  An entity id named twice is an error.
         """
-        if world in self._shards:
-            raise ValueError(f"shard {world!r} already exists")
         if vectors is not None and len(vectors) != len(entities):
             raise ValueError("entities and vectors must align")
         members = list(entities)
         reject_repeated_ids([entity.entity_id for entity in members])
-        self._shards[world] = (members, vectors)
+        with self._lock:
+            if world in self._shards:
+                raise ValueError(f"shard {world!r} already exists")
+            self._shards[world] = (members, vectors)
         for entity in members:
             self._entity_world[entity.entity_id] = world
 
@@ -163,27 +263,37 @@ class ShardedEntityIndex:
         )
 
     def shard(self, world: str) -> Optional[EntityShard]:
-        """The shard of one world, built on first use; None if it has no entities."""
+        """The shard of one world, built on first use; None if it has no entities.
+
+        A cold world is built under the index lock, so threads that reach it
+        together embed it once and all get the one shard (a write landing on
+        it is never lost to a second build); a built shard is returned
+        without locking.
+        """
         if world not in self._shards:
             raise KeyError(f"unknown world {world!r}")
         record = self._shards[world]
         if isinstance(record, EntityShard):
             return record
-        members, vectors = record
-        if not members:
-            return None
-        if vectors is None:
-            if self._embed_fn is None:
-                raise ValueError(
-                    f"shard {world!r} has no vectors and the index has no embed_fn"
-                )
-            vectors = np.asarray(self._embed_fn(members), dtype=np.float64)
-            if len(vectors) != len(members):
-                raise ValueError("embed_fn returned a misaligned vector matrix")
-        shard = EntityShard(
-            members, vectors, block_size=self._block_size, cells=self._backend
-        )
-        self._shards[world] = shard
+        with self._lock:
+            record = self._shards[world]
+            if isinstance(record, EntityShard):
+                return record
+            members, vectors = record
+            if not members:
+                return None
+            if vectors is None:
+                if self._embed_fn is None:
+                    raise ValueError(
+                        f"shard {world!r} has no vectors and the index has no embed_fn"
+                    )
+                vectors = np.asarray(self._embed_fn(members), dtype=np.float64)
+                if len(vectors) != len(members):
+                    raise ValueError("embed_fn returned a misaligned vector matrix")
+            shard = EntityShard(
+                members, vectors, block_size=self._block_size, cells=self._backend
+            )
+            self._shards[world] = shard
         return shard
 
     # ------------------------------------------------------------------
@@ -250,7 +360,8 @@ class ShardedEntityIndex:
             shard = self.shard(world) if world in self._shards else None
             if shard is None:
                 # New world, or one registered without entities: (re)register.
-                self._shards[world] = (members, vectors[rows])
+                with self._lock:
+                    self._shards[world] = (members, vectors[rows])
             else:
                 shard.add(members, vectors[rows])
             for entity in members:
@@ -402,18 +513,27 @@ class ShardedEntityIndex:
         Per-shard rankings are merged by decreasing score; ties are broken by
         shard insertion order, then entity position, so merged rankings are
         deterministic.  Empty shards contribute nothing; if every selected
-        shard is empty the results are empty (never an error).  Each shard
-        resolves its candidates inside its own search, against the state
-        that scored them, so a mutation or ``compact()`` racing this call
-        cannot detach a candidate from its score.
+        shard is empty the results are empty (never an error).  A world
+        named twice is an error.  Each shard resolves its candidates inside
+        its own search, against the state that scored them, so a mutation or
+        ``compact()`` racing this call cannot detach a candidate from its
+        score.
+
+        When at least two selected shards each span more than one scan block
+        and the process has a spare CPU, the shard scans run help-first in
+        parallel: this thread and the helper threads claim shards from one
+        list, largest first, and this thread scans every shard no helper has
+        started, so it only ever waits on a scan already running.  The merge
+        is the same either way, so the results are too.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         query_vectors = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-        shards = [self.shard(world) for world in self._select_worlds(worlds)]
-        blocks = [
-            shard.search_arrays(query_vectors, k) for shard in shards if shard is not None
+        shards = [
+            shard for shard in map(self.shard, self._select_worlds(worlds))
+            if shard is not None
         ]
+        blocks = self._search_shards(shards, query_vectors, k)
         if not blocks:
             return [RetrievalResult([], []) for _ in range(len(query_vectors))]
         if len(blocks) == 1:
@@ -430,6 +550,19 @@ class ShardedEntityIndex:
         columns = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
         scores, columns = _sorted_topk(scores, columns, k)
         return build_results(scores, np.take_along_axis(entities, columns, axis=1))
+
+    def _search_shards(
+        self, shards: List[EntityShard], queries: np.ndarray, k: int
+    ) -> List[Block]:
+        """Every shard's ``search_arrays``, in shard order."""
+        helpers = _HELPERS
+        sizes = [len(shard) for shard in shards]
+        large = sum(size > self._block_size for size in sizes)
+        if large < 2 or helpers.size == 0:
+            return [shard.search_arrays(queries, k) for shard in shards]
+        fan_out = _FanOut(shards, sizes, queries, k)
+        helpers.lend(fan_out.scan, min(helpers.size, len(shards) - 1))
+        return fan_out.blocks()
 
     def search_routed(
         self,
@@ -468,8 +601,12 @@ class ShardedEntityIndex:
     def _select_worlds(self, worlds: Optional[Sequence[str]]) -> List[str]:
         if worlds is None:
             return self.worlds()
+        worlds = list(worlds)
         unknown = [world for world in worlds if world not in self._shards]
         if unknown:
             raise KeyError(f"unknown worlds: {unknown}")
-        return list(worlds)
+        if len(set(worlds)) != len(worlds):
+            repeated = sorted({world for world in worlds if worlds.count(world) > 1})
+            raise ValueError(f"worlds named more than once: {repeated}")
+        return worlds
 

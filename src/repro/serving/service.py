@@ -467,14 +467,8 @@ class LinkingService:
 
         Builds (embeds) the selected shards of the pipeline's index — all of
         them by default — so the first request to each world does not pay the
-        lazy embedding cost.
-
-        Call this *before* traffic flows (e.g. construct with ``start=False``,
-        warm up, then :meth:`start`): the index does not lock its lazy shard
-        builds, so warming a world the scheduler is concurrently searching
-        can embed that shard twice.  With a deterministic ``embed_fn`` (the
-        bi-encoder in eval mode) the duplicate build is wasted work, never
-        wrong results.
+        lazy embedding cost.  The index builds each world once, so warming
+        a world the scheduler is searching at the same time is safe.
         """
         return warm_up_index(self.pipeline.index, worlds)
 

@@ -32,3 +32,19 @@ def tiny_rewriter_config():
         denoising_epochs=1,
         batch_size=16,
     )
+
+
+@pytest.fixture
+def fanout_helper(monkeypatch):
+    """A fresh pool of one fan-out helper thread in place of the process's.
+
+    A large fan-out then runs its parallel path whatever the machine's CPU
+    count, and a test sees only the helper starts its own searches cause.
+    """
+    from repro.linking import candidates
+
+    helpers = candidates._ScanHelpers(1)
+    monkeypatch.setattr(candidates, "_HELPERS", helpers)
+    yield helpers
+    if helpers._executor is not None:
+        helpers._executor.shutdown(wait=True)

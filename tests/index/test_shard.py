@@ -107,7 +107,7 @@ class TestExactParity:
         ivf_results = shard.search(queries, k=12)
         for a, b in zip(exact_results, ivf_results):
             assert a.entity_ids == b.entity_ids
-            assert np.allclose(a.scores, b.scores, atol=1e-12)
+            assert np.array_equal(a.scores, b.scores)
 
     def test_parity_through_sharded_index(self, queries):
         rng = np.random.default_rng(9)

@@ -209,29 +209,39 @@ def reference_probe(shard, queries, k):
     return scores, positions, found
 
 
-def mutated_celled_shard(nprobe):
-    """200 main rows in 8 cells, half of them duplicates of the other half;
-    a tail of 60 rows copied from main rows (longer than any cell), and
-    tombstones among both."""
+def mutated_shard(cells=None):
+    """200 main rows, half of them duplicates of the other half; a tail of 60
+    rows copied from main rows, and tombstones among both.  Exhaustive, or
+    celled by ``cells``."""
     rng = np.random.default_rng(5)
     vectors = rng.normal(size=(200, 8))
     vectors[100:] = vectors[:100]
     entities = make_entities(270)
-    shard = EntityShard(
-        entities[:200], vectors, cells=IVFBackend(num_cells=8, nprobe=nprobe)
-    )
+    shard = EntityShard(entities[:200], vectors, cells=cells)
     shard.add(entities[200:260], vectors[rng.integers(200, size=60)])
     shard.update(entities[3:30:3], vectors[rng.integers(200, size=9)])
     shard.remove([entity.entity_id for entity in entities[40:200:9] + entities[200:260:7]])
-    assert max(np.diff(shard._state.offsets)) < shard.num_pending
     return shard, rng.normal(size=(12, 8))
+
+
+def mutated_celled_shard(nprobe):
+    """:func:`mutated_shard` in 8 cells; the tail is longer than any cell."""
+    shard, queries = mutated_shard(IVFBackend(num_cells=8, nprobe=nprobe))
+    assert max(np.diff(shard._state.offsets)) < shard.num_pending
+    return shard, queries
 
 
 @pytest.mark.parametrize("k", [K, 64, 500], ids=["k=5", "k=64", "k>candidates"])
 @pytest.mark.parametrize("nprobe", [1, 3, 8, 20])
 def test_celled_probe_equals_the_probe_written_out(nprobe, k):
+    """Below the cell count against the reference; at or above it (nprobe 8
+    and 20) a probe of every cell is the scan, so against the same shard
+    built exhaustive."""
     shard, queries = mutated_celled_shard(nprobe)
-    expected = reference_probe(shard, queries, k)
+    if nprobe < 8:
+        expected = reference_probe(shard, queries, k)
+    else:
+        expected = mutated_shard()[0].search_arrays(queries, k)
     actual = shard.search_arrays(queries, k)
     if k > 64 and nprobe < 8:   # rows probed different cells: short ones pad
         assert (actual[1] == -1).any()
@@ -272,13 +282,14 @@ def reference_merge(blocks, k):
 
 @pytest.mark.parametrize("k", [3, K, 64], ids=["k<shard", "k=5", "k>shards"])
 @pytest.mark.parametrize("num_queries", [2, 120], ids=["direct-sort", "selected"])
-def test_fanout_merge_breaks_ties_by_shard_then_position(k, num_queries):
+def test_fanout_merge_breaks_ties_by_shard_then_position(k, num_queries, fanout_helper):
     """Every shard holds the same few distinct vectors many times over, so
     scores tie within a shard and across shards; the uneven last shard adds
-    ``-inf`` padding once ``k`` exceeds its size."""
+    ``-inf`` padding once ``k`` exceeds its size.  Three shards span several
+    8-row blocks, so the fan-out scans them on the caller and the helper."""
     rng = np.random.default_rng(k)
     distinct = rng.normal(size=(4, 8))
-    index = ShardedEntityIndex()
+    index = ShardedEntityIndex(block_size=8)
     for world, size in (("a", 30), ("b", 30), ("c", 30), ("d", 7)):
         entities = [
             Entity(entity_id=f"{world}{i}", title=f"{world} {i}", description="", domain=world)
@@ -293,6 +304,7 @@ def test_fanout_merge_breaks_ties_by_shard_then_position(k, num_queries):
     for got, want in zip(index.search(queries, k), expected):
         assert got.entity_ids == want.entity_ids
         assert got.scores == want.scores
+    assert fanout_helper._executor is not None
 
 
 # ----------------------------------------------------------------------

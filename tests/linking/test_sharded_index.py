@@ -1,5 +1,7 @@
 """Unit tests for the sharded entity index and blocked top-k."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,11 @@ class TestShardedEntityIndex:
         with pytest.raises(KeyError):
             index.search(np.eye(5)[:1], k=2, worlds=["atlantis"])
 
+    def test_a_world_named_twice_is_an_error(self):
+        index = self.build()
+        with pytest.raises(ValueError, match="more than once"):
+            index.search(np.eye(5)[:1], k=4, worlds=["lego", "lego"])
+
     def test_duplicate_shard_rejected(self):
         index = self.build()
         with pytest.raises(ValueError):
@@ -209,6 +216,35 @@ class TestShardedEntityIndex:
         assert not index.is_materialized("yugioh")
         index.search(np.eye(4)[:1], k=2, worlds=["lego"])
         assert calls == [4]  # materialisation happens exactly once
+
+    def test_a_cold_world_reached_by_a_reader_and_a_writer_is_built_once(self):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def embed_fn(entities):
+            calls.append(len(entities))
+            entered.set()
+            assert release.wait(10)
+            return np.eye(len(entities), 4)
+
+        index = ShardedEntityIndex(embed_fn=embed_fn)
+        index.add_shard("lego", make_entities("lego", 3))
+        added = make_entities("lego", 1, start=3)
+        reader = threading.Thread(
+            target=index.search, args=(np.eye(4)[:1], 2), kwargs={"worlds": ["lego"]}
+        )
+        writer = threading.Thread(target=index.add_entities, args=(added, np.ones((1, 4))))
+        reader.start()
+        assert entered.wait(10)
+        writer.start()
+        writer.join(timeout=0.2)  # the writer reaches the world mid-build
+        release.set()
+        for thread in (reader, writer):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert calls == [3]
+        assert "lego:3" in index.shard("lego")
+        assert index.search(np.ones((1, 4)), k=1, worlds=["lego"])[0].top_id == "lego:3"
 
     def test_lazy_shard_without_embed_fn_raises(self):
         index = ShardedEntityIndex()
