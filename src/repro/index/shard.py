@@ -54,8 +54,9 @@ import numpy as np
 
 from ..kb.entity import Entity
 
-#: Entities are scored ``block_size`` at a time so the score matrix for one
-#: block stays small even for very large entity collections.
+#: Entities are scored ``block_size`` at a time, each block's product written
+#: into the scan's bounded window (see :func:`blocked_topk`), so a
+#: memory-mapped matrix is read one block at a time.
 DEFAULT_BLOCK_SIZE = 2048
 
 #: Default number of probed cells per query.
@@ -145,9 +146,10 @@ def _sorted_topk(
     if k < width and scores.size > _DIRECT_SORT_SIZE:
         kth = np.partition(scores, width - k, axis=1)[:, width - k, None]
         keep = scores >= kth
-        for row in np.flatnonzero(np.count_nonzero(keep, axis=1) != k):
-            keep[row] = False
-            keep[row, np.lexsort((positions[row], -scores[row]))[:k]] = True
+        if np.count_nonzero(keep) != num_rows * k:
+            for row in np.flatnonzero(np.count_nonzero(keep, axis=1) != k):
+                keep[row] = False
+                keep[row, np.lexsort((positions[row], -scores[row]))[:k]] = True
         scores = scores[keep].reshape(num_rows, k)
         positions = positions[keep].reshape(num_rows, k)
     order = np.lexsort((positions, -scores), axis=1)[:, :k]
@@ -155,6 +157,19 @@ def _sorted_topk(
         np.take_along_axis(scores, order, axis=1),
         np.take_along_axis(positions, order, axis=1),
     )
+
+
+#: The scan selects once per *window* of whole blocks holding at most this
+#: many scores (one block where a block alone holds more), so its buffer is
+#: O(num_queries x window) whatever the number of rows.
+_WINDOW_SCORES = 1 << 19
+
+#: Columns per group of a window's grouped cut.
+_GROUP_SIZE = 16
+
+#: Windows of at most this many scores skip the grouped cut: one
+#: :func:`_sorted_topk` over the whole window costs less than its passes.
+_GROUPED_MIN_SIZE = _GROUP_SIZE * _DIRECT_SORT_SIZE
 
 
 def _scan_topk(
@@ -167,53 +182,109 @@ def _scan_topk(
     """:func:`blocked_topk` over the rows ``alive`` marks (all when ``None``).
 
     Dead rows are scored with their block (the product is the same one an
-    unmasked scan computes) but never enter the candidate buffer.
+    unmasked scan computes) and read ``-inf`` in the window, so they are
+    never selected while ``k`` live rows remain.
     """
-    num_entities = len(entity_vectors)
+    num_queries, num_entities = len(query_vectors), len(entity_vectors)
     k = min(k, num_entities if alive is None else int(np.count_nonzero(alive)))
     if k <= 0:
-        empty = np.zeros((len(query_vectors), 0))
+        empty = np.zeros((num_queries, 0))
         return empty, empty.astype(np.int64)
 
-    compact_width = max(16 * k, 256)
-    buffer_scores: List[np.ndarray] = []
-    buffer_positions: List[np.ndarray] = []
-    width = 0
-    # Each query's k-th best score at the last compaction.  k columns at
-    # earlier positions already reach it, so a later column matters only
-    # where it beats the cut strictly: an equal score loses the tie-break.
-    cut: Optional[np.ndarray] = None
-
-    for start in range(0, num_entities, block_size):
-        block = entity_vectors[start:start + block_size]
-        scores = query_vectors @ block.T
-        wanted = None if alive is None else alive[start:start + block.shape[0]]
-        if cut is not None:
-            beats = (scores > cut).any(axis=0)
-            wanted = beats if wanted is None else beats & wanted
-        if wanted is None:
-            columns = np.arange(block.shape[0], dtype=np.int64)
-        else:
-            columns = np.flatnonzero(wanted)
-            if not columns.size:
-                continue
-            scores = scores[:, columns]
-        buffer_scores.append(scores)
-        buffer_positions.append(np.broadcast_to(start + columns, scores.shape))
-        width += columns.size
-        if width > compact_width:
-            merged = _sorted_topk(
-                np.concatenate(buffer_scores, axis=1),
-                np.concatenate(buffer_positions, axis=1),
-                k,
-            )
-            buffer_scores, buffer_positions = [merged[0]], [merged[1]]
-            width = k
-            cut = merged[0][:, -1:]
-
-    return _sorted_topk(
-        np.concatenate(buffer_scores, axis=1), np.concatenate(buffer_positions, axis=1), k
+    span = min(
+        num_entities,
+        block_size * max(1, _WINDOW_SCORES // (max(1, num_queries) * block_size)),
     )
+    buffer = np.empty(num_queries * -(-span // _GROUP_SIZE) * _GROUP_SIZE)
+    best: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    for start in range(0, num_entities, span):
+        width = min(span, num_entities - start)
+        padded = -(-width // _GROUP_SIZE) * _GROUP_SIZE
+        window = buffer[:num_queries * padded].reshape(num_queries, padded)
+        for offset in range(0, width, block_size):
+            block = entity_vectors[start + offset:start + min(offset + block_size, width)]
+            np.matmul(query_vectors, block.T, out=window[:, offset:offset + len(block)])
+        if alive is not None:
+            window[:, np.flatnonzero(~alive[start:start + width])] = -np.inf
+        best = _merge_window(best, window, width, start, k)
+    return best
+
+
+def _merge_window(
+    best: Optional[Tuple[np.ndarray, np.ndarray]],
+    window: np.ndarray,
+    width: int,
+    start: int,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The running top-k ``best`` updated with one window's scores.
+
+    ``window`` is C-contiguous, a whole number of groups wide, and holds
+    the scores of positions ``start .. start + width`` in its first
+    ``width`` columns.
+    """
+    num_rows, padded = window.shape
+    groups = padded // _GROUP_SIZE
+    # k columns at earlier positions already reach each row's k-th score,
+    # so a column of this window matters only where it beats that cut
+    # strictly: an equal score loses the tie-break.
+    cut = best[0][:, -1:] if best is not None and best[0].shape[1] == k else None
+    straddling: Sequence[int] = ()
+    if groups <= k or window.size <= _GROUPED_MIN_SIZE:
+        scores = window[:, :width]
+        positions = np.broadcast_to(np.arange(start, start + width), scores.shape)
+    else:
+        window[:, width:] = -np.inf
+        # Group j holds columns j, j + groups, j + 2 * groups, ...
+        maxima = window.reshape(num_rows, _GROUP_SIZE, groups).max(axis=1)
+        top, straddling = _top_groups(maxima, cut, k)
+        if top is None:
+            return best
+        offsets = padded * np.arange(num_rows)[:, None, None]
+        flat = offsets + top[:, None, :] + groups * np.arange(_GROUP_SIZE)[:, None]
+        scores = np.take(window, flat).reshape(num_rows, -1)
+        positions = (flat - (offsets - start)).reshape(num_rows, -1)
+    if best is not None:
+        scores = np.concatenate([best[0], scores], axis=1)
+        positions = np.concatenate([best[1], positions], axis=1)
+    merged = _sorted_topk(scores, positions, k)
+    for row in straddling:
+        row_scores, row_positions = window[row, :width], np.arange(start, start + width)
+        if best is not None:
+            row_scores = np.concatenate([best[0][row], row_scores])
+            row_positions = np.concatenate([best[1][row], row_positions])
+        exact = _sorted_topk(row_scores[None], row_positions[None], k)
+        merged[0][row], merged[1][row] = exact[0][0], exact[1][0]
+    return merged
+
+
+def _top_groups(
+    maxima: np.ndarray, cut: Optional[np.ndarray], k: int
+) -> Tuple[Optional[np.ndarray], Sequence[int]]:
+    """Per row, the groups that can hold a column of the running top-k.
+
+    Returns ``(top, straddling)``.  ``top`` holds the same number of group
+    indices per row (``None`` when no group beats any row's ``cut``);
+    ``straddling`` names the rows whose ties at the cut spill past ``top``.
+    """
+    num_rows, groups = maxima.shape
+    wanted, floor = k, -np.inf
+    if cut is not None:
+        # The top ``wanted`` maxima of a row include every one beating its
+        # cut, so fewer than k beating it anywhere narrows every row.
+        wanted = min(k, int(np.count_nonzero(maxima > cut, axis=1).max()))
+        if wanted == 0:
+            return None, ()
+        floor = cut
+    bound = np.partition(maxima, groups - wanted, axis=1)[:, groups - wanted, None]
+    above = maxima >= bound
+    hits = np.flatnonzero(above)
+    if hits.size == num_rows * wanted:
+        return (hits % groups).reshape(num_rows, wanted), ()
+    straddling = np.flatnonzero(
+        (np.count_nonzero(above, axis=1) > wanted) & (bound > floor)[:, 0]
+    )
+    return np.argpartition(maxima, groups - wanted, axis=1)[:, groups - wanted:], straddling
 
 
 def blocked_topk(
@@ -224,16 +295,23 @@ def blocked_topk(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Blocked maximum-inner-product top-k over ``entity_vectors``.
 
-    Scores are computed ``block_size`` entities at a time into a running
-    candidate buffer per query.  Whenever the buffer has grown past ``16k``
-    columns it is compacted to the best ``k`` under the total order (score
-    desc, position asc) and each query's k-th score becomes its *cut*: a
-    later block contributes only the columns where some query beats its cut
-    strictly, and a block with no such column is skipped after its product.
-    Peak memory is ``O(num_queries * (block_size + 16k))`` instead of
-    ``O(num_queries * num_entities)``.  Retention always follows the total
-    order and a column at or below every cut cannot reach any top-k, so the
-    result equals the top-k of the full score matrix.
+    Scores are computed ``block_size`` entities at a time into a *window*
+    of whole blocks holding at most ``_WINDOW_SCORES`` scores (one block
+    where a block alone holds more), and each window is cut to k once:
+
+    * its columns are split into strided groups of ``_GROUP_SIZE`` and
+      each group's maximum taken; a row's k-th largest group maximum is at
+      most its k-th largest score, so every top-k column lies in one of the
+      row's top-k groups, and only those groups' columns are selected from
+      (a row whose group maxima tie at that cut is resolved against its
+      whole window row);
+    * from the second window on, each row's k-th score so far is a strict
+      cut: only groups whose maximum beats it are gathered, and a window
+      where none does is skipped after its products.
+
+    A small window is selected from directly.  Peak memory is
+    ``O(num_queries * window)``, whatever the number of entities.  Every
+    step is exact, so the result equals the top-k of the full score matrix.
 
     Returns ``(scores, positions)`` arrays of shape ``(num_queries, k)`` with
     each row sorted by decreasing score; ties are broken by ascending entity
@@ -414,10 +492,17 @@ def _entity_array(entities: Sequence[Entity]) -> np.ndarray:
     return array
 
 
+def _require_finite(vectors: np.ndarray, what: str) -> None:
+    """Scores are compared under a total order, which NaN and inf break."""
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{what} must be finite")
+
+
 def _aligned_rows(entities: List[Entity], vectors: np.ndarray) -> np.ndarray:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if len(entities) != len(vectors):
         raise ValueError("entities and vectors must align")
+    _require_finite(vectors, "entity vectors")
     return vectors
 
 
@@ -462,8 +547,8 @@ class EntityShard:
     Parameters
     ----------
     entities, vectors:
-        The shard content.  ``vectors`` is a float64 matrix, possibly
-        memory-mapped.
+        The shard content.  ``vectors`` is a finite float64 matrix,
+        possibly memory-mapped.
     block_size:
         Rows scored per block by the exhaustive scan.
     cells:
@@ -490,6 +575,7 @@ class EntityShard:
             raise ValueError("cannot build an index over zero entities")
         reject_repeated_ids([entity.entity_id for entity in entities])
         vectors = np.asarray(vectors, dtype=np.float64)
+        _require_finite(vectors, "entity vectors")
         self._configure(block_size, cells)
         self._state = self._generation(_entity_array(entities), vectors, 0)
 
@@ -622,12 +708,13 @@ class EntityShard:
         ``-1`` and entity ``None``.  ``entities`` is an object array shaped
         like ``positions``.  Positions are only meaningful within the
         generation that produced them — callers wanting candidates use the
-        entities.
+        entities.  A non-finite query vector is a ``ValueError``.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         state = self._state
         queries = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
+        _require_finite(queries, "query vectors")
         scores, positions = self._topk(state, queries, k)
         return scores, positions, state.entities_at(positions)
 
@@ -754,8 +841,8 @@ class EntityShard:
     def add(self, entities: Sequence[Entity], vectors: np.ndarray) -> None:
         """Append entities to the exact pending tail (searchable immediately).
 
-        An id already indexed is an error (use :meth:`update`), and so is an
-        id named twice.
+        An id already indexed is an error (use :meth:`update`), and so are
+        an id named twice and a non-finite vector.
         """
         entities = list(entities)
         vectors = _aligned_rows(entities, vectors)
@@ -799,7 +886,7 @@ class EntityShard:
         The old row is tombstoned and the fresh one appended to the exact
         pending tail in *one* state publication, so a concurrent search sees
         either the old row or the new one — never the entity transiently
-        absent.  An id named twice is an error.
+        absent.  An id named twice, or a non-finite vector, is an error.
         """
         entities = list(entities)
         vectors = _aligned_rows(entities, vectors)

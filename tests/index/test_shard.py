@@ -477,6 +477,66 @@ class TestRepeatedIds:
         assert sorted(found) == sorted(e.entity_id for e in entities)
 
 
+class TestNonFiniteVectors:
+    """A NaN or infinite vector is refused.  A NaN score compares false
+    against everything, so a NaN query used to come back as an empty result
+    and a NaN row was never returned, both without an error."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @stages(nprobe=3)
+    def test_shard_search(self, kb, cells, bad):
+        entities, vectors = kb
+        shard = EntityShard(entities, vectors, cells=cells)
+        queries = np.ones((3, 16))
+        queries[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shard.search(queries, 5)
+        with pytest.raises(ValueError, match="finite"):
+            shard.search_arrays(np.full((1, 16), bad), 5)
+
+    @pytest.mark.parametrize(
+        "cells", [None, IVFBackend(num_cells=4, nprobe=2)], ids=["exhaustive", "celled"]
+    )
+    def test_sharded_index_search(self, cells):
+        rng = np.random.default_rng(4)
+        index = ShardedEntityIndex(backend=cells)
+        for world in ("a", "b"):
+            index.add_shard(world, make_entities(world, 30), rng.normal(size=(30, 8)))
+        query = np.full((1, 8), np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            index.search(query, 5)
+        with pytest.raises(ValueError, match="finite"):
+            index.search_routed(query, 5, routes=["a"])
+
+    @stages(nprobe=3)
+    def test_build_add_and_update(self, kb, cells):
+        entities, vectors = kb
+        bad = vectors[100:102].copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            EntityShard(entities[100:102], bad, cells=cells)
+        shard = EntityShard(entities[:100], vectors[:100], cells=cells)
+        before = shard._state
+        with pytest.raises(ValueError, match="finite"):
+            shard.add(entities[100:102], bad)
+        bad[1, 0] = -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            shard.update(entities[:2], bad)
+        assert shard._state is before
+
+    def test_sharded_index_writes(self):
+        rng = np.random.default_rng(5)
+        entities = make_entities("a", 12)
+        index = ShardedEntityIndex()
+        index.add_shard("a", entities[:10], rng.normal(size=(10, 4)))
+        assert len(index.search(rng.normal(size=(1, 4)), 3)[0]) == 3
+        with pytest.raises(ValueError, match="finite"):
+            index.add_entities(entities[10:], np.full((2, 4), np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            index.update_entities(entities[:1], np.full((1, 4), np.inf))
+        assert "a:10" not in index and len(index) == 10
+
+
 class TestRankMapOnFirstUse:
     """A result's rank map is built by its first ``contains`` / ``rank_of``,
     not by the search that returned it."""

@@ -1,10 +1,11 @@
-"""The top-k selection kernel: select, then sort, with a running cut.
+"""The top-k selection kernel: select, then sort, once per window.
 
 ``_sorted_topk`` must return exactly what sorting every column returns (the
 reference below is the body it replaced), and ``blocked_topk`` exactly the
-top-k of the full score matrix — ties at the cut and across block boundaries
-included.  Two tests count what is sorted rather than timing it, so a return
-to sorting whole scan buffers fails on any machine.
+top-k of the full score matrix — ties at the group cut, at the running cut
+and across block and window boundaries included.  Four tests count what is
+sorted rather than timing it, so a return to sorting whole windows, or to
+one selection per block, fails on any machine.
 """
 
 import numpy as np
@@ -92,11 +93,12 @@ def test_sorted_topk_resolves_a_straddling_row_without_touching_the_others():
 # ----------------------------------------------------------------------
 # blocked_topk against the full score matrix
 # ----------------------------------------------------------------------
-def brute_force(queries, matrix, k, block_size):
-    """Top-k of the full score matrix.  The products are taken block by
-    block, as the scan takes them: BLAS rounds the last bit of a product
-    differently for different operand shapes, and this oracle is about
-    selection, not arithmetic."""
+def brute_force(queries, matrix, k, block_size, alive=None):
+    """Top-k of the full score matrix over the rows ``alive`` marks (all
+    when ``None``).  The products are taken block by block, as the scan
+    takes them: BLAS rounds the last bit of a product differently for
+    different operand shapes, and this oracle is about selection, not
+    arithmetic."""
     scores = np.concatenate(
         [
             queries @ matrix[start:start + block_size].T
@@ -104,8 +106,10 @@ def brute_force(queries, matrix, k, block_size):
         ],
         axis=1,
     )
-    positions = np.broadcast_to(np.arange(len(matrix), dtype=np.int64), scores.shape)
-    return reference_topk(scores, positions, k)
+    positions = np.arange(len(matrix), dtype=np.int64)
+    if alive is not None:
+        scores, positions = scores[:, alive], positions[alive]
+    return reference_topk(scores, np.broadcast_to(positions, scores.shape), k)
 
 
 def duplicated_matrix(rng, num_rows, dim):
@@ -142,6 +146,49 @@ def test_blocked_topk_equals_brute_force(seed, num_rows, block_size, k):
         blocked_topk(queries, matrix, k, block_size=block_size),
         brute_force(queries, matrix, k, block_size),
     )
+
+
+# ----------------------------------------------------------------------
+# The windowed scan: grouped cut, running cut, tombstones
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_rows=st.integers(1, 90),
+    block_size=st.sampled_from([1, 4, 7]),
+    blocks_per_window=st.integers(1, 3),
+    group_size=st.sampled_from([1, 2, 3]),
+    k=st.sampled_from([1, 2, K, 200]),
+    all_duplicates=st.booleans(),
+    tombstones=st.booleans(),
+    direct_sort_size=st.sampled_from([0, shard_module._DIRECT_SORT_SIZE]),
+)
+def test_windowed_scan_equals_brute_force(
+    seed, num_rows, block_size, blocks_per_window, group_size, k,
+    all_duplicates, tombstones, direct_sort_size,
+):
+    """Windows of a few blocks and groups of a few columns, so a matrix of
+    at most 90 rows spans several windows and its last window and last
+    group are ragged.  Rows are drawn from six distinct ones (all of them,
+    or every other one), so group maxima tie at the group cut and scores tie
+    across window boundaries; tombstones fall in every window; ``k=200``
+    exceeds every live row count."""
+    rng = np.random.default_rng(seed)
+    queries = rng.normal(size=(3, 4))
+    matrix = duplicated_matrix(rng, num_rows, 4)
+    if not all_duplicates:
+        matrix[::2] = rng.normal(size=matrix[::2].shape)
+    alive = rng.random(num_rows) < 0.7 if tombstones else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            shard_module, "_WINDOW_SCORES", blocks_per_window * block_size * len(queries)
+        )
+        patch.setattr(shard_module, "_GROUP_SIZE", group_size)
+        patch.setattr(shard_module, "_GROUPED_MIN_SIZE", 0)
+        patch.setattr(shard_module, "_DIRECT_SORT_SIZE", direct_sort_size)
+        actual = shard_module._scan_topk(queries, matrix, k, block_size, alive)
+        expected = brute_force(queries, matrix, k, block_size, alive)
+    assert_same(actual, expected)
 
 
 # ----------------------------------------------------------------------
@@ -331,9 +378,10 @@ def sorted_shapes(monkeypatch):
 
 
 def test_scan_sorts_a_small_multiple_of_k_per_compaction(sorted_shapes):
-    """16 queries, k=64, over a 25k x 32 shard in 13 blocks: each compaction
-    sorts its ``Q x k`` survivors, not the ``Q x ~2300`` buffer (which, at
-    every block, is 478k elements sorted per scan)."""
+    """16 queries, k=64, over a 25k x 32 shard: at most one sort per window
+    plus one, each of about ``Q x k`` survivors — not of the ``Q x 25k``
+    window, nor one per 2048-row block (sorting the ``Q x ~2300`` buffer at
+    every block was 478k elements per scan)."""
     num_queries, k = 16, 64
     rng = np.random.default_rng(2)
     vectors = rng.normal(size=(25_000, 32))
@@ -343,8 +391,10 @@ def test_scan_sorts_a_small_multiple_of_k_per_compaction(sorted_shapes):
 
     shard.search_arrays(queries, k)
 
-    blocks = -(-25_000 // shard_module.DEFAULT_BLOCK_SIZE)
-    assert 1 <= len(sorted_shapes) <= blocks + 1
+    block = shard_module.DEFAULT_BLOCK_SIZE
+    span = block * max(1, shard_module._WINDOW_SCORES // (num_queries * block))
+    windows = -(-25_000 // span)
+    assert 1 <= len(sorted_shapes) <= windows + 1
     elements = sum(int(np.prod(shape)) for shape in sorted_shapes)
     assert elements <= 2 * num_queries * k * len(sorted_shapes)
 
@@ -371,3 +421,51 @@ def test_tombstones_do_not_widen_the_selection(sorted_shapes):
     for got, want in zip(results, rebuilt.search(queries, k)):
         assert got.entity_ids == want.entity_ids
         assert got.scores == want.scores
+
+
+def test_a_serving_size_search_sorts_once(monkeypatch, sorted_shapes):
+    """8 queries, 64 rows, k=8 (a ``serve_*`` search of one world): one
+    sort of the whole window, and no grouped pass — no partition of group
+    maxima or of scores."""
+    partitioned = []
+    for name in ("partition", "argpartition"):
+        original = getattr(np, name)
+
+        def wrapper(array, *args, _original=original, **kwargs):
+            partitioned.append(np.shape(array))
+            return _original(array, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, wrapper)
+    rng = np.random.default_rng(6)
+    shard = EntityShard(make_entities(64), rng.normal(size=(64, 16)))
+    queries = rng.normal(size=(8, 16))
+    del sorted_shapes[:]
+
+    shard.search_arrays(queries, 8)
+
+    assert sorted_shapes == [(8, 64)]
+    assert partitioned == []
+
+
+def test_a_window_that_only_ties_the_running_cut_is_skipped(monkeypatch, sorted_shapes):
+    """Integer scores, so ties are exact whatever the BLAS.  The first
+    window holds each query's scores 0..63; every later window scores at
+    most 59, each query's 5th best, and reaches it.  A later column equal to
+    the cut loses the tie-break to the earlier one, so each later window is
+    skipped after its products and the scan sorts once."""
+    rng = np.random.default_rng(7)
+    first = np.stack([rng.permutation(64), rng.permutation(64)], axis=1)
+    later = rng.integers(0, 60, size=(3 * 64, 2))
+    later[::17] = 59
+    matrix = np.concatenate([first, later]).astype(np.float64)
+    queries = np.eye(2)
+    monkeypatch.setattr(shard_module, "_WINDOW_SCORES", 2 * 64)
+    monkeypatch.setattr(shard_module, "_GROUP_SIZE", 4)
+    monkeypatch.setattr(shard_module, "_GROUPED_MIN_SIZE", 0)
+    del sorted_shapes[:]
+
+    actual = blocked_topk(queries, matrix, K, block_size=64)
+
+    assert len(sorted_shapes) == 1
+    assert_same(actual, brute_force(queries, matrix, K, 64))
+    assert np.array_equal(actual[0], np.tile(np.arange(63.0, 58.0, -1), (2, 1)))
