@@ -40,7 +40,7 @@ MODULES = [
     ("repro.linking.biencoder", "repro.linking.biencoder — bi-encoder"),
     ("repro.linking.crossencoder", "repro.linking.crossencoder — cross-encoder"),
     ("repro.linking.blink", "repro.linking.blink — two-stage pipeline"),
-    ("repro.training.engine", "repro.training.engine — the training loop (weight→accumulate→update)"),
+    ("repro.training.engine", "repro.training.engine — the training loop (weight→update)"),
     ("repro.training.tasks", "repro.training.tasks — stage adapters"),
     ("repro.meta.reweight", "repro.meta.reweight — example reweighting (Alg. 1)"),
     ("repro.meta.metablink", "repro.meta.metablink — MetaBLINK trainer (Alg. 2)"),

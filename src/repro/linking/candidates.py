@@ -225,18 +225,29 @@ class ShardedEntityIndex:
 
         ``vectors`` is a float64 matrix, possibly memory-mapped — it reaches
         the shard as-is, so its pages stay lazy.  The shard itself is built
-        on first use.  An entity id named twice is an error.
+        on first use.  An entity id named twice, or already indexed in
+        another world, is an error.
         """
         if vectors is not None and len(vectors) != len(entities):
             raise ValueError("entities and vectors must align")
         members = list(entities)
-        reject_repeated_ids([entity.entity_id for entity in members])
+        self._register(world, (members, vectors), [entity.entity_id for entity in members])
+
+    def _register(
+        self, world: str, record: Union[EntityShard, ColdShard], ids: List[str]
+    ) -> None:
+        """Add a new world's shard record; nothing is registered if any id is
+        repeated or already indexed."""
+        reject_repeated_ids(ids)
         with self._lock:
             if world in self._shards:
                 raise ValueError(f"shard {world!r} already exists")
-            self._shards[world] = (members, vectors)
-        for entity in members:
-            self._entity_world[entity.entity_id] = world
+            indexed = [i for i in ids if i in self._entity_world]
+            if indexed:
+                raise ValueError(f"entities already indexed in another world: {indexed}")
+            self._shards[world] = record
+        for entity_id in ids:
+            self._entity_world[entity_id] = world
 
     # ------------------------------------------------------------------
     # Introspection
@@ -391,7 +402,9 @@ class ShardedEntityIndex:
     ) -> None:
         """Refresh metadata/embeddings of already-indexed entities online.
 
-        An id named twice is an error.
+        An id named twice is an error, and so is an entity whose ``domain``
+        is not the world it is indexed in: an update does not move it
+        (remove it and add it instead).
         """
         entities = list(entities)
         if not entities:
@@ -400,6 +413,9 @@ class ShardedEntityIndex:
         missing = [e.entity_id for e in entities if e.entity_id not in self._entity_world]
         if missing:
             raise KeyError(f"unknown entities: {missing}")
+        moved = [e.entity_id for e in entities if e.domain != self._entity_world[e.entity_id]]
+        if moved:
+            raise ValueError(f"an update cannot move entities to another world: {moved}")
         vectors = self._resolve_vectors(entities, vectors)
         grouped: "OrderedDict[str, List[int]]" = OrderedDict()
         for position, entity in enumerate(entities):
@@ -494,9 +510,7 @@ class ShardedEntityIndex:
                 )
                 continue
             shard = EntityShard.restore(entry, arrays, index._block_size, cells=backend)
-            index._shards[entry["world"]] = shard
-            for entity in shard.entities():
-                index._entity_world[entity.entity_id] = entry["world"]
+            index._register(entry["world"], shard, [e.entity_id for e in shard.entities()])
         return index
 
     # ------------------------------------------------------------------

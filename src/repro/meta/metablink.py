@@ -6,14 +6,12 @@ seed set ``D_g``: one :class:`~repro.training.MetaTrainingEngine` per stage
 runs Algorithm 1 — the shared training loop with every synthetic batch
 reweighted against a seed batch (via
 :class:`~repro.meta.reweight.ExampleReweighter`) before the weighted update
-of Eq. 15.  Pass an :class:`~repro.training.EngineConfig` for gradient
-accumulation and resumable checkpointing.
+of Eq. 15.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -24,7 +22,7 @@ from ..linking.blink import BlinkPipeline
 from ..linking.crossencoder import CrossEncoderTrainer
 from ..linking.encoders import unique_entities
 from ..text.tokenizer import Tokenizer
-from ..training.engine import EngineConfig, MetaTrainingEngine
+from ..training.engine import MetaTrainingEngine
 from ..training.tasks import BiEncoderMetaTask, CrossEncoderMetaTask
 from ..utils.config import BiEncoderConfig, CrossEncoderConfig, MetaConfig
 from ..utils.logging import MetricHistory
@@ -54,27 +52,12 @@ class MetaBlinkTrainer:
         biencoder_config: Optional[BiEncoderConfig] = None,
         crossencoder_config: Optional[CrossEncoderConfig] = None,
         meta_config: Optional[MetaConfig] = None,
-        engine_config: Optional[EngineConfig] = None,
     ) -> None:
         self.tokenizer = tokenizer
         self.biencoder_config = biencoder_config or BiEncoderConfig()
         self.crossencoder_config = crossencoder_config or CrossEncoderConfig()
         self.meta_config = meta_config or MetaConfig()
-        self.engine_config = engine_config
         self.pipeline = BlinkPipeline(tokenizer, self.biencoder_config, self.crossencoder_config)
-
-    def _stage_engine(self, stage: str, model, task, config) -> MetaTrainingEngine:
-        """One stage's Algorithm 1 engine.  Each stage checkpoints into its own
-        subdirectory, otherwise the two engines would overwrite (and prune)
-        each other's ``epoch-*.npz`` files."""
-        engine_config = self.engine_config
-        if engine_config is not None and engine_config.checkpoint_dir:
-            engine_config = replace(
-                engine_config, checkpoint_dir=str(Path(engine_config.checkpoint_dir) / stage)
-            )
-        return MetaTrainingEngine.for_stage(
-            model, task, config, meta_config=self.meta_config, engine_config=engine_config
-        )
 
     def train(
         self,
@@ -96,8 +79,9 @@ class MetaBlinkTrainer:
         """
         report = MetaTrainingReport()
         pipeline = self.pipeline
-        bi_engine = self._stage_engine(
-            "biencoder", pipeline.biencoder, BiEncoderMetaTask(pipeline.biencoder), self.biencoder_config
+        bi_engine = MetaTrainingEngine.for_stage(
+            pipeline.biencoder, BiEncoderMetaTask(pipeline.biencoder), self.biencoder_config,
+            meta_config=self.meta_config,
         )
         report.biencoder_loss = bi_engine.fit(synthetic_pairs, seed_pairs, seed=seed)
         histories = [report.biencoder_loss]
@@ -105,9 +89,9 @@ class MetaBlinkTrainer:
             pool = list(candidate_pool) if candidate_pool is not None else unique_entities(
                 list(synthetic_pairs) + list(seed_pairs)
             )
-            cross_engine = self._stage_engine(
-                "crossencoder", pipeline.crossencoder, CrossEncoderMetaTask(pipeline.crossencoder),
-                self.crossencoder_config,
+            cross_engine = MetaTrainingEngine.for_stage(
+                pipeline.crossencoder, CrossEncoderMetaTask(pipeline.crossencoder),
+                self.crossencoder_config, meta_config=self.meta_config,
             )
             report.crossencoder_loss = cross_engine.fit(
                 pipeline.ranking_examples(synthetic_pairs, pool, max_crossencoder_examples, seed=seed),

@@ -1,7 +1,7 @@
 """Learning to reweight synthetic data (Algorithm 1 of the paper).
 
 The paper follows Ren et al. (2018): each training step draws a synthetic
-batch and a small seed batch from the target domain, takes a *virtual* SGD
+batch and a small seed batch from the target domain, takes a *virtual* gradient
 step on the synthetic batch with per-example weights ``w`` initialised at
 zero, measures the seed loss at the updated parameters, and sets each weight
 to the (rectified, normalised) negative gradient of that seed loss w.r.t. the

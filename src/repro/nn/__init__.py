@@ -2,7 +2,7 @@
 
 This subpackage replaces PyTorch in the reproduction: it provides an autodiff
 :class:`~repro.nn.tensor.Tensor`, layers, transformer encoder / decoder
-stacks, optimisers and checkpointing.  Every model in ``repro.linking``,
+stacks, the Adam optimiser and checkpointing.  Every model in ``repro.linking``,
 ``repro.generation`` and ``repro.meta`` is built on top of it.
 """
 
@@ -10,13 +10,8 @@ from . import functional
 from .attention import KVCache, MultiHeadAttention
 from .layers import Dropout, Embedding, FeedForward, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .serialization import (
-    load_checkpoint,
-    load_training_checkpoint,
-    save_checkpoint,
-    save_training_checkpoint,
-)
+from .optim import Adam, clip_grad_norm
+from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
     concatenate,
@@ -58,12 +53,8 @@ __all__ = [
     "TransformerDecoderLayer",
     "DecoderState",
     "PositionalEmbedding",
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "save_checkpoint",
     "load_checkpoint",
-    "save_training_checkpoint",
-    "load_training_checkpoint",
 ]

@@ -1,15 +1,8 @@
-"""Checkpoint save / load helpers for :class:`repro.nn.module.Module`.
+"""Checkpoint save / load for :class:`repro.nn.module.Module`.
 
-Two layers of persistence:
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` — parameters plus JSON
-  metadata, enough to ship a trained model;
-* :func:`save_training_checkpoint` / :func:`load_training_checkpoint` — the
-  same plus the optimiser's buffers (Adam moments, step counters), so an
-  interrupted training run resumes bit-identically.  Array-valued optimiser
-  state lands in the ``.npz`` payload under ``opt::`` keys; scalar state and
-  caller metadata (RNG states, epoch cursors, loss history) travel in the
-  embedded JSON blob.
+:func:`save_checkpoint` / :func:`load_checkpoint` store a module's
+parameters plus JSON metadata in one ``.npz`` file: enough to ship a trained
+model.
 """
 
 from __future__ import annotations
@@ -63,82 +56,3 @@ def load_checkpoint(module: Module, path: PathLike, strict: bool = True) -> Dict
         metadata_bytes = archive["__metadata__"].tobytes() if "__metadata__" in archive.files else b"{}"
     module.load_state_dict(state, strict=strict)
     return json.loads(metadata_bytes.decode("utf-8"))
-
-
-def _resolve(path: PathLike) -> Path:
-    path = Path(path)
-    if not path.exists() and path.with_suffix(".npz").exists():
-        path = path.with_suffix(".npz")
-    return path
-
-
-def save_training_checkpoint(
-    module: Module,
-    path: PathLike,
-    optimizer=None,
-    metadata: Optional[Dict[str, object]] = None,
-) -> Path:
-    """Save parameters + optimiser buffers + metadata for exact resume.
-
-    ``optimizer`` is any object with a ``state_dict()`` whose values are
-    scalars or lists of numpy arrays (:class:`repro.nn.optim.Adam` /
-    :class:`~repro.nn.optim.SGD`).  Returns the path written (``.npz``).
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_suffix(".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {f"param::{name}": value for name, value in module.state_dict().items()}
-    meta = dict(metadata or {})
-    if optimizer is not None:
-        scalars: Dict[str, object] = {}
-        array_keys: Dict[str, int] = {}
-        for key, value in optimizer.state_dict().items():
-            if isinstance(value, list) and all(isinstance(item, np.ndarray) for item in value):
-                array_keys[key] = len(value)
-                for index, item in enumerate(value):
-                    payload[f"opt::{key}::{index}"] = item
-            else:
-                scalars[key] = value
-        meta["__optimizer__"] = {"scalars": scalars, "array_keys": array_keys}
-    payload["__metadata__"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **payload)
-    return path
-
-
-def load_training_checkpoint(
-    module: Module,
-    path: PathLike,
-    optimizer=None,
-    strict: bool = True,
-) -> Dict[str, object]:
-    """Restore a :func:`save_training_checkpoint` file into module + optimiser.
-
-    Returns the caller metadata (with the internal optimiser section removed).
-    """
-    path = _resolve(path)
-    with np.load(path) as archive:
-        params = {
-            key[len("param::"):]: archive[key]
-            for key in archive.files
-            if key.startswith("param::")
-        }
-        opt_arrays = {
-            key[len("opt::"):]: archive[key]
-            for key in archive.files
-            if key.startswith("opt::")
-        }
-        metadata_bytes = archive["__metadata__"].tobytes() if "__metadata__" in archive.files else b"{}"
-    module.load_state_dict(params, strict=strict)
-    metadata = json.loads(metadata_bytes.decode("utf-8"))
-    optimizer_meta = metadata.pop("__optimizer__", None)
-    if optimizer is not None:
-        if optimizer_meta is None:
-            raise ValueError(f"checkpoint {path} holds no optimizer state")
-        state: Dict[str, object] = dict(optimizer_meta["scalars"])
-        for key, count in optimizer_meta["array_keys"].items():
-            state[key] = [opt_arrays[f"{key}::{index}"] for index in range(int(count))]
-        optimizer.load_state_dict(state)
-    return metadata

@@ -91,7 +91,6 @@ class MetaConfig:
     meta_batch_size: int = 16
     seed_batch_size: int = 16
     jvp_epsilon: float = 1e-3
-    seed: int = 31
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -109,7 +108,6 @@ class CorpusConfig:
     entities_per_domain: int = 120
     mentions_per_domain: int = 260
     description_sentences: int = 2
-    context_window: int = 10
     seed: int = 13
 
     def to_dict(self) -> Dict[str, object]:

@@ -257,6 +257,29 @@ class TestShardedEntityIndex:
         assert np.allclose(index.vector("lego:0"), np.eye(5)[0])
         assert np.allclose(index.vector("yugioh:2"), np.eye(3, 5)[2] * 0.5)
 
+    def test_an_id_indexed_in_another_world_is_rejected(self):
+        index = self.build()
+        stray = Entity(entity_id="lego:1", title="t", description="d", domain="other")
+        with pytest.raises(ValueError, match="lego:1"):
+            index.add_shard("other", make_entities("other", 1) + [stray], np.eye(2, 5))
+        assert index.worlds() == ["lego", "yugioh"] and "other:0" not in index
+        index.remove_entities(["lego:1"])
+        found = index.search(np.eye(5)[1:2], k=8)[0].entity_ids
+        assert "lego:1" not in index and "lego:1" not in found and len(found) == 7
+        with pytest.raises(ValueError, match="a:1"):
+            ShardedEntityIndex.from_entities(
+                make_entities("a", 2) + [Entity("a:1", "t", "d", "b")]
+            )
+
+    def test_an_update_cannot_move_an_entity_to_another_world(self):
+        index = self.build()
+        states = {world: index.shard(world)._state for world in index.worlds()}
+        moved = Entity(entity_id="lego:1", title="t", description="d", domain="yugioh")
+        with pytest.raises(ValueError, match="lego:1"):
+            index.update_entities(make_entities("yugioh", 1) + [moved], np.ones((2, 5)))
+        assert all(index.shard(world)._state is state for world, state in states.items())
+        assert index.entity("lego:1").domain == "lego"
+
     def test_entity_and_contains(self):
         index = self.build()
         assert index.entity("yugioh:1").domain == "yugioh"

@@ -9,9 +9,10 @@ from repro.index.snapshot import (
     SNAPSHOT_ARRAYS,
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MANIFEST,
+    write_snapshot,
 )
 from repro.kb import Entity
-from repro.linking import ShardedEntityIndex
+from repro.linking import EntityShard, ShardedEntityIndex
 
 
 def make_entities(world, count):
@@ -156,3 +157,21 @@ class TestSnapshotRoundTrip:
             "shard_0__pending_vectors.npy",
             "shard_0__storage.npy",
         ]
+
+
+@pytest.mark.parametrize("materialized", [True, False], ids=["built", "cold"])
+def test_load_rejects_an_id_saved_in_two_worlds(tmp_path, materialized):
+    records = []
+    for world in ("a", "b"):
+        entities = make_entities(world, 2) + [Entity("x:1", "t", "d", world)]
+        if materialized:
+            entry, arrays = EntityShard(entities, np.eye(3)).export()
+        else:
+            arrays = {}
+            entry = {"backend": "exact", "codec": "float64",
+                     "entities": [entity.to_dict() for entity in entities]}
+        entry.update(world=world, materialized=materialized)
+        records.append((entry, arrays))
+    write_snapshot(tmp_path / "snap", {"block_size": 4}, records)
+    with pytest.raises(ValueError, match="x:1"):
+        ShardedEntityIndex.load(tmp_path / "snap")

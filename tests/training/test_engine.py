@@ -19,7 +19,12 @@ from repro.linking import (
 )
 from repro.meta import few_shot_seed
 from repro.nn import Adam, clip_grad_norm
-from repro.training import BiEncoderMetaTask, EngineConfig, MetaTrainingEngine, TrainingEngine
+from repro.training import (
+    BiEncoderMetaTask,
+    CrossEncoderMetaTask,
+    MetaTrainingEngine,
+    TrainingEngine,
+)
 from repro.utils.config import BiEncoderConfig, CrossEncoderConfig, EncoderConfig, MetaConfig
 from repro.utils.rng import batched_indices
 
@@ -42,7 +47,7 @@ def engine_data(tiny_corpus):
     return seed_pairs, synthetic, entities
 
 
-def make_engine(tokenizer, entities, epochs=2, engine_config=None, meta_config=META_JVP):
+def make_engine(tokenizer, entities, epochs=2, meta_config=META_JVP):
     model = BiEncoder(BI_CFG, tokenizer)
     task = BiEncoderMetaTask(model)
     engine = MetaTrainingEngine(
@@ -53,7 +58,6 @@ def make_engine(tokenizer, entities, epochs=2, engine_config=None, meta_config=M
         epochs=epochs,
         max_grad_norm=BI_CFG.max_grad_norm,
         meta_config=meta_config,
-        engine_config=engine_config,
     )
     return model, engine
 
@@ -95,83 +99,17 @@ class TestEngineBasics:
         assert {r.learning_rate for r in engine.step_metrics} == {BI_CFG.learning_rate}
         assert engine.optimizer.lr == BI_CFG.learning_rate
 
-    def test_gradient_accumulation_reduces_updates(self, engine_data, tiny_tokenizer):
-        seed_pairs, synthetic, entities = engine_data
-        _, plain = make_engine(tiny_tokenizer, entities)
-        plain.fit(synthetic, seed_pairs, epochs=1, seed=0)
-        _, accumulated = make_engine(
-            tiny_tokenizer, entities,
-            engine_config=EngineConfig(accumulation_steps=3),
-        )
-        accumulated.fit(synthetic, seed_pairs, epochs=1, seed=0)
-        assert accumulated._optimizer_steps < plain._optimizer_steps
-        assert accumulated._optimizer_steps >= 1
-
-
-class TestCheckpointResume:
-    def test_resume_is_bit_identical(self, engine_data, tiny_tokenizer, tmp_path):
-        seed_pairs, synthetic, entities = engine_data
-
-        model_full, engine_full = make_engine(tiny_tokenizer, entities, epochs=4)
-        history_full = engine_full.fit(synthetic, seed_pairs, epochs=4, seed=0)
-        params_full = model_full.flatten_parameters()
-
-        _, engine_first = make_engine(
-            tiny_tokenizer, entities, epochs=4,
-            engine_config=EngineConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1),
-        )
-        engine_first.fit(synthetic, seed_pairs, epochs=2, seed=0)
-        checkpoint = sorted(tmp_path.glob("epoch-*.npz"))[-1]
-
-        model_resumed, engine_resumed = make_engine(tiny_tokenizer, entities, epochs=4)
-        engine_resumed.restore(checkpoint)
-        # The fit seed is ignored after restore: the checkpointed RNG stream
-        # continues, so the run must match the uninterrupted one exactly.
-        history_resumed = engine_resumed.fit(synthetic, seed_pairs, epochs=4, seed=12345)
-
-        assert np.array_equal(params_full, model_resumed.flatten_parameters())
-        assert history_full.series("loss") == history_resumed.series("loss")
-        assert history_full.last("selected_fraction") == history_resumed.last("selected_fraction")
-        assert len(engine_resumed.step_metrics) == len(engine_full.step_metrics)
-
-    def test_checkpoint_rotation(self, engine_data, tiny_tokenizer, tmp_path):
-        seed_pairs, synthetic, entities = engine_data
-        _, engine = make_engine(
-            tiny_tokenizer, entities, epochs=4,
-            engine_config=EngineConfig(
-                checkpoint_dir=str(tmp_path), checkpoint_every=1, keep_checkpoints=2
-            ),
-        )
-        engine.fit(synthetic, seed_pairs, epochs=4, seed=0)
-        remaining = sorted(path.name for path in tmp_path.glob("epoch-*.npz"))
-        assert remaining == ["epoch-0003.npz", "epoch-0004.npz"]
-
-    def test_restore_recovers_metrics(self, engine_data, tiny_tokenizer, tmp_path):
-        seed_pairs, synthetic, entities = engine_data
-        _, engine = make_engine(
-            tiny_tokenizer, entities,
-            engine_config=EngineConfig(checkpoint_dir=str(tmp_path), checkpoint_every=1),
-        )
-        engine.fit(synthetic, seed_pairs, epochs=1, seed=0)
-        checkpoint = sorted(tmp_path.glob("epoch-*.npz"))[-1]
-        _, fresh = make_engine(tiny_tokenizer, entities)
-        fresh.restore(checkpoint)
-        assert fresh._completed_epochs == 1
-        assert fresh.history.series("loss") == engine.history.series("loss")[:1]
-        assert [r.to_dict() for r in fresh.step_metrics] == [
-            r.to_dict() for r in engine.step_metrics
-        ]
-
 
 # ----------------------------------------------------------------------
 # Reference loops: the per-trainer epoch loops the engine replaced, written
 # out.  The trainers must reproduce them (same RNG draws, same op order).
 # ----------------------------------------------------------------------
-def reference_biencoder_fit(model, pairs, config, epochs, seed, batch_weights=None):
+def reference_biencoder_fit(model, pairs, config, epochs, seed, batch_weights=None, optimizer=None):
     """The bi-encoder loop; ``batch_weights(mention_ids, entity_ids)`` supplies
-    per-example weights for the ``Σ w·l / Σ w`` objective (None: the mean loss)."""
+    per-example weights for the ``Σ w·l / Σ w`` objective (None: the mean loss).
+    Pass ``optimizer`` to continue an earlier run's Adam state."""
     batch = encode_pair_batch(pairs, model.tokenizer, config.encoder.max_length)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    optimizer = optimizer or Adam(model.parameters(), lr=config.learning_rate)
     rng = np.random.default_rng(seed)
     history = []
     model.train()
@@ -294,21 +232,82 @@ class TestOneLoop:
         assert history.series("loss") == plain_history.series("loss")
         assert np.array_equal(model.flatten_parameters(), plain.flatten_parameters())
 
-    def test_plain_trainer_checkpoint_resumes(self, engine_data, tiny_tokenizer, tmp_path):
-        seed_pairs, synthetic, _ = engine_data
-        full = BiEncoder(BI_CFG, tiny_tokenizer)
-        full_history = BiEncoderTrainer(full, BI_CFG).fit(synthetic, epochs=4, seed=0)
+    def test_a_second_fit_trains_again_under_its_own_seed(self, engine_data, tiny_tokenizer):
+        _, synthetic, _ = engine_data
+        model = BiEncoder(BI_CFG, tiny_tokenizer)
+        engine = TrainingEngine.for_stage(model, BiEncoderMetaTask(model), BI_CFG)
+        engine.fit(synthetic, epochs=1, seed=0)
+        steps = len(engine.step_metrics)
+        engine.fit(synthetic, epochs=1, seed=7)
+        assert steps > 0 and len(engine.step_metrics) == 2 * steps
 
-        first = BiEncoderTrainer(BiEncoder(BI_CFG, tiny_tokenizer), BI_CFG)
-        first.fit(synthetic, epochs=2, seed=0)
-        checkpoint = first.engine.save_checkpoint(tmp_path / "plain")
+        reference = BiEncoder(BI_CFG, tiny_tokenizer)
+        optimizer = Adam(reference.parameters(), lr=BI_CFG.learning_rate)
+        reference_biencoder_fit(reference, synthetic, BI_CFG, epochs=1, seed=0, optimizer=optimizer)
+        reference_biencoder_fit(reference, synthetic, BI_CFG, epochs=1, seed=7, optimizer=optimizer)
+        assert np.allclose(
+            model.flatten_parameters(), reference.flatten_parameters(), rtol=0, atol=1e-12
+        )
 
-        resumed = BiEncoder(BI_CFG, tiny_tokenizer)
-        engine = TrainingEngine.for_stage(resumed, BiEncoderMetaTask(resumed), BI_CFG)
-        engine.restore(checkpoint)
-        history = engine.fit(synthetic, epochs=4, seed=12345)
-        assert history.series("loss") == full_history.series("loss")
-        assert np.array_equal(resumed.flatten_parameters(), full.flatten_parameters())
+
+def recording(weighting, drawn):
+    """``weighting``, also appending each ``(batch, weights)`` it returns to ``drawn``."""
+    def weigh(batch):
+        weights = weighting(batch)
+        drawn.append((list(batch), np.array(weights, dtype=np.float64)))
+        return weights
+    return weigh
+
+
+def reference_replay(model, task, drawn, config):
+    """Algorithm 1's update written out: one clipped Adam step on
+    ``Σ w_j l_j / Σ w_j`` per recorded batch, none for an all-zero one."""
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    losses = []
+    model.train()
+    for batch, weights in drawn:
+        if weights.sum() <= 0.0:
+            continue
+        loss = task.weighted_loss(batch, weights)
+        model.zero_grad()
+        loss.backward()
+        clip_grad_norm(model.parameters(), config.max_grad_norm)
+        optimizer.step()
+        losses.append(loss.item())
+    model.eval()
+    return losses
+
+
+class TestAlgorithmOneUpdate:
+    """The meta engine's update under the reweighter's own weights, which it
+    computes between batches with zero-grad cycles of its own, is exactly
+    one update per weighted batch."""
+
+    @pytest.mark.parametrize("stage", ["biencoder", "crossencoder"])
+    def test_meta_engine_equals_reference_replaying_its_weights(
+        self, engine_data, tiny_tokenizer, stage
+    ):
+        seed_pairs, synthetic, entities = engine_data
+        if stage == "biencoder":
+            config, make_model, make_task = BI_CFG, BiEncoder, BiEncoderMetaTask
+            items, guide = synthetic, seed_pairs
+        else:
+            # Dropout on: the reweighter's probes must not draw from its stream.
+            config, make_model, make_task = replace(CX_CFG, encoder=ENC), CrossEncoder, CrossEncoderMetaTask
+            items = build_ranking_examples(synthetic[:12], entities, config.num_candidates, seed=0)
+            guide = build_ranking_examples(seed_pairs[:8], entities, config.num_candidates, seed=1)
+        model = make_model(config, tiny_tokenizer)
+        engine = MetaTrainingEngine.for_stage(model, make_task(model), config, meta_config=META_JVP)
+        drawn = []
+        engine.weighting = recording(engine.weighting, drawn)
+        engine.fit(items, guide, epochs=2, seed=4)
+        trained = [(b, w) for b, w in drawn if w.sum() > 0.0]
+        assert trained and any(np.unique(w).size > 1 for _, w in trained)
+
+        reference = make_model(config, tiny_tokenizer)
+        losses = reference_replay(reference, make_task(reference), drawn, config)
+        assert losses == [m.loss for m in engine.step_metrics if not m.skipped]
+        assert np.array_equal(model.flatten_parameters(), reference.flatten_parameters())
 
 
 class TestSkippedSteps:
@@ -324,7 +323,7 @@ class TestSkippedSteps:
         assert engine.step_metrics and all(record.skipped for record in engine.step_metrics)
         assert history.last("skipped_steps") == len(engine.step_metrics)
         assert history.last("selected_fraction") == 0.0
-        assert engine._optimizer_steps == 0 and engine.optimizer._step_count == 0
+        assert engine.optimizer._step_count == 0
         assert np.array_equal(before, model.flatten_parameters())
         warnings = [r for r in caplog.records if r.name == "repro.training.engine"]
         assert len(warnings) == 1 and "skipped" in warnings[0].getMessage()
